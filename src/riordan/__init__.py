@@ -18,6 +18,7 @@ from .series import (
     SeriesError,
     binomial_transform,
     catalan,
+    catalan_of,
     rational,
     rational_series,
 )

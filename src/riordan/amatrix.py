@@ -24,7 +24,7 @@ from math import comb
 from .series import (
     PowerSeries,
     Sequence,
-    catalan,
+    catalan_of,
     rational,
     rational_series,
     _ZERO,
@@ -115,7 +115,6 @@ class AMatrixSpec:
 class SolveReport:
     f: PowerSeries
     iterations: int
-    residual_ok: bool
 
 
 def _poly_at(coeffs, powers, order: int) -> PowerSeries:
@@ -177,7 +176,7 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     for iteration in range(1, order + 2):
         nxt = _equation_rhs(spec, f)
         if nxt.coeffs == f.coeffs:
-            return SolveReport(f, iteration, residual_ok=True)
+            return SolveReport(f, iteration)
         f = nxt
     raise NonConvergence("fixed point not reached; the iteration is miscoded")
 
@@ -232,28 +231,27 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
 
     Catalan-composition form:
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
-    where C is the Catalan generating function.  rho0 = 0 gives the pure
-    two-row case.
+    where C is the Catalan generating function; C(u) comes from the
+    coefficient recurrence of catalan_of, not from composing series.
+    rho0 = 0 gives the pure two-row case.
     """
     a, b, c, d, rho0 = (rational(v) for v in (a, b, c, d, rho0))
     den = PowerSeries.of([1, -a, -c], order)
     num = PowerSeries.of([0, rho0, rho0 + b, b + d, d], order)  # x(1+x)(rho0+bx+dx^2)
     inner = num / (den * den)
-    cat = catalan(order)
-    return (PowerSeries.of([1, 1], order) / den) * cat.compose(inner)
+    return (PowerSeries.of([1, 1], order) / den) * catalan_of(inner)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
     """The solution u of u/x = 1 + a*u + b*u^2 + c*u^2/x.
 
-    Catalan-composition form x/(1-ax) * C(x(bx + c)/(1-ax)^2); also equal
-    to the reverse of x(1 - cx)/(1 + ax + bx^2).
+    Catalan-composition form x/(1-ax) * C(x(bx + c)/(1-ax)^2), with C(u)
+    from catalan_of; also equal to the reverse of x(1 - cx)/(1 + ax + bx^2).
     """
     a, b, c = (rational(v) for v in (a, b, c))
     den = PowerSeries.of([1, -a], order)
     inner = PowerSeries.of([0, c, b], order) / (den * den)
-    cat = catalan(order)
-    return (PowerSeries.of([0, 1], order) / den) * cat.compose(inner)
+    return (PowerSeries.of([0, 1], order) / den) * catalan_of(inner)
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:

@@ -20,7 +20,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .series import Sequence, format_rational
 from .core import bell_from_f, production_matrix, riordan_triangle, a_sequence, z_sequence
@@ -40,23 +39,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved command options; every command reads from one of these."""
-
-    order: int = 32
-    rows: int = 12
-    format: str = "plain"
-
-    @classmethod
-    def from_args(cls, args) -> "CliConfig":
-        return cls(
-            order=getattr(args, "order", None) or 32,
-            rows=getattr(args, "rows", None) or 12,
-            format=getattr(args, "format", "plain"),
-        )
 
 
 class _CliError(Exception):
@@ -92,17 +74,16 @@ def _load_spec(path: str) -> AMatrixSpec:
 
 
 def _cmd_solve(args) -> int:
-    config = CliConfig.from_args(args)
     spec = _load_spec(args.spec)
-    report = solve_f(spec, config.order)
+    report = solve_f(spec, args.order)
     fx = report.f.div_x()
-    if config.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "f": _json_list(report.f.coeffs),
                 "f_over_x": _json_list(fx.coeffs),
                 "iterations": report.iterations,
-                "order": config.order,
+                "order": args.order,
             }
         )
     else:
@@ -141,21 +122,25 @@ def _fit_json(fit) -> dict:
 
 
 def _cmd_pipeline(args) -> int:
-    config = CliConfig.from_args(args)
     spec = _load_spec(args.spec)
-    order, rows = config.order, config.rows
-    wants_depth = args.hankel or args.somos_fit or args.jfraction
-    if wants_depth and order < 2 * rows:
-        raise _CliError(
-            EXIT_USAGE,
-            f"insufficient order: depth-{rows} Hankel/J-fraction analyses need"
-            f" order >= {2 * rows}, have {order}",
-        )
-    if (args.triangle or args.production) and order < rows + 1:
-        raise _CliError(
-            EXIT_USAGE,
-            f"insufficient order: {rows} rows need order >= {rows + 1}, have {order}",
-        )
+    order, rows = args.order, args.rows
+    if args.production and rows < 2:
+        raise _CliError(EXIT_USAGE, f"--production needs --rows >= 2, got {rows}")
+    # the Bell pair keeps order - 1 terms of f/x; depth rows - 1 uses 2*rows - 1
+    # of them for Hankel and 2*rows for J-fractions
+    needs = (
+        (True, 3, "the Bell array"),
+        (args.zseq, 4, "the Z-sequence"),
+        (args.triangle, rows + 1, f"a {rows}-row triangle"),
+        (args.production, rows + 2, f"a {rows}-row production matrix"),
+        (args.hankel or args.somos_fit, 2 * rows, f"depth-{rows} Hankel analyses"),
+        (args.jfraction, 2 * rows + 1, f"a depth-{rows} J-fraction"),
+    )
+    for wanted, need, what in needs:
+        if wanted and order < need:
+            raise _CliError(
+                EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
+            )
     pair = bell_from_f(solve_f(spec, order).f)
     column = pair.g
     plain_lines: list[str] = []
@@ -225,7 +210,7 @@ def _cmd_pipeline(args) -> int:
         )
         if not match:
             exit_code = EXIT_FAILURE
-    if config.format == "json":
+    if args.format == "json":
         _emit_json(payload)
     else:
         print("\n".join(plain_lines))
@@ -345,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.order is not None and args.order < 2:
+            raise _CliError(EXIT_USAGE, f"--order must be at least 2, got {args.order}")
+        if getattr(args, "rows", 1) < 1:
+            raise _CliError(EXIT_USAGE, f"--rows must be at least 1, got {args.rows}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

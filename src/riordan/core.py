@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import PowerSeries, Sequence, _ZERO, _ONE
+from .series import PowerSeries, Sequence, integer_values, rational, _ZERO, _ONE
 
 
 class InsufficientOrder(ValueError):
@@ -70,8 +70,6 @@ class LowerTriangle:
 
     @classmethod
     def of(cls, rows) -> LowerTriangle:
-        from .series import rational
-
         return cls(tuple(tuple(rational(v) for v in row) for row in rows))
 
     @property
@@ -88,15 +86,7 @@ class LowerTriangle:
         return _ZERO
 
     def integers(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            cur = []
-            for v in row:
-                if v.denominator != 1:
-                    raise ValueError(f"non-integer entry {v}")
-                cur.append(v.numerator)
-            out.append(cur)
-        return out
+        return [integer_values(row, "entry") for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -117,15 +107,7 @@ class ProductionData:
         return len(self.matrix)
 
     def integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.matrix:
-            cur = []
-            for v in row:
-                if v.denominator != 1:
-                    raise ValueError(f"non-integer entry {v}")
-                cur.append(v.numerator)
-            out.append(cur)
-        return out
+        return [integer_values(row, "entry") for row in self.matrix]
 
 
 def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:

@@ -1,10 +1,11 @@
 """Exact Hankel transforms, Somos-4 parameter fitting, and J-fractions.
 
-Determinants are exact: integer matrices go through fraction-free Bareiss
-elimination on Python ints, anything else through pivoted Gaussian
-elimination over Fraction.  The Somos-4 fitter classifies the full linear
-system over every available window instead of trusting the first two, so
-hidden inconsistencies surface as data rather than wrong answers.
+Determinants are exact and take one route: each row is cleared of
+denominators, fraction-free Bareiss elimination runs on the Python ints,
+and the row scales are divided back out.  The Somos-4 fitter classifies the
+full linear system over every available window instead of trusting the
+first two, so hidden inconsistencies surface as data rather than wrong
+answers.
 
 All functions are pure; the per-index determinants of a Hankel transform
 are independent and could be evaluated in parallel.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .series import PowerSeries, Sequence, rational, _ZERO, _ONE
 
@@ -54,35 +56,12 @@ def _det_int_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_rat_gauss(m: list[list[Fraction]]) -> Fraction:
-    """Exact pivoted Gaussian elimination over Fraction."""
-    n = len(m)
-    det = _ONE
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k, n):
-                    row_i[j] -= factor * row_k[j]
-    return det
-
-
 def exact_det(matrix) -> Fraction:
-    """Exact determinant of a square matrix of rationals (or ints)."""
+    """Exact determinant of a square matrix of rationals (or ints).
+
+    Each row is scaled by the lcm of its denominators, Bareiss runs on the
+    resulting ints, and the product of the scales is divided back out.
+    """
     rows = [[rational(v) for v in row] for row in matrix]
     n = len(rows)
     for row in rows:
@@ -90,9 +69,10 @@ def exact_det(matrix) -> Fraction:
             raise ValueError("matrix is not square")
     if n == 0:
         return _ONE
-    if all(v.denominator == 1 for row in rows for v in row):
-        return Fraction(_det_int_bareiss([[v.numerator for v in row] for row in rows]))
-    return _det_rat_gauss(rows)
+    # a list, not a generator: lcm(*genexpr) holds on to memory on CPython 3.11
+    scales = [lcm(*[v.denominator for v in row]) for row in rows]
+    ints = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
+    return Fraction(_det_int_bareiss(ints), prod(scales))
 
 
 def hankel_transform(s: Sequence, max_n: int) -> Sequence:

@@ -44,14 +44,28 @@ _ONE = Fraction(1)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+
+    ``bool`` is refused although it subclasses ``int``, so a JSON ``true``
+    never passes for the number 1.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def integer_values(values, what: str) -> list[int]:
+    """The values as ints; raises ValueError at the first non-integral one."""
+    out = []
+    for v in values:
+        if v.denominator != 1:
+            raise ValueError(f"non-integer {what} {v}")
+        out.append(v.numerator)
+    return out
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -120,13 +134,7 @@ class PowerSeries:
 
     def integers(self, n: int | None = None) -> list[int]:
         """The first n coefficients as ints; raises if any is non-integral."""
-        vals = self.coeffs if n is None else self.prefix(n)
-        out = []
-        for v in vals:
-            if v.denominator != 1:
-                raise ValueError(f"non-integer coefficient {v}")
-            out.append(v.numerator)
-        return out
+        return integer_values(self.coeffs if n is None else self.prefix(n), "coefficient")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -290,14 +298,28 @@ def rational_series(num, den, order: int) -> PowerSeries:
     return PowerSeries.of(num, order) / PowerSeries.of(den, order)
 
 
+def catalan_of(u: PowerSeries) -> PowerSeries:
+    """C(u), the solution y of y = 1 + u*y**2, to u's order.
+
+    Because u(0) = 0, [x^n](u*y**2) involves only y_0..y_(n-1), so the
+    coefficients follow one at a time; the running square y**2 is extended
+    by one coefficient per step, O(order**2) products in all.
+    """
+    if u.coeffs[0] != 0:
+        raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
+    uc = u.coeffs
+    y = [_ONE]
+    sq = [_ONE]  # coefficients of y**2 known so far
+    for n in range(1, u.order):
+        y.append(sum((uc[k] * sq[n - k] for k in range(1, n + 1) if uc[k]), _ZERO))
+        half = sum((y[i] * y[n - i] for i in range((n + 1) // 2)), _ZERO)
+        sq.append(2 * half + y[n // 2] ** 2 if n % 2 == 0 else 2 * half)
+    return PowerSeries(tuple(y))
+
+
 def catalan(order: int) -> PowerSeries:
     """Generating function of the Catalan numbers: the solution of c = 1 + x*c**2."""
-    if order < 1:
-        raise SeriesError("order must be positive")
-    c = [_ONE] + [_ZERO] * (order - 1)
-    for n in range(1, order):
-        c[n] = sum((c[i] * c[n - 1 - i] for i in range(n)), _ZERO)
-    return PowerSeries(tuple(c))
+    return catalan_of(PowerSeries.x(order))
 
 
 @dataclass(frozen=True)
@@ -329,13 +351,7 @@ class Sequence:
         return self.terms[:n]
 
     def integers(self, n: int | None = None) -> list[int]:
-        vals = self.terms if n is None else self.prefix(n)
-        out = []
-        for v in vals:
-            if v.denominator != 1:
-                raise ValueError(f"non-integer term {v}")
-            out.append(v.numerator)
-        return out
+        return integer_values(self.terms if n is None else self.prefix(n), "term")
 
 
 def binomial_transform(seq: Sequence) -> Sequence:

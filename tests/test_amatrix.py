@@ -64,6 +64,10 @@ def test_spec_json_rejects_garbage():
         AMatrixSpec.from_dict({"rows": "nope"})
     with pytest.raises(InvalidSpec):
         AMatrixSpec.from_dict({"rows": [[1]], "rho": [0.5]})
+    with pytest.raises(InvalidSpec):
+        AMatrixSpec.from_dict({"rows": [[True, 1]]})
+    with pytest.raises(InvalidSpec):
+        AMatrixSpec.from_dict({"rows": [[1]], "rho": [False]})
 
 
 # -- the equation solver -------------------------------------------------------
@@ -72,7 +76,7 @@ def test_spec_json_rejects_garbage():
 def test_solve_geometric_row():
     spec = AMatrixSpec.of([[1, 0, 0], [0, -1, -1]], [1])
     rep = solve_f(spec, 10)
-    assert rep.residual_ok
+    assert functional_equation_residual(spec, rep.f).is_zero()
     assert rep.f.coeffs == rational_series([0, 1], [1, -1], 10).coeffs
 
 

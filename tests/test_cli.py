@@ -51,10 +51,20 @@ def test_solve_malformed_json_is_io_error(tmp_path, capsys):
 
 def test_solve_invalid_spec_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"rows": [[0, 1]], "rho": []}')
-    code, _, err = run(capsys, "solve", str(bad))
+    # a zero corner, and a JSON boolean that must not pass for the number 1
+    for text in ('{"rows": [[0, 1]], "rho": []}', '{"rows": [[true, 1]]}'):
+        bad.write_text(text)
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "invalid spec" in err
+
+
+def test_solve_rejects_order_below_two(capsys):
+    code, out, err = run(capsys, "solve", str(SPECS / "pascal.json"), "--order", "0")
     assert code == 2
-    assert "invalid spec" in err
+    assert out == ""
+    assert err.startswith("error:") and "--order" in err
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -112,6 +122,41 @@ def test_pipeline_triangle_preflight(capsys):
     )
     assert code == 2
     assert "insufficient order" in err
+
+
+def test_pipeline_rejects_rows_below_one(capsys):
+    for rows in ("0", "-3"):
+        code, out, err = run(
+            capsys, "pipeline", str(SPECS / "a171416.json"), "--hankel", "--rows", rows
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--rows" in err
+
+
+def test_pipeline_jfraction_preflight_needs_one_more_term(capsys):
+    args = ("pipeline", str(SPECS / "schroeder.json"), "--rows", "6")
+    code, _, err = run(capsys, *args, "--jfraction", "--order", "12")
+    assert code == 2
+    assert "order >= 13" in err
+    code, _, _ = run(capsys, *args, "--jfraction", "--order", "13")
+    assert code == 0
+    code, _, _ = run(capsys, *args, "--hankel", "--somos-fit", "--order", "12")
+    assert code == 0
+
+
+def test_pipeline_preflight_covers_every_analysis(capsys):
+    spec = str(SPECS / "motzkin.json")
+    for flags in (
+        ("--order", "2"),
+        ("--zseq", "--order", "3"),
+        ("--production", "--rows", "12", "--order", "13"),
+        ("--production", "--rows", "1"),
+    ):
+        code, out, err = run(capsys, "pipeline", spec, *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_pipeline_jfraction_json(capsys):

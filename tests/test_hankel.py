@@ -20,8 +20,6 @@ from riordan.hankel import (
     jfraction_series,
     somos_fit,
     somos_verify,
-    _det_int_bareiss,
-    _det_rat_gauss,
 )
 
 
@@ -65,12 +63,23 @@ def test_det_handles_zero_pivots():
 
 
 def test_det_integer_and_rational_paths_agree(rng):
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        bare = Fraction(_det_int_bareiss([row[:] for row in m]))
-        gauss = _det_rat_gauss([[Fraction(v) for v in row] for row in m])
-        assert bare == gauss
+    """Integer and p/q matrices both go through row scaling plus Bareiss;
+    sparse entries and forced zero rows exercise pivot swaps and singular input."""
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        rational = trial % 2 == 1
+        m = [
+            [
+                0 if rng.random() < 0.4
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        if trial % 5 == 0:
+            m[rng.randrange(n)] = [0] * n
+        want = cofactor_det([[Fraction(v) for v in row] for row in m])
+        assert exact_det(m) == want
 
 
 # -- Hankel transforms ----------------------------------------------------------

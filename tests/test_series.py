@@ -15,6 +15,7 @@ from riordan.series import (
     SeriesError,
     binomial_transform,
     catalan,
+    catalan_of,
     format_rational,
     rational,
     rational_series,
@@ -52,6 +53,8 @@ def test_rational_accepts_strings_and_rejects_floats():
     assert rational(-7) == -7
     with pytest.raises(TypeError):
         rational(0.5)
+    with pytest.raises(TypeError):
+        rational(True)
 
 
 def test_format_rational():
@@ -240,6 +243,17 @@ def test_catalan_defining_identity():
     c = catalan(16)
     residual = c - 1 - (c * c).mul_x().truncate(16)
     assert residual.is_zero()
+
+
+@given(st.lists(fracs, min_size=0, max_size=11))
+def test_catalan_of_matches_composition(tail):
+    u = PowerSeries.of([0] + tail, len(tail) + 1)
+    assert catalan_of(u).coeffs == catalan(u.order).compose(u).coeffs
+
+
+def test_catalan_of_rejects_unit_argument():
+    with pytest.raises(CompositionRequiresZeroConstantTerm):
+        catalan_of(PowerSeries.of([1, 1], 5))
 
 
 # -- sequences and the binomial transform -------------------------------------
