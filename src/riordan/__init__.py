@@ -10,6 +10,7 @@ every comparison in the bundled verification corpus is exact.
 from .series import (
     CompositionRequiresZeroConstantTerm,
     DivisionByNonUnit,
+    InsufficientTerms,
     NonSquareConstantTerm,
     NotRevertible,
     PowerSeries,
@@ -55,7 +56,6 @@ from .amatrix import (
     solve_f,
 )
 from .hankel import (
-    InsufficientTerms,
     JFraction,
     SomosFitResult,
     exact_det,

@@ -5,11 +5,14 @@ row repeated forever) and a sequence rho[j].  The associated f solves
 
     f/x = sum_i x^i * R_i(f) + (f^2/x) * rho(f),
 
-where R_i is the generating polynomial of row i.  This module solves that
-equation by x-adic fixed-point iteration, builds Bell triangles directly
-from the entry recurrence, evaluates the Catalan-composition closed forms
-for the two-row and single-row families, and computes A-sequences by the
-substitution trick (replace x by fbar in the defining equation).
+where R_i is the generating polynomial of row i.  Only AMatrixSpec knows
+how the rows continue: ``entry`` reads a[i][j] at any depth, and
+``row_sum`` evaluates sum_i s^i * value(row_i), summing a repeated last row
+in closed form.  This module solves the equation by x-adic fixed-point
+iteration, builds Bell triangles directly from the entry recurrence,
+evaluates the Catalan-composition closed forms for the two-row and
+single-row families, and computes A-sequences by the substitution trick
+(replace x by fbar in the defining equation).
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -22,6 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .series import (
+    InsufficientTerms,
     PowerSeries,
     Sequence,
     catalan_of,
@@ -110,6 +114,20 @@ class AMatrixSpec:
         row = rows[i]
         return row[j] if j < len(row) else _ZERO
 
+    def row_sum(self, s: PowerSeries, value) -> PowerSeries:
+        """sum_i s^i * value(row_i) over the array rows, for s(0) = 0.
+
+        A repeated last row (index L - 1) contributes
+        s^(L-1) * value(last) / (1 - s) for all its copies.  Evaluated by
+        Horner from the last row up.
+        """
+        acc = value(self.rows[-1])
+        if self.repeat_last_row:
+            acc = acc / (1 - s)
+        for row in reversed(self.rows[:-1]):
+            acc = acc * s + value(row)
+        return acc
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -126,13 +144,6 @@ def _poly_at(coeffs, powers, order: int) -> PowerSeries:
     return acc
 
 
-def _shift(s: PowerSeries, k: int, order: int) -> PowerSeries:
-    """x^k * s truncated back to the working order."""
-    if k >= order:
-        return PowerSeries.zero(order)
-    return PowerSeries(((_ZERO,) * k + s.coeffs)[:order])
-
-
 def _equation_rhs(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
     """sum_i x^(i+1) R_i(f) + sum_j rho_j f^(j+2) at f's order."""
     order = f.order
@@ -142,16 +153,8 @@ def _equation_rhs(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
     powers = [PowerSeries.one(order)]
     for _ in range(maxpow):
         powers.append(powers[-1] * f if len(powers) > 1 else f)
-    total = PowerSeries.zero(order)
-    explicit = len(spec.rows) - 1 if spec.repeat_last_row else len(spec.rows)
-    for i in range(explicit):
-        ri = _poly_at(spec.rows[i], powers, order)
-        if not ri.is_zero():
-            total = total + _shift(ri, i + 1, order)
-    if spec.repeat_last_row:
-        last = _poly_at(spec.rows[-1], powers, order)
-        geom = rational_series([1], [1, -1], order)
-        total = total + _shift(last * geom, len(spec.rows), order)
+    total = spec.row_sum(PowerSeries.x(order), lambda row: _poly_at(row, powers, order))
+    total = total.mul_x().truncate(order)
     for j, r in enumerate(spec.rho):
         if r:
             total = total + powers[j + 2] * r
@@ -171,7 +174,7 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     per pass and a fixed point is reached within order + 1 passes.
     """
     if order < 2:
-        raise ValueError("order must be at least 2")
+        raise InsufficientTerms("order must be at least 2")
     f = PowerSeries.of([0, spec.rows[0][0]], order)
     for iteration in range(1, order + 2):
         nxt = _equation_rhs(spec, f)
@@ -200,14 +203,12 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     seed = spec.entry(0, 1) + spec.entry(1, 0) + rho0
     rows.append([seed, a00])
     width = max(len(r) for r in spec.rows)
-    explicit_depth = len(spec.rows)
     for n in range(2, nrows):
         row: list[Fraction] = [_ZERO] * (n + 1)
         rows.append(row)
-        depth = n if spec.repeat_last_row else min(n, explicit_depth)
         for k in range(n, -1, -1):
             s = _ZERO
-            for i in range(depth):
+            for i in range(n):
                 prev = rows[n - 1 - i]
                 plen = len(prev)
                 for j in range(width):
@@ -269,15 +270,7 @@ def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     n = order - 1
     v = PowerSeries.one(n) / fbar.div_x()
     fbar_t = fbar.truncate(n)
-    explicit = len(spec.rows) - 1 if spec.repeat_last_row else len(spec.rows)
-    rhs = PowerSeries.zero(n)
-    fpow = PowerSeries.one(n)
-    for i in range(explicit):
-        rhs = rhs + PowerSeries.of(spec.rows[i], n) * fpow
-        fpow = fpow * fbar_t
-    if spec.repeat_last_row:
-        tail = fpow / (PowerSeries.one(n) - fbar_t)
-        rhs = rhs + PowerSeries.of(spec.rows[-1], n) * tail
+    rhs = spec.row_sum(fbar_t, lambda row: PowerSeries.of(row, n))
     if spec.rho:
         rhs = rhs + (PowerSeries.of(spec.rho, n) * v).mul_x().truncate(n)
     if rhs.coeffs != v.coeffs:

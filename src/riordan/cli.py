@@ -12,6 +12,7 @@ spec or insufficient order, 3 I/O problems (missing or unparsable files).
 Output is deterministic.  JSON output renders every rational as a string
 ("7" or "11/4") so arbitrarily large values survive any JSON parser, and is
 emitted with sorted keys so reprinting a parsed report is byte-identical.
+The plain output of solve and pipeline is rendered from their JSON payload.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import json
 import re
 import sys
 
-from .series import Sequence, format_rational
+from .series import InsufficientTerms, Sequence, format_rational
 from .core import bell_from_f, production_matrix, riordan_triangle, a_sequence, z_sequence
 from .amatrix import AMatrixSpec, InvalidSpec, solve_f
 from .hankel import (
     FAMILY,
     INCONSISTENT,
-    INSUFFICIENT,
     UNIQUE,
     hankel_transform,
     jfraction,
@@ -51,10 +51,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _fmt_list(values) -> str:
-    return " ".join(format_rational(v) for v in values)
-
-
 def _json_list(values) -> list[str]:
     return [format_rational(v) for v in values]
 
@@ -76,37 +72,18 @@ def _load_spec(path: str) -> AMatrixSpec:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
     report = solve_f(spec, args.order)
-    fx = report.f.div_x()
+    payload = {
+        "f": _json_list(report.f.coeffs),
+        "f_over_x": _json_list(report.f.div_x().coeffs),
+        "iterations": report.iterations,
+        "order": args.order,
+    }
     if args.format == "json":
-        _emit_json(
-            {
-                "f": _json_list(report.f.coeffs),
-                "f_over_x": _json_list(fx.coeffs),
-                "iterations": report.iterations,
-                "order": args.order,
-            }
-        )
+        _emit_json(payload)
     else:
-        print("f:    " + _fmt_list(report.f.coeffs))
-        print("f/x:  " + _fmt_list(fx.coeffs))
+        print("f:    " + " ".join(payload["f"]))
+        print("f/x:  " + " ".join(payload["f_over_x"]))
     return EXIT_OK
-
-
-def _fit_description(fit) -> str:
-    if fit.kind == UNIQUE:
-        return (
-            f"Unique alpha={format_rational(fit.alpha)} "
-            f"beta={format_rational(fit.beta)}"
-        )
-    if fit.kind == FAMILY:
-        p, q, r = fit.family_description
-        return (
-            f"Family {format_rational(p)}*alpha + {format_rational(q)}*beta"
-            f" = {format_rational(r)}"
-        )
-    if fit.kind == INCONSISTENT:
-        return f"Inconsistent at window {fit.failing_index}"
-    return INSUFFICIENT
 
 
 def _fit_json(fit) -> dict:
@@ -119,6 +96,61 @@ def _fit_json(fit) -> dict:
     elif fit.kind == INCONSISTENT:
         out["failing_window"] = fit.failing_index
     return out
+
+
+def _production_json(prod) -> dict:
+    return {
+        "matrix": [_json_list(r) for r in prod.matrix],
+        "z": _json_list(prod.z.terms),
+        "a": _json_list(prod.a.terms),
+    }
+
+
+def _jfraction_json(jf) -> dict:
+    return {"b": _json_list(jf.b), "lambda": _json_list(jf.lam), "terminated": jf.terminated}
+
+
+def _fit_description(fit: dict) -> str:
+    """The plain rendering of a _fit_json payload."""
+    if fit["kind"] == UNIQUE:
+        return f"Unique alpha={fit['alpha']} beta={fit['beta']}"
+    if fit["kind"] == FAMILY:
+        p, q, r = fit["line"]
+        return f"Family {p}*alpha + {q}*beta = {r}"
+    if fit["kind"] == INCONSISTENT:
+        return f"Inconsistent at window {fit['failing_window']}"
+    return fit["kind"]
+
+
+def _jfraction_lines(jf: dict) -> list[str]:
+    lines = [
+        "J-fraction b:      " + " ".join(jf["b"]),
+        "J-fraction lambda: " + " ".join(jf["lambda"]),
+    ]
+    if jf["terminated"]:
+        lines.append("J-fraction terminated early (a lambda vanished)")
+    return lines
+
+
+# The plain-text lines of each pipeline payload entry, printed in payload order.
+_PLAIN = {
+    "column": lambda v: ["column: " + " ".join(v)],
+    "triangle": lambda v: ["triangle:", *("  " + " ".join(r) for r in v)],
+    "production": lambda v: [
+        "production:",
+        *("  " + " ".join(r) for r in v["matrix"]),
+        "Z: " + " ".join(v["z"]),
+        "A: " + " ".join(v["a"]),
+    ],
+    "aseq": lambda v: ["A-sequence: " + " ".join(v)],
+    "zseq": lambda v: ["Z-sequence: " + " ".join(v)],
+    "hankel": lambda v: ["hankel: " + " ".join(v)],
+    "somos_fit": lambda v: ["somos fit: " + _fit_description(v)],
+    "jfraction": _jfraction_lines,
+    "bfile": lambda v: [
+        f"b-file check: {'match' if v['match'] else 'MISMATCH'} on {v['compared']} terms"
+    ],
+}
 
 
 def _cmd_pipeline(args) -> int:
@@ -142,55 +174,22 @@ def _cmd_pipeline(args) -> int:
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
     pair = bell_from_f(solve_f(spec, order).f)
-    column = pair.g
-    plain_lines: list[str] = []
-    payload: dict = {"column": _json_list(column.coeffs)}
-    plain_lines.append("column: " + _fmt_list(column.coeffs))
-    if args.triangle:
-        tri = riordan_triangle(pair, rows)
-        payload["triangle"] = [_json_list(r) for r in tri.rows]
-        plain_lines.append("triangle:")
-        plain_lines.extend("  " + _fmt_list(r) for r in tri.rows)
-    if args.production:
-        prod = production_matrix(pair, rows)
-        payload["production"] = {
-            "matrix": [_json_list(r) for r in prod.matrix],
-            "z": _json_list(prod.z.terms),
-            "a": _json_list(prod.a.terms),
-        }
-        plain_lines.append("production:")
-        plain_lines.extend("  " + _fmt_list(r) for r in prod.matrix)
-        plain_lines.append("Z: " + _fmt_list(prod.z.terms))
-        plain_lines.append("A: " + _fmt_list(prod.a.terms))
-    if args.aseq:
-        aseq = a_sequence(pair)
-        payload["aseq"] = _json_list(aseq.terms)
-        plain_lines.append("A-sequence: " + _fmt_list(aseq.terms))
-    if args.zseq:
-        zseq = z_sequence(pair)
-        payload["zseq"] = _json_list(zseq.terms)
-        plain_lines.append("Z-sequence: " + _fmt_list(zseq.terms))
-    hank = None
-    if args.hankel or args.somos_fit:
-        hank = hankel_transform(Sequence(column.coeffs), rows - 1)
-    if args.hankel:
-        payload["hankel"] = _json_list(hank.terms)
-        plain_lines.append("hankel: " + _fmt_list(hank.terms))
-    if args.somos_fit:
-        fit = somos_fit(hank)
-        payload["somos_fit"] = _fit_json(fit)
-        plain_lines.append("somos fit: " + _fit_description(fit))
-    if args.jfraction:
-        jf = jfraction(Sequence(column.coeffs), rows - 1)
-        payload["jfraction"] = {
-            "b": _json_list(jf.b),
-            "lambda": _json_list(jf.lam),
-            "terminated": jf.terminated,
-        }
-        plain_lines.append("J-fraction b:      " + _fmt_list(jf.b))
-        plain_lines.append("J-fraction lambda: " + _fmt_list(jf.lam))
-        if jf.terminated:
-            plain_lines.append("J-fraction terminated early (a lambda vanished)")
+    column = Sequence(pair.g.coeffs)
+    hank = hankel_transform(column, rows - 1) if args.hankel or args.somos_fit else None
+    # (wanted, payload key, JSON value); each runs at most once, in output order
+    analyses = (
+        (args.triangle, "triangle", lambda: [_json_list(r) for r in riordan_triangle(pair, rows).rows]),
+        (args.production, "production", lambda: _production_json(production_matrix(pair, rows))),
+        (args.aseq, "aseq", lambda: _json_list(a_sequence(pair).terms)),
+        (args.zseq, "zseq", lambda: _json_list(z_sequence(pair).terms)),
+        (args.hankel, "hankel", lambda: _json_list(hank.terms)),
+        (args.somos_fit, "somos_fit", lambda: _fit_json(somos_fit(hank))),
+        (args.jfraction, "jfraction", lambda: _jfraction_json(jfraction(column, rows - 1))),
+    )
+    payload: dict = {"column": _json_list(column.terms)}
+    for wanted, key, compute in analyses:
+        if wanted:
+            payload[key] = compute()
     exit_code = EXIT_OK
     if args.bfile:
         try:
@@ -200,20 +199,17 @@ def _cmd_pipeline(args) -> int:
         except (verify_mod.MalformedLine, verify_mod.NonConsecutiveIndices) as exc:
             raise _CliError(EXIT_USAGE, f"bad b-file {args.bfile}: {exc}")
         start = ref.offset
-        overlap = min(len(ref), column.order - start) if start >= 0 else 0
+        overlap = min(len(ref), len(column) - start) if start >= 0 else 0
         if overlap <= 0:
             raise _CliError(EXIT_USAGE, "b-file does not overlap the computed column")
-        match = all(ref.terms[i] == column.coeffs[start + i] for i in range(overlap))
+        match = all(ref.terms[i] == column.terms[start + i] for i in range(overlap))
         payload["bfile"] = {"path": args.bfile, "compared": overlap, "match": match}
-        plain_lines.append(
-            f"b-file check: {'match' if match else 'MISMATCH'} on {overlap} terms"
-        )
         if not match:
             exit_code = EXIT_FAILURE
     if args.format == "json":
         _emit_json(payload)
     else:
-        print("\n".join(plain_lines))
+        print("\n".join(line for key, value in payload.items() for line in _PLAIN[key](value)))
     return exit_code
 
 
@@ -338,8 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except verify_mod.FixtureNotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InsufficientTerms as exc:
+        print(f"error: insufficient order: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

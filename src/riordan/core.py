@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import PowerSeries, Sequence, integer_values, rational, _ZERO, _ONE
+from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _ZERO, _ONE
 
-
-class InsufficientOrder(ValueError):
-    """The series truncation order cannot support the requested depth."""
+InsufficientOrder = InsufficientTerms  # one exception; both names are public
 
 
 class NotRiordanBand(ValueError):
@@ -38,7 +36,7 @@ class RiordanPair:
     def __post_init__(self):
         n = min(self.g.order, self.f.order)
         if n < 2:
-            raise ValueError("a Riordan pair needs order >= 2")
+            raise InsufficientTerms("a Riordan pair needs order >= 2")
         object.__setattr__(self, "g", self.g.truncate(n))
         object.__setattr__(self, "f", self.f.truncate(n))
         if self.g.coeffs[0] == 0:
@@ -115,7 +113,7 @@ def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:
     if nrows < 1:
         raise ValueError("nrows must be positive")
     if nrows > pair.order:
-        raise InsufficientOrder(
+        raise InsufficientTerms(
             f"{nrows} rows need order >= {nrows}, have {pair.order}"
         )
     rows = [[_ZERO] * (n + 1) for n in range(nrows)]
@@ -191,6 +189,8 @@ def z_sequence(pair: RiordanPair) -> Sequence:
     Z(x) = (1 - g0 / g(fbar(x))) / fbar(x); a mismatch means the input
     violated the Riordan invariants and raises instead of guessing.
     """
+    if pair.order < 3:
+        raise InsufficientTerms(f"the Z-sequence needs order >= 3, have {pair.order}")
     size = pair.order - 1
     prod = production_matrix(pair, size)
     fbar = pair.f.revert()

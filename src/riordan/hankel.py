@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .series import PowerSeries, Sequence, rational, _ZERO, _ONE
-
-
-class InsufficientTerms(ValueError):
-    """The sequence is too short for the requested transform depth."""
-
+from .series import InsufficientTerms, PowerSeries, Sequence, rational, _ZERO, _ONE
 
 UNIQUE = "Unique"
 FAMILY = "Family"

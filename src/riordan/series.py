@@ -21,6 +21,10 @@ class SeriesError(ValueError):
     pass
 
 
+class InsufficientTerms(SeriesError):
+    """Too few retained terms, or too low an order, for the requested depth."""
+
+
 class DivisionByNonUnit(SeriesError):
     """Series division needs a divisor with nonzero constant term."""
 
@@ -129,7 +133,7 @@ class PowerSeries:
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
         if n > self.order:
-            raise SeriesError(f"only {self.order} coefficients retained, asked for {n}")
+            raise InsufficientTerms(f"only {self.order} coefficients retained, asked for {n}")
         return self.coeffs[:n]
 
     def integers(self, n: int | None = None) -> list[int]:
@@ -347,7 +351,7 @@ class Sequence:
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
         if n > len(self.terms):
-            raise ValueError(f"only {len(self.terms)} terms available, asked for {n}")
+            raise InsufficientTerms(f"only {len(self.terms)} terms available, asked for {n}")
         return self.terms[:n]
 
     def integers(self, n: int | None = None) -> list[int]:

@@ -2,11 +2,7 @@
 
 The bundled corpus (fixtures/corpus.json) holds one entry per check:
 
-    {"id": "<name>.<what>",
-     "spec": <builder>,
-     "check_kind": "column" | "triangle" | "hankel" | "somos" | "aseq" |
-                   "zseq" | "production" | "jfraction" | "quasi_involution" |
-                   "diagonal_sums",
+    {"id": "<name>.<what>", "spec": <builder>, "check_kind": <kind>,
      "expected": <literal expected values>}
 
 Builders describe the array under test:
@@ -17,12 +13,21 @@ Builders describe the array under test:
      "f_num": [...], "f_den": [...], "invert": false}
     {"kind": "narayana_coeffs", "nrows": n}
 
-Scalars may be integers or "p/q" strings.  Expected values are literal data
-(bundled, never recomputed); comparisons are exact, with no tolerances.
+Each check kind is one entry of the check table ``_CHECKS``:
 
-Triangle checks against an amatrix builder run both constructions (series
-realization and the direct entry recurrence) so a disagreement between the
-two routes is reported rather than masked.
+    column, aseq, zseq, hankel, diagonal_sums:  leading terms of a sequence
+    triangle, production:  leading rows of the triangle or production matrix
+    somos:  {"mode": "fit" | "verify", "kind" (fit only), "alpha", "beta", "depth"}
+    jfraction:  {"b": [...], "lambda": [...]}
+    quasi_involution:  true or false, the inverse law of the aerated column
+
+Scalars may be integers or "p/q" strings.  Expected values are literal data
+(bundled, never recomputed); comparisons are exact, with no tolerances.  A
+check kind missing from the table fails its fixture.
+
+Triangle checks against an amatrix builder that is not inverted run both
+constructions (series realization and the direct entry recurrence) so a
+disagreement between the two routes is reported rather than masked.
 
 The sweep harness grids the two-row family over a parameter box, evaluates
 the conjectured Somos parameters in closed form, and verifies the Hankel
@@ -38,7 +43,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .series import PowerSeries, Sequence, rational
+from .series import InsufficientTerms, PowerSeries, Sequence, rational
 from .core import (
     LowerTriangle,
     RiordanPair,
@@ -116,6 +121,11 @@ def load_corpus() -> list[Fixture]:
     ]
 
 
+def _amatrix_spec(spec: dict) -> AMatrixSpec:
+    """The AMatrixSpec of an amatrix builder, without the builder-only keys."""
+    return AMatrixSpec.from_dict({k: v for k, v in spec.items() if k not in ("kind", "invert")})
+
+
 class _Builder:
     """Build-and-cache the array described by a fixture spec."""
 
@@ -129,9 +139,7 @@ class _Builder:
             return self._pairs[key]
         kind = spec.get("kind")
         if kind == "amatrix":
-            base = {k: v for k, v in spec.items() if k not in ("kind", "invert")}
-            amspec = AMatrixSpec.from_dict(base)
-            built = bell_from_f(solve_f(amspec, self.order).f)
+            built = bell_from_f(solve_f(_amatrix_spec(spec), self.order).f)
         elif kind == "rational_pair":
             g = PowerSeries.of(spec["g_num"], self.order) / PowerSeries.of(
                 spec["g_den"], self.order
@@ -147,120 +155,103 @@ class _Builder:
         self._pairs[key] = built
         return built
 
-    def triangle_source(self, spec: dict) -> LowerTriangle | None:
+    def column(self, spec: dict) -> Sequence:
+        return Sequence(self.pair(spec).g.coeffs)
+
+    def triangle(self, spec: dict, nrows: int) -> LowerTriangle:
         if spec.get("kind") == "narayana_coeffs":
             return narayana_poly_coeffs(spec["nrows"])
-        return None
-
-
-def _expected_rows(expected) -> list[list[Fraction]]:
-    return [[rational(v) for v in row] for row in expected]
+        return riordan_triangle(self.pair(spec), nrows)
 
 
 def _expected_list(expected) -> list[Fraction]:
     return [rational(v) for v in expected]
 
 
-def _check_fixture(fx: Fixture, builder: _Builder) -> FixtureOutcome:
-    kind = fx.check_kind
-    spec = fx.spec
-    if kind == "triangle":
-        tri = builder.triangle_source(spec)
-        want = _expected_rows(fx.expected)
-        nrows = len(want)
-        if tri is None:
-            tri = riordan_triangle(builder.pair(spec), nrows)
-        got = [list(row) for row in tri.rows[:nrows]]
-        if got != want:
-            return FixtureOutcome(fx.id, False, "series triangle mismatch")
-        if spec.get("kind") == "amatrix" and not spec.get("invert", False):
-            direct = direct_triangle(AMatrixSpec.from_dict(
-                {k: v for k, v in spec.items() if k not in ("kind", "invert")}
-            ), nrows)
-            if [list(r) for r in direct.rows] != want:
-                return FixtureOutcome(
-                    fx.id, False, "direct recurrence disagrees with series triangle"
-                )
-        return FixtureOutcome(fx.id, True)
-    if kind == "column":
+# A check returns None when its fixture holds, else a failure detail.  Checks
+# call functions by their module-level names, looked up when a check runs.
+
+
+def _prefix_check(what: str, compute):
+    """Compare the first len(expected) terms of compute(builder, spec, n)."""
+
+    def check(fx: Fixture, builder: _Builder) -> str | None:
         want = _expected_list(fx.expected)
-        col = builder.pair(spec).g
-        if list(col.prefix(len(want))) != want:
-            return FixtureOutcome(fx.id, False, "column mismatch")
-        return FixtureOutcome(fx.id, True)
-    if kind == "hankel":
-        want = _expected_list(fx.expected)
-        col = builder.pair(spec).g
-        h = hankel_transform(Sequence(col.coeffs), len(want) - 1)
-        if list(h.terms) != want:
-            return FixtureOutcome(fx.id, False, "Hankel transform mismatch")
-        return FixtureOutcome(fx.id, True)
-    if kind == "somos":
-        exp = fx.expected
-        col = builder.pair(spec).g
-        h = hankel_transform(Sequence(col.coeffs), int(exp["depth"]))
-        if exp["mode"] == "verify":
-            ok = somos_verify(h, rational(exp["alpha"]), rational(exp["beta"]))
-            return FixtureOutcome(fx.id, ok, "" if ok else "product-form check failed")
-        fit = somos_fit(h)
-        ok = (
-            fit.kind == exp["kind"]
-            and fit.alpha == rational(exp["alpha"])
-            and fit.beta == rational(exp["beta"])
-        )
-        detail = "" if ok else f"fit returned {fit}"
-        return FixtureOutcome(fx.id, ok, detail)
-    if kind == "aseq":
-        want = _expected_list(fx.expected)
-        got = a_sequence(builder.pair(spec))
-        if list(got.prefix(len(want))) != want:
-            return FixtureOutcome(fx.id, False, "A-sequence mismatch")
-        return FixtureOutcome(fx.id, True)
-    if kind == "zseq":
-        want = _expected_list(fx.expected)
-        got = z_sequence(builder.pair(spec))
-        if list(got.prefix(len(want))) != want:
-            return FixtureOutcome(fx.id, False, "Z-sequence mismatch")
-        return FixtureOutcome(fx.id, True)
-    if kind == "production":
-        want = _expected_rows(fx.expected)
-        prod = production_matrix(builder.pair(spec), len(want))
-        got = [list(row) for row in prod.matrix]
-        if got != want:
-            return FixtureOutcome(fx.id, False, "production matrix mismatch")
-        return FixtureOutcome(fx.id, True)
-    if kind == "jfraction":
-        exp = fx.expected
-        want_b = _expected_list(exp["b"])
-        want_lam = _expected_list(exp["lambda"])
-        col = builder.pair(spec).g
-        jf = jfraction(Sequence(col.coeffs), len(want_lam))
-        ok = list(jf.b) == want_b and list(jf.lam) == want_lam
-        return FixtureOutcome(fx.id, ok, "" if ok else f"got b={jf.b} lam={jf.lam}")
-    if kind == "quasi_involution":
-        col = builder.pair(spec).g
-        if any(c != 0 for c in col.coeffs[1::2]):
-            return FixtureOutcome(fx.id, False, "column is not aerated")
-        g = PowerSeries(col.coeffs[0::2])
-        ok = quasi_involution_check(g) == bool(fx.expected)
-        return FixtureOutcome(fx.id, ok, "" if ok else "inverse law failed")
-    if kind == "diagonal_sums":
-        want = _expected_list(fx.expected)
-        tri = builder.triangle_source(spec)
-        if tri is None:
-            tri = riordan_triangle(builder.pair(spec), len(want))
-        got = diagonal_sums(tri)
-        if list(got.prefix(len(want))) != want:
-            return FixtureOutcome(fx.id, False, "diagonal sums mismatch")
-        return FixtureOutcome(fx.id, True)
-    return FixtureOutcome(fx.id, False, f"unknown check kind {kind!r}")
+        got = compute(builder, fx.spec, len(want))
+        return None if list(got.prefix(len(want))) == want else f"{what} mismatch"
+
+    return check
+
+
+def _check_triangle(fx: Fixture, builder: _Builder) -> str | None:
+    want = [_expected_list(row) for row in fx.expected]
+    tri = builder.triangle(fx.spec, len(want))
+    if [list(row) for row in tri.rows[: len(want)]] != want:
+        return "series triangle mismatch"
+    if fx.spec.get("kind") == "amatrix" and not fx.spec.get("invert", False):
+        direct = direct_triangle(_amatrix_spec(fx.spec), len(want))
+        if [list(r) for r in direct.rows] != want:
+            return "direct recurrence disagrees with series triangle"
+    return None
+
+
+def _check_production(fx: Fixture, builder: _Builder) -> str | None:
+    want = [_expected_list(row) for row in fx.expected]
+    prod = production_matrix(builder.pair(fx.spec), len(want))
+    return None if [list(row) for row in prod.matrix] == want else "production matrix mismatch"
+
+
+def _check_somos(fx: Fixture, builder: _Builder) -> str | None:
+    exp = fx.expected
+    h = hankel_transform(builder.column(fx.spec), int(exp["depth"]))
+    alpha, beta = rational(exp["alpha"]), rational(exp["beta"])
+    if exp["mode"] == "verify":
+        return None if somos_verify(h, alpha, beta) else "product-form check failed"
+    fit = somos_fit(h)
+    ok = fit.kind == exp["kind"] and fit.alpha == alpha and fit.beta == beta
+    return None if ok else f"fit returned {fit}"
+
+
+def _check_jfraction(fx: Fixture, builder: _Builder) -> str | None:
+    want_b = _expected_list(fx.expected["b"])
+    want_lam = _expected_list(fx.expected["lambda"])
+    jf = jfraction(builder.column(fx.spec), len(want_lam))
+    ok = list(jf.b) == want_b and list(jf.lam) == want_lam
+    return None if ok else f"got b={jf.b} lam={jf.lam}"
+
+
+def _check_quasi_involution(fx: Fixture, builder: _Builder) -> str | None:
+    col = builder.column(fx.spec).terms
+    if any(c != 0 for c in col[1::2]):
+        return "column is not aerated"
+    ok = quasi_involution_check(PowerSeries(col[0::2])) == bool(fx.expected)
+    return None if ok else "inverse law failed"
+
+
+_CHECKS = {
+    "column": _prefix_check("column", lambda b, spec, n: b.column(spec)),
+    "aseq": _prefix_check("A-sequence", lambda b, spec, n: a_sequence(b.pair(spec))),
+    "zseq": _prefix_check("Z-sequence", lambda b, spec, n: z_sequence(b.pair(spec))),
+    "hankel": _prefix_check(
+        "Hankel transform", lambda b, spec, n: hankel_transform(b.column(spec), n - 1)
+    ),
+    "diagonal_sums": _prefix_check(
+        "diagonal sums", lambda b, spec, n: diagonal_sums(b.triangle(spec, n))
+    ),
+    "triangle": _check_triangle,
+    "production": _check_production,
+    "somos": _check_somos,
+    "jfraction": _check_jfraction,
+    "quasi_involution": _check_quasi_involution,
+}
 
 
 def run_fixtures(filter: str | None = None, order: int = DEFAULT_ORDER) -> FixtureReport:
     """Run the bundled corpus (or the subset whose id contains the filter).
 
     Every comparison is exact; any mismatch is reported in the outcome list.
-    An unmatched filter raises FixtureNotFound.
+    An unmatched filter raises FixtureNotFound; an order too low for a
+    fixture's depth raises InsufficientTerms naming that fixture.
     """
     corpus = load_corpus()
     if filter:
@@ -270,10 +261,14 @@ def run_fixtures(filter: str | None = None, order: int = DEFAULT_ORDER) -> Fixtu
     builder = _Builder(order)
     outcomes = []
     for fx in corpus:
+        check = _CHECKS.get(fx.check_kind)
         try:
-            outcomes.append(_check_fixture(fx, builder))
+            detail = check(fx, builder) if check else f"unknown check kind {fx.check_kind!r}"
+        except InsufficientTerms as exc:
+            raise InsufficientTerms(f"{fx.id}: {exc}") from exc
         except Exception as exc:  # a crashing fixture is a failing fixture
-            outcomes.append(FixtureOutcome(fx.id, False, f"{type(exc).__name__}: {exc}"))
+            detail = f"{type(exc).__name__}: {exc}"
+        outcomes.append(FixtureOutcome(fx.id, detail is None, detail or ""))
     return FixtureReport(tuple(outcomes))
 
 
@@ -431,12 +426,16 @@ def load_bfile(path) -> Sequence:
     """Parse a b-file: '#' comment lines, then 'index value' data lines.
 
     Indices must be consecutive; the sequence offset is the first index.
+    Any byte outside ASCII is a MalformedLine.
     """
     terms: list[Fraction] = []
     first: int | None = None
     prev: int | None = None
-    with open(path, "r", encoding="ascii") as handle:
+    # undecodable bytes become lone surrogates, so the bad line can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, 1):
+            if not raw.isascii():
+                raise MalformedLine(f"line {lineno}: not ASCII text")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -21,6 +21,8 @@ from riordan.amatrix import (
     solve_f,
 )
 
+from conftest import random_fraction, random_nonzero_fraction
+
 
 def random_specs(rng, count):
     """Random small specs: rows of width <= 3, depth <= 2, rho length <= 2,
@@ -345,6 +347,26 @@ def test_substitution_asequence_schroeder():
 def test_substitution_asequence_motzkin_sums():
     got = asequence_by_substitution(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 10)
     assert got.integers() == [1, 0, 1, 1, 1, 1, 1, 1, 1]
+
+
+def test_repeated_row_matches_rows_written_out(rng):
+    # the reference spells the last row out to the working depth and sets no
+    # repeat flag, so it takes no repeated-row path; rows at depth order or
+    # more do not reach any result truncated at order
+    order = 12
+    for _ in range(12):
+        depth, width = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[random_fraction(rng) for _ in range(width)] for _ in range(depth)]
+        rows[0][0] = random_nonzero_fraction(rng)
+        rho = [random_fraction(rng) for _ in range(rng.randint(0, 2))]
+        repeated = AMatrixSpec.of(rows, rho, repeat_last_row=True)
+        written = AMatrixSpec.of(rows + [rows[-1]] * (order - depth), rho)
+        got, want = solve_f(repeated, order), solve_f(written, order)
+        assert (got.f, got.iterations) == (want.f, want.iterations)
+        assert direct_triangle(repeated, order).rows == direct_triangle(written, order).rows
+        assert asequence_by_substitution(repeated, order) == asequence_by_substitution(
+            written, order
+        )
 
 
 def test_substitution_agrees_with_group_route(rng):

@@ -197,6 +197,17 @@ def test_pipeline_bfile_match_and_mismatch(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+def test_pipeline_non_ascii_bfile_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "b.txt"
+    bad.write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run(
+        capsys, "pipeline", str(SPECS / "a171416.json"), "--bfile", str(bad)
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad b-file" in err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -204,6 +215,15 @@ def test_verify_filtered_fixture_pass(capsys):
     code, out, _ = run(capsys, "verify", "A104545", "--order", "24")
     assert code == 0
     assert "2/2 fixtures passed" in out
+
+
+def test_verify_order_below_fixture_depth_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--order", "2", "A104545")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: insufficient order") and "A104545" in err
+    code, _, _ = run(capsys, "verify", "--order", "24", "A104545")
+    assert code == 0
 
 
 def test_verify_unknown_filter(capsys):

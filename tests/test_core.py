@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from riordan.series import PowerSeries, rational_series
+from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series
+from riordan import hankel
 from riordan.core import (
     InsufficientOrder,
     LowerTriangle,
@@ -93,6 +94,18 @@ def test_identity_triangle():
 def test_triangle_demands_enough_order():
     with pytest.raises(InsufficientOrder):
         riordan_triangle(pascal_pair(4), 5)
+
+
+def test_too_few_terms_is_one_exception_type():
+    assert InsufficientOrder is InsufficientTerms is hankel.InsufficientTerms
+    with pytest.raises(InsufficientTerms):
+        RiordanPair(PowerSeries.of([1]), PowerSeries.of([0]))
+    with pytest.raises(InsufficientTerms):
+        z_sequence(pascal_pair(2))
+    with pytest.raises(InsufficientTerms):
+        PowerSeries.of([1, 2]).prefix(3)
+    with pytest.raises(InsufficientTerms):
+        Sequence.of([1]).prefix(2)
 
 
 def test_triangle_validates_row_lengths():

@@ -1,10 +1,14 @@
 """Fixture harness, conjecture machinery, b-file parsing."""
 
+import copy
+import dataclasses
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from riordan.series import Sequence
+from riordan import verify as verify_mod
+from riordan.series import InsufficientTerms, Sequence
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import hankel_transform
 from riordan.verify import (
@@ -67,6 +71,44 @@ def test_filtered_runs():
 def test_unknown_filter_raises():
     with pytest.raises(FixtureNotFound):
         run_fixtures("nonexistent-fixture-name")
+
+
+def test_order_below_a_fixture_depth_raises_with_its_id():
+    with pytest.raises(InsufficientTerms, match="A104545"):
+        run_fixtures("A104545", order=2)
+
+
+def _bump(value):
+    return str(Fraction(value) + 1) if isinstance(value, str) else value + 1
+
+
+def _perturbed(kind, expected):
+    """A copy of a fixture's expected value with one literal changed."""
+    exp = copy.deepcopy(expected)
+    if kind == "quasi_involution":
+        return not exp
+    if kind == "somos":
+        exp["alpha"] = _bump(exp["alpha"])
+    elif kind == "jfraction":
+        exp["lambda"][-1] = _bump(exp["lambda"][-1])
+    elif kind in ("triangle", "production"):
+        exp[-1][-1] = _bump(exp[-1][-1])
+    else:
+        exp[-1] = _bump(exp[-1])
+    return exp
+
+
+def test_every_check_kind_reports_a_wrong_literal(monkeypatch):
+    first = {}
+    for fx in load_corpus():
+        first.setdefault(fx.check_kind, fx)
+    assert len(first) == 10
+    for kind, fx in first.items():
+        bad = dataclasses.replace(fx, expected=_perturbed(kind, fx.expected))
+        monkeypatch.setattr(verify_mod, "load_corpus", lambda: [fx, bad])
+        report = run_fixtures()
+        assert [o.ok for o in report.outcomes] == [True, False], kind
+        assert "Error" not in report.outcomes[1].detail, kind
 
 
 # -- conjectured parameter formulas -------------------------------------------
@@ -189,4 +231,11 @@ def test_load_bfile_rejects_malformed_lines(tmp_path):
         load_bfile(p)
     p.write_text("# only a comment\n")
     with pytest.raises(MalformedLine):
+        load_bfile(p)
+
+
+def test_load_bfile_rejects_non_ascii_bytes(tmp_path):
+    p = tmp_path / "b.txt"
+    p.write_bytes(b"0 1\n1 \xff\n")
+    with pytest.raises(MalformedLine, match="line 2"):
         load_bfile(p)
