@@ -114,6 +114,10 @@ class AMatrixSpec:
         row = rows[i]
         return row[j] if j < len(row) else _ZERO
 
+    def depth(self, n: int) -> int:
+        """How many of the rows 0..n-1 can be nonzero: all n if the last row repeats."""
+        return n if self.repeat_last_row else min(n, len(self.rows))
+
     def row_sum(self, s: PowerSeries, value) -> PowerSeries:
         """sum_i s^i * value(row_i) over the array rows, for s(0) = 0.
 
@@ -208,7 +212,7 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
         rows.append(row)
         for k in range(n, -1, -1):
             s = _ZERO
-            for i in range(n):
+            for i in range(spec.depth(n)):
                 prev = rows[n - 1 - i]
                 plen = len(prev)
                 for j in range(width):

@@ -4,7 +4,11 @@ A :class:`PowerSeries` is a coefficient vector together with an explicit
 truncation order (the number of retained coefficients).  Mixed-order
 arithmetic always truncates to the smaller operand's order, so precision is
 visible in the value itself and never silently invented.  Coefficients are
-``fractions.Fraction`` throughout; floats are rejected at the boundary.
+stored and returned as ``fractions.Fraction``; floats are rejected at the
+boundary.  Products, quotients and :func:`catalan_of` run on Python ints
+over one common denominator: a product packs each operand into one big int
+(Kronecker substitution) so a single big-int multiply does the work, and a
+quotient is a Newton inverse built from such products.
 
 Everything here is an immutable value and every operation is a pure
 function, so series can be shared freely between concurrent workers.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 
 class SeriesError(ValueError):
@@ -77,6 +81,42 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """(nums, d) with values[i] == nums[i] / d and d the lcm of the denominators."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of a*b, for int lists of one length.
+
+    Kronecker substitution: both operands are packed into big ints at a byte width w
+    that holds every product coefficient (|c| <= len(a)*max|a|*max|b| < 2**(w-1)), so one
+    big-int multiply gives them all, read back as signed digits with a borrow.
+    """
+    n = len(a)
+    bound = n * max(map(abs, a)) * max(map(abs, b))
+    if bound == 0:
+        return [0] * n
+    width = bound.bit_length() // 8 + 1
+    raw = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * width * n)) - 1)
+    raw = raw.to_bytes(width * n, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out, borrow = [], 0
+    for i in range(0, width * n, width):
+        c = int.from_bytes(raw[i : i + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    return out
+
+
+def _pack(values: list[int], width: int) -> int:
+    """sum values[i] * 256**(width*i) for signed ints with |values[i]| < 256**width."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @dataclass(frozen=True)
@@ -197,22 +237,15 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n):
-            s = _ZERO
-            for i in range(k + 1):
-                ai = a[i]
-                if ai:
-                    bj = b[k - i]
-                    if bj:
-                        s += ai * bj
-            out.append(s)
-        return PowerSeries(tuple(out))
+        a, da = _over_common_denominator(self.coeffs[:n])
+        b, db = _over_common_denominator(other.coeffs[:n])
+        d = da * db
+        return PowerSeries(tuple(Fraction(c, d) for c in _int_product(a, b)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """self times other's inverse g, whose exact terms double at each g <- g*(2 - other*g)."""
         if isinstance(other, (int, Fraction)):
             q = rational(other)
             if q == 0:
@@ -223,17 +256,12 @@ class PowerSeries:
         if other.coeffs[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        inv0 = 1 / b[0]
-        out: list[Fraction] = []
-        for k in range(n):
-            s = a[k]
-            for i in range(1, k + 1):
-                bi = b[i]
-                if bi:
-                    s -= bi * out[k - i]
-            out.append(s * inv0)
-        return PowerSeries(tuple(out))
+        g = PowerSeries((_ONE / other.coeffs[0],))
+        while g.order < n:
+            k = min(2 * g.order, n)
+            g = PowerSeries.of(g.coeffs, k)
+            g = g * (2 - other * g)
+        return self * g
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -307,18 +335,22 @@ def catalan_of(u: PowerSeries) -> PowerSeries:
 
     Because u(0) = 0, [x^n](u*y**2) involves only y_0..y_(n-1), so the
     coefficients follow one at a time; the running square y**2 is extended
-    by one coefficient per step, O(order**2) products in all.
+    by one coefficient per step, O(order**2) products in all.  With u = U/D
+    over one common denominator D, Y_m = y_m * D**m and S_m = [x^m](y**2) * D**m
+    are integers and Y_n = sum_k U_k * D**(k-1) * S_(n-k), so the recurrence
+    runs on ints.
     """
     if u.coeffs[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
-    uc = u.coeffs
-    y = [_ONE]
-    sq = [_ONE]  # coefficients of y**2 known so far
+    uc, d = _over_common_denominator(u.coeffs)
+    v = [0] + [uc[k] * d ** (k - 1) for k in range(1, u.order)]
+    y = [1]
+    sq = [1]  # Y-scaled coefficients of y**2 known so far
     for n in range(1, u.order):
-        y.append(sum((uc[k] * sq[n - k] for k in range(1, n + 1) if uc[k]), _ZERO))
-        half = sum((y[i] * y[n - i] for i in range((n + 1) // 2)), _ZERO)
+        y.append(sum(v[k] * sq[n - k] for k in range(1, n + 1) if v[k]))
+        half = sum(y[i] * y[n - i] for i in range((n + 1) // 2))
         sq.append(2 * half + y[n // 2] ** 2 if n % 2 == 0 else 2 * half)
-    return PowerSeries(tuple(y))
+    return PowerSeries(tuple(Fraction(c, d**m) for m, c in enumerate(y)))
 
 
 def catalan(order: int) -> PowerSeries:

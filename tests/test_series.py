@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
@@ -37,6 +37,14 @@ def expand_quotient(num, den, order):
         for j in range(k, order):
             rem[j] -= q * den[j - k]
     return out
+
+
+def schoolbook_product(a, b, order):
+    """Oracle: the truncated product a*b on plain lists, term by term."""
+    return [
+        sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+        for k in range(order)
+    ]
 
 
 # -- construction and bookkeeping ---------------------------------------
@@ -232,6 +240,62 @@ def test_mul_commutes(a, b):
     assert (a * b).coeffs == (b * a).coeffs
 
 
+# -- integer-backed products against the list oracles ------------------------
+
+# Coefficients that stress the common-denominator packing: ~200-bit
+# numerators, denominators that are distinct large primes (so the lcm is
+# their product), runs of zeros and negative values.
+_BIG = st.integers(-(2**200), 2**200)
+_PRIMES = [2**61 - 1, 2**89 - 1, 10**9 + 7, 998244353, 2**127 - 1]
+wide = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    _BIG.map(Fraction),
+    st.builds(Fraction, _BIG, st.sampled_from(_PRIMES)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 2**64)),
+)
+wide_series = st.one_of(
+    st.lists(wide, min_size=1, max_size=24),
+    st.lists(st.sampled_from([Fraction(0), Fraction(-1)]), min_size=1, max_size=24),
+    st.integers(1, 24).map(lambda n: [Fraction(0)] * n),
+).map(lambda v: PowerSeries(tuple(v)))
+
+
+def _all_fractions(s):
+    return all(type(c) is Fraction for c in s.coeffs)
+
+
+@settings(max_examples=150)
+@given(wide_series, wide_series)
+def test_product_matches_schoolbook_oracle(a, b):
+    got = a * b
+    assert list(got.coeffs) == schoolbook_product(a.coeffs, b.coeffs, min(a.order, b.order))
+    assert _all_fractions(got)
+
+
+@pytest.mark.parametrize("m", [1, 2**100])
+def test_product_coefficient_at_the_packing_bound(m):
+    # The last coefficient, n*m*m, equals the bound the packing width is
+    # chosen from; with n = 128 it is a power of two whose bit length is a
+    # multiple of 8, so a byte width with no sign bit above it reads it back
+    # as a negative number.
+    n = 128
+    s = PowerSeries((Fraction(m),) * n)
+    assert list((s * s).coeffs) == [(k + 1) * m * m for k in range(n)]
+    assert list((s * -s).coeffs) == [-(k + 1) * m * m for k in range(n)]
+
+
+@settings(max_examples=150)
+@given(wide_series, wide.filter(bool), wide_series)
+def test_quotient_matches_long_division_oracle(a, b0, rest):
+    b = PowerSeries((b0,) + rest.coeffs[1:])
+    got = a / b
+    assert list(got.coeffs) == expand_quotient(a.coeffs, b.coeffs, min(a.order, b.order))
+    assert _all_fractions(got)
+    with pytest.raises(DivisionByNonUnit):
+        a / PowerSeries((Fraction(0),) + rest.coeffs[1:])
+
+
 # -- catalan ------------------------------------------------------------------
 
 
@@ -245,10 +309,12 @@ def test_catalan_defining_identity():
     assert residual.is_zero()
 
 
-@given(st.lists(fracs, min_size=0, max_size=11))
+@given(st.lists(wide, min_size=0, max_size=11))
 def test_catalan_of_matches_composition(tail):
     u = PowerSeries.of([0] + tail, len(tail) + 1)
-    assert catalan_of(u).coeffs == catalan(u.order).compose(u).coeffs
+    got = catalan_of(u)
+    assert got.coeffs == catalan(u.order).compose(u).coeffs
+    assert _all_fractions(got)
 
 
 def test_catalan_of_rejects_unit_argument():
