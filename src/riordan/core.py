@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _ZERO, _ONE
 
@@ -47,6 +48,11 @@ class RiordanPair:
     @property
     def order(self) -> int:
         return self.g.order
+
+    @cached_property
+    def fbar(self) -> PowerSeries:
+        """The compositional reverse of f, computed once per pair."""
+        return self.f.revert()
 
     @classmethod
     def identity(cls, order: int) -> RiordanPair:
@@ -133,8 +139,7 @@ def riordan_mul(left: RiordanPair, right: RiordanPair) -> RiordanPair:
 
 def riordan_inverse(pair: RiordanPair) -> RiordanPair:
     """Group inverse (1 / g(fbar), fbar) with fbar the reverse of f."""
-    fbar = pair.f.revert()
-    return RiordanPair(1 / pair.g.compose(fbar), fbar)
+    return RiordanPair(1 / pair.g.compose(pair.fbar), pair.fbar)
 
 
 def bell_from_f(f: PowerSeries) -> RiordanPair:
@@ -142,29 +147,33 @@ def bell_from_f(f: PowerSeries) -> RiordanPair:
     return RiordanPair(f.div_x(), f)
 
 
+def _production_column(m, j: int, size: int) -> list[Fraction]:
+    """Rows 0..size-1 of column j of P in M * P = (M minus top row), by
+    forward substitution over m, the first size + 1 rows of M."""
+    col: list[Fraction] = []
+    for i in range(size):
+        s = m[i + 1][j] if j <= i + 1 else _ZERO
+        trow = m[i]
+        for k in range(i):
+            if col[k]:
+                s -= trow[k] * col[k]
+        col.append(s / trow[i])
+    return col
+
+
 def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
     """Solve M * P = (M minus top row) for the leading size x size block of P.
 
     M is lower triangular with nonzero diagonal, so forward substitution on
-    the (size + 1)-row truncation yields the block exactly; truncation
-    introduces no windowing error.
+    the (size + 1)-row truncation yields the block exactly, one column at a
+    time; truncation introduces no windowing error.  Every column k >= 1 is
+    checked against the A-sequence band.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
-    tri = riordan_triangle(pair, size + 1)
-    m = tri.rows
-    p = [[_ZERO] * size for _ in range(size)]
-    for j in range(size):
-        for i in range(size):
-            s = m[i + 1][j] if j <= i + 1 else _ZERO
-            trow = m[i]
-            for k in range(i):
-                pkj = p[k][j]
-                if pkj:
-                    s -= trow[k] * pkj
-            p[i][j] = s / trow[i]
-    z = tuple(p[i][0] for i in range(size))
-    a = tuple(p[i][1] for i in range(size))
+    m = riordan_triangle(pair, size + 1).rows
+    p = tuple(zip(*(_production_column(m, j, size) for j in range(size))))
+    z, a = tuple(r[0] for r in p), tuple(r[1] for r in p)
     for i in range(size):
         for j in range(1, size):
             want = a[i - j + 1] if i - j + 1 >= 0 else _ZERO
@@ -172,33 +181,32 @@ def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
                 raise NotRiordanBand(
                     f"entry ({i},{j}) = {p[i][j]} breaks the band structure"
                 )
-    return ProductionData(tuple(tuple(r) for r in p), Sequence(z), Sequence(a))
+    return ProductionData(p, Sequence(z), Sequence(a))
 
 
 def a_sequence(pair: RiordanPair) -> Sequence:
     """The row-generation sequence, read off from x / fbar(x)."""
-    fbar = pair.f.revert()
-    a = PowerSeries.one(pair.order - 1) / fbar.div_x()
+    a = PowerSeries.one(pair.order - 1) / pair.fbar.div_x()
     return Sequence(a.coeffs)
 
 
 def z_sequence(pair: RiordanPair) -> Sequence:
     """Column-0 generation sequence, cross-checked two independent ways.
 
-    The production-matrix column 0 must agree with the closed form
+    Column 0 of the production matrix, forward-substituted alone in
+    O(order**2) steps, must agree with the closed form
     Z(x) = (1 - g0 / g(fbar(x))) / fbar(x); a mismatch means the input
     violated the Riordan invariants and raises instead of guessing.
     """
     if pair.order < 3:
         raise InsufficientTerms(f"the Z-sequence needs order >= 3, have {pair.order}")
     size = pair.order - 1
-    prod = production_matrix(pair, size)
-    fbar = pair.f.revert()
-    ratio = 1 - (pair.g.coeffs[0] / pair.g.compose(fbar))
-    closed = ratio.div_x() / fbar.div_x()
-    if closed.coeffs[:size] != prod.z.terms[:size]:
+    z = _production_column(riordan_triangle(pair, size + 1).rows, 0, size)
+    ratio = 1 - (pair.g.coeffs[0] / pair.g.compose(pair.fbar))
+    closed = ratio.div_x() / pair.fbar.div_x()
+    if list(closed.coeffs[:size]) != z:
         raise NotRiordanBand("Z-sequence closed form disagrees with production matrix")
-    return prod.z
+    return Sequence(tuple(z))
 
 
 def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
-from .series import InsufficientTerms, PowerSeries, Sequence, rational, _ZERO, _ONE
+from .series import (
+    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator, _ZERO, _ONE
+)
 
 UNIQUE = "Unique"
 FAMILY = "Family"
@@ -64,10 +66,8 @@ def exact_det(matrix) -> Fraction:
             raise ValueError("matrix is not square")
     if n == 0:
         return _ONE
-    # a list, not a generator: lcm(*genexpr) holds on to memory on CPython 3.11
-    scales = [lcm(*[v.denominator for v in row]) for row in rows]
-    ints = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
-    return Fraction(_det_int_bareiss(ints), prod(scales))
+    cleared = [_over_common_denominator(row) for row in rows]
+    return Fraction(_det_int_bareiss([ints for ints, _ in cleared]), prod(d for _, d in cleared))
 
 
 def hankel_transform(s: Sequence, max_n: int) -> Sequence:
@@ -191,8 +191,14 @@ class JFraction:
 
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
-    """Extract depth + 1 b-coefficients and depth lambdas by repeated
-    series inversion; stops early (terminated=True) when a lambda vanishes.
+    """Extract depth + 1 b-coefficients and depth lambdas by the Chebyshev
+    algorithm on the normalized moments m_l = s_l / s_0 (Gautschi 2004), in
+    O(depth**2) steps; stops early (terminated=True) when a lambda vanishes.
+    From sigma_(-1,l) = 0 and sigma_(0,l) = m_l, level k >= 1 has
+
+        sigma_(k,l) = sigma_(k-1,l+1) - b_(k-1) sigma_(k-1,l) - lam_(k-1) sigma_(k-2,l),
+        lam_k = sigma_(k,k) / sigma_(k-1,k-1),
+        b_k = sigma_(k,k+1) / sigma_(k,k) - sigma_(k-1,k) / sigma_(k-1,k-1).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -201,22 +207,21 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    t = PowerSeries(s.terms) / s.terms[0]
-    bs: list[Fraction] = []
+    prev = [_ZERO] * need  # sigma_(k-2, .)
+    cur = [rational(v) / s.terms[0] for v in s.terms[:need]]  # sigma_(k-1, .)
+    bs: list[Fraction] = [cur[1]]
     lams: list[Fraction] = []
-    for level in range(depth + 1):
-        w = 1 - (1 / t)
-        bs.append(w.coeffs[1])
-        if level == depth:
-            break
-        rest = list(w.coeffs)
-        rest[1] = _ZERO
-        w = PowerSeries(tuple(rest))  # w is now lam * x^2 * tail
-        lam = w.coeffs[2]
+    lam = _ZERO  # lam_0 multiplies sigma_(-1, .) = 0
+    for k in range(1, depth + 1):
+        nxt = [_ZERO] * need
+        for l in range(k, need - k):
+            nxt[l] = cur[l + 1] - bs[-1] * cur[l] - lam * prev[l]
+        lam = nxt[k] / cur[k - 1]
         lams.append(lam)
         if lam == 0:
             return JFraction(tuple(bs), tuple(lams), terminated=True)
-        t = w.div_x().div_x() / lam
+        bs.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
+        prev, cur = cur, nxt
     return JFraction(tuple(bs), tuple(lams), terminated=False)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan.series import PowerSeries, catalan, rational_series
 from riordan.core import bell_from_f, riordan_inverse, riordan_triangle, a_sequence
@@ -21,7 +22,7 @@ from riordan.amatrix import (
     solve_f,
 )
 
-from conftest import random_fraction, random_nonzero_fraction
+from conftest import random_fraction, random_nonzero_fraction, small_fraction
 
 
 def random_specs(rng, count):
@@ -36,6 +37,33 @@ def random_specs(rng, count):
         rho = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
         out.append(AMatrixSpec.of(rows, rho))
     return out
+
+
+def fixed_point_f(spec, order):
+    """Oracle: the fixed-point loop f <- Phi(f) from a[0][0]*x, which pins at
+    least one coefficient per pass.  Phi is summed row by row, a repeated
+    last row written out to the working order, so neither
+    AMatrixSpec.row_sum nor the Newton step takes part."""
+    rows = [list(r) for r in spec.rows]
+    if spec.repeat_last_row:
+        rows += [rows[-1]] * (order - len(rows))
+    f = PowerSeries.of([0, spec.rows[0][0]], order)
+    for _ in range(order + 1):
+        powers = [PowerSeries.one(order)]
+        while len(powers) < max(len(r) for r in rows) + len(spec.rho) + 2:
+            powers.append(powers[-1] * f)
+        rhs = PowerSeries.zero(order)
+        for i, row in enumerate(rows[: order - 1]):
+            term = PowerSeries.zero(order)
+            for j, c in enumerate(row):
+                term = term + powers[j] * c
+            rhs = rhs + PowerSeries.of([0] * (i + 1) + list(term.coeffs), order)
+        for j, c in enumerate(spec.rho):
+            rhs = rhs + powers[j + 2] * c
+        if rhs.coeffs == f.coeffs:
+            return f
+        f = rhs
+    raise AssertionError("the fixed-point oracle did not settle")
 
 
 # -- spec parsing and validation -------------------------------------------
@@ -116,6 +144,29 @@ def test_residual_vanishes_on_random_specs(rng):
         rep = solve_f(spec, 12)
         assert functional_equation_residual(spec, rep.f).is_zero()
         assert rep.iterations <= 13
+
+
+def test_iterations_count_newton_steps_plus_the_check():
+    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
+    orders = (2, 3, 4, 48, 64, 128, 256)
+    assert [solve_f(spec, n).iterations for n in orders] == [1, 2, 2, 6, 6, 7, 8]
+
+
+@st.composite
+def amatrix_specs(draw):
+    """Depth <= 3, width <= 3, rho length <= 2, p/q entries, either repeat flag."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(small_fraction, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    rows[0][0] = draw(small_fraction.filter(bool))
+    rho = draw(st.lists(small_fraction, max_size=2))
+    return AMatrixSpec.of(rows, rho, draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(amatrix_specs(), st.integers(2, 40))
+def test_newton_solve_matches_fixed_point_oracle(spec, order):
+    assert solve_f(spec, order).f.coeffs == fixed_point_f(spec, order).coeffs
 
 
 # -- direct triangle ------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 from riordan import cli
+from riordan.series import PowerSeries
 from riordan.verify import Fixture
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
@@ -83,6 +84,21 @@ def test_pipeline_hankel_and_fit(capsys):
     assert code == 0
     assert "hankel: 1 1 2 3 7 23 59 314 1529 8209 83313" in out
     assert "somos fit: Unique alpha=1 beta=1" in out
+
+
+def test_pipeline_reverts_f_once_for_both_sequences(capsys, monkeypatch):
+    calls = []
+    revert = PowerSeries.revert
+
+    def counted(self):
+        calls.append(self)
+        return revert(self)
+
+    monkeypatch.setattr(PowerSeries, "revert", counted)
+    code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq")
+    assert code == 0
+    assert "A-sequence: " in out and "Z-sequence: " in out
+    assert len(calls) == 1
 
 
 def test_pipeline_production_display(capsys):

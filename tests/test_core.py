@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series
 from riordan import hankel
@@ -23,7 +24,7 @@ from riordan.core import (
     z_sequence,
 )
 
-from conftest import random_fraction, random_nonzero_fraction
+from conftest import random_fraction, random_nonzero_fraction, small_fraction
 
 ORDER = 16
 
@@ -206,6 +207,21 @@ def test_production_matches_inverse_multiply_oracle():
 
 def test_pascal_z_sequence_is_delta():
     assert z_sequence(pascal_pair()).integers()[:6] == [1, 0, 0, 0, 0, 0]
+
+
+@st.composite
+def unit_pairs(draw):
+    """(g, f) with p/q coefficients, g(0) != 0, f(0) = 0 and f'(0) != 0."""
+    order = draw(st.integers(3, 14))
+    tail = st.lists(small_fraction, min_size=order - 2, max_size=order - 2)
+    g = [draw(small_fraction.filter(bool)), draw(small_fraction)] + draw(tail)
+    f = [Fraction(0), draw(small_fraction.filter(bool))] + draw(tail)
+    return RiordanPair(PowerSeries(tuple(g)), PowerSeries(tuple(f)))
+
+
+@given(unit_pairs())
+def test_z_sequence_is_production_column_zero(pair):
+    assert z_sequence(pair) == production_matrix(pair, pair.order - 1).z
 
 
 def test_production_band_matches_a_sequence():

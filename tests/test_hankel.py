@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from riordan.series import Sequence, catalan
+from riordan.series import PowerSeries, Sequence, catalan
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import (
     FAMILY,
@@ -13,6 +13,7 @@ from riordan.hankel import (
     INSUFFICIENT,
     UNIQUE,
     InsufficientTerms,
+    JFraction,
     exact_det,
     fit_allows,
     hankel_transform,
@@ -22,6 +23,7 @@ from riordan.hankel import (
     somos_verify,
 )
 
+from conftest import random_fraction, random_nonzero_fraction
 
 
 def cofactor_det(m):
@@ -201,6 +203,23 @@ def test_verify_needs_five_terms():
 # -- J-fractions ------------------------------------------------------------------
 
 
+def inversion_jfraction(terms, depth):
+    """Oracle: peel one level per series inversion.  With t the normalized
+    tail, 1 - 1/t = b x + lam x^2 t' gives b, lam and the next tail t'."""
+    t = PowerSeries(tuple(Fraction(v) for v in terms)) / Fraction(terms[0])
+    bs, lams = [], []
+    for level in range(depth + 1):
+        w = 1 - (1 / t)
+        bs.append(w.coeffs[1])
+        if level == depth:
+            break
+        lams.append(w.coeffs[2])
+        if w.coeffs[2] == 0:
+            return JFraction(tuple(bs), tuple(lams), terminated=True)
+        t = PowerSeries(w.coeffs[2:]) / w.coeffs[2]
+    return JFraction(tuple(bs), tuple(lams), terminated=False)
+
+
 def test_jfraction_fifth_column_values():
     col = solve_f(AMatrixSpec.of([[1, 1, 0], [1, 1, 1]]), 13).f.div_x()
     jf = jfraction(Sequence(col.coeffs), 3)
@@ -263,3 +282,51 @@ def test_hankel_lambda_product_identity(rng):
                 prod *= jf.lam[i - 1] ** (n + 1 - i)
             assert h.terms[n] == prod
         done += 1
+
+
+moment = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.just(0),
+)
+
+
+@st.composite
+def jfraction_moments(draw):
+    """(terms, depth): zero-heavy or random moments, or the moments of a
+    J-fraction whose lambda_k vanishes at a drawn level k (then the tail
+    after term 2k is redrawn, which leaves that lambda zero)."""
+    depth = draw(st.integers(0, 12))
+    need = 2 * depth + 2
+    lead = draw(moment.filter(bool))
+    if depth == 0 or draw(st.booleans()):
+        rest = draw(st.lists(moment, min_size=need - 1, max_size=need + 2))
+        return [lead] + rest, depth
+    k = draw(st.integers(1, depth))
+    b = draw(st.lists(moment, min_size=depth + 1, max_size=depth + 1))
+    lam = draw(st.lists(moment.filter(bool), min_size=depth, max_size=depth))
+    lam[k - 1] = 0
+    terms = [lead * c for c in jfraction_series(JFraction(tuple(b), tuple(lam)), need).coeffs]
+    tail = draw(st.lists(moment, min_size=need - 2 * k - 1, max_size=need - 2 * k - 1))
+    return terms[: 2 * k + 1] + tail, depth
+
+
+@settings(max_examples=100)
+@given(jfraction_moments())
+def test_chebyshev_jfraction_matches_inversion_oracle(case):
+    terms, depth = case
+    got = jfraction(Sequence(tuple(terms)), depth)
+    assert got == inversion_jfraction(terms, depth)
+    assert all(type(v) is Fraction for v in got.b + got.lam)
+
+
+def test_jfraction_stops_at_the_first_vanishing_lambda(rng):
+    # depth 12 with lambda_k = 0 at each level k in turn, p/q coefficients
+    for level in range(1, 13):
+        b = tuple(random_fraction(rng) for _ in range(13))
+        lam = [random_nonzero_fraction(rng) for _ in range(12)]
+        lam[level - 1] = Fraction(0)
+        terms = jfraction_series(JFraction(b, tuple(lam)), 26).coeffs
+        got = jfraction(Sequence(terms), 12)
+        assert got == JFraction(b[:level], tuple(lam[:level]), terminated=True)
+        assert got == inversion_jfraction(terms, 12)
