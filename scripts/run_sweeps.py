@@ -2,7 +2,7 @@
 """Run both Somos-4 conjecture sweeps and write the reports as JSON.
 
 Usage:
-    python scripts/run_sweeps.py [--range -2..2] [--order 14] [--out DIR]
+    python scripts/run_sweeps.py [--range -2..2] [--order 40] [--out DIR]
 
 A counterexample would be a research finding, so it is recorded in the
 report (and echoed loudly) rather than treated as an error.
@@ -16,13 +16,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from riordan.verify import sweep_conjecture_rho0, sweep_conjecture_rho_delta
+from riordan.verify import SWEEP_ORDER, sweep_conjecture_rho0, sweep_conjecture_rho_delta
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--range", default="-2..2", help="per-parameter range LO..HI")
-    parser.add_argument("--order", type=int, default=14)
+    parser.add_argument("--order", type=int, default=SWEEP_ORDER)
     parser.add_argument("--out", default="sweep-reports")
     args = parser.parse_args()
     lo, hi = (int(part) for part in args.range.split(".."))

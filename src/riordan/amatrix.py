@@ -90,7 +90,7 @@ class AMatrixSpec:
             raise InvalidSpec("'rho' must be a list and 'repeat_last_row' a bool")
         try:
             return cls.of(rows, rho, repeat)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, InvalidSpec):
                 raise
             raise InvalidSpec(str(exc)) from exc

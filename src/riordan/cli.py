@@ -7,7 +7,8 @@ Subcommands:
     verify    [FILTER | --sweep]   run bundled fixtures or a conjecture sweep
 
 Exit codes: 0 success, 1 fixture or comparison failure, 2 bad arguments or
-spec or insufficient order, 3 I/O problems (missing or unparsable files).
+spec or insufficient order, 3 I/O problems (missing or unparsable files),
+4 an internal error (an unexpected exception, reported on one line).
 
 Output is deterministic.  JSON output renders every rational as a string
 ("7" or "11/4") so arbitrarily large values survive any JSON parser, and is
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -228,8 +230,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args) -> int:
     if args.sweep:
-        # grid sweeps default to a lighter order than single-spec workflows
-        order = args.order if args.order is not None else 14
+        order = args.order if args.order is not None else verify_mod.SWEEP_ORDER
         lo, hi = _parse_range(args.range)
         sweep = (
             verify_mod.sweep_conjecture_rho0
@@ -337,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientTerms as exc:
         print(f"error: insufficient order: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

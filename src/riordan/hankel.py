@@ -1,14 +1,13 @@
 """Exact Hankel transforms, Somos-4 parameter fitting, and J-fractions.
 
-Determinants are exact and take one route: each row is cleared of
-denominators, fraction-free Bareiss elimination runs on the Python ints,
-and the row scales are divided back out.  The Somos-4 fitter classifies the
-full linear system over every available window instead of trusting the
-first two, so hidden inconsistencies surface as data rather than wrong
-answers.
-
-All functions are pure; the per-index determinants of a Hankel transform
-are independent and could be evaluated in parallel.
+Determinants are exact and run on one fraction-free (Bareiss) elimination
+over Python ints, with the denominators cleared first.  A Hankel transform
+reads every h_n off the pivots of a single elimination of its largest block
+(Sylvester's identity), falling back to one elimination per later minor only
+past a zero minor.  The Somos-4 fitter classifies the full linear system
+over every available window instead of trusting the first two, so hidden
+inconsistencies surface as data rather than wrong answers.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from math import prod
 
 from .series import (
-    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator, _ZERO, _ONE
+    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator, _ZERO
 )
 
 UNIQUE = "Unique"
@@ -27,12 +26,19 @@ INCONSISTENT = "Inconsistent"
 INSUFFICIENT = "InsufficientData"
 
 
-def _det_int_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free determinant; every intermediate division is exact."""
+def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free elimination of the int matrix m, in place: (det, minors).
+
+    Every division is exact.  Until the first row swap the pivot at step k is
+    the leading (k+1)-minor (Sylvester's identity), so minors holds the leading
+    minors up to and including the first zero one, or all of them.
+    """
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    minors: list[int] = []
+    for k in range(n):
+        if not minors or minors[-1]:
+            minors.append(m[k][k])
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
@@ -40,17 +46,17 @@ def _det_int_bareiss(m: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = m[k][k]
+                return 0, minors
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev, minors
 
 
 def exact_det(matrix) -> Fraction:
@@ -64,22 +70,26 @@ def exact_det(matrix) -> Fraction:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return _ONE
     cleared = [_over_common_denominator(row) for row in rows]
-    return Fraction(_det_int_bareiss([ints for ints, _ in cleared]), prod(d for _, d in cleared))
+    return Fraction(_bareiss([ints for ints, _ in cleared])[0], prod(d for _, d in cleared))
 
 
 def hankel_transform(s: Sequence, max_n: int) -> Sequence:
-    """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n."""
+    """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
+
+    The 2*max_n + 1 terms are put over one common denominator d, and one
+    fraction-free elimination of the whole integer block gives every
+    h_n = minor_(n+1) / d**(n+1) on its pivots.  Past a zero minor the pivots
+    stop being leading minors, so each later h_n eliminates its own block.
+    """
     need = 2 * max_n + 1
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
-    t = s.terms
-    out = []
-    for n in range(max_n + 1):
-        out.append(exact_det([[t[i + j] for j in range(n + 1)] for i in range(n + 1)]))
-    return Sequence(tuple(out))
+    t, d = _over_common_denominator(s.terms[:need])
+    _, minors = _bareiss([t[i : i + max_n + 1] for i in range(max_n + 1)])
+    for n in range(len(minors), max_n + 1):
+        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)])[0])
+    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors)))
 
 
 @dataclass(frozen=True)

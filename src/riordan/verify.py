@@ -79,6 +79,7 @@ class NonConsecutiveIndices(ValueError):
 
 
 DEFAULT_ORDER = 32
+SWEEP_ORDER = 40  # 16 Hankel windows a point
 
 
 @dataclass(frozen=True)
@@ -409,12 +410,12 @@ def _sweep(family: str, rho0: int, lo: int, hi: int, order: int) -> SweepReport:
     )
 
 
-def sweep_conjecture_rho0(lo: int, hi: int, order: int = 14) -> SweepReport:
+def sweep_conjecture_rho0(lo: int, hi: int, order: int = SWEEP_ORDER) -> SweepReport:
     """Grid the rho = 0 conjecture over [lo, hi]^4."""
     return _sweep("rho0", 0, lo, hi, order)
 
 
-def sweep_conjecture_rho_delta(lo: int, hi: int, order: int = 14) -> SweepReport:
+def sweep_conjecture_rho_delta(lo: int, hi: int, order: int = SWEEP_ORDER) -> SweepReport:
     """Grid the rho = (1, 0, 0, ...) conjecture over [lo, hi]^4."""
     return _sweep("rhodelta", 1, lo, hi, order)
 

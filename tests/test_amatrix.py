@@ -98,6 +98,9 @@ def test_spec_json_rejects_garbage():
         AMatrixSpec.from_dict({"rows": [[True, 1]]})
     with pytest.raises(InvalidSpec):
         AMatrixSpec.from_dict({"rows": [[1]], "rho": [False]})
+    for zero_denominator in ({"rows": [[1, "1/0"]]}, {"rows": [[1]], "rho": ["1/0"]}):
+        with pytest.raises(InvalidSpec):
+            AMatrixSpec.from_dict(zero_denominator)
 
 
 # -- the equation solver -------------------------------------------------------

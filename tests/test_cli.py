@@ -61,6 +61,29 @@ def test_solve_invalid_spec_is_usage_error(tmp_path, capsys):
         assert "invalid spec" in err
 
 
+def test_zero_denominator_in_spec_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for command in ("solve", "pipeline"):
+        for text in ('{"rows": [[1, "1/0"]]}', '{"rows": [[1]], "rho": ["2/0"]}'):
+            bad.write_text(text)
+            code, out, err = run(capsys, command, str(bad))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: invalid spec") and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(spec, order):
+        raise RuntimeError("solver blew up\nsecond line")
+
+    monkeypatch.setattr(cli, "solve_f", broken)
+    for command in ("solve", "pipeline"):
+        code, out, err = run(capsys, command, str(SPECS / "pascal.json"))
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "error: internal error: RuntimeError('solver blew up\\nsecond line')\n"
+
+
 def test_solve_rejects_order_below_two(capsys):
     code, out, err = run(capsys, "solve", str(SPECS / "pascal.json"), "--order", "0")
     assert code == 2
@@ -282,6 +305,12 @@ def test_verify_sweep_plain_summary(capsys):
     code, out, _ = run(capsys, "verify", "--sweep", "rhodelta", "--range", "0..1")
     assert code == 0
     assert "sweep rhodelta over [0..1]^4" in out
+
+
+def test_verify_sweep_defaults_to_sixteen_windows(capsys):
+    code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--range", "1..1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == 40  # depth 19: windows 4..19
 
 
 def test_verify_sweep_rejects_reversed_range(capsys):

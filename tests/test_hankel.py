@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riordan.series import PowerSeries, Sequence, catalan
+from riordan import hankel
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import (
     FAMILY,
@@ -84,7 +85,111 @@ def test_det_integer_and_rational_paths_agree(rng):
         assert exact_det(m) == want
 
 
+def test_det_singular_matrices_needing_row_swaps(rng):
+    """A zero corner forces a row swap; a last row that combines two others
+    makes the matrix singular, and the determinant must come out exactly 0."""
+    for trial in range(40):
+        n = rng.randint(3, 6)
+        m = [[random_fraction(rng) for _ in range(n)] for _ in range(n)]
+        m[0][0] = Fraction(0)
+        if trial % 4 == 0:
+            for row in m:
+                row[0] = Fraction(0)
+        p, q = random_fraction(rng), random_fraction(rng)
+        m[-1] = [p * a + q * b for a, b in zip(m[0], m[1])]
+        assert exact_det(m) == 0 == cofactor_det(m)
+        m[-1][-1] += 1  # now regular unless the cofactor of the corner vanishes
+        assert exact_det(m) == cofactor_det(m)
+
+
 # -- Hankel transforms ----------------------------------------------------------
+
+
+def per_minor_hankel(terms, max_n):
+    """Oracle: one exact_det per leading minor, h_n = det(s[i+j]) for 0 <= i, j <= n."""
+    return [
+        exact_det([[terms[i + j] for j in range(n + 1)] for i in range(n + 1)])
+        for n in range(max_n + 1)
+    ]
+
+
+hankel_term = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+zero_heavy_term = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def hankel_cases(draw):
+    """(terms, depth) with int, p/q or zero-heavy terms, a few past the 2*depth + 1 needed."""
+    depth = draw(st.integers(0, 12))
+    term = draw(st.sampled_from([st.integers(-9, 9), hankel_term, zero_heavy_term]))
+    return draw(st.lists(term, min_size=2 * depth + 1, max_size=2 * depth + 3)), depth
+
+
+def with_zero_minor(terms, k):
+    """terms changed so that h_k = 0: s_0 = 0 for k = 0, else s_(2k) is solved
+    for, since it enters the (k+1)-block only in its corner, with cofactor
+    h_(k-1).  None when h_(k-1) = 0."""
+    terms = list(terms)
+    terms[2 * k] = 0
+    if k > 0:
+        h = per_minor_hankel(terms, k)
+        if h[k - 1] == 0:
+            return None
+        terms[2 * k] = -h[k] / h[k - 1]
+    return terms
+
+
+@settings(max_examples=150)
+@given(hankel_cases())
+def test_one_pass_hankel_matches_per_minor_oracle(case):
+    terms, depth = case
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=100)
+@given(hankel_cases(), st.data())
+def test_one_pass_hankel_past_a_forced_zero_minor(case, data):
+    terms, depth = case
+    k = data.draw(st.integers(0, depth))
+    terms = with_zero_minor(terms, k)
+    assume(terms is not None)
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    assert got[k] == 0
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The size of each matrix hankel._bareiss eliminates, in call order."""
+    calls = []
+    bareiss = hankel._bareiss
+    monkeypatch.setattr(hankel, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
+    return calls
+
+
+def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
+    """h_k = 0 with every other minor nonzero, for k = 0..11 at depth 12: the
+    one elimination stops being read at k, and each later minor takes one
+    elimination of its own."""
+    for k in range(12):
+        while True:
+            terms = with_zero_minor([random_fraction(rng) for _ in range(25)], k)
+            if terms is not None:
+                want = per_minor_hankel(terms, 12)
+                if [n for n, v in enumerate(want) if v == 0] == [k]:
+                    break
+        bareiss_calls.clear()
+        assert list(hankel_transform(Sequence.of(terms), 12).terms) == want
+        assert bareiss_calls == [13] + list(range(k + 2, 14))
+
+
+def test_hankel_takes_one_elimination_without_a_zero_minor(bareiss_calls):
+    c = catalan(41)
+    assert hankel_transform(Sequence(c.coeffs), 20).integers() == [1] * 21
+    assert bareiss_calls == [21]
 
 
 def test_hankel_all_ones_collapses():
