@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Print the gallery of bundled example specs: triangle, production data,
-Hankel transform and Somos-4 fit for each JSON file under specs/."""
+Hankel transform and Somos-4 fit for each JSON file under specs/.
+
+Usage, with the package installed or on the path:
+    PYTHONPATH=src python scripts/triangle_gallery.py
+"""
 
 import json
 import pathlib
 import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.core import bell_from_f, production_matrix, riordan_triangle

@@ -42,6 +42,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
+# bounds on the work one command may ask for; larger requests exit 2
+MAX_ORDER = 1024
+MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -232,6 +236,9 @@ def _cmd_verify(args) -> int:
     if args.sweep:
         order = args.order if args.order is not None else verify_mod.SWEEP_ORDER
         lo, hi = _parse_range(args.range)
+        points = (hi - lo + 1) ** 4
+        if points > MAX_SWEEP_POINTS:
+            raise _CliError(EXIT_USAGE, f"sweep box [{lo}..{hi}]^4 has {points} points, more than {MAX_SWEEP_POINTS}")
         sweep = (
             verify_mod.sweep_conjecture_rho0
             if args.sweep == "rho0"
@@ -327,8 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.order is not None and args.order < 2:
-            raise _CliError(EXIT_USAGE, f"--order must be at least 2, got {args.order}")
+        if args.order is not None and not 2 <= args.order <= MAX_ORDER:
+            raise _CliError(EXIT_USAGE, f"--order must be in 2..{MAX_ORDER}, got {args.order}")
         if getattr(args, "rows", 1) < 1:
             raise _CliError(EXIT_USAGE, f"--rows must be at least 1, got {args.rows}")
         return args.func(args)

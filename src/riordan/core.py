@@ -1,8 +1,8 @@
 """Riordan arrays as (g, f) pairs of exact truncated power series.
 
 Provides the triangle realization t[n][k] = [x^n] g * f^k, the group
-operations, production matrices obtained by an exact triangular solve,
-A- and Z-sequence extraction, quasi-involution testing and diagonal sums.
+operations, production matrices and A- and Z-sequences read off one checked
+(A, Z) pair of series, quasi-involution testing and diagonal sums.
 
 Equality everywhere is exact equality of rationals; there are no
 tolerances.  All values are immutable and all functions are pure.
@@ -20,7 +20,7 @@ InsufficientOrder = InsufficientTerms  # one exception; both names are public
 
 
 class NotRiordanBand(ValueError):
-    """A computed production matrix failed the banded-structure check."""
+    """A computed A- or Z-series failed its defining series identity."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,23 @@ class RiordanPair:
     def fbar(self) -> PowerSeries:
         """The compositional reverse of f, computed once per pair."""
         return self.f.revert()
+
+    @cached_property
+    def az(self) -> tuple[PowerSeries, PowerSeries]:
+        """A = x / fbar and Z = (1 - g0 / g(fbar)) / fbar, to order - 1.
+
+        Computed once per pair and checked by f/x = A(f) and
+        (g - g0)/x = g * Z(f); either failing raises NotRiordanBand.
+        """
+        fbar_x = self.fbar.div_x()
+        g0 = self.g.coeffs[0]
+        a = PowerSeries.one(self.order - 1) / fbar_x
+        z = (1 - g0 / self.g.compose(self.fbar)).div_x() / fbar_x
+        if a.compose(self.f) != self.f.div_x():
+            raise NotRiordanBand("the A-series fails f/x = A(f)")
+        if self.g * z.compose(self.f) != (self.g - g0).div_x():
+            raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
+        return a, z
 
     @classmethod
     def identity(cls, order: int) -> RiordanPair:
@@ -98,8 +115,8 @@ class ProductionData:
     """Production matrix of a Riordan array plus its two defining sequences.
 
     The matrix is the square leading block of M^-1 * (M with its top row
-    removed).  Column 0 is the Z-sequence; every column k >= 1 carries the
-    A-sequence shifted down, which is verified at construction time.
+    removed).  Column 0 is the Z-sequence and every column k >= 1 is the
+    A-sequence shifted down by k - 1.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -147,66 +164,34 @@ def bell_from_f(f: PowerSeries) -> RiordanPair:
     return RiordanPair(f.div_x(), f)
 
 
-def _production_column(m, j: int, size: int) -> list[Fraction]:
-    """Rows 0..size-1 of column j of P in M * P = (M minus top row), by
-    forward substitution over m, the first size + 1 rows of M."""
-    col: list[Fraction] = []
-    for i in range(size):
-        s = m[i + 1][j] if j <= i + 1 else _ZERO
-        trow = m[i]
-        for k in range(i):
-            if col[k]:
-                s -= trow[k] * col[k]
-        col.append(s / trow[i])
-    return col
-
-
 def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
-    """Solve M * P = (M minus top row) for the leading size x size block of P.
+    """The leading size x size block of P = M^-1 * (M minus its top row).
 
-    M is lower triangular with nonzero diagonal, so forward substitution on
-    the (size + 1)-row truncation yields the block exactly, one column at a
-    time; truncation introduces no windowing error.  Every column k >= 1 is
-    checked against the A-sequence band.
+    Column 0 is Z and column k >= 1 is A shifted down by k - 1, both from
+    the checked pair.az; the block needs order >= size + 1.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
-    m = riordan_triangle(pair, size + 1).rows
-    p = tuple(zip(*(_production_column(m, j, size) for j in range(size))))
-    z, a = tuple(r[0] for r in p), tuple(r[1] for r in p)
-    for i in range(size):
-        for j in range(1, size):
-            want = a[i - j + 1] if i - j + 1 >= 0 else _ZERO
-            if p[i][j] != want:
-                raise NotRiordanBand(
-                    f"entry ({i},{j}) = {p[i][j]} breaks the band structure"
-                )
+    if size + 1 > pair.order:
+        raise InsufficientTerms(f"size {size} needs order >= {size + 1}, have {pair.order}")
+    a, z = (s.coeffs[:size] for s in pair.az)
+    p = tuple(
+        (z[i],) + tuple(a[i - j + 1] if j <= i + 1 else _ZERO for j in range(1, size))
+        for i in range(size)
+    )
     return ProductionData(p, Sequence(z), Sequence(a))
 
 
 def a_sequence(pair: RiordanPair) -> Sequence:
-    """The row-generation sequence, read off from x / fbar(x)."""
-    a = PowerSeries.one(pair.order - 1) / pair.fbar.div_x()
-    return Sequence(a.coeffs)
+    """The row-generation sequence A = x / fbar."""
+    return Sequence(pair.az[0].coeffs)
 
 
 def z_sequence(pair: RiordanPair) -> Sequence:
-    """Column-0 generation sequence, cross-checked two independent ways.
-
-    Column 0 of the production matrix, forward-substituted alone in
-    O(order**2) steps, must agree with the closed form
-    Z(x) = (1 - g0 / g(fbar(x))) / fbar(x); a mismatch means the input
-    violated the Riordan invariants and raises instead of guessing.
-    """
+    """The column-0 generation sequence Z = (1 - g0 / g(fbar)) / fbar."""
     if pair.order < 3:
         raise InsufficientTerms(f"the Z-sequence needs order >= 3, have {pair.order}")
-    size = pair.order - 1
-    z = _production_column(riordan_triangle(pair, size + 1).rows, 0, size)
-    ratio = 1 - (pair.g.coeffs[0] / pair.g.compose(pair.fbar))
-    closed = ratio.div_x() / pair.fbar.div_x()
-    if list(closed.coeffs[:size]) != z:
-        raise NotRiordanBand("Z-sequence closed form disagrees with production matrix")
-    return Sequence(tuple(z))
+    return Sequence(pair.az[1].coeffs)
 
 
 def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:

@@ -91,6 +91,19 @@ def test_solve_rejects_order_below_two(capsys):
     assert err.startswith("error:") and "--order" in err
 
 
+def test_order_above_cap_is_usage_error(capsys):
+    assert cli.MAX_ORDER == 1024
+    for args in (
+        ("solve", str(SPECS / "pascal.json")),
+        ("pipeline", str(SPECS / "pascal.json"), "--zseq"),
+        ("verify", "--sweep", "rho0", "--range", "0..0"),
+    ):
+        code, out, err = run(capsys, *args, "--order", "1025")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--order" in err and "1024" in err
+
+
 # -- pipeline -----------------------------------------------------------------
 
 
@@ -317,6 +330,15 @@ def test_verify_sweep_rejects_reversed_range(capsys):
     code, _, err = run(capsys, "verify", "--sweep", "rho0", "--range=1..-1")
     assert code == 2
     assert "empty range" in err
+
+
+def test_verify_sweep_box_is_capped(capsys):
+    assert cli.MAX_SWEEP_POINTS == 10**4
+    for box in ("--range=-5..5", "--range=-50..50"):
+        code, out, err = run(capsys, "verify", "--sweep", "rhodelta", box)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "points, more than 10000" in err
 
 
 def test_verify_sweep_rejects_malformed_range(capsys):

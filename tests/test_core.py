@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series
 from riordan import hankel
 from riordan.core import (
     InsufficientOrder,
     LowerTriangle,
+    NotRiordanBand,
     RiordanPair,
     a_sequence,
     bell_from_f,
@@ -103,6 +104,8 @@ def test_too_few_terms_is_one_exception_type():
         RiordanPair(PowerSeries.of([1]), PowerSeries.of([0]))
     with pytest.raises(InsufficientTerms):
         z_sequence(pascal_pair(2))
+    with pytest.raises(InsufficientTerms):
+        production_matrix(pascal_pair(5), 5)
     with pytest.raises(InsufficientTerms):
         PowerSeries.of([1, 2]).prefix(3)
     with pytest.raises(InsufficientTerms):
@@ -199,16 +202,6 @@ def _production_oracle(pair, size):
     ]
 
 
-def test_production_matches_inverse_multiply_oracle():
-    for pair in (pascal_pair(), motzkin_pair()):
-        prod = production_matrix(pair, 8)
-        assert [list(r) for r in prod.matrix] == _production_oracle(pair, 8)
-
-
-def test_pascal_z_sequence_is_delta():
-    assert z_sequence(pascal_pair()).integers()[:6] == [1, 0, 0, 0, 0, 0]
-
-
 @st.composite
 def unit_pairs(draw):
     """(g, f) with p/q coefficients, g(0) != 0, f(0) = 0 and f'(0) != 0."""
@@ -220,8 +213,51 @@ def unit_pairs(draw):
 
 
 @given(unit_pairs())
+@example(pascal_pair())
+@example(motzkin_pair())
+def test_production_matches_inverse_multiply_oracle(pair):
+    for size in range(2, pair.order):
+        prod = production_matrix(pair, size)
+        assert [list(r) for r in prod.matrix] == _production_oracle(pair, size)
+
+
+def test_pascal_z_sequence_is_delta():
+    assert z_sequence(pascal_pair()).integers()[:6] == [1, 0, 0, 0, 0, 0]
+
+
+@given(unit_pairs())
 def test_z_sequence_is_production_column_zero(pair):
-    assert z_sequence(pair) == production_matrix(pair, pair.order - 1).z
+    column = [row[0] for row in _production_oracle(pair, pair.order - 1)]
+    assert list(z_sequence(pair).terms) == column
+
+
+def _wrong_reverse(pair, monkeypatch):
+    bad = list(pair.fbar.coeffs)
+    bad[3] += 1
+    pair.__dict__["fbar"] = PowerSeries(tuple(bad))
+
+
+def _wrong_g_of_fbar(pair, monkeypatch):
+    compose = PowerSeries.compose
+
+    def bumped(outer, inner):
+        out = compose(outer, inner)
+        if outer is pair.g and inner is pair.fbar:
+            out = out + PowerSeries.of([0, 0, 1], out.order)
+        return out
+
+    monkeypatch.setattr(PowerSeries, "compose", bumped)
+
+
+@pytest.mark.parametrize(
+    "corrupt, identity", [(_wrong_reverse, "A-series"), (_wrong_g_of_fbar, "Z-series")]
+)
+def test_identity_checks_reject_corrupt_production_data(corrupt, identity, monkeypatch):
+    pair = pascal_pair()
+    corrupt(pair, monkeypatch)
+    for compute in (lambda p: production_matrix(p, 6), a_sequence, z_sequence):
+        with pytest.raises(NotRiordanBand, match=identity):
+            compute(pair)
 
 
 def test_production_band_matches_a_sequence():
