@@ -67,11 +67,7 @@ class AMatrixSpec:
 
     @classmethod
     def of(cls, rows, rho=(), repeat_last_row: bool = False) -> AMatrixSpec:
-        return cls(
-            tuple(tuple(rational(v) for v in row) for row in rows),
-            tuple(rational(v) for v in rho),
-            bool(repeat_last_row),
-        )
+        return cls(rows, rho, bool(repeat_last_row))
 
     @classmethod
     def from_dict(cls, data: dict) -> AMatrixSpec:
@@ -243,35 +239,39 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
             if k == 0:
                 s += spec.entry(n, 0)
             row[k] = s
-    return LowerTriangle(tuple(tuple(r) for r in rows))
+    return LowerTriangle(rows)
+
+
+def _catalan_form(lead, den, inner, order: int) -> PowerSeries:
+    """(lead/den) * C(inner/den^2) for polynomials lead, den, inner.
+
+    One Newton reciprocal of den serves both quotients; C(u) comes from the
+    coefficient recurrence of catalan_of, not from composing series.
+    """
+    inv = 1 / PowerSeries.of(den, order)
+    return PowerSeries.of(lead, order) * inv * catalan_of(PowerSeries.of(inner, order) * inv * inv)
 
 
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     """f/x for the two-row array [[1, a, b], [1, c, d]] with rho = (rho0).
 
-    Catalan-composition form:
+    Catalan-composition form, by _catalan_form:
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
-    where C is the Catalan generating function; C(u) comes from the
-    coefficient recurrence of catalan_of, not from composing series.
-    rho0 = 0 gives the pure two-row case.
+    where C is the Catalan generating function.  rho0 = 0 gives the pure
+    two-row case.
     """
     a, b, c, d, rho0 = (rational(v) for v in (a, b, c, d, rho0))
-    den = PowerSeries.of([1, -a, -c], order)
-    num = PowerSeries.of([0, rho0, rho0 + b, b + d, d], order)  # x(1+x)(rho0+bx+dx^2)
-    inner = num / (den * den)
-    return (PowerSeries.of([1, 1], order) / den) * catalan_of(inner)
+    return _catalan_form([1, 1], [1, -a, -c], [0, rho0, rho0 + b, b + d, d], order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
     """The solution u of u/x = 1 + a*u + b*u^2 + c*u^2/x.
 
-    Catalan-composition form x/(1-ax) * C(x(bx + c)/(1-ax)^2), with C(u)
-    from catalan_of; also equal to the reverse of x(1 - cx)/(1 + ax + bx^2).
+    Catalan-composition form x/(1-ax) * C(x(bx + c)/(1-ax)^2), by
+    _catalan_form; also equal to the reverse of x(1 - cx)/(1 + ax + bx^2).
     """
     a, b, c = (rational(v) for v in (a, b, c))
-    den = PowerSeries.of([1, -a], order)
-    inner = PowerSeries.of([0, c, b], order) / (den * den)
-    return (PowerSeries.of([0, 1], order) / den) * catalan_of(inner)
+    return _catalan_form([0, 1], [1, -a], [0, c, b], order)
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
@@ -315,8 +315,8 @@ def narayana_poly_coeffs(nrows: int) -> LowerTriangle:
         row = [Fraction(ch(2 * n + 1, n), 2 * n + 1)]
         for k in range(1, n + 1):
             row.append(Fraction(ch(2 * n - k, k - 1) * ch(2 * n - k + 1, n - k), k))
-        rows.append(tuple(row))
-    return LowerTriangle(tuple(rows))
+        rows.append(row)
+    return LowerTriangle(rows)
 
 
 def binomial_transform_equation_check(a, b, c, order: int) -> bool:
@@ -355,5 +355,5 @@ def orthogonal_poly_coeffs(a, b, nrows: int) -> LowerTriangle:
             row[k] -= a * v
         for k, v in enumerate(prev2):
             row[k] -= b * v
-        rows.append(tuple(row))
-    return LowerTriangle(tuple(rows))
+        rows.append(row)
+    return LowerTriangle(rows)

@@ -1,8 +1,8 @@
 """Riordan arrays as (g, f) pairs of exact truncated power series.
 
 Provides the triangle realization t[n][k] = [x^n] g * f^k, the group
-operations, production matrices and A- and Z-sequences read off one checked
-(A, Z) pair of series, quasi-involution testing and diagonal sums.
+operations, production matrices and A- and Z-sequences read off each pair's
+cached, checked A- and Z-series, quasi-involution testing and diagonal sums.
 
 Equality everywhere is exact equality of rationals; there are no
 tolerances.  All values are immutable and all functions are pure.
@@ -28,7 +28,8 @@ class RiordanPair:
     """A pair (g, f) with g(0) != 0, f(0) = 0, f'(0) != 0.
 
     Both series are normalized to one shared truncation order on
-    construction (the smaller of the two).
+    construction (the smaller of the two).  fbar, A and Z are cached on
+    first use; A does not compute Z, and Z reuses A.
     """
 
     g: PowerSeries
@@ -55,21 +56,22 @@ class RiordanPair:
         return self.f.revert()
 
     @cached_property
-    def az(self) -> tuple[PowerSeries, PowerSeries]:
-        """A = x / fbar and Z = (1 - g0 / g(fbar)) / fbar, to order - 1.
-
-        Computed once per pair and checked by f/x = A(f) and
-        (g - g0)/x = g * Z(f); either failing raises NotRiordanBand.
-        """
-        fbar_x = self.fbar.div_x()
-        g0 = self.g.coeffs[0]
-        a = PowerSeries.one(self.order - 1) / fbar_x
-        z = (1 - g0 / self.g.compose(self.fbar)).div_x() / fbar_x
+    def a(self) -> PowerSeries:
+        """A = x / fbar to order - 1, checked by f/x = A(f)."""
+        a = 1 / self.fbar.div_x()
         if a.compose(self.f) != self.f.div_x():
             raise NotRiordanBand("the A-series fails f/x = A(f)")
+        return a
+
+    @cached_property
+    def z(self) -> PowerSeries:
+        """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1;
+        checked by (g - g0)/x = g * Z(f)."""
+        g0 = self.g.coeffs[0]
+        z = (1 - g0 / self.g.compose(self.fbar)).div_x() * self.a
         if self.g * z.compose(self.f) != (self.g - g0).div_x():
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
-        return a, z
+        return z
 
     @classmethod
     def identity(cls, order: int) -> RiordanPair:
@@ -123,10 +125,6 @@ class ProductionData:
     z: Sequence
     a: Sequence
 
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
     def integer_rows(self) -> list[list[int]]:
         return [integer_values(row, "entry") for row in self.matrix]
 
@@ -146,7 +144,7 @@ def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:
             rows[n][k] = col.coeffs[n]
         if k + 1 < nrows:
             col = col * pair.f
-    return LowerTriangle(tuple(tuple(r) for r in rows))
+    return LowerTriangle(rows)
 
 
 def riordan_mul(left: RiordanPair, right: RiordanPair) -> RiordanPair:
@@ -167,14 +165,14 @@ def bell_from_f(f: PowerSeries) -> RiordanPair:
 def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
     """The leading size x size block of P = M^-1 * (M minus its top row).
 
-    Column 0 is Z and column k >= 1 is A shifted down by k - 1, both from
-    the checked pair.az; the block needs order >= size + 1.
+    Column 0 is Z and column k >= 1 is A shifted down by k - 1, from the
+    checked pair.z and pair.a; the block needs order >= size + 1.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
     if size + 1 > pair.order:
         raise InsufficientTerms(f"size {size} needs order >= {size + 1}, have {pair.order}")
-    a, z = (s.coeffs[:size] for s in pair.az)
+    a, z = pair.a.coeffs[:size], pair.z.coeffs[:size]
     p = tuple(
         (z[i],) + tuple(a[i - j + 1] if j <= i + 1 else _ZERO for j in range(1, size))
         for i in range(size)
@@ -184,14 +182,14 @@ def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
 
 def a_sequence(pair: RiordanPair) -> Sequence:
     """The row-generation sequence A = x / fbar."""
-    return Sequence(pair.az[0].coeffs)
+    return Sequence(pair.a.coeffs)
 
 
 def z_sequence(pair: RiordanPair) -> Sequence:
     """The column-0 generation sequence Z = (1 - g0 / g(fbar)) / fbar."""
     if pair.order < 3:
         raise InsufficientTerms(f"the Z-sequence needs order >= 3, have {pair.order}")
-    return Sequence(pair.az[1].coeffs)
+    return Sequence(pair.z.coeffs)
 
 
 def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:

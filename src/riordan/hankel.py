@@ -114,6 +114,13 @@ def _normalize_line(p: Fraction, q: Fraction, r: Fraction):
     return (p / lead, q / lead, r / lead)
 
 
+def _somos_windows(t):
+    """Lazily yield (n, p, q, r) = (n, t_(n-1) t_(n-3), t_(n-2)^2, t_n t_(n-4))
+    for n >= 4; window n holds when r = alpha * p + beta * q."""
+    for n in range(4, len(t)):
+        yield n, t[n - 1] * t[n - 3], t[n - 2] * t[n - 2], t[n] * t[n - 4]
+
+
 def somos_fit(h: Sequence) -> SomosFitResult:
     """Fit (alpha, beta) over every window of h, classifying the system.
 
@@ -126,10 +133,7 @@ def somos_fit(h: Sequence) -> SomosFitResult:
         return SomosFitResult(INSUFFICIENT)
     line: tuple[Fraction, Fraction, Fraction] | None = None
     point: tuple[Fraction, Fraction] | None = None
-    for n in range(4, len(t)):
-        p = t[n - 1] * t[n - 3]
-        q = t[n - 2] * t[n - 2]
-        r = t[n] * t[n - 4]
+    for n, p, q, r in _somos_windows(t):
         if p == 0 and q == 0:
             if r != 0:
                 return SomosFitResult(INCONSISTENT, failing_index=n)
@@ -179,11 +183,7 @@ def somos_verify(s: Sequence, alpha, beta) -> bool:
     if len(s) < 5:
         raise ValueError("need at least five terms")
     alpha, beta = rational(alpha), rational(beta)
-    t = s.terms
-    return all(
-        t[n] * t[n - 4] == alpha * t[n - 1] * t[n - 3] + beta * t[n - 2] * t[n - 2]
-        for n in range(4, len(t))
-    )
+    return all(alpha * p + beta * q == r for _, p, q, r in _somos_windows(s.terms))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .series import InsufficientTerms, PowerSeries, Sequence, rational
+from .series import InsufficientTerms, PowerSeries, Sequence, rational, rational_series
 from .core import (
     LowerTriangle,
     RiordanPair,
@@ -63,7 +63,7 @@ from .amatrix import (
     narayana_poly_coeffs,
     solve_f,
 )
-from .hankel import hankel_transform, jfraction, somos_fit, somos_verify
+from .hankel import _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
 
 
 class FixtureNotFound(ValueError):
@@ -142,13 +142,10 @@ class _Builder:
         if kind == "amatrix":
             built = bell_from_f(solve_f(_amatrix_spec(spec), self.order).f)
         elif kind == "rational_pair":
-            g = PowerSeries.of(spec["g_num"], self.order) / PowerSeries.of(
-                spec["g_den"], self.order
+            built = RiordanPair(
+                rational_series(spec["g_num"], spec["g_den"], self.order),
+                rational_series(spec["f_num"], spec["f_den"], self.order),
             )
-            f = PowerSeries.of(spec["f_num"], self.order) / PowerSeries.of(
-                spec["f_den"], self.order
-            )
-            built = RiordanPair(g, f)
         else:
             raise ValueError(f"builder kind {kind!r} does not describe a pair")
         if spec.get("invert", False):
@@ -348,16 +345,11 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
         alpha, beta = conjectured_somos_rho0(a, b, c, d)
     else:
         alpha, beta = conjectured_somos_rho_delta(a, b, c, d)
-    usable = 0
-    for n in range(4, len(h)):
-        if h[n - 1] * h[n - 3] != 0 or h[n - 2] != 0 or h[n] * h[n - 4] != 0:
-            usable += 1
-    if alpha == 0 or usable < 2:
+    windows = list(_somos_windows(h))
+    if alpha == 0 or sum(1 for _, p, q, r in windows if p or q or r) < 2:
         return DEGENERATE, None
-    for n in range(4, len(h)):
-        if h[n] * h[n - 4] != alpha * h[n - 1] * h[n - 3] + beta * h[n - 2] ** 2:
-            return COUNTEREXAMPLE, n
-    return CONFIRMED, None
+    failing = next((n for n, p, q, r in windows if alpha * p + beta * q != r), None)
+    return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
 
 
 @dataclass(frozen=True)

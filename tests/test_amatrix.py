@@ -311,6 +311,24 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
         assert closed.coeffs == solve_f(spec, 17).f.div_x().coeffs
 
 
+@pytest.mark.parametrize(
+    "closed_form",
+    [lambda: closed_form_f_general(1, -2, 3, 1, 1, 24), lambda: perturbed_f(2, 3, 5, 24)],
+)
+def test_closed_forms_take_one_series_division(closed_form, monkeypatch):
+    divisions = []
+    truediv = PowerSeries.__truediv__
+
+    def counted(self, other):
+        if isinstance(other, PowerSeries):
+            divisions.append(other)
+        return truediv(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__truediv__", counted)
+    closed_form()
+    assert len(divisions) == 1  # one reciprocal of the shared denominator
+
+
 def test_general_rho0_symbolic_entries(rng):
     # the displayed general entries of the delta-rho family, at numeric tuples
     for _ in range(8):

@@ -254,10 +254,31 @@ def _wrong_g_of_fbar(pair, monkeypatch):
 )
 def test_identity_checks_reject_corrupt_production_data(corrupt, identity, monkeypatch):
     pair = pascal_pair()
+    clean_a = a_sequence(pascal_pair())
     corrupt(pair, monkeypatch)
-    for compute in (lambda p: production_matrix(p, 6), a_sequence, z_sequence):
+    raising = [lambda p: production_matrix(p, 6), z_sequence]
+    if identity == "A-series":
+        raising.append(a_sequence)
+    else:  # A never reads g(fbar), so only Z sees the corruption
+        assert a_sequence(pair) == clean_a
+    for compute in raising:
         with pytest.raises(NotRiordanBand, match=identity):
             compute(pair)
+
+
+def test_a_sequence_does_not_compute_z(monkeypatch):
+    calls = []
+    compose = PowerSeries.compose
+
+    def counted(outer, inner):
+        calls.append(1)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(PowerSeries, "compose", counted)
+    pair = motzkin_pair()
+    a_sequence(pair)
+    assert len(calls) == 1  # the check f/x = A(f) only
+    assert "z" not in pair.__dict__
 
 
 def test_production_band_matches_a_sequence():

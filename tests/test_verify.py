@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from riordan import verify as verify_mod
-from riordan.series import InsufficientTerms, Sequence
+from riordan.series import InsufficientTerms, PowerSeries, Sequence
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import hankel_transform
 from riordan.verify import (
+    COUNTEREXAMPLE,
     CONFIRMED,
     DEGENERATE,
     FixtureNotFound,
@@ -158,6 +159,34 @@ def test_point_check_flags_degenerate_tuples():
     # b = d = 0 makes the conjectured alpha vanish
     status, _ = check_conjecture_point(1, 0, 1, 0, 0, 14)
     assert status == DEGENERATE
+
+
+@pytest.mark.parametrize("point", [(0, 1, 1, 0, 0), (0, -1, 0, -2, 1)])
+def test_point_check_reports_the_first_failing_window(point, monkeypatch):
+    assert check_conjecture_point(*point, 32) == (CONFIRMED, None)
+
+    def bumped(s, max_n):
+        h = list(hankel_transform(s, max_n).terms)
+        h[8] += 1
+        return Sequence(tuple(h))
+
+    monkeypatch.setattr(verify_mod, "hankel_transform", bumped)
+    assert check_conjecture_point(*point, 32) == (COUNTEREXAMPLE, 8)
+
+
+def test_point_check_needs_two_usable_windows(monkeypatch):
+    # 1 + x has Hankel transform 1, -1, 0, 0, ...: every window reads 0 = 0
+    monkeypatch.setattr(
+        verify_mod,
+        "closed_form_f_general",
+        lambda a, b, c, d, rho0, order: PowerSeries.of([1, 1], order),
+    )
+    assert conjectured_somos_rho0(0, 1, 1, 0) == (1, 1)
+    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
+    # h = 1, 1, 1, 0, ...: only window 4 (0 = alpha * 0 + beta * 1) is usable
+    one_window = Sequence((1, 1, 1) + (0,) * 13)
+    monkeypatch.setattr(verify_mod, "hankel_transform", lambda s, max_n: one_window)
+    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
 
 
 def test_small_sweeps_are_well_formed():
