@@ -287,7 +287,7 @@ def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     f = solve_f(spec, order).f
     fbar = f.revert()
     n = order - 1
-    v = PowerSeries.one(n) / fbar.div_x()
+    v = 1 / fbar.div_x()
     fbar_t = fbar.truncate(n)
     rhs = spec.row_sum(fbar_t, lambda row: PowerSeries.of(row, n))
     if spec.rho:

@@ -197,7 +197,7 @@ def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:
     if a.coeffs[0] == 0:
         raise ValueError("A(0) must be nonzero")
     n = min(a.order, z.order)
-    inv_a = PowerSeries.one(n) / a.truncate(n)
+    inv_a = 1 / a.truncate(n)
     f0 = inv_a.mul_x()
     g0 = 1 - (z.truncate(n) * inv_a).mul_x()
     return riordan_inverse(RiordanPair(g0, f0))

@@ -244,5 +244,5 @@ def jfraction_series(jf: JFraction, order: int) -> PowerSeries:
         den = PowerSeries.of([1, -jf.b[k]], order)
         if k < len(jf.lam) and jf.lam[k] != 0:
             den = den - (t * jf.lam[k]).mul_x().mul_x().truncate(order)
-        t = PowerSeries.one(order) / den
+        t = 1 / den
     return t

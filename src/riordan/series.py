@@ -8,7 +8,10 @@ stored and returned as ``fractions.Fraction``; floats are rejected at the
 boundary.  Products, quotients and :func:`catalan_of` run on Python ints
 over one common denominator: a product packs each operand into one big int
 (Kronecker substitution) so a single big-int multiply does the work, and a
-quotient is a Newton inverse built from such products.
+quotient is a Newton inverse built from such products.  Composition (Brent
+and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
+Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
+O(n**2) int multiply-adds, where Horner and a running product take n - 1.
 
 Everything here is an immutable value and every operation is a pure
 function, so series can be shared freely between concurrent workers.
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -117,6 +121,16 @@ def _pack(values: list[int], width: int) -> int:
     pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
     neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _powers(s: PowerSeries, m: int) -> tuple[list[list[int]], int, PowerSeries]:
+    """(nums, d, s**m): s**0..s**(m-1) as int lists over one common denominator d."""
+    powers, p = [PowerSeries.one(s.order)], s
+    for _ in range(m - 1):
+        powers.append(p)
+        p = p * s
+    nums, d = _over_common_denominator([c for q in powers for c in q.coeffs])
+    return [nums[i : i + s.order] for i in range(0, len(nums), s.order)], d, p
 
 
 @dataclass(frozen=True)
@@ -245,7 +259,7 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self times other's inverse g, whose exact terms double at each g <- g*(2 - other*g)."""
+        """self times other's Newton inverse, to the smaller order."""
         if isinstance(other, (int, Fraction)):
             q = rational(other)
             if q == 0:
@@ -253,52 +267,76 @@ class PowerSeries:
             return self * (1 / q)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        if other.coeffs[0] == 0:
-            raise DivisionByNonUnit("divisor has zero constant term")
         n = min(self.order, other.order)
-        g = PowerSeries((_ONE / other.coeffs[0],))
-        while g.order < n:
-            k = min(2 * g.order, n)
-            g = PowerSeries.of(g.coeffs, k)
-            g = g * (2 - other * g)
-        return self * g
+        return self * other.truncate(n)._inverse()
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PowerSeries.of([other], self.order) / self
+            return self._inverse() * other
         return NotImplemented
+
+    def _inverse(self) -> PowerSeries:
+        """1/self, whose exact terms double at each g <- g*(2 - self*g)."""
+        if self.coeffs[0] == 0:
+            raise DivisionByNonUnit("divisor has zero constant term")
+        g = PowerSeries((_ONE / self.coeffs[0],))
+        while g.order < self.order:
+            g = PowerSeries.of(g.coeffs, min(2 * g.order, self.order))
+            g = g * (2 - self * g)
+        return g
 
     # -- composition, reversion, square root -----------------------------
 
     def compose(self, inner: PowerSeries) -> PowerSeries:
-        """outer(inner(x)) by Horner evaluation over truncated series."""
+        """outer(inner(x)) by Brent and Kung's baby-step/giant-step composition.
+
+        With n the order, m = ceil(sqrt(n)) and G = inner**m, outer(inner) is
+        sum_j B_j * G**j for the blocks B_j = sum_(i<m) c[j*m + i] * inner**i.
+        The blocks are int dot products over one common denominator and the
+        sum over j is Horner's rule in G, so the whole costs about 2*sqrt(n)
+        series products (m - 1 for the powers, ceil(n/m) - 1 for Horner).
+        """
         if inner.coeffs[0] != 0:
             raise CompositionRequiresZeroConstantTerm(
                 "inner series has nonzero constant term"
             )
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        acc = PowerSeries.of([self.coeffs[n - 1]], n)
-        for k in range(n - 2, -1, -1):
-            acc = acc * inner_t + self.coeffs[k]
+        m = isqrt(n - 1) + 1
+        baby, d, giant = _powers(inner.truncate(n), m)
+        c, dc = _over_common_denominator(self.coeffs[:n])
+        columns = list(zip(*baby))
+        blocks = [
+            PowerSeries(tuple(Fraction(sum(map(mul, c[j : j + m], col)), d * dc) for col in columns))
+            for j in range(0, n, m)
+        ]
+        acc = blocks.pop()
+        while blocks:
+            acc = acc * giant + blocks.pop()
         return acc
 
     def revert(self) -> PowerSeries:
         """Compositional reverse: the series fbar with self(fbar(x)) = x.
 
-        Implemented by Lagrange inversion: the x^m coefficient of fbar is
-        (1/m) times the x^(m-1) coefficient of (x/f)^m, so one running
-        product gives all coefficients exactly.
+        Lagrange inversion, [x^e] fbar = [x^(e-1)] h**e / e with h = x/f, by
+        Johansson's baby-step/giant-step: with m = ceil(sqrt(n - 1)) and
+        e = j*m + i (i < m), each coefficient is one int dot product of h**i
+        against (h**m)**j.  Beyond the Newton inverse h, that is about
+        2*sqrt(n) series products.
         """
         if self.coeffs[0] != 0 or self.order < 2 or self.coeffs[1] == 0:
             raise NotRevertible("need f(0) = 0 and f'(0) != 0 with order >= 2")
         n = self.order
-        h = PowerSeries.one(n - 1) / self.div_x()
+        h = 1 / self.div_x()
+        m = isqrt(n - 2) + 1
+        baby, d, big = _powers(h, m)
         out = [_ZERO] * n
-        p = PowerSeries.one(n - 1)
-        for m in range(1, n):
-            p = p * h
-            out[m] = p.coeffs[m - 1] / m
+        giant = PowerSeries.one(n - 1)
+        for j in range(0, n, m):
+            g, dg = _over_common_denominator(giant.coeffs)
+            for e in range(max(j, 1), min(j + m, n)):
+                out[e] = Fraction(sum(map(mul, baby[e - j][:e], g[e - 1 :: -1])), d * dg * e)
+            if j + m < n:
+                giant = giant * big if j else big
         return PowerSeries(tuple(out))
 
     def sqrt(self) -> PowerSeries:

@@ -316,17 +316,17 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
     [lambda: closed_form_f_general(1, -2, 3, 1, 1, 24), lambda: perturbed_f(2, 3, 5, 24)],
 )
 def test_closed_forms_take_one_series_division(closed_form, monkeypatch):
-    divisions = []
-    truediv = PowerSeries.__truediv__
+    # every series quotient and reciprocal is one Newton inverse
+    inverses = []
+    inverse = PowerSeries._inverse
 
-    def counted(self, other):
-        if isinstance(other, PowerSeries):
-            divisions.append(other)
-        return truediv(self, other)
+    def counted(self):
+        inverses.append(self)
+        return inverse(self)
 
-    monkeypatch.setattr(PowerSeries, "__truediv__", counted)
+    monkeypatch.setattr(PowerSeries, "_inverse", counted)
     closed_form()
-    assert len(divisions) == 1  # one reciprocal of the shared denominator
+    assert len(inverses) == 1  # one reciprocal of the shared denominator
 
 
 def test_general_rho0_symbolic_entries(rng):

@@ -1,6 +1,7 @@
 """Series arithmetic against independent oracles and frozen expansions."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,52 @@ def schoolbook_product(a, b, order):
         sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
         for k in range(order)
     ]
+
+
+def horner_compose(self, inner):
+    """Oracle: the Horner composition that PowerSeries.compose replaced,
+    n - 1 full-order products."""
+    if inner.coeffs[0] != 0:
+        raise CompositionRequiresZeroConstantTerm(
+            "inner series has nonzero constant term"
+        )
+    n = min(self.order, inner.order)
+    inner_t = inner.truncate(n)
+    acc = PowerSeries.of([self.coeffs[n - 1]], n)
+    for k in range(n - 2, -1, -1):
+        acc = acc * inner_t + self.coeffs[k]
+    return acc
+
+
+def lagrange_revert(self):
+    """Oracle: the running-product Lagrange inversion that PowerSeries.revert
+    replaced; the x^m coefficient of fbar is (1/m) [x^(m-1)] (x/f)^m."""
+    if self.coeffs[0] != 0 or self.order < 2 or self.coeffs[1] == 0:
+        raise NotRevertible("need f(0) = 0 and f'(0) != 0 with order >= 2")
+    n = self.order
+    h = PowerSeries.one(n - 1) / self.div_x()
+    out = [Fraction(0)] * n
+    p = PowerSeries.one(n - 1)
+    for m in range(1, n):
+        p = p * h
+        out[m] = p.coeffs[m - 1] / m
+    return PowerSeries(tuple(out))
+
+
+def series_products(thunk):
+    """The number of series-by-series products thunk() makes."""
+    count = 0
+    mul = PowerSeries.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, PowerSeries)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PowerSeries, "__mul__", counted)
+        thunk()
+    return count
 
 
 # -- construction and bookkeeping ---------------------------------------
@@ -117,6 +164,12 @@ def test_rational_series_matches_long_division_oracle():
     num, den = [2, -1, 3], [1, 1, -2, 5]
     got = rational_series(num, den, 12)
     assert list(got.coeffs) == expand_quotient(num, den, 12)
+
+
+def test_reciprocal_makes_only_newton_step_products():
+    s = PowerSeries.of(range(1, 33))
+    assert (s * (1 / s)).coeffs == PowerSeries.one(32).coeffs
+    assert series_products(lambda: 1 / s) == 2 * 5  # two per doubling, 1 -> 32
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
@@ -296,6 +349,57 @@ def test_quotient_matches_long_division_oracle(a, b0, rest):
         a / PowerSeries((Fraction(0),) + rest.coeffs[1:])
 
 
+# -- baby-step/giant-step compose and revert against the oracles ---------------
+
+zero_heavy = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(3, 2**61 - 1)]
+)
+orders = st.one_of(st.integers(1, 3), st.integers(4, 40))
+
+
+@st.composite
+def series_of(draw, order, valuation=0):
+    """Coefficients all wide or all zero-heavy, zero below the valuation."""
+    coeff = draw(st.sampled_from([wide, zero_heavy]))
+    tail = draw(st.lists(coeff, min_size=order, max_size=order))
+    return PowerSeries(tuple([Fraction(0)] * valuation + tail)[:order])
+
+
+# inner series of valuation 1, 2 or 3, drawn apart from the outer's order
+inners = st.tuples(orders, st.sampled_from([1, 1, 2, 3])).flatmap(lambda ov: series_of(*ov))
+
+
+@settings(max_examples=60)
+@given(orders.flatmap(series_of), inners)
+def test_compose_matches_horner_oracle(outer, inner):
+    got = outer.compose(inner)
+    assert got.coeffs == horner_compose(outer, inner).coeffs
+    assert _all_fractions(got)
+
+
+@settings(max_examples=60)
+@given(wide.filter(bool), orders.flatmap(lambda n: series_of(n + 1)))
+def test_revert_matches_lagrange_oracle(f1, rest):
+    f = PowerSeries((Fraction(0), f1) + rest.coeffs[2:])
+    got = f.revert()
+    assert got.coeffs == lagrange_revert(f).coeffs
+    assert _all_fractions(got)
+
+
+def test_compose_and_revert_take_order_sqrt_products():
+    # 2*ceil(sqrt(n)) + 4 at n = 256; Horner and the running-product
+    # Lagrange inversion take n - 1 = 255 each.  revert's own Newton inverse
+    # of f/x is counted apart: two products per doubling.
+    n = 256
+    bound = 2 * (isqrt(n - 1) + 1) + 4
+    outer, inner = PowerSeries.of(range(1, n + 1)), PowerSeries.of([0, 1, 1], n)
+    assert series_products(lambda: outer.compose(inner)) <= bound
+    f = rational_series([0, 1, -1, -1], [1, 1], n)
+    inverse = series_products(lambda: 1 / f.div_x())
+    assert inverse == 2 * 8
+    assert series_products(f.revert) - inverse <= bound
+
+
 # -- catalan ------------------------------------------------------------------
 
 
@@ -313,7 +417,7 @@ def test_catalan_defining_identity():
 def test_catalan_of_matches_composition(tail):
     u = PowerSeries.of([0] + tail, len(tail) + 1)
     got = catalan_of(u)
-    assert got.coeffs == catalan(u.order).compose(u).coeffs
+    assert got.coeffs == horner_compose(catalan(u.order), u).coeffs
     assert _all_fractions(got)
 
 
