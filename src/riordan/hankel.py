@@ -1,13 +1,12 @@
 """Exact Hankel transforms, Somos-4 parameter fitting, and J-fractions.
 
-Determinants are exact and run on one fraction-free (Bareiss) elimination
-over Python ints, with the denominators cleared first.  A Hankel transform
-reads every h_n off the pivots of a single elimination of its largest block
-(Sylvester's identity), falling back to one elimination per later minor only
-past a zero minor.  The Somos-4 fitter classifies the full linear system
-over every available window instead of trusting the first two, so hidden
-inconsistencies surface as data rather than wrong answers.  All functions
-are pure.
+Hankel minors and J-fraction coefficients both come from one integer
+Chebyshev recurrence over the terms on one common denominator, O(D**2) exact
+int operations for D levels; a Hankel transform falls back to one Bareiss
+elimination per minor only past a zero minor, and exact_det is Bareiss.  The
+Somos-4 fitter classifies the full linear system over every available window
+instead of trusting the first two, so hidden inconsistencies surface as data
+rather than wrong answers.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 from math import prod
 
 from .series import (
-    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator, _ZERO
+    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator
 )
 
 UNIQUE = "Unique"
@@ -26,19 +25,14 @@ INCONSISTENT = "Inconsistent"
 INSUFFICIENT = "InsufficientData"
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
-    """Fraction-free elimination of the int matrix m, in place: (det, minors).
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the int matrix m by fraction-free elimination, in place.
 
-    Every division is exact.  Until the first row swap the pivot at step k is
-    the leading (k+1)-minor (Sylvester's identity), so minors holds the leading
-    minors up to and including the first zero one, or all of them.
+    Every division is exact.
     """
     n = len(m)
     sign = prev = 1
-    minors: list[int] = []
     for k in range(n):
-        if not minors or minors[-1]:
-            minors.append(m[k][k])
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
@@ -46,7 +40,7 @@ def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
                     sign = -sign
                     break
             else:
-                return 0, minors
+                return 0
         row_k = m[k]
         pivot = row_k[k]
         for i in range(k + 1, n):
@@ -56,7 +50,31 @@ def _bareiss(m: list[list[int]]) -> tuple[int, list[int]]:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * prev, minors
+    return sign * prev
+
+
+def _chebyshev(t: list[int]):
+    """Yield (H_k, sigma_(k,k+1)) for k = 0, 1, ... over the ints t_0..t_(L-1),
+    up to the first zero H_k; sigma_(k,k+1) is None where t is too short.
+
+    sigma_(k,l) is det of the Hankel rows 0..k-1 of t over columns 0..k plus
+    the row (t_l, ..., t_(l+k)), so sigma_(k,k) = H_k and sigma_(0,l) = t_l:
+    the Chebyshev algorithm (Gautschi 2004, 2.1.7) with sigma_k scaled by
+    H_(k-1).  From H_(-1) = 1 and sigma_(-1,.) = 0, with every division exact,
+        c = H_(k-1) sigma_(k,k+1) - H_k sigma_(k-1,k),
+        sigma_(k+1,l) = (H_k H_(k-1) sigma_(k,l+1) - c sigma_(k,l) - H_k^2 sigma_(k-1,l)) / H_(k-1)^2.
+    """
+    h_prev, prev = 1, [0] * len(t)  # H_(k-1) and sigma_(k-1, k-1+i) at index i
+    cur = list(t)  # sigma_(k, k+i) at index i
+    while True:
+        h = cur[0]
+        yield h, cur[1] if len(cur) > 1 else None
+        if h == 0 or len(cur) < 3:
+            return
+        c = h_prev * cur[1] - h * prev[1]
+        a, b, q = h * h_prev, h * h, h_prev * h_prev
+        prev, cur = cur, [(a * cur[i + 2] - c * cur[i + 1] - b * prev[i + 2]) // q for i in range(len(cur) - 2)]
+        h_prev = h
 
 
 def exact_det(matrix) -> Fraction:
@@ -71,24 +89,26 @@ def exact_det(matrix) -> Fraction:
         if len(row) != n:
             raise ValueError("matrix is not square")
     cleared = [_over_common_denominator(row) for row in rows]
-    return Fraction(_bareiss([ints for ints, _ in cleared])[0], prod(d for _, d in cleared))
+    return Fraction(_bareiss([ints for ints, _ in cleared]), prod(d for _, d in cleared))
 
 
 def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
-    The 2*max_n + 1 terms are put over one common denominator d, and one
-    fraction-free elimination of the whole integer block gives every
-    h_n = minor_(n+1) / d**(n+1) on its pivots.  Past a zero minor the pivots
-    stop being leading minors, so each later h_n eliminates its own block.
+    The 2*max_n + 1 terms are put over one common denominator d, and the
+    integer Chebyshev recurrence (_chebyshev) gives every
+    h_n = H_n / d**(n+1) in O(max_n**2) int operations.  Past a zero minor the
+    recurrence stops, so each later h_n eliminates its own block (Bareiss).
     """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     need = 2 * max_n + 1
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
     t, d = _over_common_denominator(s.terms[:need])
-    _, minors = _bareiss([t[i : i + max_n + 1] for i in range(max_n + 1)])
+    minors = [h for h, _ in _chebyshev(t)]
     for n in range(len(minors), max_n + 1):
-        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)])[0])
+        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)]))
     return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors)))
 
 
@@ -201,14 +221,13 @@ class JFraction:
 
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
-    """Extract depth + 1 b-coefficients and depth lambdas by the Chebyshev
-    algorithm on the normalized moments m_l = s_l / s_0 (Gautschi 2004), in
-    O(depth**2) steps; stops early (terminated=True) when a lambda vanishes.
-    From sigma_(-1,l) = 0 and sigma_(0,l) = m_l, level k >= 1 has
+    """Extract depth + 1 b-coefficients and depth lambdas from the integer
+    Chebyshev recurrence (_chebyshev) on the moments over one common
+    denominator, in O(depth**2) int operations; stops early (terminated=True)
+    when a lambda vanishes.  With H_(-2) = H_(-1) = 1 and sigma_(-1,0) = 0,
 
-        sigma_(k,l) = sigma_(k-1,l+1) - b_(k-1) sigma_(k-1,l) - lam_(k-1) sigma_(k-2,l),
-        lam_k = sigma_(k,k) / sigma_(k-1,k-1),
-        b_k = sigma_(k,k+1) / sigma_(k,k) - sigma_(k-1,k) / sigma_(k-1,k-1).
+        lam_k = H_k H_(k-2) / H_(k-1)^2,
+        b_k = sigma_(k,k+1) / H_k - sigma_(k-1,k) / H_(k-1).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -217,21 +236,18 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    prev = [_ZERO] * need  # sigma_(k-2, .)
-    cur = [rational(v) / s.terms[0] for v in s.terms[:need]]  # sigma_(k-1, .)
-    bs: list[Fraction] = [cur[1]]
+    bs: list[Fraction] = []
     lams: list[Fraction] = []
-    lam = _ZERO  # lam_0 multiplies sigma_(-1, .) = 0
-    for k in range(1, depth + 1):
-        nxt = [_ZERO] * need
-        for l in range(k, need - k):
-            nxt[l] = cur[l + 1] - bs[-1] * cur[l] - lam * prev[l]
-        lam = nxt[k] / cur[k - 1]
-        lams.append(lam)
-        if lam == 0:
-            return JFraction(tuple(bs), tuple(lams), terminated=True)
-        bs.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
-        prev, cur = cur, nxt
+    h1 = h2 = 1  # H_(k-1), H_(k-2)
+    s1 = 0  # sigma_(k-1,k)
+    t, _ = _over_common_denominator([rational(v) for v in s.terms[:need]])
+    for h, sk in _chebyshev(t):
+        if bs:
+            lams.append(Fraction(h * h2, h1 * h1))
+            if h == 0:
+                return JFraction(tuple(bs), tuple(lams), terminated=True)
+        bs.append(Fraction(h1 * sk - h * s1, h * h1))
+        h2, h1, s1 = h1, h, sk
     return JFraction(tuple(bs), tuple(lams), terminated=False)
 
 

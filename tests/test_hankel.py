@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from riordan.series import PowerSeries, Sequence, catalan
+from riordan.series import PowerSeries, Sequence, catalan, rational, _ZERO
 from riordan import hankel
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import (
@@ -118,9 +118,9 @@ zero_heavy_term = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
 
 
 @st.composite
-def hankel_cases(draw):
+def hankel_cases(draw, min_depth=0, max_depth=12):
     """(terms, depth) with int, p/q or zero-heavy terms, a few past the 2*depth + 1 needed."""
-    depth = draw(st.integers(0, 12))
+    depth = draw(st.integers(min_depth, max_depth))
     term = draw(st.sampled_from([st.integers(-9, 9), hankel_term, zero_heavy_term]))
     return draw(st.lists(term, min_size=2 * depth + 1, max_size=2 * depth + 3)), depth
 
@@ -142,6 +142,15 @@ def with_zero_minor(terms, k):
 @settings(max_examples=150)
 @given(hankel_cases())
 def test_one_pass_hankel_matches_per_minor_oracle(case):
+    terms, depth = case
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hankel_cases(13, 24))
+def test_hankel_matches_per_minor_oracle_at_depth_13_to_24(case):
     terms, depth = case
     got = hankel_transform(Sequence.of(terms), depth).terms
     assert list(got) == per_minor_hankel(terms, depth)
@@ -172,7 +181,7 @@ def bareiss_calls(monkeypatch):
 
 def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
     """h_k = 0 with every other minor nonzero, for k = 0..11 at depth 12: the
-    one elimination stops being read at k, and each later minor takes one
+    Chebyshev recurrence stops at k, and each later minor takes one
     elimination of its own."""
     for k in range(12):
         while True:
@@ -183,13 +192,15 @@ def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
                     break
         bareiss_calls.clear()
         assert list(hankel_transform(Sequence.of(terms), 12).terms) == want
-        assert bareiss_calls == [13] + list(range(k + 2, 14))
+        assert bareiss_calls == list(range(k + 2, 14))
 
 
 def test_hankel_takes_one_elimination_without_a_zero_minor(bareiss_calls):
+    """Without a zero minor the Chebyshev recurrence gives every minor, and no
+    Bareiss elimination runs."""
     c = catalan(41)
     assert hankel_transform(Sequence(c.coeffs), 20).integers() == [1] * 21
-    assert bareiss_calls == [21]
+    assert bareiss_calls == []
 
 
 def test_hankel_all_ones_collapses():
@@ -212,6 +223,12 @@ def test_hankel_catalan_is_all_ones():
 def test_hankel_needs_enough_terms():
     with pytest.raises(InsufficientTerms):
         hankel_transform(Sequence.of([1, 2, 3]), 2)
+
+
+@pytest.mark.parametrize("max_n", [-1, -2])
+def test_hankel_rejects_negative_max_n(max_n):
+    with pytest.raises(ValueError, match="max_n must be nonnegative"):
+        hankel_transform(Sequence.of([1, 2, 3, 4, 5]), max_n)
 
 
 def test_hankel_ignores_extra_terms(rng):
@@ -325,6 +342,39 @@ def inversion_jfraction(terms, depth):
     return JFraction(tuple(bs), tuple(lams), terminated=False)
 
 
+def rational_chebyshev_jfraction(s: Sequence, depth: int) -> JFraction:
+    """Oracle: the Chebyshev algorithm over Fractions on the normalized moments
+    m_l = s_l / s_0.  From sigma_(-1,l) = 0 and sigma_(0,l) = m_l, level k >= 1 has
+
+        sigma_(k,l) = sigma_(k-1,l+1) - b_(k-1) sigma_(k-1,l) - lam_(k-1) sigma_(k-2,l),
+        lam_k = sigma_(k,k) / sigma_(k-1,k-1),
+        b_k = sigma_(k,k+1) / sigma_(k,k) - sigma_(k-1,k) / sigma_(k-1,k-1).
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if s.terms[0] == 0:
+        raise ValueError("the leading term must be nonzero")
+    need = 2 * depth + 2
+    if len(s) < need:
+        raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
+    prev = [_ZERO] * need  # sigma_(k-2, .)
+    cur = [rational(v) / s.terms[0] for v in s.terms[:need]]  # sigma_(k-1, .)
+    bs: list[Fraction] = [cur[1]]
+    lams: list[Fraction] = []
+    lam = _ZERO  # lam_0 multiplies sigma_(-1, .) = 0
+    for k in range(1, depth + 1):
+        nxt = [_ZERO] * need
+        for l in range(k, need - k):
+            nxt[l] = cur[l + 1] - bs[-1] * cur[l] - lam * prev[l]
+        lam = nxt[k] / cur[k - 1]
+        lams.append(lam)
+        if lam == 0:
+            return JFraction(tuple(bs), tuple(lams), terminated=True)
+        bs.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
+        prev, cur = cur, nxt
+    return JFraction(tuple(bs), tuple(lams), terminated=False)
+
+
 def test_jfraction_fifth_column_values():
     col = solve_f(AMatrixSpec.of([[1, 1, 0], [1, 1, 1]]), 13).f.div_x()
     jf = jfraction(Sequence(col.coeffs), 3)
@@ -346,7 +396,7 @@ def test_jfraction_motzkin_is_all_ones():
     assert list(jf.b) == [1] * 6
     assert list(jf.lam) == [1] * 5
     # lambda oracle: lam_n = h_n h_(n-2) / h_(n-1)^2 with h_(-1) = 1
-    h = hankel_transform(Sequence(m.coeffs), 6).terms
+    h = per_minor_hankel(m.coeffs, 6)
     for n in range(1, 6):
         hm2 = h[n - 2] if n >= 2 else Fraction(1)
         assert jf.lam[n - 1] == h[n] * hm2 / h[n - 1] ** 2
@@ -377,15 +427,15 @@ def test_hankel_lambda_product_identity(rng):
     done = 0
     while done < 10:
         terms = [1] + [rng.randint(-4, 4) for _ in range(11)]
-        h = hankel_transform(Sequence.of(terms), 4)
-        if any(v == 0 for v in h.terms):
+        h = per_minor_hankel(terms, 4)
+        if any(v == 0 for v in h):
             continue
         jf = jfraction(Sequence.of(terms), 4)
         for n in range(1, 5):
             prod = Fraction(1)
             for i in range(1, n + 1):
                 prod *= jf.lam[i - 1] ** (n + 1 - i)
-            assert h.terms[n] == prod
+            assert h[n] == prod
         done += 1
 
 
@@ -422,6 +472,41 @@ def test_chebyshev_jfraction_matches_inversion_oracle(case):
     terms, depth = case
     got = jfraction(Sequence(tuple(terms)), depth)
     assert got == inversion_jfraction(terms, depth)
+    assert all(type(v) is Fraction for v in got.b + got.lam)
+
+
+# ~200-bit numerators over large prime denominators (Mersenne primes 2^p - 1)
+wide_moment = st.builds(
+    Fraction, st.integers(-(2**200), 2**200), st.sampled_from([1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1])
+)
+
+
+@st.composite
+def wide_jfraction_moments(draw, max_depth):
+    """(terms, depth) with wide rational moments, a few past the 2*depth + 2 needed."""
+    depth = draw(st.integers(0, max_depth))
+    need = 2 * depth + 2
+    return [draw(wide_moment.filter(bool))] + draw(st.lists(wide_moment, min_size=need - 1, max_size=need + 1)), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(jfraction_moments(), wide_jfraction_moments(6)))
+def test_integer_chebyshev_jfraction_matches_both_oracles(case):
+    terms, depth = case
+    got = jfraction(Sequence(tuple(terms)), depth)
+    assert got == rational_chebyshev_jfraction(Sequence(tuple(terms)), depth)
+    assert got == inversion_jfraction(terms, depth)
+    assert all(type(v) is Fraction for v in got.b + got.lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_jfraction_moments(24))
+def test_integer_chebyshev_jfraction_matches_rational_oracle_to_depth_24(case):
+    """Wide moments to depth 24 against the rational Chebyshev oracle only: the
+    series-inversion oracle grows about 4x per two levels on them, to minutes."""
+    terms, depth = case
+    got = jfraction(Sequence(tuple(terms)), depth)
+    assert got == rational_chebyshev_jfraction(Sequence(tuple(terms)), depth)
     assert all(type(v) is Fraction for v in got.b + got.lam)
 
 
