@@ -14,7 +14,6 @@ from .series import (
     NonSquareConstantTerm,
     NotRevertible,
     PowerSeries,
-    Rational,
     Sequence,
     SeriesError,
     binomial_transform,

@@ -12,8 +12,9 @@ in closed form.  This module solves the equation by Newton iteration on
 power series (the working order doubles at each step, Brent & Kung 1978),
 builds Bell triangles directly from the entry recurrence,
 evaluates the Catalan-composition closed forms for the two-row and
-single-row families, and computes A-sequences by the substitution trick
-(replace x by fbar in the defining equation).
+single-row families as roots of one quadratic each, and computes
+A-sequences by the substitution trick (replace x by fbar in the defining
+equation).
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -29,9 +30,9 @@ from .series import (
     InsufficientTerms,
     PowerSeries,
     Sequence,
-    catalan_of,
     rational,
     rational_series,
+    _quadratic_root,
     _ZERO,
     _ONE,
 )
@@ -242,36 +243,25 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     return LowerTriangle(rows)
 
 
-def _catalan_form(lead, den, inner, order: int) -> PowerSeries:
-    """(lead/den) * C(inner/den^2) for polynomials lead, den, inner.
-
-    One Newton reciprocal of den serves both quotients; C(u) comes from the
-    coefficient recurrence of catalan_of, not from composing series.
-    """
-    inv = 1 / PowerSeries.of(den, order)
-    return PowerSeries.of(lead, order) * inv * catalan_of(PowerSeries.of(inner, order) * inv * inv)
-
-
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     """f/x for the two-row array [[1, a, b], [1, c, d]] with rho = (rho0).
 
-    Catalan-composition form, by _catalan_form:
+    The root F of (1-ax-cx^2) F = (1+x) + x(rho0 + bx + dx^2) F^2, in closed form
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
-    where C is the Catalan generating function.  rho0 = 0 gives the pure
-    two-row case.
+    where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
     """
     a, b, c, d, rho0 = (rational(v) for v in (a, b, c, d, rho0))
-    return _catalan_form([1, 1], [1, -a, -c], [0, rho0, rho0 + b, b + d, d], order)
+    return _quadratic_root([1, 1], [1, -a, -c], [0, rho0, b, d], order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
     """The solution u of u/x = 1 + a*u + b*u^2 + c*u^2/x.
 
-    Catalan-composition form x/(1-ax) * C(x(bx + c)/(1-ax)^2), by
-    _catalan_form; also equal to the reverse of x(1 - cx)/(1 + ax + bx^2).
+    u = x*F for the root F of (1-ax) F = 1 + x(c + bx) F^2; in closed form
+    u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
     """
     a, b, c = (rational(v) for v in (a, b, c))
-    return _catalan_form([0, 1], [1, -a], [0, c, b], order)
+    return _quadratic_root([1], [1, -a], [0, c, b], order).mul_x().truncate(order)
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:

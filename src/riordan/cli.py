@@ -45,6 +45,7 @@ EXIT_INTERNAL = 4
 # bounds on the work one command may ask for; larger requests exit 2
 MAX_ORDER = 1024
 MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
+MAX_SWEEP_ORDER = 128  # one sweep point takes 0.02-1 s at 128; Hankel bits grow quadratically past it
 
 
 class _CliError(Exception):
@@ -235,6 +236,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     if args.sweep:
         order = args.order if args.order is not None else verify_mod.SWEEP_ORDER
+        if order > MAX_SWEEP_ORDER:
+            raise _CliError(EXIT_USAGE, f"sweep --order must be at most {MAX_SWEEP_ORDER}, got {order}")
         lo, hi = _parse_range(args.range)
         points = (hi - lo + 1) ** 4
         if points > MAX_SWEEP_POINTS:

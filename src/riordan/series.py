@@ -5,10 +5,11 @@ truncation order (the number of retained coefficients).  Mixed-order
 arithmetic always truncates to the smaller operand's order, so precision is
 visible in the value itself and never silently invented.  Coefficients are
 stored and returned as ``fractions.Fraction``; floats are rejected at the
-boundary.  Products, quotients and :func:`catalan_of` run on Python ints
-over one common denominator: a product packs each operand into one big int
-(Kronecker substitution) so a single big-int multiply does the work, and a
-quotient is a Newton inverse built from such products.  Composition (Brent
+boundary.  Products, quotients, :func:`catalan_of` and ``sqrt`` run on Python
+ints over one common denominator: a product packs each operand into one big
+int (Kronecker substitution) so a single big-int multiply does the work, a
+quotient is a Newton inverse built from such products, and a root of a
+quadratic series equation follows from one int coefficient recurrence.  Composition (Brent
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
 O(n**2) int multiply-adds, where Horner and a running product take n - 1.
@@ -48,8 +49,6 @@ class NotRevertible(SeriesError):
 class NonSquareConstantTerm(SeriesError):
     """Square roots are supported only for nonzero rational-square constant terms."""
 
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -342,8 +341,9 @@ class PowerSeries:
     def sqrt(self) -> PowerSeries:
         """The square root with positive constant term.
 
-        Only nonzero rational-square constant terms are supported; the
-        remaining coefficients follow from a triangular recurrence.
+        Only nonzero rational-square constant terms are supported.  With
+        self = t0**2 + x*s, the root is t0 + x*w where w solves the quadratic
+        w = s/(2*t0) - x*w**2/(2*t0), read off by _quadratic_root.
         """
         c0 = self.coeffs[0]
         num, den = c0.numerator, c0.denominator
@@ -353,14 +353,10 @@ class PowerSeries:
         if rn * rn != num or rd * rd != den:
             raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
         t0 = Fraction(rn, rd)
-        out = [t0]
         half = 1 / (2 * t0)
-        for k in range(1, self.order):
-            s = self.coeffs[k]
-            for i in range(1, k):
-                s -= out[i] * out[k - i]
-            out.append(s * half)
-        return PowerSeries(tuple(out))
+        # one term of w more than t needs, so order 1 needs no case of its own
+        w = _quadratic_root([c * half for c in self.coeffs[1:]], [1], [0, -half], self.order)
+        return PowerSeries((t0,) + w.coeffs[:-1])
 
 
 def rational_series(num, den, order: int) -> PowerSeries:
@@ -368,27 +364,37 @@ def rational_series(num, den, order: int) -> PowerSeries:
     return PowerSeries.of(num, order) / PowerSeries.of(den, order)
 
 
-def catalan_of(u: PowerSeries) -> PowerSeries:
-    """C(u), the solution y of y = 1 + u*y**2, to u's order.
+def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
+    """The series F with den*F = lead + q*F**2, to the given order.
 
-    Because u(0) = 0, [x^n](u*y**2) involves only y_0..y_(n-1), so the
-    coefficients follow one at a time; the running square y**2 is extended
-    by one coefficient per step, O(order**2) products in all.  With u = U/D
-    over one common denominator D, Y_m = y_m * D**m and S_m = [x^m](y**2) * D**m
-    are integers and Y_n = sum_k U_k * D**(k-1) * S_(n-k), so the recurrence
-    runs on ints.
+    lead, den and q are coefficient lists, zero past their end, with den(0) = 1
+    and q(0) = 0, so [x^n](q*F**2) involves only F_0..F_(n-1) and the terms
+    follow one at a time, O(order**2) int products in all.  With lead, den,
+    q = L/D, E/D, K/D over one common denominator D, the integers Phi_n =
+    F_n*D**(2n+1) and S_m = [x^m](F**2)*D**(2m+2) (the Phi-scaled running square) satisfy
+    Phi_n = L_n*D**(2n) - sum_(k>=1) (E_k*D**(2k-1)*Phi_(n-k) - K_k*D**(2k-2)*S_(n-k)).
     """
+    if order < 1:
+        raise SeriesError("order must be positive")
+    padded = [list(p[:order]) + [0] * (order - len(p)) for p in (lead, den, q)]
+    nums, d = _over_common_denominator([c for p in padded for c in p])
+    lead_, den_, q_ = nums[:order], nums[order : 2 * order], nums[2 * order :]
+    scale = [d ** (2 * n) for n in range(order)]
+    den_terms = [(k, den_[k] * scale[k] // d) for k in range(1, order) if den_[k]]
+    q_terms = [(k, q_[k] * scale[k - 1]) for k in range(1, order) if q_[k]]
+    phi, sq = [], []
+    for n in range(order):
+        t = lead_[n] * scale[n] - sum(e * phi[n - k] for k, e in den_terms if k <= n)
+        phi.append(t + sum(v * sq[n - k] for k, v in q_terms if k <= n))
+        sq.append(sum(map(mul, phi, reversed(phi))))
+    return PowerSeries(tuple(Fraction(c, d * scale[n]) for n, c in enumerate(phi)))
+
+
+def catalan_of(u: PowerSeries) -> PowerSeries:
+    """C(u), the solution y of y = 1 + u*y**2, to u's order (by _quadratic_root)."""
     if u.coeffs[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
-    uc, d = _over_common_denominator(u.coeffs)
-    v = [0] + [uc[k] * d ** (k - 1) for k in range(1, u.order)]
-    y = [1]
-    sq = [1]  # Y-scaled coefficients of y**2 known so far
-    for n in range(1, u.order):
-        y.append(sum(v[k] * sq[n - k] for k in range(1, n + 1) if v[k]))
-        half = sum(y[i] * y[n - i] for i in range((n + 1) // 2))
-        sq.append(2 * half + y[n // 2] ** 2 if n % 2 == 0 else 2 * half)
-    return PowerSeries(tuple(Fraction(c, d**m) for m, c in enumerate(y)))
+    return _quadratic_root([1], [1], u.coeffs, u.order)
 
 
 def catalan(order: int) -> PowerSeries:

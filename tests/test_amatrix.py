@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riordan.series import PowerSeries, catalan, rational_series
+from riordan.series import PowerSeries, SeriesError, catalan, rational_series
 from riordan.core import bell_from_f, riordan_inverse, riordan_triangle, a_sequence
 from riordan.amatrix import (
     AMatrixSpec,
@@ -22,7 +22,19 @@ from riordan.amatrix import (
     solve_f,
 )
 
-from conftest import random_fraction, random_nonzero_fraction, small_fraction
+from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction, small_fraction
+
+
+def catalan_form(lead, den, inner, order):
+    """Oracle: the Catalan composition the closed forms ran before the quadratic solver.
+
+    (lead/den) * C(inner/den^2) for polynomials lead, den, inner.
+
+    One Newton reciprocal of den serves both quotients; C(u) comes from the
+    coefficient recurrence of catalan_of, not from composing series.
+    """
+    inv = 1 / PowerSeries.of(den, order)
+    return PowerSeries.of(lead, order) * inv * catalan_recurrence(PowerSeries.of(inner, order) * inv * inv)
 
 
 def random_specs(rng, count):
@@ -140,6 +152,11 @@ def test_identity_array_has_three_characterizations():
 def test_solve_rejects_low_order():
     with pytest.raises(ValueError):
         solve_f(AMatrixSpec.of([[1]], []), 1)
+    for order in (0, -1):
+        with pytest.raises(SeriesError):
+            closed_form_f_general(1, -2, 3, 1, 1, order)
+        with pytest.raises(SeriesError):
+            perturbed_f(2, 3, 5, order)
 
 
 def test_residual_vanishes_on_random_specs(rng):
@@ -300,6 +317,9 @@ def test_closed_form_agrees_with_solver_on_full_grid():
             f = solve_f(spec, order + 1).f
             closed = closed_form_f_general(a, b, c, d, rho0, order)
             assert closed.coeffs == f.div_x().coeffs, (a, b, c, d, rho0)
+            inner = [0, rho0, rho0 + b, b + d, d]
+            oracle = catalan_form([1, 1], [1, -a, -c], inner, order)
+            assert closed.coeffs == oracle.coeffs, (a, b, c, d, rho0)
 
 
 def test_closed_form_agrees_with_solver_at_higher_order(rng):
@@ -315,18 +335,44 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
     "closed_form",
     [lambda: closed_form_f_general(1, -2, 3, 1, 1, 24), lambda: perturbed_f(2, 3, 5, 24)],
 )
-def test_closed_forms_take_one_series_division(closed_form, monkeypatch):
-    # every series quotient and reciprocal is one Newton inverse
-    inverses = []
-    inverse = PowerSeries._inverse
+def test_closed_forms_take_no_series_product_or_division(closed_form, monkeypatch):
+    # the quadratic's int recurrence replaces every Newton inverse and series product
+    calls = []
+    inverse, mul = PowerSeries._inverse, PowerSeries.__mul__
 
-    def counted(self):
-        inverses.append(self)
+    def counted_inverse(self):
+        calls.append("inverse")
         return inverse(self)
 
-    monkeypatch.setattr(PowerSeries, "_inverse", counted)
+    def counted_mul(self, other):
+        if isinstance(other, PowerSeries):
+            calls.append("mul")
+        return mul(self, other)
+
+    monkeypatch.setattr(PowerSeries, "_inverse", counted_inverse)
+    monkeypatch.setattr(PowerSeries, "__mul__", counted_mul)
     closed_form()
-    assert len(inverses) == 1  # one reciprocal of the shared denominator
+    assert calls == []
+
+
+rationals = st.one_of(small_fraction, st.fractions(min_value=-100, max_value=100, max_denominator=10**6))
+
+
+@settings(max_examples=60)
+@given(rationals, rationals, rationals, rationals, rationals, st.integers(1, 48))
+def test_closed_form_matches_catalan_form_oracle(a, b, c, d, rho0, order):
+    got = closed_form_f_general(a, b, c, d, rho0, order)
+    want = catalan_form([1, 1], [1, -a, -c], [0, rho0, rho0 + b, b + d, d], order)
+    assert got.coeffs == want.coeffs
+    assert all(type(v) is Fraction for v in got.coeffs)
+
+
+@settings(max_examples=60)
+@given(rationals, rationals, rationals, st.integers(1, 48))
+def test_perturbed_matches_catalan_form_oracle(a, b, c, order):
+    got = perturbed_f(a, b, c, order)
+    assert got.coeffs == catalan_form([0, 1], [1, -a], [0, c, b], order).coeffs
+    assert all(type(v) is Fraction for v in got.coeffs)
 
 
 def test_general_rho0_symbolic_entries(rng):

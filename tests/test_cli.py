@@ -341,6 +341,17 @@ def test_verify_sweep_box_is_capped(capsys):
         assert err.startswith("error:") and "points, more than 10000" in err
 
 
+def test_verify_sweep_order_is_capped(capsys):
+    assert cli.MAX_SWEEP_ORDER == 128
+    for order in ("129", "1024"):
+        code, out, err = run(capsys, "verify", "--sweep", "rho0", "--range", "0..0", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep --order must be at most 128, got {order}\n"
+    code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--range", "0..0", "--order", "128")
+    assert code == 0 and out.endswith("counterexamples of 1\n")
+
+
 def test_verify_sweep_rejects_malformed_range(capsys):
     code, _, err = run(capsys, "verify", "--sweep", "rho0", "--range", "1to2")
     assert code == 2

@@ -22,7 +22,7 @@ from riordan.series import (
     rational_series,
 )
 
-from conftest import random_fraction, random_nonzero_fraction
+from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction
 
 
 def expand_quotient(num, den, order):
@@ -75,6 +75,32 @@ def lagrange_revert(self):
     for m in range(1, n):
         p = p * h
         out[m] = p.coeffs[m - 1] / m
+    return PowerSeries(tuple(out))
+
+
+def triangular_sqrt(self):
+    """Oracle: the Fraction loop PowerSeries.sqrt ran before the quadratic solver.
+
+    The square root with positive constant term.
+
+    Only nonzero rational-square constant terms are supported; the
+    remaining coefficients follow from a triangular recurrence.
+    """
+    c0 = self.coeffs[0]
+    num, den = c0.numerator, c0.denominator
+    if num <= 0:
+        raise NonSquareConstantTerm(f"constant term {c0} has no usable square root")
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
+    t0 = Fraction(rn, rd)
+    out = [t0]
+    half = 1 / (2 * t0)
+    for k in range(1, self.order):
+        s = self.coeffs[k]
+        for i in range(1, k):
+            s -= out[i] * out[k - i]
+        out.append(s * half)
     return PowerSeries(tuple(out))
 
 
@@ -386,6 +412,15 @@ def test_revert_matches_lagrange_oracle(f1, rest):
     assert _all_fractions(got)
 
 
+@settings(max_examples=60)
+@given(st.fractions(min_value=0, max_denominator=2**64).filter(bool), st.integers(1, 48).flatmap(series_of))
+def test_sqrt_matches_triangular_oracle(t0, rest):
+    s = PowerSeries((t0 * t0,) + rest.coeffs[1:])
+    got = s.sqrt()
+    assert got.coeffs == triangular_sqrt(s).coeffs
+    assert _all_fractions(got)
+
+
 def test_compose_and_revert_take_order_sqrt_products():
     # 2*ceil(sqrt(n)) + 4 at n = 256; Horner and the running-product
     # Lagrange inversion take n - 1 = 255 each.  revert's own Newton inverse
@@ -418,6 +453,14 @@ def test_catalan_of_matches_composition(tail):
     u = PowerSeries.of([0] + tail, len(tail) + 1)
     got = catalan_of(u)
     assert got.coeffs == horner_compose(catalan(u.order), u).coeffs
+    assert _all_fractions(got)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 48).flatmap(lambda n: series_of(n, valuation=1)))
+def test_catalan_of_matches_recurrence_oracle(u):
+    got = catalan_of(u)
+    assert got.coeffs == catalan_recurrence(u).coeffs
     assert _all_fractions(got)
 
 
