@@ -191,7 +191,7 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     f = PowerSeries.of([0, spec.rows[0][0]])
     steps = 0
     while f.order < order:
-        f = PowerSeries.of(f.coeffs, min(2 * f.order, order))
+        f = f._padded(min(2 * f.order, order))
         phi, slope = _phi_and_slope(spec, f)
         f = f - (f - phi) / (1 - slope)
         steps += 1
@@ -282,7 +282,7 @@ def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     rhs = spec.row_sum(fbar_t, lambda row: PowerSeries.of(row, n))
     if spec.rho:
         rhs = rhs + (PowerSeries.of(spec.rho, n) * v).mul_x().truncate(n)
-    if rhs.coeffs != v.coeffs:
+    if rhs != v:
         raise NonConvergence("substituted equation residual is nonzero")
     return Sequence(v.coeffs)
 
@@ -324,8 +324,7 @@ def binomial_transform_equation_check(a, b, c, order: int) -> bool:
     lhs = v.div_x()
     rhs = (1 + v * a + v * v * b) / PowerSeries.of([1, -1], order)
     rhs = rhs + (v * v).div_x() * c
-    n = min(lhs.order, rhs.order)
-    return lhs.coeffs[:n] == rhs.coeffs[:n]
+    return lhs == rhs
 
 
 def orthogonal_poly_coeffs(a, b, nrows: int) -> LowerTriangle:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _ZERO, _ONE
+from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _ZERO
 
 InsufficientOrder = InsufficientTerms  # one exception; both names are public
 
@@ -130,7 +130,8 @@ class ProductionData:
 
 
 def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:
-    """The triangle t[n][k] = [x^n] g * f^k for n, k < nrows."""
+    """The triangle t[n][k] = [x^n] g * f^k for n, k < nrows; column k is
+    g * (f/x)**k to the nrows - k terms it holds, so t[n][k] is its x^(n-k) term."""
     if nrows < 1:
         raise ValueError("nrows must be positive")
     if nrows > pair.order:
@@ -138,12 +139,12 @@ def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:
             f"{nrows} rows need order >= {nrows}, have {pair.order}"
         )
     rows = [[_ZERO] * (n + 1) for n in range(nrows)]
-    col = pair.g
+    col, f_over_x = pair.g.truncate(nrows), pair.f.div_x()
     for k in range(nrows):
-        for n in range(k, nrows):
-            rows[n][k] = col.coeffs[n]
+        for n, c in enumerate(col.coeffs, k):
+            rows[n][k] = c
         if k + 1 < nrows:
-            col = col * pair.f
+            col = col.truncate(nrows - k - 1) * f_over_x
     return LowerTriangle(rows)
 
 
@@ -206,11 +207,8 @@ def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:
 def _aerate(g: PowerSeries, sign: int) -> PowerSeries:
     """g(x^2) or g(-x^2): exact at twice the input order."""
     out = [_ZERO] * (2 * g.order)
-    s = _ONE
-    for i, c in enumerate(g.coeffs):
-        out[2 * i] = c * s
-        s = s * sign
-    return PowerSeries(tuple(out))
+    out[::2] = [c * sign**i for i, c in enumerate(g.coeffs)]
+    return PowerSeries(out)
 
 
 def quasi_involution_check(g: PowerSeries) -> bool:
@@ -221,8 +219,7 @@ def quasi_involution_check(g: PowerSeries) -> bool:
     minus = _aerate(g, -1)
     inv = riordan_inverse(RiordanPair(plus, plus.mul_x()))
     target = RiordanPair(minus, minus.mul_x())
-    n = inv.order
-    return inv.g.coeffs[:n] == target.g.coeffs[:n] and inv.f.coeffs[:n] == target.f.coeffs[:n]
+    return inv == target
 
 
 def diagonal_sums(tri: LowerTriangle) -> Sequence:

@@ -3,13 +3,16 @@
 A :class:`PowerSeries` is a coefficient vector together with an explicit
 truncation order (the number of retained coefficients).  Mixed-order
 arithmetic always truncates to the smaller operand's order, so precision is
-visible in the value itself and never silently invented.  Coefficients are
-stored and returned as ``fractions.Fraction``; floats are rejected at the
-boundary.  Products, quotients, :func:`catalan_of` and ``sqrt`` run on Python
-ints over one common denominator: a product packs each operand into one big
-int (Kronecker substitution) so a single big-int multiply does the work, a
-quotient is a Newton inverse built from such products, and a root of a
-quadratic series equation follows from one int coefficient recurrence.  Composition (Brent
+visible in the value itself and never silently invented.  A series is
+stored as int numerators over one positive denominator in lowest terms, so
+equality is int comparison and arithmetic builds no ``Fraction`` per
+coefficient; coefficients are returned as ``fractions.Fraction`` (the
+``coeffs`` view, built on first read), and floats are rejected at the
+boundary.  A product packs each
+operand into one big int (Kronecker substitution) so a single big-int
+multiply does the work, a quotient is a Newton inverse built from such
+products, and a root of a quadratic series equation (:func:`catalan_of`,
+``sqrt``) follows from one int coefficient recurrence.  Composition (Brent
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
 O(n**2) int multiply-adds, where Horner and a running product take n - 1.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 
@@ -124,25 +127,49 @@ def _pack(values: list[int], width: int) -> int:
 
 def _powers(s: PowerSeries, m: int) -> tuple[list[list[int]], int, PowerSeries]:
     """(nums, d, s**m): s**0..s**(m-1) as int lists over one common denominator d."""
-    powers, p = [PowerSeries.one(s.order)], s
+    powers, p = [], s
     for _ in range(m - 1):
         powers.append(p)
         p = p * s
-    nums, d = _over_common_denominator([c for q in powers for c in q.coeffs])
-    return [nums[i : i + s.order] for i in range(0, len(nums), s.order)], d, p
+    d = lcm(*[q._den for q in powers])
+    one = [d] + [0] * (s.order - 1)
+    return [one] + [list(map((d // q._den).__mul__, q._nums)) for q in powers], d, p
 
 
-@dataclass(frozen=True)
 class PowerSeries:
-    """A power series known modulo x**order, where order = len(coeffs)."""
+    """A power series known modulo x**order, where order = len(coeffs), stored
+    as int numerators over one positive denominator with gcd(den, *nums) == 1;
+    ``coeffs`` is the ``Fraction`` view, built when first read."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_nums", "_den", "_coeffs")
 
-    def __post_init__(self):
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs):
+        self._store(*_over_common_denominator(tuple(coeffs)))
+
+    @classmethod
+    def _ints(cls, nums, den: int) -> PowerSeries:
+        """The series nums / den, for int nums and a positive int den."""
+        s = object.__new__(cls)
+        s._store(nums, den)
+        return s
+
+    def _store(self, nums, den: int) -> None:
+        if len(nums) == 0:
             raise SeriesError("a series must retain at least one coefficient")
+        g = gcd(den, *nums)
+        self._nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        self._den, self._coeffs = den // g, None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     # -- construction --------------------------------------------------
 
@@ -178,8 +205,14 @@ class PowerSeries:
     # -- inspection -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self._den) for c in self._nums)
+        return self._coeffs
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self._nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
@@ -194,44 +227,47 @@ class PowerSeries:
         return integer_values(self.coeffs if n is None else self.prefix(n), "coefficient")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
 
     # -- reshaping ------------------------------------------------------
 
     def truncate(self, order: int) -> PowerSeries:
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[:order])
+        return PowerSeries._ints(self._nums[:order], self._den)
+
+    def _padded(self, order: int) -> PowerSeries:
+        """self with exact zeros up to the given order: a Newton step's start."""
+        return PowerSeries._ints(self._nums + (0,) * (order - self.order), self._den)
 
     def mul_x(self) -> PowerSeries:
         """Multiply by x; exact, so the order grows by one."""
-        return PowerSeries((_ZERO,) + self.coeffs)
+        return PowerSeries._ints((0,) + self._nums, self._den)
 
     def div_x(self) -> PowerSeries:
         """Divide by x; needs a zero constant term, order shrinks by one."""
-        if self.coeffs[0] != 0:
+        if self._nums[0] != 0:
             raise SeriesError("div_x needs a zero constant term")
         if self.order == 1:
             raise SeriesError("no coefficients would remain")
-        return PowerSeries(self.coeffs[1:])
+        return PowerSeries._ints(self._nums[1:], self._den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = list(self.coeffs)
-            c[0] = c[0] + rational(other)
-            return PowerSeries(tuple(c))
+            q = rational(other)
+            other = PowerSeries._ints((q.numerator,) + (0,) * (self.order - 1), q.denominator)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return PowerSeries(tuple(a[i] + b[i] for i in range(n)))
+        d = lcm(self._den, other._den)
+        ka, kb = d // self._den, d // other._den
+        return PowerSeries._ints([a * ka + b * kb for a, b in zip(self._nums, other._nums)], d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs))
+        return PowerSeries._ints([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,14 +282,11 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = rational(other)
-            return PowerSeries(tuple(c * q for c in self.coeffs))
+            return PowerSeries._ints([c * q.numerator for c in self._nums], self._den * q.denominator)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, da = _over_common_denominator(self.coeffs[:n])
-        b, db = _over_common_denominator(other.coeffs[:n])
-        d = da * db
-        return PowerSeries(tuple(Fraction(c, d) for c in _int_product(a, b)))
+        return PowerSeries._ints(_int_product(self._nums[:n], other._nums[:n]), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -276,11 +309,12 @@ class PowerSeries:
 
     def _inverse(self) -> PowerSeries:
         """1/self, whose exact terms double at each g <- g*(2 - self*g)."""
-        if self.coeffs[0] == 0:
+        if self._nums[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
-        g = PowerSeries((_ONE / self.coeffs[0],))
+        c0 = self._nums[0]
+        g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
         while g.order < self.order:
-            g = PowerSeries.of(g.coeffs, min(2 * g.order, self.order))
+            g = g._padded(min(2 * g.order, self.order))
             g = g * (2 - self * g)
         return g
 
@@ -295,17 +329,16 @@ class PowerSeries:
         sum over j is Horner's rule in G, so the whole costs about 2*sqrt(n)
         series products (m - 1 for the powers, ceil(n/m) - 1 for Horner).
         """
-        if inner.coeffs[0] != 0:
+        if inner._nums[0] != 0:
             raise CompositionRequiresZeroConstantTerm(
                 "inner series has nonzero constant term"
             )
         n = min(self.order, inner.order)
         m = isqrt(n - 1) + 1
         baby, d, giant = _powers(inner.truncate(n), m)
-        c, dc = _over_common_denominator(self.coeffs[:n])
-        columns = list(zip(*baby))
+        c, columns = self._nums[:n], list(zip(*baby))
         blocks = [
-            PowerSeries(tuple(Fraction(sum(map(mul, c[j : j + m], col)), d * dc) for col in columns))
+            PowerSeries._ints([sum(map(mul, c[j : j + m], col)) for col in columns], d * self._den)
             for j in range(0, n, m)
         ]
         acc = blocks.pop()
@@ -322,21 +355,22 @@ class PowerSeries:
         against (h**m)**j.  Beyond the Newton inverse h, that is about
         2*sqrt(n) series products.
         """
-        if self.coeffs[0] != 0 or self.order < 2 or self.coeffs[1] == 0:
+        if self._nums[0] != 0 or self.order < 2 or self._nums[1] == 0:
             raise NotRevertible("need f(0) = 0 and f'(0) != 0 with order >= 2")
         n = self.order
         h = 1 / self.div_x()
         m = isqrt(n - 2) + 1
         baby, d, big = _powers(h, m)
-        out = [_ZERO] * n
-        giant = PowerSeries.one(n - 1)
+        terms = [(0, 1)]  # (numerator, denominator) of each coefficient
+        giant = PowerSeries._ints(baby[0], d)  # (h**m)**0
         for j in range(0, n, m):
-            g, dg = _over_common_denominator(giant.coeffs)
+            g, dg = giant._nums, giant._den
             for e in range(max(j, 1), min(j + m, n)):
-                out[e] = Fraction(sum(map(mul, baby[e - j][:e], g[e - 1 :: -1])), d * dg * e)
+                terms.append((sum(map(mul, baby[e - j][:e], g[e - 1 :: -1])), d * dg * e))
             if j + m < n:
                 giant = giant * big if j else big
-        return PowerSeries(tuple(out))
+        den = lcm(*[t for _, t in terms])
+        return PowerSeries._ints([s * (den // t) for s, t in terms], den)
 
     def sqrt(self) -> PowerSeries:
         """The square root with positive constant term.
@@ -345,7 +379,7 @@ class PowerSeries:
         self = t0**2 + x*s, the root is t0 + x*w where w solves the quadratic
         w = s/(2*t0) - x*w**2/(2*t0), read off by _quadratic_root.
         """
-        c0 = self.coeffs[0]
+        c0 = self[0]
         num, den = c0.numerator, c0.denominator
         if num <= 0:
             raise NonSquareConstantTerm(f"constant term {c0} has no usable square root")
@@ -356,7 +390,7 @@ class PowerSeries:
         half = 1 / (2 * t0)
         # one term of w more than t needs, so order 1 needs no case of its own
         w = _quadratic_root([c * half for c in self.coeffs[1:]], [1], [0, -half], self.order)
-        return PowerSeries((t0,) + w.coeffs[:-1])
+        return w.mul_x().truncate(self.order) + t0
 
 
 def rational_series(num, den, order: int) -> PowerSeries:
@@ -387,12 +421,12 @@ def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
         t = lead_[n] * scale[n] - sum(e * phi[n - k] for k, e in den_terms if k <= n)
         phi.append(t + sum(v * sq[n - k] for k, v in q_terms if k <= n))
         sq.append(sum(map(mul, phi, reversed(phi))))
-    return PowerSeries(tuple(Fraction(c, d * scale[n]) for n, c in enumerate(phi)))
+    return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
 
 
 def catalan_of(u: PowerSeries) -> PowerSeries:
     """C(u), the solution y of y = 1 + u*y**2, to u's order (by _quadratic_root)."""
-    if u.coeffs[0] != 0:
+    if u._nums[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
     return _quadratic_root([1], [1], u.coeffs, u.order)
 

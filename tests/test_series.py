@@ -1,14 +1,16 @@
 """Series arithmetic against independent oracles and frozen expansions."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riordan.series
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
     DivisionByNonUnit,
+    InsufficientTerms,
     NonSquareConstantTerm,
     NotRevertible,
     PowerSeries,
@@ -20,6 +22,7 @@ from riordan.series import (
     format_rational,
     rational,
     rational_series,
+    _powers,
 )
 
 from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction
@@ -433,6 +436,135 @@ def test_compose_and_revert_take_order_sqrt_products():
     inverse = series_products(lambda: 1 / f.div_x())
     assert inverse == 2 * 8
     assert series_products(f.revert) - inverse <= bound
+
+
+# -- integer storage against plain Fraction tuples ---------------------------
+
+
+def list_compose(outer, inner):
+    """Oracle: Horner's rule on plain lists, to the smaller length."""
+    n = min(len(outer), len(inner))
+    acc = [Fraction(0)] * n
+    for c in reversed(outer[:n]):
+        acc = schoolbook_product(acc, inner, n)
+        acc[0] += c
+    return acc
+
+
+def list_revert(f):
+    """Oracle: Lagrange inversion on plain lists, [x^e] fbar = [x^(e-1)] (x/f)^e / e."""
+    n = len(f)
+    h = expand_quotient([1], f[1:], n - 1)
+    out, p = [Fraction(0)] * n, [Fraction(1)] + [Fraction(0)] * (n - 2)
+    for e in range(1, n):
+        p = schoolbook_product(p, h, n - 1)
+        out[e] = p[e - 1] / e
+    return out
+
+
+def _stored_in_lowest_terms(s):
+    """ints over a positive denominator with no common factor, and a Fraction view."""
+    return (
+        type(s._den) is int
+        and s._den > 0
+        and all(type(c) is int for c in s._nums)
+        and gcd(s._den, *s._nums) == 1
+        and _all_fractions(s)
+    )
+
+
+scalars = st.one_of(wide, st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=150)
+@given(wide_series, wide_series, scalars, st.integers(1, 24))
+def test_elementwise_operations_match_fraction_tuples(a, b, q, k):
+    A, B = list(a.coeffs), list(b.coeffs)
+    n = min(len(A), len(B))
+    cases = {
+        "a + b": (a + b, [x + y for x, y in zip(A, B)]),
+        "a - b": (a - b, [x - y for x, y in zip(A, B)]),
+        "-a": (-a, [-x for x in A]),
+        "a + q": (a + q, [A[0] + q] + A[1:]),
+        "q + a": (q + a, [q + A[0]] + A[1:]),
+        "a - q": (a - q, [A[0] - q] + A[1:]),
+        "q - a": (q - a, [q - A[0]] + [-x for x in A[1:]]),
+        "a * q": (a * q, [x * q for x in A]),
+        "q * a": (q * a, [q * x for x in A]),
+        "a * b": (a * b, schoolbook_product(A, B, n)),
+        "a.truncate(k)": (a.truncate(min(k, len(A))), A[:k]),
+        "a.mul_x()": (a.mul_x(), [Fraction(0)] + A),
+    }
+    if q != 0:
+        cases["a / q"] = (a / q, [x / q for x in A])
+    if A[0] == 0 and len(A) > 1:
+        cases["a.div_x()"] = (a.div_x(), A[1:])
+    if B[0] != 0:
+        cases["b._inverse()"] = (b._inverse(), expand_quotient([1], B, len(B)))
+    for name, (got, want) in cases.items():
+        assert list(got.coeffs) == want, name
+        assert _stored_in_lowest_terms(got), name
+    assert a.is_zero() == all(c == 0 for c in A)
+    assert (a - a).is_zero() and a - a == PowerSeries.zero(len(A))
+
+
+@given(wide_series, wide_series, st.integers(0, 24))
+def test_equality_hash_and_views_match_fraction_tuples(a, b, k):
+    A = a.coeffs
+    assert (a == b) == (A == b.coeffs)
+    # the same value reached through a common factor and through Fractions
+    for same in (a * 6 * Fraction(1, 6), PowerSeries(A), PowerSeries.of(list(A))):
+        assert same == a and hash(same) == hash(a) == hash((A,))
+        assert _stored_in_lowest_terms(same)
+    assert repr(a) == f"PowerSeries(coeffs={A!r})"
+    assert [a[i] for i in range(len(A))] == list(A)
+    assert all(type(a[i]) is Fraction for i in range(len(A)))
+    if k <= len(A):
+        assert a.prefix(k) == A[:k]
+    else:
+        with pytest.raises(InsufficientTerms):
+            a.prefix(k)
+    if all(c.denominator == 1 for c in A):
+        assert a.integers() == [c.numerator for c in A]
+    else:
+        with pytest.raises(ValueError):
+            a.integers()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 16).flatmap(series_of), st.integers(1, 16), st.integers(1, 5))
+def test_powers_compose_and_revert_match_fraction_tuples(s, order, m):
+    inner = PowerSeries((Fraction(0),) + s.coeffs[1:])
+    nums, d, top = _powers(inner, m)
+    want = [Fraction(1)] + [Fraction(0)] * (inner.order - 1)
+    for i in range(m):
+        assert [Fraction(c, d) for c in nums[i]] == want
+        want = schoolbook_product(want, inner.coeffs, inner.order)
+    assert list(top.coeffs) == want and _stored_in_lowest_terms(top)
+    outer = PowerSeries.of(s.coeffs[::-1], order)
+    got = outer.compose(inner)
+    assert list(got.coeffs) == list_compose(outer.coeffs, inner.coeffs)
+    assert _stored_in_lowest_terms(got)
+    if s.order > 1 and s[1] != 0:
+        got = inner.revert()
+        assert list(got.coeffs) == list_revert(inner.coeffs)
+        assert _stored_in_lowest_terms(got)
+
+
+def test_series_arithmetic_makes_no_fraction_round_trip(monkeypatch):
+    # Once built, series multiply, divide, compose and revert on their
+    # stored ints and never clear denominators again.
+    f = rational_series([0, 3, -1, -1], [2, 1], 40)
+    s = PowerSeries.of([Fraction(k, 7) for k in range(1, 41)])
+    calls = []
+    clear = riordan.series._over_common_denominator
+    monkeypatch.setattr(
+        riordan.series, "_over_common_denominator", lambda v: calls.append(1) or clear(v)
+    )
+    s * f, s / (1 - f), 1 / s, s.compose(f), f.revert()
+    assert calls == []
+    PowerSeries.of([1, 2])  # the constructor from Fractions does clear them
+    assert calls == [1]
 
 
 # -- catalan ------------------------------------------------------------------
