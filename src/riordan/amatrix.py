@@ -5,16 +5,18 @@ row repeated forever) and a sequence rho[j].  The associated f solves
 
     f/x = sum_i x^i * R_i(f) + (f^2/x) * rho(f),
 
-where R_i is the generating polynomial of row i.  Only AMatrixSpec knows
-how the rows continue: ``entry`` reads a[i][j] at any depth, and
-``row_sum`` evaluates sum_i s^i * value(row_i), summing a repeated last row
-in closed form.  This module solves the equation by Newton iteration on
-power series (the working order doubles at each step, Brent & Kung 1978),
-builds Bell triangles directly from the entry recurrence,
-evaluates the Catalan-composition closed forms for the two-row and
-single-row families as roots of one quadratic each, and computes
-A-sequences by the substitution trick (replace x by fbar in the defining
-equation).
+where R_i is the generating polynomial of row i: one array equation
+f = sum_(i >= -1) x^(i+1) * P_i(f) whose row -1 is P_(-1)(y) = y^2 * rho(y),
+with coefficients (0, 0, rho_0, rho_1, ...).  Only AMatrixSpec knows how the
+rows continue: ``entry`` reads a[i][j] at any depth i >= -1, and
+``row_sum`` evaluates sum_i s^i * value(row_i) over the rows i >= 0,
+summing a repeated last row in closed form.  This module solves the
+equation by Newton iteration on power series (the working order doubles at
+each step, Brent & Kung 1978), builds Bell triangles directly from the
+entry recurrence, evaluates the Catalan-composition closed forms for the
+two-row and single-row families as roots of one quadratic each, and
+computes A-sequences by the substitution trick (replace x by fbar in the
+defining equation).
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -22,7 +24,7 @@ run fully in parallel with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -52,17 +54,20 @@ class AMatrixSpec:
     """Rows a[i][j] of the characterizing array plus the rho coefficients.
 
     ``repeat_last_row`` models the infinite array whose rows are all equal
-    to the last explicit row from that point on.
+    to the last explicit row from that point on.  Row -1 is
+    (0, 0, *rho), the coefficients of y^2 * rho(y).
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Fraction, ...] = ()
     repeat_last_row: bool = False
+    _rho_row: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(rational(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rho", tuple(rational(v) for v in self.rho))
+        object.__setattr__(self, "_rho_row", (_ZERO, _ZERO) + self.rho)
         if not rows or not rows[0] or rows[0][0] == 0:
             raise InvalidSpec("the top-left array entry must be nonzero")
 
@@ -102,14 +107,21 @@ class AMatrixSpec:
             "repeat_last_row": self.repeat_last_row,
         }
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """a[i][j] with last-row repetition and zero padding applied."""
+    def _row(self, i: int) -> tuple[Fraction, ...]:
+        """Row i >= -1, with last-row repetition applied; () past a finite array."""
+        if i == -1:
+            return self._rho_row
         rows = self.rows
         if i >= len(rows):
             if not self.repeat_last_row:
-                return _ZERO
+                return ()
             i = len(rows) - 1
-        row = rows[i]
+        return rows[i]
+
+    def entry(self, i: int, j: int) -> Fraction:
+        """a[i][j] for i >= -1 (row -1 is (0, 0, *rho)), with last-row
+        repetition and zero padding applied."""
+        row = self._row(i)
         return row[j] if j < len(row) else _ZERO
 
     def depth(self, n: int) -> int:
@@ -117,7 +129,7 @@ class AMatrixSpec:
         return n if self.repeat_last_row else min(n, len(self.rows))
 
     def row_sum(self, s: PowerSeries, value) -> PowerSeries:
-        """sum_i s^i * value(row_i) over the array rows, for s(0) = 0.
+        """sum_i s^i * value(row_i) over the array rows i >= 0, for s(0) = 0.
 
         A repeated last row (index L - 1) contributes
         s^(L-1) * value(last) / (1 - s) for all its copies.  Evaluated by
@@ -140,41 +152,33 @@ class SolveReport:
     iterations: int
 
 
-def _poly_at(coeffs, powers, order: int) -> PowerSeries:
-    """sum_j coeffs[j] * powers[j], skipping zero terms."""
-    acc = PowerSeries.zero(order)
-    for j, c in enumerate(coeffs):
-        if c:
-            acc = acc + powers[j] * c
-    return acc
-
-
-def _phi_and_slope(spec: AMatrixSpec, f: PowerSeries) -> tuple[PowerSeries, PowerSeries]:
-    """Phi(f) = sum_i x^(i+1) R_i(f) + sum_j rho_j f^(j+2) and its derivative
-    Phi'(f) = sum_i x^(i+1) R_i'(f) + sum_j (j+2) rho_j f^(j+1), at f's order."""
+def _phi_and_slope(spec: AMatrixSpec, f: PowerSeries, slope: bool = True):
+    """Phi(f) = sum_(i >= -1) x^(i+1) P_i(f) at f's order, and with ``slope``
+    also Phi'(f) = sum_(i >= -1) x^(i+1) P_i'(f).  Every row is a polynomial
+    in f off one list of powers; row -1 is added apart from ``row_sum``, so
+    the rows i >= 0 end in a ``mul_x`` shift and not in a series product.
+    """
     order = f.order
-    maxpow = max(len(r) for r in spec.rows) - 1
-    if spec.rho:
-        maxpow = max(maxpow, len(spec.rho) + 1)
-    powers = [PowerSeries.one(order)]
-    for _ in range(maxpow):
-        powers.append(powers[-1] * f if len(powers) > 1 else f)
-    x = PowerSeries.x(order)
-    phi = spec.row_sum(x, lambda row: _poly_at(row, powers, order))
-    slope = spec.row_sum(
-        x, lambda row: _poly_at([j * c for j, c in enumerate(row)][1:], powers, order)
+    maxpow = max(len(r) for r in (spec._rho_row, *spec.rows)) - 1
+    powers = [PowerSeries.one(order), f]
+    while len(powers) <= maxpow:
+        powers.append(powers[-1] * f)
+    x, zero = PowerSeries.x(order), PowerSeries.zero(order)
+
+    def array_sum(value) -> PowerSeries:
+        return spec.row_sum(x, value).mul_x().truncate(order) + value(spec._rho_row)
+
+    phi = array_sum(lambda row: sum((powers[j] * c for j, c in enumerate(row) if c), zero))
+    if not slope:
+        return phi
+    return phi, array_sum(
+        lambda row: sum((powers[j - 1] * (j * c) for j, c in enumerate(row) if j and c), zero)
     )
-    phi, slope = (s.mul_x().truncate(order) for s in (phi, slope))
-    for j, r in enumerate(spec.rho):
-        if r:
-            phi = phi + powers[j + 2] * r
-            slope = slope + powers[j + 1] * ((j + 2) * r)
-    return phi, slope
 
 
 def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
     """f minus the equation right side; identically zero at a solution."""
-    return f - _phi_and_slope(spec, f)[0]
+    return f - _phi_and_slope(spec, f, slope=False)
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
@@ -203,42 +207,33 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
 def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     """Bell triangle built purely from the entry recurrence.
 
-    Seeds are t[0][0] = 1 and t[1][0] = a[0][1] + a[1][0] + rho[0]; rows are
-    filled right to left because the rho terms reference entries of the same
-    row further right.  The j = 0 term of the recurrence is dropped for
-    column k >= 1 by triangularity, but for column 0 the constant entry of
-    array row n contributes directly (it multiplies f^0 in the defining
-    equation), so it is added back there.
+    t[n][k] = [x^(n+1)] f^(k+1), and multiplying f = sum_(i >= -1) x^(i+1) P_i(f)
+    by f^k gives, for every a[0][0] and with no seed rows,
+
+        t[n][k] = sum_(i >= -1, j) a[i][j] * t[n-1-i][k-1+j]  (+ a[n][0] at k = 0),
+
+    where t[m][c] = 0 off the triangle and the constant a[n][0] is the
+    j = k = 0 term, f^0 = 1.  Row -1 (rho) reads the current row further
+    right, so rows are filled right to left.
     """
-    if nrows < 2:
-        raise ValueError("nrows must be at least 2")
-    rho = spec.rho
-    rho0 = rho[0] if rho else _ZERO
-    a00 = spec.rows[0][0]
-    rows: list[list[Fraction]] = [[_ONE]]
-    seed = spec.entry(0, 1) + spec.entry(1, 0) + rho0
-    rows.append([seed, a00])
-    width = max(len(r) for r in spec.rows)
-    for n in range(2, nrows):
-        row: list[Fraction] = [_ZERO] * (n + 1)
+    if nrows < 1:
+        raise ValueError("nrows must be positive")
+    rows: list[list[Fraction]] = []
+    for n in range(nrows):
+        terms = [
+            (n - 1 - i, j - 1, a)
+            for i in range(-1, spec.depth(n))
+            for j, a in enumerate(spec._row(i))
+            if a
+        ]
+        row = [_ZERO] * (n + 1)
         rows.append(row)
         for k in range(n, -1, -1):
-            s = _ZERO
-            for i in range(spec.depth(n)):
-                prev = rows[n - 1 - i]
-                plen = len(prev)
-                for j in range(width):
-                    col = k - 1 + j
-                    if 0 <= col < plen:
-                        aij = spec.entry(i, j)
-                        if aij:
-                            s += aij * prev[col]
-            for j, r in enumerate(rho):
-                col = k + j + 1
-                if r and col <= n:
-                    s += r * row[col]
-            if k == 0:
-                s += spec.entry(n, 0)
+            s = spec.entry(n, 0) if k == 0 else _ZERO
+            for m, dj, a in terms:
+                col = k + dj
+                if 0 <= col <= m:
+                    s += a * rows[m][col]
             row[k] = s
     return LowerTriangle(rows)
 
@@ -267,24 +262,19 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     """A-sequence of the Bell matrix of solve_f(spec), as x / fbar.
 
-    Also verifies the substituted identity: writing v = x/fbar and using
-    f(fbar) = x, the defining equation transforms into
+    Also verifies the substituted identity: replacing x by fbar in
+    f = sum_(i >= -1) x^(i+1) P_i(f) and using f(fbar) = x gives
 
-        v = sum_i fbar^i * R_i(x) + x * v * rho(x),
+        x = fbar * sum_(i >= 0) fbar^i * R_i(x) + P_(-1)(x),
 
-    whose residual must vanish to truncation.
+    whose residual must vanish to ``order``.
     """
     f = solve_f(spec, order).f
     fbar = f.revert()
-    n = order - 1
-    v = 1 / fbar.div_x()
-    fbar_t = fbar.truncate(n)
-    rhs = spec.row_sum(fbar_t, lambda row: PowerSeries.of(row, n))
-    if spec.rho:
-        rhs = rhs + (PowerSeries.of(spec.rho, n) * v).mul_x().truncate(n)
-    if rhs != v:
+    rhs = fbar * spec.row_sum(fbar, lambda row: PowerSeries.of(row, order))
+    if rhs + PowerSeries.of(spec._rho_row, order) != PowerSeries.x(order):
         raise NonConvergence("substituted equation residual is nonzero")
-    return Sequence(v.coeffs)
+    return Sequence((1 / fbar.div_x()).coeffs)
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

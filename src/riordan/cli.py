@@ -205,11 +205,11 @@ def _cmd_pipeline(args) -> int:
             raise _CliError(EXIT_IO, f"cannot read {args.bfile}: {exc}")
         except (verify_mod.MalformedLine, verify_mod.NonConsecutiveIndices) as exc:
             raise _CliError(EXIT_USAGE, f"bad b-file {args.bfile}: {exc}")
-        start = ref.offset
-        overlap = min(len(ref), len(column) - start) if start >= 0 else 0
+        start = max(0, ref.offset)  # the column starts at index 0
+        overlap = min(ref.offset + len(ref), len(column)) - start
         if overlap <= 0:
             raise _CliError(EXIT_USAGE, "b-file does not overlap the computed column")
-        match = all(ref.terms[i] == column.terms[start + i] for i in range(overlap))
+        match = ref.terms[start - ref.offset :][:overlap] == column.terms[start : start + overlap]
         payload["bfile"] = {"path": args.bfile, "compared": overlap, "match": match}
         if not match:
             exit_code = EXIT_FAILURE

@@ -273,9 +273,10 @@ def run_fixtures(filter: str | None = None, order: int = DEFAULT_ORDER) -> Fixtu
 # -- Somos-4 conjecture sweeps -----------------------------------------
 
 
-def conjectured_somos_rho0(a, b, c, d) -> tuple[Fraction, Fraction]:
+def conjectured_somos_rho0(a, b, c, d) -> tuple[int | Fraction, int | Fraction]:
     """The conjectured (alpha, beta) for the two-row family with rho = 0."""
-    a, b, c, d = (rational(v) for v in (a, b, c, d))
+    # integral values stay ints, so an integer sweep point is int arithmetic
+    a, b, c, d = (q.numerator if q.denominator == 1 else q for q in map(rational, (a, b, c, d)))
     alpha = (b + a * b + d) ** 2
     beta = (
         b**4
@@ -287,9 +288,9 @@ def conjectured_somos_rho0(a, b, c, d) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
-def conjectured_somos_rho_delta(a, b, c, d) -> tuple[Fraction, Fraction]:
+def conjectured_somos_rho_delta(a, b, c, d) -> tuple[int | Fraction, int | Fraction]:
     """The conjectured (alpha, beta) for the two-row family with rho = (1, 0, 0, ...)."""
-    a, b, c, d = (rational(v) for v in (a, b, c, d))
+    a, b, c, d = (q.numerator if q.denominator == 1 else q for q in map(rational, (a, b, c, d)))
     alpha = (4 + a * a + 3 * b + a * (4 + b) + c + d) ** 2
     beta = (
         -16

@@ -30,6 +30,22 @@ def random_nonzero_fraction(rng, lo=-3, hi=3, max_den=4) -> Fraction:
             return q
 
 
+def series_products(thunk):
+    """The number of series-by-series products thunk() makes."""
+    count = 0
+    mul = PowerSeries.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += isinstance(other, PowerSeries)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PowerSeries, "__mul__", counted)
+        thunk()
+    return count
+
+
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 

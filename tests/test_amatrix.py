@@ -6,11 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riordan.amatrix as amatrix_mod
 from riordan.series import PowerSeries, SeriesError, catalan, rational_series
 from riordan.core import bell_from_f, riordan_inverse, riordan_triangle, a_sequence
 from riordan.amatrix import (
     AMatrixSpec,
     InvalidSpec,
+    NonConvergence,
     asequence_by_substitution,
     binomial_transform_equation_check,
     closed_form_f_general,
@@ -22,7 +24,13 @@ from riordan.amatrix import (
     solve_f,
 )
 
-from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction, small_fraction
+from conftest import (
+    catalan_recurrence,
+    random_fraction,
+    random_nonzero_fraction,
+    series_products,
+    small_fraction,
+)
 
 
 def catalan_form(lead, den, inner, order):
@@ -189,6 +197,16 @@ def test_newton_solve_matches_fixed_point_oracle(spec, order):
     assert solve_f(spec, order).f.coeffs == fixed_point_f(spec, order).coeffs
 
 
+def test_solve_f_series_products_at_order_256():
+    # the closing residual check evaluates Phi alone: Phi' would cost one
+    # more x * row_sum product, and for a repeated last row the (1 - x)
+    # inverse as well
+    a171416 = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
+    repeated = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    assert series_products(lambda: solve_f(a171416, 256)) == 100
+    assert series_products(lambda: solve_f(repeated, 256)) == 271
+
+
 # -- direct triangle ------------------------------------------------------------
 
 
@@ -212,6 +230,19 @@ def test_direct_triangle_with_rho_pair():
         [31, 18, 6, 1],
         [154, 90, 33, 8, 1],
     ]
+
+
+@given(amatrix_specs(), st.integers(1, 9))
+def test_direct_triangle_matches_series_triangle_for_any_corner(spec, nrows):
+    # a Bell pair needs order >= 2, so one row takes a solve to order 3
+    series_tri = riordan_triangle(bell_from_f(solve_f(spec, nrows + 2).f), nrows)
+    assert direct_triangle(spec, nrows).rows == series_tri.rows
+
+
+@pytest.mark.parametrize("a00", [1, 2, -3, Fraction(2, 3)])
+def test_direct_triangle_first_row_is_the_corner(a00):
+    spec = AMatrixSpec.of([[a00, 1, 1], [1, -1, 2]], [1, 2])
+    assert direct_triangle(spec, 1).rows == ((a00,),)
 
 
 def test_seed_formula_matches_solved_coefficient(rng):
@@ -485,6 +516,19 @@ def test_repeated_row_matches_rows_written_out(rng):
         assert asequence_by_substitution(repeated, order) == asequence_by_substitution(
             written, order
         )
+
+
+def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
+    solve = amatrix_mod.solve_f
+
+    def wrong_rho(spec, order):
+        return solve(AMatrixSpec.of(spec.rows, [2], spec.repeat_last_row), order)
+
+    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1])
+    assert asequence_by_substitution(spec, 10).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+    monkeypatch.setattr(amatrix_mod, "solve_f", wrong_rho)
+    with pytest.raises(NonConvergence):
+        asequence_by_substitution(spec, 10)
 
 
 def test_substitution_agrees_with_group_route(rng):

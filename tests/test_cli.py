@@ -249,6 +249,26 @@ def test_pipeline_bfile_match_and_mismatch(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+def test_pipeline_bfile_from_index_minus_one(tmp_path, capsys):
+    # the column starts at index 0; indices 0 and up are compared
+    good = tmp_path / "good.txt"
+    good.write_text("-1 5\n0 1\n1 1\n2 2\n3 3\n")
+    code, out, _ = run(
+        capsys, "pipeline", str(SPECS / "a171416.json"), "--bfile", str(good), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["bfile"]["compared"] == 4
+    assert json.loads(out)["bfile"]["match"] is True
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("-1 1\n0 2\n1 1\n2 2\n")
+    code, out, _ = run(
+        capsys, "pipeline", str(SPECS / "a171416.json"), "--bfile", str(bad)
+    )
+    assert code == 1
+    assert "MISMATCH" in out
+
+
 def test_pipeline_non_ascii_bfile_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "b.txt"
     bad.write_bytes(b"0 1\n1 \xff\n")

@@ -25,7 +25,7 @@ from riordan.series import (
     _powers,
 )
 
-from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction
+from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction, series_products
 
 
 def expand_quotient(num, den, order):
@@ -105,22 +105,6 @@ def triangular_sqrt(self):
             s -= out[i] * out[k - i]
         out.append(s * half)
     return PowerSeries(tuple(out))
-
-
-def series_products(thunk):
-    """The number of series-by-series products thunk() makes."""
-    count = 0
-    mul = PowerSeries.__mul__
-
-    def counted(self, other):
-        nonlocal count
-        count += isinstance(other, PowerSeries)
-        return mul(self, other)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PowerSeries, "__mul__", counted)
-        thunk()
-    return count
 
 
 # -- construction and bookkeeping ---------------------------------------
