@@ -120,7 +120,10 @@ class AMatrixSpec:
 
     def entry(self, i: int, j: int) -> Fraction:
         """a[i][j] for i >= -1 (row -1 is (0, 0, *rho)), with last-row
-        repetition and zero padding applied."""
+        repetition and zero padding applied.  Raises ValueError for i < -1
+        or j < 0, which index no entry."""
+        if i < -1 or j < 0:
+            raise ValueError(f"no array entry ({i}, {j}): rows start at -1 and columns at 0")
         row = self._row(i)
         return row[j] if j < len(row) else _ZERO
 
@@ -133,13 +136,15 @@ class AMatrixSpec:
 
         A repeated last row (index L - 1) contributes
         s^(L-1) * value(last) / (1 - s) for all its copies.  Evaluated by
-        Horner from the last row up.
+        Horner from the last row up; for s = x each step is a shift and the
+        division by 1 - x a running sum, so no series product is taken.
         """
+        at_x = s == PowerSeries.x(s.order)
         acc = value(self.rows[-1])
         if self.repeat_last_row:
-            acc = acc / (1 - s)
+            acc = acc._partial_sums() if at_x else acc / (1 - s)
         for row in reversed(self.rows[:-1]):
-            acc = acc * s + value(row)
+            acc = (acc.mul_x().truncate(acc.order) if at_x else acc * s) + value(row)
         return acc
 
 

@@ -2,8 +2,9 @@
 
 Hankel minors and J-fraction coefficients both come from one integer
 Chebyshev recurrence over the terms on one common denominator, O(D**2) exact
-int operations for D levels; a Hankel transform falls back to one Bareiss
-elimination per minor only past a zero minor, and exact_det is Bareiss.  The
+int operations for D levels, which steps across an isolated zero minor; a
+Hankel transform falls back to one Bareiss elimination per minor only past
+two consecutive zero minors, and exact_det is Bareiss.  The
 Somos-4 fitter classifies the full linear system over every available window
 instead of trusting the first two, so hidden inconsistencies surface as data
 rather than wrong answers.  All functions are pure.
@@ -55,7 +56,8 @@ def _bareiss(m: list[list[int]]) -> int:
 
 def _chebyshev(t: list[int]):
     """Yield (H_k, sigma_(k,k+1)) for k = 0, 1, ... over the ints t_0..t_(L-1),
-    up to the first zero H_k; sigma_(k,k+1) is None where t is too short.
+    up to the first of two consecutive zero minors H_k = H_(k+1) = 0;
+    sigma_(k,k+1) is None where t is too short.
 
     sigma_(k,l) is det of the Hankel rows 0..k-1 of t over columns 0..k plus
     the row (t_l, ..., t_(l+k)), so sigma_(k,k) = H_k and sigma_(0,l) = t_l:
@@ -63,18 +65,57 @@ def _chebyshev(t: list[int]):
     H_(k-1).  From H_(-1) = 1 and sigma_(-1,.) = 0, with every division exact,
         c = H_(k-1) sigma_(k,k+1) - H_k sigma_(k-1,k),
         sigma_(k+1,l) = (H_k H_(k-1) sigma_(k,l+1) - c sigma_(k,l) - H_k^2 sigma_(k-1,l)) / H_(k-1)^2.
+    At a zero H_k (with H_(k-1) != 0) the step looks ahead two levels, from
+    P_(k+2) ~ (alpha x^2 + beta x + gamma) P_k + delta P_(k-1) orthogonal to
+    x^(k-1), x^k and x^(k+1).  With g = H_(k-1), s_i = sigma_(k,k+i) and
+    u_i = sigma_(k-1,k-1+i), again with every division exact,
+        sigma_(k+1,k+1+i) = -s_1 s_(i+1) / g, so H_(k+1) = -s_1^2 / g,
+        sigma_(k+2,k+2+i) = -(alpha s_(i+4) + beta s_(i+3) + gamma s_(i+2) + delta u_(i+3)) / g^3,
+        e = g s_2 - s_1 u_1, alpha = g s_1^2, beta = -s_1 e,
+        gamma = s_2 e + s_1^2 u_2 - g s_1 s_3, delta = -s_1^3,
+    and the plain step resumes from levels k+1 and k+2.  H_(k+1) is zero
+    exactly when s_1 is, and there the recurrence stops.
     """
     h_prev, prev = 1, [0] * len(t)  # H_(k-1) and sigma_(k-1, k-1+i) at index i
     cur = list(t)  # sigma_(k, k+i) at index i
     while True:
         h = cur[0]
         yield h, cur[1] if len(cur) > 1 else None
-        if h == 0 or len(cur) < 3:
+        if len(cur) < 3:
             return
-        c = h_prev * cur[1] - h * prev[1]
-        a, b, q = h * h_prev, h * h, h_prev * h_prev
-        prev, cur = cur, [(a * cur[i + 2] - c * cur[i + 1] - b * prev[i + 2]) // q for i in range(len(cur) - 2)]
-        h_prev = h
+        if h:
+            c = h_prev * cur[1] - h * prev[1]
+            a, b, q = h * h_prev, h * h, h_prev * h_prev
+            prev, cur = cur, [(a * cur[i + 2] - c * cur[i + 1] - b * prev[i + 2]) // q for i in range(len(cur) - 2)]
+            h_prev = h
+            continue
+        g, s, u = h_prev, cur, prev
+        if s[1] == 0:
+            return
+        prev = [-s[1] * v // g for v in s[1:-1]]
+        h_prev = prev[0]
+        yield h_prev, prev[1] if len(prev) > 1 else None
+        if len(s) < 5:
+            return
+        e = g * s[2] - s[1] * u[1]
+        alpha, beta, delta = g * s[1] * s[1], -s[1] * e, -s[1] ** 3
+        gamma = s[2] * e + s[1] * s[1] * u[2] - g * s[1] * s[3]
+        q = g**3
+        cur = [
+            -(alpha * s[i + 4] + beta * s[i + 3] + gamma * s[i + 2] + delta * u[i + 3]) // q
+            for i in range(len(s) - 4)
+        ]
+
+
+def _minors(t, max_n: int) -> list[int]:
+    """The leading Hankel minors H_0..H_max_n of the ints t_0..t_(2 max_n), from
+    the Chebyshev recurrence (_chebyshev), with one Bareiss elimination per
+    minor past two consecutive zero minors, where the recurrence stops."""
+    t = list(t[: 2 * max_n + 1])
+    minors = [h for h, _ in _chebyshev(t)]
+    for n in range(len(minors), max_n + 1):
+        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)]))
+    return minors
 
 
 def exact_det(matrix) -> Fraction:
@@ -96,9 +137,10 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
     The 2*max_n + 1 terms are put over one common denominator d, and the
-    integer Chebyshev recurrence (_chebyshev) gives every
-    h_n = H_n / d**(n+1) in O(max_n**2) int operations.  Past a zero minor the
-    recurrence stops, so each later h_n eliminates its own block (Bareiss).
+    integer minors (_minors) give every h_n = H_n / d**(n+1) in O(max_n**2)
+    int operations.  The recurrence steps across an isolated zero minor;
+    only past two consecutive zero minors, where it stops, does each later
+    h_n eliminate its own block (Bareiss).
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -106,10 +148,7 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
     t, d = _over_common_denominator(s.terms[:need])
-    minors = [h for h, _ in _chebyshev(t)]
-    for n in range(len(minors), max_n + 1):
-        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)]))
-    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors)))
+    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(_minors(t, max_n))))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
@@ -243,6 +244,10 @@ class PowerSeries:
     def mul_x(self) -> PowerSeries:
         """Multiply by x; exact, so the order grows by one."""
         return PowerSeries._ints((0,) + self._nums, self._den)
+
+    def _partial_sums(self) -> PowerSeries:
+        """self / (1 - x): the running sums of the coefficients, with no series product."""
+        return PowerSeries._ints(list(accumulate(self._nums)), self._den)
 
     def div_x(self) -> PowerSeries:
         """Divide by x; needs a zero constant term, order shrinks by one."""

@@ -63,7 +63,7 @@ from .amatrix import (
     narayana_poly_coeffs,
     solve_f,
 )
-from .hankel import _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
+from .hankel import _minors, _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
 
 
 class FixtureNotFound(ValueError):
@@ -336,12 +336,17 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     Returns (status, failing_window).  Tuples with conjectured alpha = 0 or
     with fewer than two usable Hankel windows are degenerate; otherwise the
     product-form relation is checked at every window of the transform.
+
+    The windows run on the int minors H_n of the closed form's numerators
+    over its denominator D (_minors), never on a Fraction view: the Hankel
+    transform is h_n = H_n / D**(n+1), so all three products of window n
+    carry D**(2n-2), and neither a window's usability nor the relation
+    alpha p + beta q = r depends on that scale.
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
     fx = closed_form_f_general(a, b, c, d, rho0, order)
-    depth = (order - 1) // 2
-    h = hankel_transform(Sequence(fx.coeffs), depth).terms
+    h = _minors(fx._nums, (order - 1) // 2)
     if rho0 == 0:
         alpha, beta = conjectured_somos_rho0(a, b, c, d)
     else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from riordan.series import PowerSeries, Sequence, catalan, rational, _ZERO
+from riordan.series import PowerSeries, Sequence, catalan, rational, rational_series, _ZERO
 from riordan import hankel
 from riordan.amatrix import AMatrixSpec, solve_f
 from riordan.hankel import (
@@ -170,6 +170,49 @@ def test_one_pass_hankel_past_a_forced_zero_minor(case, data):
     assert all(type(v) is Fraction for v in got)
 
 
+def with_two_zero_minors(terms, k):
+    """terms changed so that h_k = h_(k+1) = 0: h_k as in with_zero_minor,
+    then s_(2k+1) is solved for so that the k-block's rows over columns 0..k
+    plus the row (s_(k+1), ..., s_(2k+1)) have determinant 0; s_(2k+1) enters
+    it only in the corner, with cofactor h_(k-1).  None when h_(k-1) = 0."""
+    terms = with_zero_minor(terms, k)
+    if terms is None:
+        return None
+    terms[2 * k + 1] = 0
+    if k > 0:
+        block = [[terms[i + j] for j in range(k + 1)] for i in range(k)]
+        sigma = exact_det(block + [terms[k + 1 : 2 * k + 2]])
+        terms[2 * k + 1] = -sigma / per_minor_hankel(terms, k - 1)[k - 1]
+    return terms
+
+
+@settings(max_examples=100)
+@given(hankel_cases(1), st.data())
+def test_hankel_past_two_consecutive_zero_minors(case, data):
+    """The recurrence stops at h_k = h_(k+1) = 0; Bareiss gives the rest."""
+    terms, depth = case
+    k = data.draw(st.integers(0, depth - 1))
+    terms = with_two_zero_minors(terms, k)
+    assume(terms is not None)
+    want = per_minor_hankel(terms, depth)
+    assert want[k] == want[k + 1] == 0
+    assert list(hankel_transform(Sequence.of(terms), depth).terms) == want
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.data())
+def test_hankel_of_a_rational_series_is_zero_to_the_end(k, data):
+    """P/Q with deg Q = k > deg P satisfies a recurrence of order k, so
+    h_n = 0 for every n >= k."""
+    depth = data.draw(st.integers(k, 12))
+    q = [1] + data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    p = data.draw(st.lists(hankel_term, min_size=k, max_size=k))
+    terms = rational_series(p, q, 2 * depth + 1).coeffs
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert not any(got[k:])
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     """The size of each matrix hankel._bareiss eliminates, in call order."""
@@ -180,10 +223,9 @@ def bareiss_calls(monkeypatch):
 
 
 def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
-    """h_k = 0 with every other minor nonzero, for k = 0..11 at depth 12: the
-    Chebyshev recurrence stops at k, and each later minor takes one
-    elimination of its own."""
-    for k in range(12):
+    """h_k = 0 with every other minor nonzero, for k = 0..12 at depth 12: the
+    Chebyshev recurrence steps across h_k, and no Bareiss elimination runs."""
+    for k in range(13):
         while True:
             terms = with_zero_minor([random_fraction(rng) for _ in range(25)], k)
             if terms is not None:
@@ -192,7 +234,7 @@ def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
                     break
         bareiss_calls.clear()
         assert list(hankel_transform(Sequence.of(terms), 12).terms) == want
-        assert bareiss_calls == list(range(k + 2, 14))
+        assert bareiss_calls == []
 
 
 def test_hankel_takes_one_elimination_without_a_zero_minor(bareiss_calls):

@@ -9,8 +9,8 @@ import pytest
 
 from riordan import verify as verify_mod
 from riordan.series import InsufficientTerms, PowerSeries, Sequence
-from riordan.amatrix import AMatrixSpec, solve_f
-from riordan.hankel import hankel_transform
+from riordan.amatrix import AMatrixSpec, closed_form_f_general, solve_f
+from riordan.hankel import _somos_windows, hankel_transform
 from riordan.verify import (
     COUNTEREXAMPLE,
     CONFIRMED,
@@ -164,29 +164,69 @@ def test_point_check_flags_degenerate_tuples():
 @pytest.mark.parametrize("point", [(0, 1, 1, 0, 0), (0, -1, 0, -2, 1)])
 def test_point_check_reports_the_first_failing_window(point, monkeypatch):
     assert check_conjecture_point(*point, 32) == (CONFIRMED, None)
+    minors = verify_mod._minors
 
-    def bumped(s, max_n):
-        h = list(hankel_transform(s, max_n).terms)
+    def bumped(t, max_n):
+        h = minors(t, max_n)
         h[8] += 1
-        return Sequence(tuple(h))
+        return h
 
-    monkeypatch.setattr(verify_mod, "hankel_transform", bumped)
+    monkeypatch.setattr(verify_mod, "_minors", bumped)
     assert check_conjecture_point(*point, 32) == (COUNTEREXAMPLE, 8)
 
 
 def test_point_check_needs_two_usable_windows(monkeypatch):
+    assert conjectured_somos_rho0(0, 1, 1, 0) == (1, 1)
+    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (CONFIRMED, None)
+    # H = 1, 1, 1, 0, ...: only window 4 (0 = alpha * 0 + beta * 1) is usable
+    monkeypatch.setattr(verify_mod, "_minors", lambda t, max_n: [1, 1, 1] + [0] * 13)
+    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
+    monkeypatch.undo()
     # 1 + x has Hankel transform 1, -1, 0, 0, ...: every window reads 0 = 0
     monkeypatch.setattr(
         verify_mod,
         "closed_form_f_general",
         lambda a, b, c, d, rho0, order: PowerSeries.of([1, 1], order),
     )
-    assert conjectured_somos_rho0(0, 1, 1, 0) == (1, 1)
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
-    # h = 1, 1, 1, 0, ...: only window 4 (0 = alpha * 0 + beta * 1) is usable
-    one_window = Sequence((1, 1, 1) + (0,) * 13)
-    monkeypatch.setattr(verify_mod, "hankel_transform", lambda s, max_n: one_window)
-    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
+
+
+def fraction_point_check(a, b, c, d, rho0, order):
+    """Oracle: the point check on the closed form's Fraction Sequence, through
+    hankel_transform and Fraction windows (the route before int minors)."""
+    fx = closed_form_f_general(a, b, c, d, rho0, order)
+    h = hankel_transform(Sequence(fx.coeffs), (order - 1) // 2).terms
+    conjectured = verify_mod.conjectured_somos_rho0 if rho0 == 0 else verify_mod.conjectured_somos_rho_delta
+    alpha, beta = conjectured(a, b, c, d)
+    windows = list(_somos_windows(h))
+    if alpha == 0 or sum(1 for _, p, q, r in windows if p or q or r) < 2:
+        return DEGENERATE, None
+    failing = next((n for n, p, q, r in windows if alpha * p + beta * q != r), None)
+    return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
+
+
+@pytest.mark.parametrize("bump", [0, Fraction(1, 3)])
+def test_int_point_check_matches_the_fraction_route(rng, bump, monkeypatch):
+    """Seeded int and p/q points (closed-form denominators other than 1), with
+    the conjectured alpha as is or bumped so that windows fail."""
+    for name in ("conjectured_somos_rho0", "conjectured_somos_rho_delta"):
+        conjectured = getattr(verify_mod, name)
+        monkeypatch.setattr(
+            verify_mod, name, lambda *p, f=conjectured: (f(*p)[0] + bump, f(*p)[1])
+        )
+    statuses, dens = set(), set()
+    for i in range(60):
+        if i % 2:
+            params = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+        else:
+            params = [rng.randint(-4, 4) for _ in range(4)]
+        rho0, order = i % 4 // 2, rng.randint(10, 24)
+        got = check_conjecture_point(*params, rho0, order)
+        assert got == fraction_point_check(*params, rho0, order)
+        statuses.add(got[0])
+        dens.add(closed_form_f_general(*params, rho0, order)._den > 1)
+    assert dens == {False, True}
+    assert statuses == ({CONFIRMED, DEGENERATE} if bump == 0 else {COUNTEREXAMPLE, DEGENERATE})
 
 
 def test_small_sweeps_are_well_formed():
