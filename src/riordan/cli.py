@@ -19,6 +19,7 @@ The plain output of solve and pipeline is rendered from their JSON payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -285,7 +286,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Riordan-array toolkit: solve, analyze, verify.",

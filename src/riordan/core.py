@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _ZERO
+from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _Substitution, _ZERO
 
 InsufficientOrder = InsufficientTerms  # one exception; both names are public
 
@@ -29,7 +29,8 @@ class RiordanPair:
 
     Both series are normalized to one shared truncation order on
     construction (the smaller of the two).  fbar, A and Z are cached on
-    first use; A does not compute Z, and Z reuses A.
+    first use, and so are f's powers, which both checks compose with; A does
+    not compute Z, and Z reuses A.
     """
 
     g: PowerSeries
@@ -56,10 +57,16 @@ class RiordanPair:
         return self.f.revert()
 
     @cached_property
+    def _at_f(self) -> _Substitution:
+        """Composition into f at order - 1, the order of both checks; f's powers
+        are built once per pair."""
+        return _Substitution(self.f, self.order - 1)
+
+    @cached_property
     def a(self) -> PowerSeries:
         """A = x / fbar to order - 1, checked by f/x = A(f)."""
         a = 1 / self.fbar.div_x()
-        if a.compose(self.f) != self.f.div_x():
+        if self._at_f(a) != self.f.div_x():
             raise NotRiordanBand("the A-series fails f/x = A(f)")
         return a
 
@@ -69,7 +76,7 @@ class RiordanPair:
         checked by (g - g0)/x = g * Z(f)."""
         g0 = self.g.coeffs[0]
         z = (1 - g0 / self.g.compose(self.fbar)).div_x() * self.a
-        if self.g * z.compose(self.f) != (self.g - g0).div_x():
+        if self.g * self._at_f(z) != (self.g - g0).div_x():
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
         return z
 

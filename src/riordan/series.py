@@ -16,6 +16,8 @@ products, and a root of a quadratic series equation (:func:`catalan_of`,
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
 O(n**2) int multiply-adds, where Horner and a running product take n - 1.
+Newton steps and compositions form each product only to the terms that are
+read from it.
 
 Everything here is an immutable value and every operation is a pure
 function, so series can be shared freely between concurrent workers.
@@ -137,6 +139,48 @@ def _powers(s: PowerSeries, m: int) -> tuple[list[list[int]], int, PowerSeries]:
     return [one] + [list(map((d // q._den).__mul__, q._nums)) for q in powers], d, p
 
 
+class _Substitution:
+    """outer -> outer(inner) mod x**n for one inner series, by the composition
+    of PowerSeries.compose: inner's baby powers, as int columns over one
+    common denominator, and its giant step are built once (m - 1 series
+    products) and serve every outer."""
+
+    __slots__ = ("n", "_columns", "_den", "_giant")
+
+    def __init__(self, inner: PowerSeries, n: int):
+        if inner._nums[0] != 0:
+            raise CompositionRequiresZeroConstantTerm(
+                "inner series has nonzero constant term"
+            )
+        if not 1 <= n <= inner.order:
+            raise InsufficientTerms(f"order {n} needs 1..{inner.order}, the inner series' order")
+        m = isqrt(n - 1) + 1
+        powers = [inner.truncate(n).div_x()] if n > 1 else []  # u**i to n - i terms, up to u**m
+        for i in range(2, min(m, n - 1) + 1):
+            powers.append(powers[-1].truncate(n - i) * powers[0])
+        baby = powers[: m - 1]
+        d = lcm(*[q._den for q in baby])
+        rows = [[d] + [0] * (n - 1)]
+        rows += [[0] * i + list(map((d // q._den).__mul__, q._nums)) for i, q in enumerate(baby, 1)]
+        self.n, self._columns, self._den = n, list(zip(*rows)), d
+        self._giant = powers[-1] if len(powers) == m else None  # read only when n > m
+
+    def __call__(self, outer: PowerSeries) -> PowerSeries:
+        """outer(inner) to order n; outer needs order >= n."""
+        n, columns = self.n, self._columns
+        if outer.order < n:
+            raise InsufficientTerms(f"composing to order {n} needs an outer series of order >= {n}")
+        c, m, d = outer._nums[:n], len(columns[0]), self._den * outer._den
+        blocks = [
+            PowerSeries._ints([sum(map(mul, c[j : j + m], col)) for col in columns[: n - j]], d)
+            for j in range(0, n, m)
+        ]
+        acc = blocks.pop()
+        while blocks:
+            acc = (acc * self._giant)._shift(m) + blocks.pop()
+        return acc
+
+
 class PowerSeries:
     """A power series known modulo x**order, where order = len(coeffs), stored
     as int numerators over one positive denominator with gcd(den, *nums) == 1;
@@ -243,7 +287,11 @@ class PowerSeries:
 
     def mul_x(self) -> PowerSeries:
         """Multiply by x; exact, so the order grows by one."""
-        return PowerSeries._ints((0,) + self._nums, self._den)
+        return self._shift(1)
+
+    def _shift(self, k: int) -> PowerSeries:
+        """x**k * self; exact, so the order grows by k."""
+        return PowerSeries._ints((0,) * k + self._nums, self._den)
 
     def _partial_sums(self) -> PowerSeries:
         """self / (1 - x): the running sums of the coefficients, with no series product."""
@@ -313,43 +361,42 @@ class PowerSeries:
         return NotImplemented
 
     def _inverse(self) -> PowerSeries:
-        """1/self, whose exact terms double at each g <- g*(2 - self*g)."""
+        """1/self by Newton iteration, which doubles the exact terms of g.
+
+        With g exact to k terms and n = min(2k, order), self*g = 1 + x**k * e
+        mod x**n, and g <- g - x**k * (g*e) mod x**n.  The step forms self*g to
+        n terms and g*e to the n - k new ones.
+        """
         if self._nums[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         c0 = self._nums[0]
         g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
-        while g.order < self.order:
-            g = g._padded(min(2 * g.order, self.order))
-            g = g * (2 - self * g)
+        while (k := g.order) < self.order:
+            r = self * g._padded(min(2 * k, self.order))
+            t = g * PowerSeries._ints(r._nums[k:], r._den)
+            d = lcm(g._den, t._den)
+            g = PowerSeries._ints(
+                [c * (d // g._den) for c in g._nums] + [c * -(d // t._den) for c in t._nums], d
+            )
         return g
 
     # -- composition, reversion, square root -----------------------------
 
     def compose(self, inner: PowerSeries) -> PowerSeries:
-        """outer(inner(x)) by Brent and Kung's baby-step/giant-step composition.
+        """outer(inner(x)) to the smaller order n, by Brent and Kung's
+        baby-step/giant-step composition.
 
-        With n the order, m = ceil(sqrt(n)) and G = inner**m, outer(inner) is
-        sum_j B_j * G**j for the blocks B_j = sum_(i<m) c[j*m + i] * inner**i.
-        The blocks are int dot products over one common denominator and the
-        sum over j is Horner's rule in G, so the whole costs about 2*sqrt(n)
-        series products (m - 1 for the powers, ceil(n/m) - 1 for Horner).
+        With m = ceil(sqrt(n)) and G = inner**m, outer(inner) is
+        sum_j B_j * G**(j/m) for the blocks B_j = sum_(i<m) c[j + i] * inner**i
+        (j = 0, m, 2m, ...).  Each block is an int dot product over one common
+        denominator, formed to the n - j terms that B_j * G**(j/m) keeps, and
+        the sum is Horner's rule in G, acc <- x**m * (acc * G/x**m) + B_j, whose
+        product forms the n - j - m terms below x**n.  With the powers
+        inner**i = x**i * (inner/x)**i, (inner/x)**i formed to n - i terms
+        (:class:`_Substitution`), the whole takes about 2*sqrt(n) series
+        products: m - 1 for the powers and ceil(n/m) - 1 for Horner.
         """
-        if inner._nums[0] != 0:
-            raise CompositionRequiresZeroConstantTerm(
-                "inner series has nonzero constant term"
-            )
-        n = min(self.order, inner.order)
-        m = isqrt(n - 1) + 1
-        baby, d, giant = _powers(inner.truncate(n), m)
-        c, columns = self._nums[:n], list(zip(*baby))
-        blocks = [
-            PowerSeries._ints([sum(map(mul, c[j : j + m], col)) for col in columns], d * self._den)
-            for j in range(0, n, m)
-        ]
-        acc = blocks.pop()
-        while blocks:
-            acc = acc * giant + blocks.pop()
-        return acc
+        return _Substitution(inner, min(self.order, inner.order))(self)
 
     def revert(self) -> PowerSeries:
         """Compositional reverse: the series fbar with self(fbar(x)) = x.

@@ -30,20 +30,30 @@ def random_nonzero_fraction(rng, lo=-3, hi=3, max_den=4) -> Fraction:
             return q
 
 
+class Products(int):
+    """A count of series-by-series products; ``length`` is their total
+    operand length, the number of terms each product forms, summed."""
+
+
 def series_products(thunk):
-    """The number of series-by-series products thunk() makes."""
-    count = 0
+    """The series-by-series products thunk() makes: their number, with their
+    total operand length as ``.length``."""
+    count = length = 0
     mul = PowerSeries.__mul__
 
     def counted(self, other):
-        nonlocal count
-        count += isinstance(other, PowerSeries)
+        nonlocal count, length
+        if isinstance(other, PowerSeries):
+            count += 1
+            length += min(self.order, other.order)
         return mul(self, other)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PowerSeries, "__mul__", counted)
         thunk()
-    return count
+    out = Products(count)
+    out.length = length
+    return out
 
 
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))

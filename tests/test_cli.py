@@ -19,6 +19,20 @@ def run(capsys, *argv):
 # -- solve -------------------------------------------------------------------
 
 
+def test_calls_in_one_process_get_their_own_defaults(capsys):
+    # one parser serves every call, so no call may see another's arguments
+    assert cli._build_parser() is cli._build_parser()
+    pascal = str(SPECS / "pascal.json")
+    code, out, _ = run(capsys, "pipeline", pascal, "--order", "12", "--format", "json")
+    assert code == 0 and len(json.loads(out)["column"]) == 11
+    code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--range=0..0")
+    assert code == 0 and out.startswith("sweep rho0 over [0..0]^4: ")
+    code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--range=0..0", "--format", "json")
+    assert code == 0 and json.loads(out)["order"] == 40
+    code, out, _ = run(capsys, "pipeline", pascal, "--format", "json")
+    assert code == 0 and len(json.loads(out)["column"]) == 31
+
+
 def test_solve_pascal_plain(capsys):
     code, out, _ = run(capsys, "solve", str(SPECS / "pascal.json"), "--order", "8")
     assert code == 0

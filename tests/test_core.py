@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, strategies as st
 
-from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series
+from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series, _Substitution
 from riordan import hankel
 from riordan.core import (
     InsufficientOrder,
@@ -25,7 +25,7 @@ from riordan.core import (
     z_sequence,
 )
 
-from conftest import random_fraction, random_nonzero_fraction, small_fraction
+from conftest import random_fraction, random_nonzero_fraction, series_products, small_fraction
 
 ORDER = 16
 
@@ -231,6 +231,28 @@ def test_z_sequence_is_production_column_zero(pair):
     assert list(z_sequence(pair).terms) == column
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_and_z_at_the_lowest_orders_match_production_oracle(rng, order):
+    for _ in range(20):
+        g = [random_nonzero_fraction(rng)] + [random_fraction(rng) for _ in range(order - 1)]
+        f = [Fraction(0), random_nonzero_fraction(rng)] + [random_fraction(rng) for _ in range(order - 2)]
+        pair = RiordanPair(PowerSeries(tuple(g)), PowerSeries(tuple(f)))
+        prod = _production_oracle(pair, order - 1)
+        # column 1 is A; at size 1 there is none, and a_0 = t[1][1] / t[0][0] = f_1
+        want_a = [row[1] for row in prod] if order > 2 else [f[1]]
+        assert list(pair.z.coeffs) == [row[0] for row in prod]
+        assert list(pair.a.coeffs) == want_a
+
+
+def test_reading_a_then_z_forms_f_powers_once_and_short_products():
+    # f's powers serve both checks (m - 1 = 15 products at n = 255); the
+    # full-length products and per-check powers took 169, of length 33941
+    n = 256
+    pair = RiordanPair(rational_series([1], [1, -1, -1], n), rational_series([0, 1, -1, -1], [1, 1], n))
+    products = series_products(lambda: (pair.a, pair.z))
+    assert (products, products.length) == (154, 23321)
+
+
 def _wrong_reverse(pair, monkeypatch):
     bad = list(pair.fbar.coeffs)
     bad[3] += 1
@@ -268,13 +290,13 @@ def test_identity_checks_reject_corrupt_production_data(corrupt, identity, monke
 
 def test_a_sequence_does_not_compute_z(monkeypatch):
     calls = []
-    compose = PowerSeries.compose
+    compose = _Substitution.__call__  # every composition, PowerSeries.compose too
 
-    def counted(outer, inner):
+    def counted(substitution, outer):
         calls.append(1)
-        return compose(outer, inner)
+        return compose(substitution, outer)
 
-    monkeypatch.setattr(PowerSeries, "compose", counted)
+    monkeypatch.setattr(_Substitution, "__call__", counted)
     pair = motzkin_pair()
     a_sequence(pair)
     assert len(calls) == 1  # the check f/x = A(f) only

@@ -23,6 +23,7 @@ from riordan.series import (
     rational,
     rational_series,
     _powers,
+    _Substitution,
 )
 
 from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction, series_products
@@ -420,6 +421,77 @@ def test_compose_and_revert_take_order_sqrt_products():
     inverse = series_products(lambda: 1 / f.div_x())
     assert inverse == 2 * 8
     assert series_products(f.revert) - inverse <= bound
+
+
+def test_reciprocal_and_compose_form_only_the_terms_they_read():
+    # The Newton step forms self*g to n terms and g*e to the n - k new ones
+    # (3 * 255 in all, where two full products a step take 4 * 255); Horner
+    # step j forms n - j - m terms and inner**i is formed to n - i.
+    n = 256
+    s = PowerSeries.of(range(1, n + 1))
+    assert series_products(lambda: 1 / s).length == 3 * (n - 1)
+    outer, inner = PowerSeries.of(range(1, n + 1)), PowerSeries.of([0, 1, 1], n)
+    assert series_products(lambda: outer.compose(inner)).length == 5625  # 30 * 256 at full length
+
+
+# -- shortened products at the edges: orders near m**2, p/q on both sides ------
+
+EDGE_ORDERS = [1, 2, 3, 4, 5, 9, 10, 16, 17, 25, 26, 47]
+
+
+def pq_series(rng, order, valuation=0):
+    """order terms, zero below the valuation, then nonzero p/q values of both signs."""
+    tail = [random_nonzero_fraction(rng, -9, 9, 7) for _ in range(order)]
+    return PowerSeries(tuple([Fraction(0)] * valuation + tail)[:order])
+
+
+@pytest.mark.parametrize("n", EDGE_ORDERS)
+@pytest.mark.parametrize("valuation", [1, 2])
+def test_compose_at_edge_orders_matches_oracles(rng, n, valuation):
+    outer, inner = pq_series(rng, n), pq_series(rng, n, valuation)
+    got = outer.compose(inner)
+    assert list(got.coeffs) == list_compose(list(outer.coeffs), list(inner.coeffs))
+    assert _stored_in_lowest_terms(got)
+    assert got.coeffs == horner_compose(outer, inner).coeffs
+    # the smaller order wins whichever operand carries it
+    longer = PowerSeries(outer.coeffs + pq_series(rng, 3).coeffs)
+    assert longer.compose(inner) == got
+    assert outer.compose(PowerSeries(inner.coeffs + pq_series(rng, 3).coeffs)) == got
+
+
+@pytest.mark.parametrize("n", EDGE_ORDERS)
+def test_substitution_serves_many_outers(rng, n):
+    inner = pq_series(rng, n + 2, 1)
+    sub = _Substitution(inner, n)
+    for _ in range(3):
+        outer = pq_series(rng, n)
+        assert sub(outer) == outer.compose(inner)
+        assert list(sub(outer).coeffs) == list_compose(list(outer.coeffs), list(inner.coeffs[:n]))
+    if n > 1:
+        with pytest.raises(InsufficientTerms):
+            sub(pq_series(rng, n - 1))
+    with pytest.raises(InsufficientTerms):
+        _Substitution(inner, n + 3)
+    with pytest.raises(CompositionRequiresZeroConstantTerm):
+        _Substitution(pq_series(rng, n), n)
+
+
+@pytest.mark.parametrize("n", [n for n in EDGE_ORDERS if n > 1])
+def test_revert_at_edge_orders_matches_lagrange_oracle(rng, n):
+    f = pq_series(rng, n, 1)
+    got = f.revert()
+    assert got.coeffs == lagrange_revert(f).coeffs
+    assert list(got.coeffs) == list_revert(list(f.coeffs))
+
+
+@pytest.mark.parametrize("n", [3, 5, 47, 129])
+@pytest.mark.parametrize("c0", [Fraction(1), Fraction(-3), Fraction(2, 5), Fraction(-7, 3)])
+def test_inverse_at_orders_off_powers_of_two(rng, n, c0):
+    s = PowerSeries((c0,) + pq_series(rng, n).coeffs[1:])
+    got = s._inverse()
+    assert list(got.coeffs) == expand_quotient([1], s.coeffs, n)
+    assert schoolbook_product(s.coeffs, got.coeffs, n) == [1] + [0] * (n - 1)
+    assert 1 / s == got and _stored_in_lowest_terms(got)
 
 
 # -- integer storage against plain Fraction tuples ---------------------------
