@@ -250,8 +250,8 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
     where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
     """
-    a, b, c, d, rho0 = (rational(v) for v in (a, b, c, d, rho0))
-    return _quadratic_root([1, 1], [1, -a, -c], [0, rho0, b, d], order)
+    poly = PowerSeries.of
+    return _quadratic_root(poly([1, 1]), 1 - poly([0, a, c]), poly([0, rho0, b, d]), order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
@@ -260,8 +260,8 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     u = x*F for the root F of (1-ax) F = 1 + x(c + bx) F^2; in closed form
     u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
     """
-    a, b, c = (rational(v) for v in (a, b, c))
-    return _quadratic_root([1], [1, -a], [0, c, b], order).mul_x().truncate(order)
+    poly = PowerSeries.of
+    return _quadratic_root(poly([1]), 1 - poly([0, a]), poly([0, c, b]), order).mul_x().truncate(order)
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:

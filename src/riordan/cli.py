@@ -23,6 +23,7 @@ import functools
 import json
 import re
 import sys
+from decimal import Decimal
 
 from .series import InsufficientTerms, Sequence, format_rational
 from .core import bell_from_f, production_matrix, riordan_triangle, a_sequence, z_sequence
@@ -66,7 +67,7 @@ def _json_list(values) -> list[str]:
 def _load_spec(path: str) -> AMatrixSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=lambda s: int(Decimal(s)))  # no digit cap
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -42,9 +42,9 @@ class RiordanPair:
             raise InsufficientTerms("a Riordan pair needs order >= 2")
         object.__setattr__(self, "g", self.g.truncate(n))
         object.__setattr__(self, "f", self.f.truncate(n))
-        if self.g.coeffs[0] == 0:
+        if self.g[0] == 0:
             raise ValueError("g must have a nonzero constant term")
-        if self.f.coeffs[0] != 0 or self.f.coeffs[1] == 0:
+        if self.f[0] != 0 or self.f[1] == 0:
             raise ValueError("f must vanish at 0 with nonzero linear term")
 
     @property
@@ -74,7 +74,7 @@ class RiordanPair:
     def z(self) -> PowerSeries:
         """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1;
         checked by (g - g0)/x = g * Z(f)."""
-        g0 = self.g.coeffs[0]
+        g0 = self.g[0]
         z = (1 - g0 / self.g.compose(self.fbar)).div_x() * self.a
         if self.g * self._at_f(z) != (self.g - g0).div_x():
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
@@ -202,7 +202,7 @@ def z_sequence(pair: RiordanPair) -> Sequence:
 
 def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:
     """The Riordan pair whose production data is (A, Z): ((A - xZ)/A, x/A)^-1."""
-    if a.coeffs[0] == 0:
+    if a[0] == 0:
         raise ValueError("A(0) must be nonzero")
     n = min(a.order, z.order)
     inv_a = 1 / a.truncate(n)
@@ -213,14 +213,14 @@ def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:
 
 def _aerate(g: PowerSeries, sign: int) -> PowerSeries:
     """g(x^2) or g(-x^2): exact at twice the input order."""
-    out = [_ZERO] * (2 * g.order)
-    out[::2] = [c * sign**i for i, c in enumerate(g.coeffs)]
-    return PowerSeries(out)
+    out = [0] * (2 * g.order)
+    out[::2] = [c * sign**i for i, c in enumerate(g._nums)]
+    return PowerSeries._ints(out, g._den)
 
 
 def quasi_involution_check(g: PowerSeries) -> bool:
     """True iff (g(x^2), x*g(x^2))^-1 equals (g(-x^2), x*g(-x^2)) to truncation."""
-    if g.coeffs[0] == 0:
+    if g[0] == 0:
         raise ValueError("g must have a nonzero constant term")
     plus = _aerate(g, 1)
     minus = _aerate(g, -1)

@@ -279,7 +279,7 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     lams: list[Fraction] = []
     h1 = h2 = 1  # H_(k-1), H_(k-2)
     s1 = 0  # sigma_(k-1,k)
-    t, _ = _over_common_denominator([rational(v) for v in s.terms[:need]])
+    t, _ = _over_common_denominator(s.terms[:need])
     for h, sk in _chebyshev(t):
         if bs:
             lams.append(Fraction(h * h2, h1 * h1))

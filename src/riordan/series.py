@@ -7,8 +7,11 @@ visible in the value itself and never silently invented.  A series is
 stored as int numerators over one positive denominator in lowest terms, so
 equality is int comparison and arithmetic builds no ``Fraction`` per
 coefficient; coefficients are returned as ``fractions.Fraction`` (the
-``coeffs`` view, built on first read), and floats are rejected at the
-boundary.  A product packs each
+``coeffs`` view, built on first read; indexing reads one), and floats are
+rejected at the boundary.  Denominators are cleared only where
+``Fraction``s enter, in the constructor; series that meet in one int
+recurrence go over the lcm of their stored denominators (``_over_lcm``).
+A product packs each
 operand into one big int (Kronecker substitution) so a single big-int
 multiply does the work, a quotient is a Newton inverse built from such
 products, and a root of a quadratic series equation (:func:`catalan_of`,
@@ -26,6 +29,7 @@ function, so series can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
@@ -86,10 +90,11 @@ def integer_values(values, what: str) -> list[int]:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render integers bare and proper fractions as 'p/q'."""
+    """Render integers bare and proper fractions as 'p/q', at any length:
+    str(Decimal(n)) is not subject to CPython's cap on int-to-str digits."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -128,15 +133,10 @@ def _pack(values: list[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _powers(s: PowerSeries, m: int) -> tuple[list[list[int]], int, PowerSeries]:
-    """(nums, d, s**m): s**0..s**(m-1) as int lists over one common denominator d."""
-    powers, p = [], s
-    for _ in range(m - 1):
-        powers.append(p)
-        p = p * s
-    d = lcm(*[q._den for q in powers])
-    one = [d] + [0] * (s.order - 1)
-    return [one] + [list(map((d // q._den).__mul__, q._nums)) for q in powers], d, p
+def _over_lcm(series) -> tuple[list[list[int]], int]:
+    """(rows, d): each series' numerators as an int row over d, the lcm of their denominators."""
+    d = lcm(*[s._den for s in series])
+    return [list(map((d // s._den).__mul__, s._nums)) for s in series], d
 
 
 class _Substitution:
@@ -158,10 +158,8 @@ class _Substitution:
         powers = [inner.truncate(n).div_x()] if n > 1 else []  # u**i to n - i terms, up to u**m
         for i in range(2, min(m, n - 1) + 1):
             powers.append(powers[-1].truncate(n - i) * powers[0])
-        baby = powers[: m - 1]
-        d = lcm(*[q._den for q in baby])
-        rows = [[d] + [0] * (n - 1)]
-        rows += [[0] * i + list(map((d // q._den).__mul__, q._nums)) for i, q in enumerate(baby, 1)]
+        baby, d = _over_lcm(powers[: m - 1])
+        rows = [[d] + [0] * (n - 1)] + [[0] * i + r for i, r in enumerate(baby, 1)]
         self.n, self._columns, self._den = n, list(zip(*rows)), d
         self._giant = powers[-1] if len(powers) == m else None  # read only when n > m
 
@@ -260,7 +258,7 @@ class PowerSeries:
         return len(self._nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
+        return Fraction(self._nums[i], self._den)
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
         if n > self.order:
@@ -372,12 +370,9 @@ class PowerSeries:
         c0 = self._nums[0]
         g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
         while (k := g.order) < self.order:
-            r = self * g._padded(min(2 * k, self.order))
-            t = g * PowerSeries._ints(r._nums[k:], r._den)
-            d = lcm(g._den, t._den)
-            g = PowerSeries._ints(
-                [c * (d // g._den) for c in g._nums] + [c * -(d // t._den) for c in t._nums], d
-            )
+            g = g._padded(min(2 * k, self.order))
+            r = self * g
+            g = g - (g * PowerSeries._ints(r._nums[k:], r._den))._shift(k)
         return g
 
     # -- composition, reversion, square root -----------------------------
@@ -412,7 +407,10 @@ class PowerSeries:
         n = self.order
         h = 1 / self.div_x()
         m = isqrt(n - 2) + 1
-        baby, d, big = _powers(h, m)
+        powers = list(accumulate([h] * m, mul))  # h**1..h**m by a running product
+        big = powers.pop()
+        baby, d = _over_lcm(powers)
+        baby = [[d] + [0] * (n - 2)] + baby
         terms = [(0, 1)]  # (numerator, denominator) of each coefficient
         giant = PowerSeries._ints(baby[0], d)  # (h**m)**0
         for j in range(0, n, m):
@@ -438,11 +436,11 @@ class PowerSeries:
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn != num or rd * rd != den:
             raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
-        t0 = Fraction(rn, rd)
-        half = 1 / (2 * t0)
+        half = Fraction(rd, 2 * rn)  # 1/(2*t0)
         # one term of w more than t needs, so order 1 needs no case of its own
-        w = _quadratic_root([c * half for c in self.coeffs[1:]], [1], [0, -half], self.order)
-        return w.mul_x().truncate(self.order) + t0
+        s = PowerSeries._ints(self._nums[1:] + (0,), self._den) * half
+        w = _quadratic_root(s, PowerSeries._ints((1,), 1), PowerSeries._ints((0, -rd), 2 * rn), self.order)
+        return w.mul_x().truncate(self.order) + Fraction(rn, rd)
 
 
 def rational_series(num, den, order: int) -> PowerSeries:
@@ -453,7 +451,7 @@ def rational_series(num, den, order: int) -> PowerSeries:
 def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
     """The series F with den*F = lead + q*F**2, to the given order.
 
-    lead, den and q are coefficient lists, zero past their end, with den(0) = 1
+    lead, den and q are series read as polynomials, zero past their order, with den(0) = 1
     and q(0) = 0, so [x^n](q*F**2) involves only F_0..F_(n-1) and the terms
     follow one at a time, O(order**2) int products in all.  With lead, den,
     q = L/D, E/D, K/D over one common denominator D, the integers Phi_n =
@@ -462,9 +460,8 @@ def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
     """
     if order < 1:
         raise SeriesError("order must be positive")
-    padded = [list(p[:order]) + [0] * (order - len(p)) for p in (lead, den, q)]
-    nums, d = _over_common_denominator([c for p in padded for c in p])
-    lead_, den_, q_ = nums[:order], nums[order : 2 * order], nums[2 * order :]
+    rows, d = _over_lcm([lead, den, q])
+    lead_, den_, q_ = (r[:order] + [0] * (order - len(r)) for r in rows)
     scale = [d ** (2 * n) for n in range(order)]
     den_terms = [(k, den_[k] * scale[k] // d) for k in range(1, order) if den_[k]]
     q_terms = [(k, q_[k] * scale[k - 1]) for k in range(1, order) if q_[k]]
@@ -480,7 +477,8 @@ def catalan_of(u: PowerSeries) -> PowerSeries:
     """C(u), the solution y of y = 1 + u*y**2, to u's order (by _quadratic_root)."""
     if u._nums[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
-    return _quadratic_root([1], [1], u.coeffs, u.order)
+    one = PowerSeries._ints((1,), 1)
+    return _quadratic_root(one, one, u, u.order)
 
 
 def catalan(order: int) -> PowerSeries:

@@ -2,9 +2,12 @@
 
 import json
 import pathlib
+from decimal import Decimal
+
+import pytest
 
 from riordan import cli
-from riordan.series import PowerSeries
+from riordan.series import PowerSeries, format_rational
 from riordan.verify import Fixture
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
@@ -48,6 +51,27 @@ def test_solve_json_roundtrips_byte_identical(capsys):
     payload = json.loads(out)
     assert payload["f"][:6] == ["0", "1", "1", "2", "3", "7"]
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spec_integer_literals_have_no_digit_cap(tmp_path, digits, sign):
+    # CPython 3.11+ caps int(str) at 4300 digits; a spec's JSON literals have no cap
+    n = sign * (10**digits - 3)
+    spec = tmp_path / "big.json"
+    spec.write_text('{"rows": [[1, %s]], "rho": [%s]}' % (format_rational(n), format_rational(-n)))
+    loaded = cli._load_spec(str(spec))
+    assert loaded.rows == ((1, n),) and loaded.rho == (-n,)
+
+
+def test_solve_spec_with_4400_digit_literal(tmp_path, capsys):
+    big = 10**4399 + 7
+    spec = tmp_path / "big.json"
+    spec.write_text('{"rows": [[1, %s]]}' % Decimal(big))
+    code, out, err = run(capsys, "solve", str(spec), "--order", "4", "--format", "json")
+    assert code == 0, err
+    # f = x(1 + big*f) = x/(1 - big*x)
+    assert [int(Decimal(v)) for v in json.loads(out)["f"]] == [0, 1, big, big**2]
 
 
 def test_solve_missing_file_is_io_error(capsys):

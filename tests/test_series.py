@@ -1,5 +1,6 @@
 """Series arithmetic against independent oracles and frozen expansions."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riordan.series
+from riordan.amatrix import closed_form_f_general, perturbed_f
+from riordan.core import RiordanPair
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
     DivisionByNonUnit,
@@ -22,7 +25,6 @@ from riordan.series import (
     format_rational,
     rational,
     rational_series,
-    _powers,
     _Substitution,
 )
 
@@ -588,15 +590,9 @@ def test_equality_hash_and_views_match_fraction_tuples(a, b, k):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 16).flatmap(series_of), st.integers(1, 16), st.integers(1, 5))
-def test_powers_compose_and_revert_match_fraction_tuples(s, order, m):
+@given(st.integers(1, 16).flatmap(series_of), st.integers(1, 16))
+def test_powers_compose_and_revert_match_fraction_tuples(s, order):
     inner = PowerSeries((Fraction(0),) + s.coeffs[1:])
-    nums, d, top = _powers(inner, m)
-    want = [Fraction(1)] + [Fraction(0)] * (inner.order - 1)
-    for i in range(m):
-        assert [Fraction(c, d) for c in nums[i]] == want
-        want = schoolbook_product(want, inner.coeffs, inner.order)
-    assert list(top.coeffs) == want and _stored_in_lowest_terms(top)
     outer = PowerSeries.of(s.coeffs[::-1], order)
     got = outer.compose(inner)
     assert list(got.coeffs) == list_compose(outer.coeffs, inner.coeffs)
@@ -608,19 +604,39 @@ def test_powers_compose_and_revert_match_fraction_tuples(s, order, m):
 
 
 def test_series_arithmetic_makes_no_fraction_round_trip(monkeypatch):
-    # Once built, series multiply, divide, compose and revert on their
-    # stored ints and never clear denominators again.
+    # Once built, series multiply, divide, compose, revert and take Catalan
+    # and square roots on their stored ints: they never clear denominators
+    # again and never build the Fraction view, and neither does a pair.
     f = rational_series([0, 3, -1, -1], [2, 1], 40)
     s = PowerSeries.of([Fraction(k, 7) for k in range(1, 41)])
+    square = s * s
     calls = []
     clear = riordan.series._over_common_denominator
     monkeypatch.setattr(
-        riordan.series, "_over_common_denominator", lambda v: calls.append(1) or clear(v)
+        riordan.series, "_over_common_denominator", lambda v: calls.append(len(v)) or clear(v)
     )
-    s * f, s / (1 - f), 1 / s, s.compose(f), f.revert()
+    s * f, s / (1 - f), 1 / s, s.compose(f), f.revert(), catalan_of(f), square.sqrt()
+    pair = RiordanPair(1 / (1 - f), f)
+    pair.z
     assert calls == []
+    assert all(t._coeffs is None for t in (f, s, square, pair.g, pair.f))
+    # the closed forms clear their parameters' polynomials, not order-long lists
+    closed_form_f_general(1, "1/2", -1, 2, "3/5", 40), perturbed_f("1/3", 2, -1, 40)
+    assert calls and max(calls) <= 4
+    calls.clear()
     PowerSeries.of([1, 2])  # the constructor from Fractions does clear them
-    assert calls == [1]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_format_rational_has_no_digit_cap(rng, digits, sign):
+    # CPython 3.11+ caps str(int) at 4300 digits; the rendering has no cap
+    n = sign * rng.randrange(10 ** (digits - 1), 10**digits)
+    text = format_rational(n)
+    assert len(text) == digits + (sign < 0) and int(Decimal(text)) == n
+    p, q = format_rational(Fraction(n, abs(n) + 1)).split("/")
+    assert Fraction(int(Decimal(p)), int(Decimal(q))) == Fraction(n, abs(n) + 1)
 
 
 # -- catalan ------------------------------------------------------------------
