@@ -32,8 +32,10 @@ from .series import (
     InsufficientTerms,
     PowerSeries,
     Sequence,
+    format_rational,
     rational,
     rational_series,
+    _exact_repr,
     _quadratic_root,
     _ZERO,
     _ONE,
@@ -97,9 +99,15 @@ class AMatrixSpec:
                 raise
             raise InvalidSpec(str(exc)) from exc
 
+    def __repr__(self):
+        return (
+            f"AMatrixSpec(rows={_exact_repr(self.rows)}, rho={_exact_repr(self.rho)}, "
+            f"repeat_last_row={self.repeat_last_row})"
+        )
+
     def to_dict(self) -> dict:
         def plain(q: Fraction):
-            return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+            return q.numerator if q.denominator == 1 else format_rational(q)
 
         return {
             "rows": [[plain(v) for v in row] for row in self.rows],

@@ -48,6 +48,10 @@ EXIT_INTERNAL = 4
 MAX_ORDER = 1024
 MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
 MAX_SWEEP_ORDER = 128  # one sweep point takes 0.02-1 s at 128; Hankel bits grow quadratically past it
+# --hankel, --somos-fit and --jfraction run to depth rows - 1.  The slowest bundled spec,
+# hybrid_trees, takes 2.9 / 25 / 130 s for its minors at depth 127 / 191 / 255 and as long
+# again for its J-fraction (CPython 3.11, 2 vCPUs); the next slowest, a171416, 1.3 s at 191.
+MAX_HANKEL_DEPTH = 191
 
 
 class _CliError(Exception):
@@ -167,6 +171,10 @@ def _cmd_pipeline(args) -> int:
     order, rows = args.order, args.rows
     if args.production and rows < 2:
         raise _CliError(EXIT_USAGE, f"--production needs --rows >= 2, got {rows}")
+    if (args.hankel or args.somos_fit or args.jfraction) and rows - 1 > MAX_HANKEL_DEPTH:
+        raise _CliError(
+            EXIT_USAGE, f"Hankel analyses run to depth rows - 1, at most {MAX_HANKEL_DEPTH}; got --rows {rows}"
+        )
     # the Bell pair keeps order - 1 terms of f/x; depth rows - 1 uses 2*rows - 1
     # of them for Hankel and 2*rows for J-fractions
     needs = (

@@ -1,20 +1,22 @@
 """Exact Hankel transforms, Somos-4 parameter fitting, and J-fractions.
 
-Hankel minors and J-fraction coefficients both come from one integer
-Chebyshev recurrence over the terms on one common denominator, O(D**2) exact
-int operations for D levels, which steps across an isolated zero minor; a
-Hankel transform falls back to one Bareiss elimination per minor only past
-two consecutive zero minors, and exact_det is Bareiss.  The
-Somos-4 fitter classifies the full linear system over every available window
-instead of trusting the first two, so hidden inconsistencies surface as data
-rather than wrong answers.  All functions are pure.
+Hankel minors and J-fraction coefficients both come from one Chebyshev
+recurrence on monic rows, ints over a denominator known before each row is
+formed: one exact division a row and no gcd over its entries, with row sizes
+that follow the J-fraction rather than the minors.  It steps across an
+isolated zero minor; a Hankel transform falls back to one Bareiss
+elimination per minor only past two consecutive zero minors, and exact_det
+is Bareiss.  The Somos-4 fitter classifies the full linear system over every
+available window instead of trusting the first two, so hidden
+inconsistencies surface as data rather than wrong answers.  All functions
+are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .series import (
     InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator
@@ -54,65 +56,94 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * prev
 
 
-def _chebyshev(t: list[int]):
-    """Yield (H_k, sigma_(k,k+1)) for k = 0, 1, ... over the ints t_0..t_(L-1),
-    up to the first of two consecutive zero minors H_k = H_(k+1) = 0;
-    sigma_(k,k+1) is None where t is too short.
+def _monic_rows(t: list[int]):
+    """Yield (H_k, row_k, D_k) for k = 0, 1, ... over the ints t_0..t_(L-1),
+    up to the first of two consecutive zero minors H_k = H_(k+1) = 0.
 
-    sigma_(k,l) is det of the Hankel rows 0..k-1 of t over columns 0..k plus
-    the row (t_l, ..., t_(l+k)), so sigma_(k,k) = H_k and sigma_(0,l) = t_l:
-    the Chebyshev algorithm (Gautschi 2004, 2.1.7) with sigma_k scaled by
-    H_(k-1).  From H_(-1) = 1 and sigma_(-1,.) = 0, with every division exact,
-        c = H_(k-1) sigma_(k,k+1) - H_k sigma_(k-1,k),
-        sigma_(k+1,l) = (H_k H_(k-1) sigma_(k,l+1) - c sigma_(k,l) - H_k^2 sigma_(k-1,l)) / H_(k-1)^2.
-    At a zero H_k (with H_(k-1) != 0) the step looks ahead two levels, from
-    P_(k+2) ~ (alpha x^2 + beta x + gamma) P_k + delta P_(k-1) orthogonal to
-    x^(k-1), x^k and x^(k+1).  With g = H_(k-1), s_i = sigma_(k,k+i) and
-    u_i = sigma_(k-1,k-1+i), again with every division exact,
+    The Chebyshev algorithm (Gautschi 2004, 2.1.7) on monic rows: row k is
+    <P_k, x^(k+i)> = row_k[i] / D_k, as ints over D_k > 0, for the monic
+    orthogonal polynomials P_k of the moments t; row -1 is 0, row 0 is t over
+    1.  With C, P rows k and k - 1 and (c0, c1), (p0, p1) their heads ((1, 0)
+    for row -1), P_(k+1) = (x - b_k) P_k - lam_k P_(k-1), b_k = c1/c0 - p1/p0
+    and lam_k = (c0/D_k) / (p0/D_(k-1)), so
+        row_(k+1)[i] = (a C[i+2] - bb C[i+1] - cc P[i+2]) / nden,
+        (a, bb, cc, nden) = (c0 p0, c1 p0 - p1 c0, c0^2, D_k c0 p0) / g,
+    g = gcd(c0 p0, bb, c0^2) signed so that nden > 0, and H_k = H_(k-1) c0 / D_k.
+    H_k times row k + 1 is ints (minors of t), so row k + 1 is stored over
+    D_(k+1) = gcd(nden, H_k): one exact division by nden / D_(k+1), known
+    before the row is formed, and no gcd over the row.  On integer moments
+    with an integral J-fraction g = c0 p0: every row is over 1, no step divides.
+
+    At a zero H_k (H_(k-1) != 0) rows k - 1 and k are scaled to the minors
+    sigma_(k-1,.) = H_(k-2) <P_(k-1), x^.> and sigma_(k,.) = H_(k-1) <P_k, x^.>
+    and the step looks ahead two levels, from P_(k+2) ~ (alpha x^2 + beta x +
+    gamma) P_k + delta P_(k-1) orthogonal to x^(k-1), x^k and x^(k+1).  With
+    g = H_(k-1), s_i = sigma_(k,k+i), u_i = sigma_(k-1,k-1+i), all exact,
         sigma_(k+1,k+1+i) = -s_1 s_(i+1) / g, so H_(k+1) = -s_1^2 / g,
         sigma_(k+2,k+2+i) = -(alpha s_(i+4) + beta s_(i+3) + gamma s_(i+2) + delta u_(i+3)) / g^3,
         e = g s_2 - s_1 u_1, alpha = g s_1^2, beta = -s_1 e,
-        gamma = s_2 e + s_1^2 u_2 - g s_1 s_3, delta = -s_1^3,
-    and the plain step resumes from levels k+1 and k+2.  H_(k+1) is zero
-    exactly when s_1 is, and there the recurrence stops.
+        gamma = s_2 e + s_1^2 u_2 - g s_1 s_3, delta = -s_1^3.
+    Row k + 1 is then sigma_(k+1,.) over 1 (P_(k+1) is undefined), row k + 2
+    is sigma_(k+2,.) over H_(k+1) (its sign moved into the row), and the
+    monic step resumes; H_(k+1) = 0 exactly when s_1 = 0, and there it stops.
     """
-    h_prev, prev = 1, [0] * len(t)  # H_(k-1) and sigma_(k-1, k-1+i) at index i
-    cur = list(t)  # sigma_(k, k+i) at index i
+    h_prev, d = 1, 1  # H_(k-1), D_k
+    h2, dp = 1, 1  # H_(k-2), D_(k-1): row k - 1 times h2 // dp is sigma_(k-1,.)
+    prev, p0, p1 = [0] * len(t), 1, 0  # row k - 1 and its head
+    cur = t
     while True:
-        h = cur[0]
-        yield h, cur[1] if len(cur) > 1 else None
+        c0 = cur[0]
+        h = h_prev * c0 // d
+        yield h, cur, d
         if len(cur) < 3:
             return
-        if h:
-            c = h_prev * cur[1] - h * prev[1]
-            a, b, q = h * h_prev, h * h, h_prev * h_prev
-            prev, cur = cur, [(a * cur[i + 2] - c * cur[i + 1] - b * prev[i + 2]) // q for i in range(len(cur) - 2)]
-            h_prev = h
+        if c0:
+            c1 = cur[1]
+            a, bb, cc = c0 * p0, c1 * p0 - p1 * c0, c0 * c0
+            g = gcd(a, bb, cc)
+            if a < 0:
+                g = -g
+            if g != 1:
+                a, bb, cc = a // g, bb // g, cc // g
+            nden = d * a
+            dn = gcd(nden, h)
+            q = nden // dn
+            terms = zip(cur[2:], cur[1:], prev[2:])
+            if q == 1:
+                row = [a * x - bb * y - cc * z for x, y, z in terms]
+            else:
+                row = [(a * x - bb * y - cc * z) // q for x, y, z in terms]
+            prev, cur, p0, p1 = cur, row, c0, c1
+            h2, dp, h_prev, d = h_prev, d, h, dn
             continue
-        g, s, u = h_prev, cur, prev
-        if s[1] == 0:
+        if cur[1] == 0:
             return
+        g, us = h_prev, h2 // dp
+        s = [v * (g // d) for v in cur]
+        u = [v * us for v in prev]
         prev = [-s[1] * v // g for v in s[1:-1]]
         h_prev = prev[0]
-        yield h_prev, prev[1] if len(prev) > 1 else None
+        yield h_prev, prev, 1
         if len(s) < 5:
             return
         e = g * s[2] - s[1] * u[1]
         alpha, beta, delta = g * s[1] * s[1], -s[1] * e, -s[1] ** 3
         gamma = s[2] * e + s[1] * s[1] * u[2] - g * s[1] * s[3]
-        q = g**3
+        q = abs(g) ** 3  # sign(H_(k+1)) = -sign(g)
         cur = [
-            -(alpha * s[i + 4] + beta * s[i + 3] + gamma * s[i + 2] + delta * u[i + 3]) // q
+            (alpha * s[i + 4] + beta * s[i + 3] + gamma * s[i + 2] + delta * u[i + 3]) // q
             for i in range(len(s) - 4)
         ]
+        p0, p1 = prev[0], prev[1]
+        h2, dp, d = 1, 1, abs(h_prev)
 
 
 def _minors(t, max_n: int) -> list[int]:
     """The leading Hankel minors H_0..H_max_n of the ints t_0..t_(2 max_n), from
-    the Chebyshev recurrence (_chebyshev), with one Bareiss elimination per
-    minor past two consecutive zero minors, where the recurrence stops."""
+    the monic Chebyshev recurrence (_monic_rows), with one Bareiss elimination
+    per minor past two consecutive zero minors, where the recurrence stops."""
     t = list(t[: 2 * max_n + 1])
-    minors = [h for h, _ in _chebyshev(t)]
+    minors = [h for h, _, _ in _monic_rows(t)]
     for n in range(len(minors), max_n + 1):
         minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)]))
     return minors
@@ -137,10 +168,10 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
     The 2*max_n + 1 terms are put over one common denominator d, and the
-    integer minors (_minors) give every h_n = H_n / d**(n+1) in O(max_n**2)
-    int operations.  The recurrence steps across an isolated zero minor;
-    only past two consecutive zero minors, where it stops, does each later
-    h_n eliminate its own block (Bareiss).
+    integer minors (_minors) give every h_n = H_n / d**(n+1) from the monic
+    Chebyshev rows, max_n levels of one row step each.  The recurrence steps
+    across an isolated zero minor; only past two consecutive zero minors,
+    where it stops, does each later h_n eliminate its own block (Bareiss).
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -260,13 +291,14 @@ class JFraction:
 
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
-    """Extract depth + 1 b-coefficients and depth lambdas from the integer
-    Chebyshev recurrence (_chebyshev) on the moments over one common
-    denominator, in O(depth**2) int operations; stops early (terminated=True)
-    when a lambda vanishes.  With H_(-2) = H_(-1) = 1 and sigma_(-1,0) = 0,
+    """Extract depth + 1 b-coefficients and depth lambdas from the monic
+    Chebyshev recurrence (_monic_rows) on the moments over one common
+    denominator; stops early (terminated=True) when a lambda vanishes.  With
+    (c0, c1) the head of row k over D_k and (p0, p1) that of row k - 1 over
+    D_(k-1), and (1, 0) over 1 for row -1,
 
-        lam_k = H_k H_(k-2) / H_(k-1)^2,
-        b_k = sigma_(k,k+1) / H_k - sigma_(k-1,k) / H_(k-1).
+        b_k = c1/c0 - p1/p0,
+        lam_k = (c0/D_k) / (p0/D_(k-1)) = H_k H_(k-2) / H_(k-1)^2.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -277,16 +309,16 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
     bs: list[Fraction] = []
     lams: list[Fraction] = []
-    h1 = h2 = 1  # H_(k-1), H_(k-2)
-    s1 = 0  # sigma_(k-1,k)
+    p0, p1, dp = 1, 0, 1
     t, _ = _over_common_denominator(s.terms[:need])
-    for h, sk in _chebyshev(t):
+    for _, row, d in _monic_rows(t):
+        c0, c1 = row[0], row[1]
         if bs:
-            lams.append(Fraction(h * h2, h1 * h1))
-            if h == 0:
+            lams.append(Fraction(c0 * dp, d * p0))
+            if c0 == 0:
                 return JFraction(tuple(bs), tuple(lams), terminated=True)
-        bs.append(Fraction(h1 * sk - h * s1, h * h1))
-        h2, h1, s1 = h1, h, sk
+        bs.append(Fraction(c1 * p0 - p1 * c0, c0 * p0))
+        p0, p1, dp = c0, c1, d
     return JFraction(tuple(bs), tuple(lams), terminated=False)
 
 

@@ -28,6 +28,7 @@ function, so series can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -75,8 +76,17 @@ def rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        m = _P_OVER_Q.fullmatch(value)
+        if m is None:
+            return Fraction(value)  # decimal and exponent forms
+        p, q = (int(Decimal(s)) for s in m.groups("1"))  # no digit cap, unlike int(s)
+        if q == 0:
+            raise ZeroDivisionError(f"zero denominator in {value.strip()[:40]!r}")
+        return Fraction(p, q)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+_P_OVER_Q = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
 
 def integer_values(values, what: str) -> list[int]:
@@ -95,6 +105,17 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(Decimal(value.numerator))
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def _exact_repr(value) -> str:
+    """repr of a value whose Fractions, also inside (nested) tuples, may
+    exceed CPython's cap on int-to-str digits."""
+    if isinstance(value, tuple):
+        items = ", ".join(map(_exact_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    if isinstance(value, Fraction):
+        return f"Fraction({Decimal(value.numerator)}, {Decimal(value.denominator)})"
+    return repr(value)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -212,7 +233,7 @@ class PowerSeries:
         return hash((self.coeffs,))
 
     def __repr__(self):
-        return f"PowerSeries(coeffs={self.coeffs!r})"
+        return f"PowerSeries(coeffs={_exact_repr(self.coeffs)})"
 
     # -- construction --------------------------------------------------
 
@@ -224,14 +245,12 @@ class PowerSeries:
         polynomial (exactly known at every order); ``order`` below the
         value count trims the tail instead.
         """
-        vals = [rational(v) for v in values]
+        vals = [v if type(v) is int else rational(v) for v in values]  # an int needs no Fraction
         if order is not None:
             if order < 1:
                 raise SeriesError("order must be positive")
-            vals = vals[:order] + [_ZERO] * (order - len(vals))
-        if not vals:
-            vals = [_ZERO]
-        return cls(tuple(vals))
+            vals = vals[:order] + [0] * (order - len(vals))
+        return cls._ints(*_over_common_denominator(vals or [0]))
 
     @classmethod
     def zero(cls, order: int) -> PowerSeries:
@@ -460,15 +479,15 @@ def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
     """
     if order < 1:
         raise SeriesError("order must be positive")
-    rows, d = _over_lcm([lead, den, q])
-    lead_, den_, q_ = (r[:order] + [0] * (order - len(r)) for r in rows)
+    (lead_, den_, q_), d = _over_lcm([lead, den, q])
+    lead_ = lead_[:order] + [0] * (order - len(lead_))
     scale = [d ** (2 * n) for n in range(order)]
-    den_terms = [(k, den_[k] * scale[k] // d) for k in range(1, order) if den_[k]]
-    q_terms = [(k, q_[k] * scale[k - 1]) for k in range(1, order) if q_[k]]
+    # E_k D**(2k-1) and K_k D**(2k-2) at index k - 1, dotted with the reversed Phi and S so far
+    es = [c * s // d for c, s in zip(den_[1:order], scale[1:])]
+    ks = [c * s for c, s in zip(q_[1:order], scale)]
     phi, sq = [], []
     for n in range(order):
-        t = lead_[n] * scale[n] - sum(e * phi[n - k] for k, e in den_terms if k <= n)
-        phi.append(t + sum(v * sq[n - k] for k, v in q_terms if k <= n))
+        phi.append(lead_[n] * scale[n] - sum(map(mul, es, reversed(phi))) + sum(map(mul, ks, reversed(sq))))
         sq.append(sum(map(mul, phi, reversed(phi))))
     return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
 
@@ -498,6 +517,9 @@ class Sequence:
             object.__setattr__(self, "terms", tuple(self.terms))
         if len(self.terms) == 0:
             raise ValueError("a sequence needs at least one term")
+
+    def __repr__(self):
+        return f"Sequence(terms={_exact_repr(self.terms)}, offset={self.offset})"
 
     @classmethod
     def of(cls, values, offset: int = 0) -> Sequence:

@@ -333,9 +333,10 @@ COUNTEREXAMPLE = "counterexample"
 def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int | None]:
     """Evaluate the conjecture at one parameter tuple.
 
-    Returns (status, failing_window).  Tuples with conjectured alpha = 0 or
-    with fewer than two usable Hankel windows are degenerate; otherwise the
-    product-form relation is checked at every window of the transform.
+    Returns (status, failing_window).  Tuples with conjectured alpha = 0
+    are degenerate before any series or minor is formed, and so are tuples
+    with fewer than two usable Hankel windows; otherwise the product-form
+    relation is checked at every window of the transform.
 
     The windows run on the int minors H_n of the closed form's numerators
     over its denominator D (_minors), never on a Fraction view: the Hankel
@@ -345,14 +346,15 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
-    fx = closed_form_f_general(a, b, c, d, rho0, order)
-    h = _minors(fx._nums, (order - 1) // 2)
     if rho0 == 0:
         alpha, beta = conjectured_somos_rho0(a, b, c, d)
     else:
         alpha, beta = conjectured_somos_rho_delta(a, b, c, d)
-    windows = list(_somos_windows(h))
-    if alpha == 0 or sum(1 for _, p, q, r in windows if p or q or r) < 2:
+    if alpha == 0:
+        return DEGENERATE, None
+    fx = closed_form_f_general(a, b, c, d, rho0, order)
+    windows = list(_somos_windows(_minors(fx._nums, (order - 1) // 2)))
+    if sum(1 for _, p, q, r in windows if p or q or r) < 2:
         return DEGENERATE, None
     failing = next((n for n, p, q, r in windows if alpha * p + beta * q != r), None)
     return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
@@ -443,7 +445,7 @@ def load_bfile(path) -> Sequence:
                 raise MalformedLine(f"line {lineno}: expected 'index value', got {line!r}")
             try:
                 idx = int(parts[0])
-                val = Fraction(parts[1])
+                val = rational(parts[1])  # no digit cap
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedLine(f"line {lineno}: {exc}") from exc
             if first is None:

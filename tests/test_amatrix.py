@@ -1,5 +1,6 @@
 """Coefficient-array solving, direct triangles, closed forms, substitution."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -105,6 +106,21 @@ def test_spec_json_roundtrip():
     assert spec.repeat_last_row
     again = AMatrixSpec.from_dict(spec.to_dict())
     assert again == spec
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spec_dict_and_repr_have_no_digit_cap(digits, sign):
+    # CPython 3.11+ caps str(int) and int(str) at 4300 digits; a spec has no cap
+    n = sign * (10**digits + 1)
+    spec = AMatrixSpec.of([[1, Fraction(1, n)]], [Fraction(n, 2)])
+    again = AMatrixSpec.from_dict(spec.to_dict())
+    assert again == spec
+    assert spec.to_dict()["rho"] == [f"{Decimal(n)}/2"]
+    assert repr(spec) == (
+        f"AMatrixSpec(rows=((Fraction(1, 1), Fraction({sign}, {Decimal(abs(n))})),), "
+        f"rho=(Fraction({Decimal(n)}, 2),), repeat_last_row=False)"
+    )
 
 
 def test_spec_json_rejects_garbage():

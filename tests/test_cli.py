@@ -74,6 +74,26 @@ def test_solve_spec_with_4400_digit_literal(tmp_path, capsys):
     assert [int(Decimal(v)) for v in json.loads(out)["f"]] == [0, 1, big, big**2]
 
 
+def test_solve_spec_with_4401_digit_string_scalar(tmp_path, capsys):
+    big = 10**4400
+    spec = tmp_path / "big.json"
+    spec.write_text('{"rows": [[1, "1/%s"]]}' % Decimal(big))
+    code, out, err = run(capsys, "solve", str(spec), "--order", "4", "--format", "json")
+    assert code == 0, err
+    # f = x(1 + f/big) = x/(1 - x/big)
+    assert json.loads(out)["f"] == ["0", "1", f"1/{Decimal(big)}", f"1/{Decimal(big**2)}"]
+
+
+def test_pipeline_bfile_with_4400_digit_term(tmp_path, capsys):
+    big = 10**4399 + 7
+    spec, bfile = tmp_path / "big.json", tmp_path / "b.txt"
+    spec.write_text('{"rows": [[1, %s]]}' % Decimal(big))
+    bfile.write_text(f"0 1\n1 {Decimal(big)}\n")
+    code, out, err = run(capsys, "pipeline", str(spec), "--bfile", str(bfile), "--order", "4", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["bfile"] == {"path": str(bfile), "compared": 2, "match": True}
+
+
 def test_solve_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "solve", "no-such-file.json")
     assert code == 3
@@ -408,6 +428,28 @@ def test_verify_sweep_order_is_capped(capsys):
         assert err == f"error: sweep --order must be at most 128, got {order}\n"
     code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--range", "0..0", "--order", "128")
     assert code == 0 and out.endswith("counterexamples of 1\n")
+
+
+def test_pipeline_hankel_depth_is_capped(capsys):
+    assert cli.MAX_HANKEL_DEPTH == 191
+    spec = str(SPECS / "perturbed_moments.json")
+    for flag in ("--hankel", "--somos-fit", "--jfraction"):
+        code, out, err = run(capsys, "pipeline", spec, flag, "--rows", "193", "--order", "400")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Hankel analyses run to depth rows - 1, at most 191; got --rows 193\n"
+    # depth 191 runs; perturbed_moments has h_n = 38^(n(n+1)/2) and lambda_k = 38
+    code, out, err = run(
+        capsys, "pipeline", spec, "--hankel", "--somos-fit", "--jfraction", "--rows", "192", "--order", "385",
+        "--format", "json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert len(payload["hankel"]) == 192 and payload["hankel"][-1] == format_rational(38 ** (191 * 192 // 2))
+    assert payload["jfraction"]["lambda"] == ["38"] * 191
+    # the cap binds the Hankel analyses only
+    code, _, err = run(capsys, "pipeline", spec, "--aseq", "--rows", "300", "--order", "64")
+    assert code == 0, err
 
 
 def test_verify_sweep_rejects_malformed_range(capsys):

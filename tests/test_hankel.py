@@ -1,13 +1,16 @@
 """Determinants, Hankel transforms, Somos-4 fitting, J-fractions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from riordan.series import PowerSeries, Sequence, catalan, rational, rational_series, _ZERO
+from riordan.series import (
+    PowerSeries, Sequence, catalan, rational, rational_series, _ZERO, _over_common_denominator
+)
 from riordan import hankel
-from riordan.amatrix import AMatrixSpec, solve_f
+from riordan.amatrix import AMatrixSpec, closed_form_f_general, solve_f
 from riordan.hankel import (
     FAMILY,
     INCONSISTENT,
@@ -24,7 +27,7 @@ from riordan.hankel import (
     somos_verify,
 )
 
-from conftest import random_fraction, random_nonzero_fraction
+from conftest import random_fraction, random_nonzero_fraction, small_fraction
 
 
 def cofactor_det(m):
@@ -111,6 +114,60 @@ def per_minor_hankel(terms, max_n):
         exact_det([[terms[i + j] for j in range(n + 1)] for i in range(n + 1)])
         for n in range(max_n + 1)
     ]
+
+
+def scaled_chebyshev(t):
+    """Oracle: the Chebyshev recurrence on H_(k-1)-scaled int rows, the route
+    hankel._monic_rows replaced.  Yields (H_k, sigma_(k,k+1)) for k = 0, 1, ...
+    over the ints t_0..t_(L-1), up to the first of two consecutive zero minors
+    H_k = H_(k+1) = 0; sigma_(k,k+1) is None where t is too short.
+
+    sigma_(k,l) is det of the Hankel rows 0..k-1 of t over columns 0..k plus
+    the row (t_l, ..., t_(l+k)), so sigma_(k,k) = H_k and sigma_(0,l) = t_l.
+    From H_(-1) = 1 and sigma_(-1,.) = 0, with every division exact,
+        c = H_(k-1) sigma_(k,k+1) - H_k sigma_(k-1,k),
+        sigma_(k+1,l) = (H_k H_(k-1) sigma_(k,l+1) - c sigma_(k,l) - H_k^2 sigma_(k-1,l)) / H_(k-1)^2,
+    and at a zero H_k the two-level look-ahead of hankel._monic_rows.
+    """
+    h_prev, prev = 1, [0] * len(t)  # H_(k-1) and sigma_(k-1, k-1+i) at index i
+    cur = list(t)  # sigma_(k, k+i) at index i
+    while True:
+        h = cur[0]
+        yield h, cur[1] if len(cur) > 1 else None
+        if len(cur) < 3:
+            return
+        if h:
+            c = h_prev * cur[1] - h * prev[1]
+            a, b, q = h * h_prev, h * h, h_prev * h_prev
+            prev, cur = cur, [(a * cur[i + 2] - c * cur[i + 1] - b * prev[i + 2]) // q for i in range(len(cur) - 2)]
+            h_prev = h
+            continue
+        g, s, u = h_prev, cur, prev
+        if s[1] == 0:
+            return
+        prev = [-s[1] * v // g for v in s[1:-1]]
+        h_prev = prev[0]
+        yield h_prev, prev[1] if len(prev) > 1 else None
+        if len(s) < 5:
+            return
+        e = g * s[2] - s[1] * u[1]
+        alpha, beta, delta = g * s[1] * s[1], -s[1] * e, -s[1] ** 3
+        gamma = s[2] * e + s[1] * s[1] * u[2] - g * s[1] * s[3]
+        q = g**3
+        cur = [
+            -(alpha * s[i + 4] + beta * s[i + 3] + gamma * s[i + 2] + delta * u[i + 3]) // q
+            for i in range(len(s) - 4)
+        ]
+
+
+def scaled_minors(t, max_n):
+    """Oracle: H_0..H_max_n of the ints t from scaled_chebyshev, with one
+    Bareiss elimination per minor past two consecutive zero minors."""
+    t = list(t[: 2 * max_n + 1])
+    minors = [h for h, _ in scaled_chebyshev(t)]
+    for n in range(len(minors), max_n + 1):
+        minors.append(hankel._bareiss([t[i : i + n + 1] for i in range(n + 1)]))
+    return minors
 
 
 hankel_term = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
@@ -278,6 +335,100 @@ def test_hankel_ignores_extra_terms(rng):
     h1 = hankel_transform(Sequence.of(base), 4)
     h2 = hankel_transform(Sequence.of(base + [rng.randint(-5, 5) for _ in range(4)]), 4)
     assert h1.terms == h2.terms
+
+
+def cleared(terms) -> list[int]:
+    """The exact terms as ints over their common denominator."""
+    return _over_common_denominator([rational(v) for v in terms])[0]
+
+
+@st.composite
+def jfraction_coefficients(draw, min_depth=0, max_depth=16):
+    """(b, lam) of a depth-d J-fraction with nonzero lambdas: small ints, small
+    p/q, or lambdas as wide as the Hankel minors they build (lam_k up to
+    2**(8k) bits), the kind whose monic rows do not stay small."""
+    depth = draw(st.integers(min_depth, max_depth))
+    kind = draw(st.sampled_from(["int", "p/q", "wide"]))
+    if kind == "int":
+        b_term, lam_terms = st.integers(-3, 3), [st.sampled_from([-3, -2, -1, 1, 2, 3])] * depth
+    elif kind == "p/q":
+        b_term, lam_terms = small_fraction, [small_fraction.filter(bool)] * depth
+    else:
+        b_term = st.integers(-(2**64), 2**64)
+        lam_terms = [st.integers(1, 2 ** (8 * k)).map(lambda v: v * (-1) ** v) for k in range(1, depth + 1)]
+    b = draw(st.lists(b_term, min_size=depth + 1, max_size=depth + 1))
+    lam = [draw(term) for term in lam_terms]
+    return JFraction(tuple(map(Fraction, b)), tuple(map(Fraction, lam)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(jfraction_coefficients(), st.sampled_from([1, -2, Fraction(3, 5)]))
+def test_monic_minors_match_scaled_oracle_on_jfraction_moments(jf, lead):
+    """Moments of a J-fraction with small or H-sized lambdas: the monic rows
+    give the minors of the scaled int recurrence and Heilermann's product
+    h_n = lead^(n+1) prod_(i<=n) lam_i^(n+1-i)."""
+    depth = len(jf.lam)
+    terms = [lead * c for c in jfraction_series(jf, 2 * depth + 1).coeffs]
+    t = cleared(terms)
+    assert hankel._minors(t, depth) == scaled_minors(t, depth)
+    want, p, h = [], Fraction(1), Fraction(1)
+    for n in range(depth + 1):
+        if n:
+            p *= jf.lam[n - 1]
+        h *= p
+        want.append(h * lead ** (n + 1))
+    assert list(hankel_transform(Sequence(tuple(terms)), depth).terms) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(hankel_cases(0, 16))
+def test_monic_minors_match_scaled_oracle_on_random_moments(case):
+    """Random int, p/q and zero-heavy terms, whose lambdas are H-sized."""
+    terms, depth = case
+    t = cleared(terms)
+    assert hankel._minors(t, depth) == scaled_minors(t, depth)
+
+
+@pytest.mark.parametrize("order, count", [(32, 60), (128, 8)])
+def test_monic_minors_match_scaled_oracle_on_somos_closed_forms(order, count):
+    """The minors the conjecture sweep reads: closed forms of seeded [-4..4]^4 points."""
+    rng = random.Random(order)
+    for _ in range(count):
+        params = [rng.randint(-4, 4) for _ in range(4)]
+        t = closed_form_f_general(*params, rng.randint(0, 1), order)._nums
+        assert hankel._minors(t, (order - 1) // 2) == scaled_minors(t, (order - 1) // 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hankel_cases(1, 16), st.data())
+def test_monic_minors_match_scaled_oracle_past_zero_minors(case, data):
+    """One zero minor (the look-ahead) or two in a row (Bareiss past them)."""
+    terms, depth = case
+    k = data.draw(st.integers(0, depth - 1))
+    terms = data.draw(st.sampled_from([with_zero_minor, with_two_zero_minors]))(terms, k)
+    assume(terms is not None)
+    t = cleared(terms)
+    got = hankel._minors(t, depth)
+    assert got == scaled_minors(t, depth)
+    assert got[k] == 0
+
+
+def test_integral_jfraction_rows_stay_over_one(rng):
+    """Integer moments with an integral J-fraction: every row is ints over
+    D_k = 1 (so no step divides), and the rows are <P_k, x^l>."""
+    for depth in (1, 8, 32):
+        for _ in range(6):
+            b = tuple(Fraction(rng.randint(-5, 5)) for _ in range(depth + 1))
+            lam = tuple(Fraction(rng.choice([-5, -3, -1, 1, 2, 4])) for _ in range(depth))
+            t = [int(v) for v in jfraction_series(JFraction(b, lam), 2 * depth + 1).coeffs]
+            levels = list(hankel._monic_rows(t))
+            assert len(levels) == depth + 1
+            assert all(d == 1 for _, _, d in levels)
+            # <P_k, x^k> = lam_1 ... lam_k, and <P_(k+1), x^(k+1)> / <P_k, x^k> = lam_(k+1)
+            norm = 1
+            for k, (_, row, _) in enumerate(levels):
+                norm *= lam[k - 1] if k else 1
+                assert row[0] == norm
 
 
 # -- Somos fitting ----------------------------------------------------------------
@@ -489,11 +640,11 @@ moment = st.one_of(
 
 
 @st.composite
-def jfraction_moments(draw):
+def jfraction_moments(draw, min_depth=0, max_depth=12):
     """(terms, depth): zero-heavy or random moments, or the moments of a
     J-fraction whose lambda_k vanishes at a drawn level k (then the tail
     after term 2k is redrawn, which leaves that lambda zero)."""
-    depth = draw(st.integers(0, 12))
+    depth = draw(st.integers(min_depth, max_depth))
     need = 2 * depth + 2
     lead = draw(moment.filter(bool))
     if depth == 0 or draw(st.booleans()):
@@ -562,3 +713,48 @@ def test_jfraction_stops_at_the_first_vanishing_lambda(rng):
         got = jfraction(Sequence(terms), 12)
         assert got == JFraction(b[:level], tuple(lam[:level]), terminated=True)
         assert got == inversion_jfraction(terms, 12)
+
+
+def scaled_jfraction(s: Sequence, depth: int) -> JFraction:
+    """Oracle: the J-fraction read off scaled_chebyshev, the route before
+    monic rows.  With H_(-2) = H_(-1) = 1 and sigma_(-1,0) = 0,
+
+        lam_k = H_k H_(k-2) / H_(k-1)^2,
+        b_k = sigma_(k,k+1) / H_k - sigma_(k-1,k) / H_(k-1).
+    """
+    bs: list[Fraction] = []
+    lams: list[Fraction] = []
+    h1 = h2 = 1  # H_(k-1), H_(k-2)
+    s1 = 0  # sigma_(k-1,k)
+    t, _ = _over_common_denominator(s.terms[: 2 * depth + 2])
+    for h, sk in scaled_chebyshev(t):
+        if bs:
+            lams.append(Fraction(h * h2, h1 * h1))
+            if h == 0:
+                return JFraction(tuple(bs), tuple(lams), terminated=True)
+        bs.append(Fraction(h1 * sk - h * s1, h * h1))
+        h2, h1, s1 = h1, h, sk
+    return JFraction(tuple(bs), tuple(lams), terminated=False)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 24])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jfraction_matches_scaled_oracle(depth, data):
+    """Random, zero-heavy and terminating moments (a lambda forced to 0) at a
+    fixed depth: the same b, lambda and terminated flag as the scaled route."""
+    terms, _ = data.draw(jfraction_moments(depth, depth))
+    got = jfraction(Sequence(tuple(terms)), depth)
+    assert got == scaled_jfraction(Sequence(tuple(terms)), depth)
+    assert all(type(v) is Fraction for v in got.b + got.lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jfraction_coefficients(0, 24), st.sampled_from([1, -3, Fraction(2, 7)]))
+def test_jfraction_recovers_its_coefficients(jf, lead):
+    """The J-fraction of the moments of (b, lam), small or H-sized, is (b, lam)."""
+    depth = len(jf.lam)
+    terms = [lead * c for c in jfraction_series(jf, 2 * depth + 2).coeffs]
+    got = jfraction(Sequence(tuple(terms)), depth)
+    assert got == jf
+    assert got == scaled_jfraction(Sequence(tuple(terms)), depth)

@@ -639,6 +639,30 @@ def test_format_rational_has_no_digit_cap(rng, digits, sign):
     assert Fraction(int(Decimal(p)), int(Decimal(q))) == Fraction(n, abs(n) + 1)
 
 
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rational_strings_have_no_digit_cap(rng, digits, sign):
+    # CPython 3.11+ caps int(str) at 4300 digits; "p/q" scalars have no cap
+    n = sign * rng.randrange(10 ** (digits - 1), 10**digits)
+    q = rng.randrange(10 ** (digits - 1), 10**digits)
+    assert rational(format_rational(n)) == n
+    assert rational(f" {Decimal(n)}/{Decimal(q)} ") == Fraction(n, q)
+    assert rational(f"1/{Decimal(q)}") == Fraction(1, q)
+    with pytest.raises(ZeroDivisionError):
+        rational(f"{Decimal(n)}/0")
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reprs_have_no_digit_cap(digits, sign):
+    # CPython 3.11+ caps str(int) at 4300 digits; Fraction's repr has the cap
+    n = sign * (10**digits - 1)
+    q = Fraction(1, n)
+    want = f"Fraction({Decimal(q.numerator)}, {Decimal(q.denominator)})"
+    assert repr(PowerSeries.of([n, q])) == f"PowerSeries(coeffs=(Fraction({Decimal(n)}, 1), {want}))"
+    assert repr(Sequence.of([q], 2)) == f"Sequence(terms=({want},), offset=2)"
+
+
 # -- catalan ------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pathlib
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,16 @@ def test_load_bfile_nonzero_offset(tmp_path):
     p.write_text("3 10\n4 20\n")
     seq = load_bfile(p)
     assert seq.offset == 3 and seq.integers() == [10, 20]
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_load_bfile_has_no_digit_cap(tmp_path, digits, sign):
+    # CPython 3.11+ caps int(str) at 4300 digits; b-file values have no cap
+    n = sign * (10**digits - 7)
+    p = tmp_path / "b.txt"
+    p.write_text(f"0 1\n1 {Decimal(n)}\n2 {Decimal(n)}/3\n")
+    assert load_bfile(p).terms == (1, n, Fraction(n, 3))
 
 
 def test_load_bfile_rejects_gaps(tmp_path):
