@@ -65,6 +65,8 @@ class AMatrixSpec:
     repeat_last_row: bool = False
     _rho_row: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
+    __repr__ = _exact_repr
+
     def __post_init__(self):
         rows = tuple(tuple(rational(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
@@ -98,12 +100,6 @@ class AMatrixSpec:
             if isinstance(exc, InvalidSpec):
                 raise
             raise InvalidSpec(str(exc)) from exc
-
-    def __repr__(self):
-        return (
-            f"AMatrixSpec(rows={_exact_repr(self.rows)}, rho={_exact_repr(self.rho)}, "
-            f"repeat_last_row={self.repeat_last_row})"
-        )
 
     def to_dict(self) -> dict:
         def plain(q: Fraction):

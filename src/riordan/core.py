@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _Substitution, _ZERO
+from .series import (
+    InsufficientTerms, PowerSeries, Sequence, integer_values, rational, _exact_repr, _Substitution, _ZERO
+)
 
 InsufficientOrder = InsufficientTerms  # one exception; both names are public
 
@@ -91,6 +93,8 @@ class LowerTriangle:
 
     rows: tuple[tuple[Fraction, ...], ...]
 
+    __repr__ = _exact_repr
+
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
@@ -131,6 +135,8 @@ class ProductionData:
     matrix: tuple[tuple[Fraction, ...], ...]
     z: Sequence
     a: Sequence
+
+    __repr__ = _exact_repr
 
     def integer_rows(self) -> list[list[int]]:
         return [integer_values(row, "entry") for row in self.matrix]

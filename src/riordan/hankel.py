@@ -3,23 +3,23 @@
 Hankel minors and J-fraction coefficients both come from one Chebyshev
 recurrence on monic rows, ints over a denominator known before each row is
 formed: one exact division a row and no gcd over its entries, with row sizes
-that follow the J-fraction rather than the minors.  It steps across an
-isolated zero minor; a Hankel transform falls back to one Bareiss
-elimination per minor only past two consecutive zero minors, and exact_det
-is Bareiss.  The Somos-4 fitter classifies the full linear system over every
-available window instead of trusting the first two, so hidden
-inconsistencies surface as data rather than wrong answers.  All functions
-are pure.
+that follow the J-fraction rather than the minors.  A block step carries it
+across every run of zero minors; exact_det is Bareiss.  The Somos-4 fitter
+classifies the full linear system over every available window instead of
+trusting the first two, so hidden inconsistencies surface as data rather
+than wrong answers.  All functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
+from operator import mul
 
 from .series import (
-    InsufficientTerms, PowerSeries, Sequence, rational, _over_common_denominator
+    InsufficientTerms, PowerSeries, Sequence, rational, _exact_repr, _over_common_denominator
 )
 
 UNIQUE = "Unique"
@@ -57,39 +57,34 @@ def _bareiss(m: list[list[int]]) -> int:
 
 
 def _monic_rows(t: list[int]):
-    """Yield (H_k, row_k, D_k) for k = 0, 1, ... over the ints t_0..t_(L-1),
-    up to the first of two consecutive zero minors H_k = H_(k+1) = 0.
+    """Yield (H_k, row_k, D_k) for k = 0, 1, ... over the ints t_0..t_(L-1).
 
-    The Chebyshev algorithm (Gautschi 2004, 2.1.7) on monic rows: row k is
-    <P_k, x^(k+i)> = row_k[i] / D_k, as ints over D_k > 0, for the monic
-    orthogonal polynomials P_k of the moments t; row -1 is 0, row 0 is t over
-    1.  With C, P rows k and k - 1 and (c0, c1), (p0, p1) their heads ((1, 0)
-    for row -1), P_(k+1) = (x - b_k) P_k - lam_k P_(k-1), b_k = c1/c0 - p1/p0
-    and lam_k = (c0/D_k) / (p0/D_(k-1)), so
-        row_(k+1)[i] = (a C[i+2] - bb C[i+1] - cc P[i+2]) / nden,
-        (a, bb, cc, nden) = (c0 p0, c1 p0 - p1 c0, c0^2, D_k c0 p0) / g,
-    g = gcd(c0 p0, bb, c0^2) signed so that nden > 0, and H_k = H_(k-1) c0 / D_k.
-    H_k times row k + 1 is ints (minors of t), so row k + 1 is stored over
-    D_(k+1) = gcd(nden, H_k): one exact division by nden / D_(k+1), known
-    before the row is formed, and no gcd over the row.  On integer moments
-    with an integral J-fraction g = c0 p0: every row is over 1, no step divides.
+    The Chebyshev algorithm (Gautschi 2004, 2.1.7) on monic rows, with the
+    block step of formal orthogonal polynomials (Draux 1983) across zero
+    minors.  Row K is <P_K, x^(K+i)> = r_i / D_K, ints over D_K > 0, for the
+    monic orthogonal polynomial P_K (H_(K-1) != 0); row 0 is t over 1.  The
+    previous row v is read from x^(K-1), row -1 as (1, 0, 0, ...).  With
+    r_(j-1) the first nonzero entry of r, H_K .. H_(K+j-2) = 0 and
+        H_(K+j-1) = (-1)^(j(j-1)/2) H_(K-1) r_(j-1)^j / D_K^j,
+    and P_(K+j) = q(x) P_K + c P_(K-1), q monic of degree j, gives row K + j
+    as ints over nden.  H_(K+j-1) times that row is ints, so it is stored
+    over D_(K+j) = gcd(nden, H_(K+j-1)): one exact division, known before
+    the row is formed, and no gcd over the row.  v becomes r[j-1:].
 
-    At a zero H_k (H_(k-1) != 0) rows k - 1 and k are scaled to the minors
-    sigma_(k-1,.) = H_(k-2) <P_(k-1), x^.> and sigma_(k,.) = H_(k-1) <P_k, x^.>
-    and the step looks ahead two levels, from P_(k+2) ~ (alpha x^2 + beta x +
-    gamma) P_k + delta P_(k-1) orthogonal to x^(k-1), x^k and x^(k+1).  With
-    g = H_(k-1), s_i = sigma_(k,k+i), u_i = sigma_(k-1,k-1+i), all exact,
-        sigma_(k+1,k+1+i) = -s_1 s_(i+1) / g, so H_(k+1) = -s_1^2 / g,
-        sigma_(k+2,k+2+i) = -(alpha s_(i+4) + beta s_(i+3) + gamma s_(i+2) + delta u_(i+3)) / g^3,
-        e = g s_2 - s_1 u_1, alpha = g s_1^2, beta = -s_1 e,
-        gamma = s_2 e + s_1^2 u_2 - g s_1 s_3, delta = -s_1^3.
-    Row k + 1 is then sigma_(k+1,.) over 1 (P_(k+1) is undefined), row k + 2
-    is sigma_(k+2,.) over H_(k+1) (its sign moved into the row), and the
-    monic step resumes; H_(k+1) = 0 exactly when s_1 = 0, and there it stops.
+    j = 1 is the three-term step: with (c0, c1), (p0, p1) the heads of r, v,
+        row_(K+1)[i] = (a r_(i+2) - bb r_(i+1) - cc v_(i+2)) / nden,
+        (a, bb, cc, nden) = (c0 p0, c1 p0 - p1 c0, c0^2, D_K c0 p0) / g,
+    g = gcd(c0 p0, bb, c0^2) signed so that nden > 0 (g = c0 p0 on integer
+    moments with an integral J-fraction: every row is over 1).  For j > 1,
+    from Q_j = v_0 r_(j-1)^j and C = -r_(j-1)^(j+1), every division exact,
+        Q_m = -(sum_(i=m+1..j) Q_i r_(i+j-1-m) + C v_(j-m)) / r_(j-1), m = j-1..0,
+        row_(K+j)[i] = (sum_m Q_m r_(m+j+i) + C v_(j+1+i)) / nden,
+    the j + 2 scalars over their gcd and nden = D_K Q_j.  Rows inside a
+    block are None; minors a block yields past the end of t are still exact,
+    and a row with no nonzero entry yields zeros to its end.
     """
-    h_prev, d = 1, 1  # H_(k-1), D_k
-    h2, dp = 1, 1  # H_(k-2), D_(k-1): row k - 1 times h2 // dp is sigma_(k-1,.)
-    prev, p0, p1 = [0] * len(t), 1, 0  # row k - 1 and its head
+    h_prev, d = 1, 1  # H_(K-1), D_K
+    prev, p0, p1 = [1] + [0] * len(t), 1, 0  # row K - 1 read from x^(K-1), and its head
     cur = t
     while True:
         c0 = cur[0]
@@ -114,39 +109,36 @@ def _monic_rows(t: list[int]):
             else:
                 row = [(a * x - bb * y - cc * z) // q for x, y, z in terms]
             prev, cur, p0, p1 = cur, row, c0, c1
-            h2, dp, h_prev, d = h_prev, d, h, dn
+            h_prev, d = h, dn
             continue
-        if cur[1] == 0:
+        j = next((i for i, x in enumerate(cur) if x), len(cur)) + 1
+        yield from [(0, None, None)] * (j - 2)
+        if j > len(cur):
             return
-        g, us = h_prev, h2 // dp
-        s = [v * (g // d) for v in cur]
-        u = [v * us for v in prev]
-        prev = [-s[1] * v // g for v in s[1:-1]]
-        h_prev = prev[0]
-        yield h_prev, prev, 1
-        if len(s) < 5:
+        r = cur[j - 1]
+        h = (-1) ** (j * (j - 1) // 2) * h_prev * r**j // d**j
+        yield h, None, None
+        if len(cur) < 2 * j + 1:
             return
-        e = g * s[2] - s[1] * u[1]
-        alpha, beta, delta = g * s[1] * s[1], -s[1] * e, -s[1] ** 3
-        gamma = s[2] * e + s[1] * s[1] * u[2] - g * s[1] * s[3]
-        q = abs(g) ** 3  # sign(H_(k+1)) = -sign(g)
-        cur = [
-            (alpha * s[i + 4] + beta * s[i + 3] + gamma * s[i + 2] + delta * u[i + 3]) // q
-            for i in range(len(s) - 4)
+        qs, c = [0] * j + [prev[0] * r**j], -(r ** (j + 1))
+        for m in range(j - 1, -1, -1):
+            qs[m] = -(sum(map(mul, qs[m + 1 :], cur[j : 2 * j - m])) + c * prev[j - m]) // r
+        g = gcd(c, *qs)
+        qs, c = [v // g for v in qs], c // g
+        nden = d * qs[j]
+        d = gcd(nden, h)
+        q = nden // d
+        row = [
+            (sum(map(mul, qs, cur[j + i : 2 * j + 1 + i])) + c * prev[j + 1 + i]) // q
+            for i in range(len(cur) - 2 * j)
         ]
-        p0, p1 = prev[0], prev[1]
-        h2, dp, d = 1, 1, abs(h_prev)
+        prev, cur, p0, p1, h_prev = cur[j - 1 :], row, r, cur[j], h
 
 
 def _minors(t, max_n: int) -> list[int]:
-    """The leading Hankel minors H_0..H_max_n of the ints t_0..t_(2 max_n), from
-    the monic Chebyshev recurrence (_monic_rows), with one Bareiss elimination
-    per minor past two consecutive zero minors, where the recurrence stops."""
-    t = list(t[: 2 * max_n + 1])
-    minors = [h for h, _, _ in _monic_rows(t)]
-    for n in range(len(minors), max_n + 1):
-        minors.append(_bareiss([t[i : i + n + 1] for i in range(n + 1)]))
-    return minors
+    """The leading Hankel minors H_0..H_max_n of the ints t_0..t_(2 max_n),
+    from the monic Chebyshev recurrence with its block step (_monic_rows)."""
+    return [h for h, _, _ in islice(_monic_rows(list(t[: 2 * max_n + 1])), max_n + 1)]
 
 
 def exact_det(matrix) -> Fraction:
@@ -169,9 +161,8 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
 
     The 2*max_n + 1 terms are put over one common denominator d, and the
     integer minors (_minors) give every h_n = H_n / d**(n+1) from the monic
-    Chebyshev rows, max_n levels of one row step each.  The recurrence steps
-    across an isolated zero minor; only past two consecutive zero minors,
-    where it stops, does each later h_n eliminate its own block (Bareiss).
+    Chebyshev rows, max_n levels of one row step each, with a block step
+    across every run of zero minors.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -198,10 +189,7 @@ class SomosFitResult:
     family_description: tuple[Fraction, Fraction, Fraction] | None = None
     failing_index: int | None = None
 
-
-def _normalize_line(p: Fraction, q: Fraction, r: Fraction):
-    lead = p if p != 0 else q
-    return (p / lead, q / lead, r / lead)
+    __repr__ = _exact_repr
 
 
 def _somos_windows(t):
@@ -247,7 +235,8 @@ def somos_fit(h: Sequence) -> SomosFitResult:
     if point is not None:
         return SomosFitResult(UNIQUE, alpha=point[0], beta=point[1])
     if line is not None:
-        return SomosFitResult(FAMILY, family_description=_normalize_line(*line))
+        lead = line[0] or line[1]
+        return SomosFitResult(FAMILY, family_description=tuple(v / lead for v in line))
     return SomosFitResult(INSUFFICIENT)
 
 
@@ -289,6 +278,8 @@ class JFraction:
     lam: tuple[Fraction, ...]
     terminated: bool = False
 
+    __repr__ = _exact_repr
+
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
     """Extract depth + 1 b-coefficients and depth lambdas from the monic
@@ -324,8 +315,6 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
 
 def jfraction_series(jf: JFraction, order: int) -> PowerSeries:
     """Rebuild the continued fraction as a power series of the given order."""
-    if not jf.b:
-        return PowerSeries.one(order)
     t = PowerSeries.one(order)
     for k in range(len(jf.b) - 1, -1, -1):
         den = PowerSeries.of([1, -jf.b[k]], order)

@@ -29,7 +29,7 @@ function, so series can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -108,14 +108,23 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def _exact_repr(value) -> str:
-    """repr of a value whose Fractions, also inside (nested) tuples, may
-    exceed CPython's cap on int-to-str digits."""
+    """repr of a value whose Fractions, also inside (nested) tuples and
+    dataclasses (their repr=True fields, as a generated repr shows them), may
+    exceed CPython's cap on int-to-str digits; it is those dataclasses' repr."""
     if isinstance(value, tuple):
         items = ", ".join(map(_exact_repr, value))
         return f"({items},)" if len(value) == 1 else f"({items})"
     if isinstance(value, Fraction):
         return f"Fraction({Decimal(value.numerator)}, {Decimal(value.denominator)})"
+    if is_dataclass(type(value)):
+        items = ", ".join(f"{f.name}={_exact_repr(getattr(value, f.name))}" for f in fields(value) if f.repr)
+        return f"{type(value).__qualname__}({items})"
     return repr(value)
+
+
+def _exact_values(values) -> list[int | Fraction]:
+    """The values as exact numbers: ints as they are, anything else through rational."""
+    return [v if type(v) is int else rational(v) for v in values]
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -208,7 +217,7 @@ class PowerSeries:
     __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs):
-        self._store(*_over_common_denominator(tuple(coeffs)))
+        self._store(*_over_common_denominator(_exact_values(coeffs)))
 
     @classmethod
     def _ints(cls, nums, den: int) -> PowerSeries:
@@ -245,7 +254,7 @@ class PowerSeries:
         polynomial (exactly known at every order); ``order`` below the
         value count trims the tail instead.
         """
-        vals = [v if type(v) is int else rational(v) for v in values]  # an int needs no Fraction
+        vals = _exact_values(values)
         if order is not None:
             if order < 1:
                 raise SeriesError("order must be positive")
@@ -518,8 +527,7 @@ class Sequence:
         if len(self.terms) == 0:
             raise ValueError("a sequence needs at least one term")
 
-    def __repr__(self):
-        return f"Sequence(terms={_exact_repr(self.terms)}, offset={self.offset})"
+    __repr__ = _exact_repr
 
     @classmethod
     def of(cls, values, offset: int = 0) -> Sequence:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from riordan.series import (
     PowerSeries, Sequence, catalan, rational, rational_series, _ZERO, _over_common_denominator
@@ -127,7 +127,8 @@ def scaled_chebyshev(t):
     From H_(-1) = 1 and sigma_(-1,.) = 0, with every division exact,
         c = H_(k-1) sigma_(k,k+1) - H_k sigma_(k-1,k),
         sigma_(k+1,l) = (H_k H_(k-1) sigma_(k,l+1) - c sigma_(k,l) - H_k^2 sigma_(k-1,l)) / H_(k-1)^2,
-    and at a zero H_k the two-level look-ahead of hankel._monic_rows.
+    and at a zero H_k (H_(k-1) != 0) a two-level look-ahead, which the block
+    step of hankel._monic_rows generalizes to every run of zero minors.
     """
     h_prev, prev = 1, [0] * len(t)  # H_(k-1) and sigma_(k-1, k-1+i) at index i
     cur = list(t)  # sigma_(k, k+i) at index i
@@ -182,17 +183,21 @@ def hankel_cases(draw, min_depth=0, max_depth=12):
     return draw(st.lists(term, min_size=2 * depth + 1, max_size=2 * depth + 3)), depth
 
 
-def with_zero_minor(terms, k):
-    """terms changed so that h_k = 0: s_0 = 0 for k = 0, else s_(2k) is solved
-    for, since it enters the (k+1)-block only in its corner, with cofactor
-    h_(k-1).  None when h_(k-1) = 0."""
+def with_zero_block(terms, k, j=1):
+    """terms changed so that h_k = ... = h_(k+j-1) = 0, or None when
+    h_(k-1) = 0.  For i < j in turn, s_(2k+i) is solved for so that
+    sigma_(k,k+i) = 0: the determinant of the Hankel rows 0..k-1 over columns
+    0..k plus the row (s_(k+i), ..., s_(2k+i)), where s_(2k+i) enters only in
+    the corner, with cofactor h_(k-1).  sigma_(k,k) = h_k, and with
+    h_(k-1) != 0 these j zeros are exactly the j zero minors."""
     terms = list(terms)
-    terms[2 * k] = 0
-    if k > 0:
-        h = per_minor_hankel(terms, k)
-        if h[k - 1] == 0:
-            return None
-        terms[2 * k] = -h[k] / h[k - 1]
+    h = per_minor_hankel(terms, k - 1)[-1] if k else 1
+    if h == 0:
+        return None
+    block = [[terms[i + c] for c in range(k + 1)] for i in range(k)]
+    for i in range(j):
+        terms[2 * k + i] = 0
+        terms[2 * k + i] = -exact_det(block + [terms[k + i : 2 * k + i + 1]]) / h
     return terms
 
 
@@ -219,7 +224,7 @@ def test_hankel_matches_per_minor_oracle_at_depth_13_to_24(case):
 def test_one_pass_hankel_past_a_forced_zero_minor(case, data):
     terms, depth = case
     k = data.draw(st.integers(0, depth))
-    terms = with_zero_minor(terms, k)
+    terms = with_zero_block(terms, k)
     assume(terms is not None)
     got = hankel_transform(Sequence.of(terms), depth).terms
     assert got[k] == 0
@@ -227,56 +232,106 @@ def test_one_pass_hankel_past_a_forced_zero_minor(case, data):
     assert all(type(v) is Fraction for v in got)
 
 
-def with_two_zero_minors(terms, k):
-    """terms changed so that h_k = h_(k+1) = 0: h_k as in with_zero_minor,
-    then s_(2k+1) is solved for so that the k-block's rows over columns 0..k
-    plus the row (s_(k+1), ..., s_(2k+1)) have determinant 0; s_(2k+1) enters
-    it only in the corner, with cofactor h_(k-1).  None when h_(k-1) = 0."""
-    terms = with_zero_minor(terms, k)
-    if terms is None:
-        return None
-    terms[2 * k + 1] = 0
-    if k > 0:
-        block = [[terms[i + j] for j in range(k + 1)] for i in range(k)]
-        sigma = exact_det(block + [terms[k + 1 : 2 * k + 2]])
-        terms[2 * k + 1] = -sigma / per_minor_hankel(terms, k - 1)[k - 1]
-    return terms
-
-
-@settings(max_examples=100)
-@given(hankel_cases(1), st.data())
-def test_hankel_past_two_consecutive_zero_minors(case, data):
-    """The recurrence stops at h_k = h_(k+1) = 0; Bareiss gives the rest."""
-    terms, depth = case
-    k = data.draw(st.integers(0, depth - 1))
-    terms = with_two_zero_minors(terms, k)
-    assume(terms is not None)
-    want = per_minor_hankel(terms, depth)
-    assert want[k] == want[k + 1] == 0
-    assert list(hankel_transform(Sequence.of(terms), depth).terms) == want
-
-
-@settings(max_examples=100)
-@given(st.integers(1, 6), st.data())
-def test_hankel_of_a_rational_series_is_zero_to_the_end(k, data):
-    """P/Q with deg Q = k > deg P satisfies a recurrence of order k, so
-    h_n = 0 for every n >= k."""
-    depth = data.draw(st.integers(k, 12))
-    q = [1] + data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    p = data.draw(st.lists(hankel_term, min_size=k, max_size=k))
-    terms = rational_series(p, q, 2 * depth + 1).coeffs
-    got = hankel_transform(Sequence.of(terms), depth).terms
-    assert list(got) == per_minor_hankel(terms, depth)
-    assert not any(got[k:])
-
-
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """The size of each matrix hankel._bareiss eliminates, in call order."""
+    """The size of each matrix hankel._bareiss eliminates, in call order.
+    The oracles call it too, so a test clears the list before its own calls."""
     calls = []
     bareiss = hankel._bareiss
     monkeypatch.setattr(hankel, "_bareiss", lambda m: calls.append(len(m)) or bareiss(m))
     return calls
+
+
+# bareiss_calls is shared by the examples of a @given test; each clears it.
+SHARED_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=100, suppress_health_check=SHARED_FIXTURE)
+@given(hankel_cases(1), st.data())
+def test_hankel_past_two_consecutive_zero_minors(bareiss_calls, case, data):
+    """The block step crosses h_k = h_(k+1) = 0, and no Bareiss elimination runs."""
+    terms, depth = case
+    k = data.draw(st.integers(0, depth - 1))
+    terms = with_zero_block(terms, k, 2)
+    assume(terms is not None)
+    bareiss_calls.clear()
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    assert bareiss_calls == []
+    want = per_minor_hankel(terms, depth)
+    assert want[k] == want[k + 1] == 0
+    assert list(got) == want
+
+
+@settings(max_examples=100, suppress_health_check=SHARED_FIXTURE)
+@given(st.integers(1, 6), st.data())
+def test_hankel_of_a_rational_series_is_zero_to_the_end(bareiss_calls, k, data):
+    """P/Q with deg Q = k > deg P satisfies a recurrence of order k, so
+    h_n = 0 for every n >= k: a zero tail, which one block step reaches."""
+    depth = data.draw(st.integers(k, 12))
+    q = [1] + data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    p = data.draw(st.lists(hankel_term, min_size=k, max_size=k))
+    terms = rational_series(p, q, 2 * depth + 1).coeffs
+    t = cleared(terms)
+    bareiss_calls.clear()
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    minors = hankel._minors(t, depth)
+    assert bareiss_calls == []
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert minors == scaled_minors(t, depth)
+    assert not any(got[k:])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=SHARED_FIXTURE)
+@given(hankel_cases(1, 16), st.data())
+def test_block_step_across_a_forced_block_of_zero_minors(bareiss_calls, case, data):
+    """A block of j = 1..5 zero minors from h_k, inside the depth or running
+    past it as a zero tail, on int, p/q or zero-heavy terms: the block step
+    matches both oracles, and no Bareiss elimination runs."""
+    terms, depth = case
+    k = data.draw(st.integers(0, depth))
+    j = data.draw(st.integers(1, min(5, len(terms) - 2 * k)))
+    terms = with_zero_block(terms, k, j)
+    assume(terms is not None)
+    t = cleared(terms)
+    bareiss_calls.clear()
+    got = hankel_transform(Sequence.of(terms), depth).terms
+    minors = hankel._minors(t, depth)
+    assert bareiss_calls == []
+    assert not any(got[k : k + j])
+    assert list(got) == per_minor_hankel(terms, depth)
+    assert minors == scaled_minors(t, depth)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_zero_block_of_each_length_at_every_index(rng, bareiss_calls, j):
+    """h_k = ... = h_(k+j-1) = 0 with every other minor nonzero, for every k
+    at depth 12.  With j = 1 (the next test) j takes every class mod 4, so
+    the sign (-1)^(j(j-1)/2) of the minor after the block takes both values."""
+    for k in range(14 - j):
+        while True:
+            terms = with_zero_block([random_fraction(rng) for _ in range(25)], k, j)
+            if terms is not None:
+                want = per_minor_hankel(terms, 12)
+                if [n for n, v in enumerate(want) if v == 0] == list(range(k, k + j)):
+                    break
+        t = cleared(terms)
+        bareiss_calls.clear()
+        got = hankel_transform(Sequence.of(terms), 12).terms
+        minors = hankel._minors(t, 12)
+        assert bareiss_calls == []
+        assert list(got) == want
+        assert minors == scaled_minors(t, 12)
+
+
+def test_block_step_at_depth_64_past_an_early_block(rng, bareiss_calls):
+    """[1, 1, 1, 1, 1, random ints]: h_1 = h_2 = 0 up front, where the route
+    before the block step eliminated every later minor on its own (Bareiss,
+    O(depth^4) in all); the block step carries the recurrence to depth 64."""
+    t = [1] * 5 + [rng.randint(-9, 9) for _ in range(124)]
+    got = hankel._minors(t, 64)
+    assert bareiss_calls == []
+    assert got[1] == got[2] == 0
+    assert got == scaled_minors(t, 64)
 
 
 def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
@@ -284,7 +339,7 @@ def test_lone_zero_minor_at_every_index(rng, bareiss_calls):
     Chebyshev recurrence steps across h_k, and no Bareiss elimination runs."""
     for k in range(13):
         while True:
-            terms = with_zero_minor([random_fraction(rng) for _ in range(25)], k)
+            terms = with_zero_block([random_fraction(rng) for _ in range(25)], k)
             if terms is not None:
                 want = per_minor_hankel(terms, 12)
                 if [n for n, v in enumerate(want) if v == 0] == [k]:
@@ -402,10 +457,10 @@ def test_monic_minors_match_scaled_oracle_on_somos_closed_forms(order, count):
 @settings(max_examples=100, deadline=None)
 @given(hankel_cases(1, 16), st.data())
 def test_monic_minors_match_scaled_oracle_past_zero_minors(case, data):
-    """One zero minor (the look-ahead) or two in a row (Bareiss past them)."""
+    """A block of one zero minor or of two."""
     terms, depth = case
     k = data.draw(st.integers(0, depth - 1))
-    terms = data.draw(st.sampled_from([with_zero_minor, with_two_zero_minors]))(terms, k)
+    terms = with_zero_block(terms, k, data.draw(st.integers(1, 2)))
     assume(terms is not None)
     t = cleared(terms)
     got = hankel._minors(t, depth)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import riordan.series
 from riordan.amatrix import closed_form_f_general, perturbed_f
-from riordan.core import RiordanPair
+from riordan.core import LowerTriangle, ProductionData, RiordanPair
+from riordan.hankel import JFraction, SomosFitResult
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
     DivisionByNonUnit,
@@ -126,6 +127,17 @@ def test_rational_accepts_strings_and_rejects_floats():
         rational(0.5)
     with pytest.raises(TypeError):
         rational(True)
+
+
+@pytest.mark.parametrize("build", [PowerSeries, PowerSeries.of])
+def test_constructor_and_of_coerce_alike(build):
+    # one coercion: bool and float are refused, "p/q" strings are parsed
+    for bad in ([True], [1, False], [0.5], [Fraction(1, 2), 0.25]):
+        with pytest.raises(TypeError):
+            build(bad)
+    s = build(["1/2", -3, Fraction(2, 3)])
+    assert s.coeffs == (Fraction(1, 2), -3, Fraction(2, 3))
+    assert s == PowerSeries.of([Fraction(1, 2), -3, Fraction(2, 3)])
 
 
 def test_format_rational():
@@ -661,6 +673,16 @@ def test_reprs_have_no_digit_cap(digits, sign):
     want = f"Fraction({Decimal(q.numerator)}, {Decimal(q.denominator)})"
     assert repr(PowerSeries.of([n, q])) == f"PowerSeries(coeffs=(Fraction({Decimal(n)}, 1), {want}))"
     assert repr(Sequence.of([q], 2)) == f"Sequence(terms=({want},), offset=2)"
+    seq = f"Sequence(terms=({want},), offset=0)"
+    assert repr(LowerTriangle(((q,),))) == f"LowerTriangle(rows=(({want},),))"
+    assert repr(ProductionData(((q,),), Sequence((q,)), Sequence((q,)))) == (
+        f"ProductionData(matrix=(({want},),), z={seq}, a={seq})"
+    )
+    assert repr(JFraction((q,), (q,), True)) == f"JFraction(b=({want},), lam=({want},), terminated=True)"
+    assert repr(SomosFitResult("Family", family_description=(q, q, q))) == (
+        f"SomosFitResult(kind='Family', alpha=None, beta=None, "
+        f"family_description=({want}, {want}, {want}), failing_index=None)"
+    )
 
 
 # -- catalan ------------------------------------------------------------------
