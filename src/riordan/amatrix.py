@@ -198,15 +198,26 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     the exact coefficients.  From a[0][0]*x, exact to order 2, each step
     doubles the working order up to ``order``; a full-order residual check
     closes the solve.  ``iterations`` counts the steps plus that check.
+
+    With f exact to k terms and n = min(2k, order), f - Phi(f) = O(x**k), so
+    the correction x**k * ((f - Phi(f))/x**k * w) needs w = 1/(1 - Phi'(f))
+    only to its n - k new terms.  The w of the step before, from an f that
+    was already exact that far, is an exact prefix of it, so it is carried
+    from step to step and extended by one Newton step of the inverse, not
+    recomputed (Brent and Kung 1978).
     """
     if order < 2:
         raise InsufficientTerms("order must be at least 2")
     f = PowerSeries.of([0, spec.rows[0][0]])
+    w = PowerSeries.one(1)  # Phi'(f) has no constant term
     steps = 0
-    while f.order < order:
-        f = f._padded(min(2 * f.order, order))
+    while (k := f.order) < order:
+        n = min(2 * k, order)
+        f = f._padded(n)
         phi, slope = _phi_and_slope(spec, f)
-        f = f - (f - phi) / (1 - slope)
+        w = (1 - slope.truncate(n - k))._inverse(w)
+        r = f - phi
+        f = f - (PowerSeries._ints(r._nums[k:], r._den) * w)._shift(k)
         steps += 1
     if not functional_equation_residual(spec, f).is_zero():
         raise NonConvergence("Newton iteration left a nonzero residual; the step is miscoded")

@@ -33,6 +33,13 @@ class RiordanPair:
     construction (the smaller of the two).  fbar, A and Z are cached on
     first use, and so are f's powers, which both checks compose with; A does
     not compute Z, and Z reuses A.
+
+    A Bell pair (f/x, f), where g to order - 1 terms equals f/x, takes a
+    shorter route to Z.  There g(fbar) = f(fbar)/fbar = x/fbar = A, so
+    Z = (1 - g0/A)/x * A = (A - g0)/x and no composition into fbar is
+    formed.  The normalization cuts f to ``order`` terms, but g = f/x still
+    holds f to order + 1, so x*g is reverted and inverted one term longer
+    than fbar and A are kept: that term of A is the one Z needs at order - 1.
     """
 
     g: PowerSeries
@@ -54,9 +61,24 @@ class RiordanPair:
         return self.g.order
 
     @cached_property
+    def _bell(self) -> bool:
+        """Whether g = f/x to every term f gives: a Bell pair, which reads Z off A."""
+        return self.g.truncate(self.order - 1) == self.f.div_x()
+
+    @cached_property
+    def _long_fbar(self) -> PowerSeries:
+        """The reverse of f, one term longer than order on a Bell pair (of x*g)."""
+        return (self.g.mul_x() if self._bell else self.f).revert()
+
+    @cached_property
+    def _long_a(self) -> PowerSeries:
+        """x / fbar to the long reverse's order - 1: order on a Bell pair."""
+        return 1 / self._long_fbar.div_x()
+
+    @cached_property
     def fbar(self) -> PowerSeries:
         """The compositional reverse of f, computed once per pair."""
-        return self.f.revert()
+        return self._long_fbar.truncate(self.order)
 
     @cached_property
     def _at_f(self) -> _Substitution:
@@ -67,17 +89,20 @@ class RiordanPair:
     @cached_property
     def a(self) -> PowerSeries:
         """A = x / fbar to order - 1, checked by f/x = A(f)."""
-        a = 1 / self.fbar.div_x()
+        a = self._long_a.truncate(self.order - 1)
         if self._at_f(a) != self.f.div_x():
             raise NotRiordanBand("the A-series fails f/x = A(f)")
         return a
 
     @cached_property
     def z(self) -> PowerSeries:
-        """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1;
-        checked by (g - g0)/x = g * Z(f)."""
-        g0 = self.g[0]
-        z = (1 - g0 / self.g.compose(self.fbar)).div_x() * self.a
+        """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1,
+        or (A - g0)/x on a Bell pair; checked by (g - g0)/x = g * Z(f)."""
+        g0, a = self.g[0], self.a  # A is checked before Z, which is read off it
+        if self._bell:
+            z = (self._long_a - g0).div_x()
+        else:
+            z = (1 - g0 / self.g.compose(self.fbar)).div_x() * a
         if self.g * self._at_f(z) != (self.g - g0).div_x():
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
         return z

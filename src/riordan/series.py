@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
@@ -101,10 +101,13 @@ def integer_values(values, what: str) -> list[int]:
 
 def format_rational(value: Fraction | int) -> str:
     """Render integers bare and proper fractions as 'p/q', at any length:
-    str(Decimal(n)) is not subject to CPython's cap on int-to-str digits."""
-    if value.denominator == 1:
-        return str(Decimal(value.numerator))
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    str(n) where CPython's cap on int-to-str digits lets it, and past the cap,
+    where str raises ValueError, str(Decimal(n)), which has no cap."""
+    p, q = value.numerator, value.denominator
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
 def _exact_repr(value) -> str:
@@ -137,30 +140,28 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
     """The first len(a) coefficients of a*b, for int lists of one length.
 
     Kronecker substitution: both operands are packed into big ints at a byte width w
-    that holds every product coefficient (|c| <= len(a)*max|a|*max|b| < 2**(w-1)), so one
-    big-int multiply gives them all, read back as signed digits with a borrow.
+    that holds every product coefficient (|c| <= len(a)*max|a|*max|b| < h = 2**(8w-1)), so
+    one big-int multiply gives them all.  Each slot is packed biased, as v + h in 0..2**(8w),
+    with one ``to_bytes`` per coefficient; the bias of every slot, K, is taken off each
+    operand and put back on the product, whose low slots are then the unsigned digits c + h.
     """
     n = len(a)
     bound = n * max(map(abs, a)) * max(map(abs, b))
     if bound == 0:
         return [0] * n
     width = bound.bit_length() // 8 + 1
-    raw = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * width * n)) - 1)
-    raw = raw.to_bytes(width * n, "little")
-    half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    out, borrow = [], 0
-    for i in range(0, width * n, width):
-        c = int.from_bytes(raw[i : i + width], "little") + borrow
-        borrow = c >= half
-        out.append(c - full if borrow else c)
-    return out
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")  # K: h in every slot
+    raw = (_pack(a, width, half) - bias) * (_pack(b, width, half) - bias) + bias
+    raw = (raw & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
-def _pack(values: list[int], width: int) -> int:
-    """sum values[i] * 256**(width*i) for signed ints with |values[i]| < 256**width."""
-    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
-    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _pack(values: list[int], width: int, half: int) -> int:
+    """sum (values[i] + half) * 256**(width*i), for |values[i]| < half = 2**(8*width-1)."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, map(half.__add__, values), repeat(width), repeat("little"))), "little"
+    )
 
 
 def _over_lcm(series) -> tuple[list[list[int]], int]:
@@ -386,17 +387,22 @@ class PowerSeries:
             return self._inverse() * other
         return NotImplemented
 
-    def _inverse(self) -> PowerSeries:
+    def _inverse(self, g: PowerSeries | None = None) -> PowerSeries:
         """1/self by Newton iteration, which doubles the exact terms of g.
 
         With g exact to k terms and n = min(2k, order), self*g = 1 + x**k * e
         mod x**n, and g <- g - x**k * (g*e) mod x**n.  The step forms self*g to
-        n terms and g*e to the n - k new ones.
+        n terms and g*e to the n - k new ones.  The iteration starts from
+        1/self(0), or from ``g`` when given: 1/self exact to g's order, so a
+        caller that holds an inverse from a shorter prefix of self pays only
+        the steps past it (``solve_f`` carries its inverse that way).
         """
         if self._nums[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         c0 = self._nums[0]
-        g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
+        if g is None:
+            g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
+        g = g.truncate(min(g.order, self.order))
         while (k := g.order) < self.order:
             g = g._padded(min(2 * k, self.order))
             r = self * g

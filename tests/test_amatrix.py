@@ -223,14 +223,36 @@ def test_newton_solve_matches_fixed_point_oracle(spec, order):
     assert solve_f(spec, order).f.coeffs == fixed_point_f(spec, order).coeffs
 
 
+def full_division_newton(spec, order):
+    """Oracle: the Newton solve that carried nothing from step to step, dividing
+    f - Phi(f) by 1 - Phi'(f) with a full Newton inverse at every step; returns
+    f and the pass count (steps plus the residual check)."""
+    f = PowerSeries.of([0, spec.rows[0][0]])
+    steps = 0
+    while f.order < order:
+        f = f._padded(min(2 * f.order, order))
+        phi, slope = amatrix_mod._phi_and_slope(spec, f)
+        f = f - (f - phi) / (1 - slope)
+        steps += 1
+    return f, steps + 1
+
+
+@settings(max_examples=60)
+@given(amatrix_specs(), st.integers(2, 70))
+def test_newton_solve_matches_full_division_oracle(spec, order):
+    report = solve_f(spec, order)
+    assert (report.f, report.iterations) == full_division_newton(spec, order)
+
+
 def test_solve_f_series_products_at_order_256():
     # row_sum at s = x shifts and, for a repeated last row, divides by 1 - x
-    # as a running sum, so the two specs take the same products: the powers
-    # of f, the Newton division, and no (1 - x) inverse
+    # as a running sum, so the two specs take the same products: per step,
+    # f**2, one Newton step of the carried 1/(1 - Phi'(f)) and the
+    # correction, and no (1 - x) inverse; a full inverse per step took 85
     a171416 = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
     repeated = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    assert series_products(lambda: solve_f(a171416, 256)) == 85
-    assert series_products(lambda: solve_f(repeated, 256)) == 85
+    assert series_products(lambda: solve_f(a171416, 256)) == 29
+    assert series_products(lambda: solve_f(repeated, 256)) == 29
 
 
 # -- direct triangle ------------------------------------------------------------

@@ -244,6 +244,40 @@ def test_a_and_z_at_the_lowest_orders_match_production_oracle(rng, order):
         assert list(pair.a.coeffs) == want_a
 
 
+def general_route(pair):
+    """Oracle: fbar, A and Z as every pair read them before a Bell pair read Z
+    off A: fbar = f.revert(), A = x/fbar and Z = (1 - g0/g(fbar))/x * A."""
+    fbar = pair.f.revert()
+    a = 1 / fbar.div_x()
+    return fbar, a, (1 - pair.g[0] / pair.g.compose(fbar)).div_x() * a
+
+
+@st.composite
+def bell_and_near_bell_pairs(draw):
+    """(pair, is_bell): bell_from_f(f) for f with int or p/q terms, the same
+    with g's top term changed (still g = f/x to every term f gives), or with a
+    lower term of g changed (not a Bell pair)."""
+    order = draw(st.integers(3, 40))
+    term = draw(st.sampled_from([st.integers(-4, 4).map(Fraction), small_fraction]))
+    f = [Fraction(0), draw(term.filter(bool))] + draw(st.lists(term, min_size=order - 1, max_size=order - 1))
+    g = f[1:]
+    kind = draw(st.sampled_from(["bell", "top", "lower"]))
+    if kind != "bell":
+        g[order - 1 if kind == "top" else draw(st.integers(1, order - 2))] += draw(small_fraction.filter(bool))
+    pair = RiordanPair(PowerSeries(tuple(g)), PowerSeries(tuple(f)))
+    assert pair.order == order
+    return pair, kind != "lower"
+
+
+@given(bell_and_near_bell_pairs())
+@example((motzkin_pair(), True))
+@example((pascal_pair(), True))
+def test_bell_route_matches_general_route(case):
+    pair, is_bell = case
+    assert pair._bell is is_bell
+    assert (pair.fbar, pair.a, pair.z) == general_route(pair)
+
+
 def test_reading_a_then_z_forms_f_powers_once_and_short_products():
     # f's powers serve both checks (m - 1 = 15 products at n = 255); the
     # full-length products and per-check powers took 169, of length 33941
@@ -253,13 +287,25 @@ def test_reading_a_then_z_forms_f_powers_once_and_short_products():
     assert (products, products.length) == (154, 23321)
 
 
+def _bumped(series, i):
+    nums = list(series.coeffs)
+    nums[i] += 1
+    return PowerSeries(tuple(nums))
+
+
 def _wrong_reverse(pair, monkeypatch):
-    bad = list(pair.fbar.coeffs)
-    bad[3] += 1
-    pair.__dict__["fbar"] = PowerSeries(tuple(bad))
+    assert pair._bell  # a Bell pair reads fbar, A and Z off the long reverse
+    pair.__dict__["_long_fbar"] = _bumped(pair._long_fbar, 3)
+
+
+def _wrong_top_of_long_a(pair, monkeypatch):
+    assert pair._bell
+    # the term past A's order, which only Z = (A - g0)/x reads
+    pair.__dict__["_long_a"] = _bumped(pair._long_a, pair.order - 1)
 
 
 def _wrong_g_of_fbar(pair, monkeypatch):
+    assert not pair._bell  # only a pair that is not a Bell pair composes g into fbar
     compose = PowerSeries.compose
 
     def bumped(outer, inner):
@@ -271,17 +317,28 @@ def _wrong_g_of_fbar(pair, monkeypatch):
     monkeypatch.setattr(PowerSeries, "compose", bumped)
 
 
+def non_bell_pair(order=ORDER):
+    # g = 1/(1 - 2x) is not f/x = 1/(1 - x)
+    return RiordanPair(rational_series([1], [1, -2], order), rational_series([0, 1], [1, -1], order))
+
+
 @pytest.mark.parametrize(
-    "corrupt, identity", [(_wrong_reverse, "A-series"), (_wrong_g_of_fbar, "Z-series")]
+    "corrupt, identity, make_pair",
+    [
+        (_wrong_reverse, "A-series", pascal_pair),
+        (_wrong_top_of_long_a, "Z-series", pascal_pair),
+        (_wrong_g_of_fbar, "Z-series", non_bell_pair),
+    ],
+    ids=["_wrong_reverse-A-series", "_wrong_top_of_long_a-Z-series", "_wrong_g_of_fbar-Z-series"],
 )
-def test_identity_checks_reject_corrupt_production_data(corrupt, identity, monkeypatch):
-    pair = pascal_pair()
-    clean_a = a_sequence(pascal_pair())
+def test_identity_checks_reject_corrupt_production_data(corrupt, identity, make_pair, monkeypatch):
+    pair = make_pair()
+    clean_a = a_sequence(make_pair())
     corrupt(pair, monkeypatch)
     raising = [lambda p: production_matrix(p, 6), z_sequence]
     if identity == "A-series":
         raising.append(a_sequence)
-    else:  # A never reads g(fbar), so only Z sees the corruption
+    else:  # A reads neither g(fbar) nor the top term of the long A, so only Z sees them
         assert a_sequence(pair) == clean_a
     for compute in raising:
         with pytest.raises(NotRiordanBand, match=identity):
@@ -293,14 +350,18 @@ def test_a_sequence_does_not_compute_z(monkeypatch):
     compose = _Substitution.__call__  # every composition, PowerSeries.compose too
 
     def counted(substitution, outer):
-        calls.append(1)
+        calls.append(substitution.n)
         return compose(substitution, outer)
 
     monkeypatch.setattr(_Substitution, "__call__", counted)
     pair = motzkin_pair()
     a_sequence(pair)
-    assert len(calls) == 1  # the check f/x = A(f) only
+    assert calls == [pair.order - 1]  # the check f/x = A(f) only
     assert "z" not in pair.__dict__
+    # a Bell pair reads Z off A with no composition into fbar: Z's check is the one more
+    assert pair._bell
+    z_sequence(pair)
+    assert calls == [pair.order - 1] * 2
 
 
 def test_production_band_matches_a_sequence():

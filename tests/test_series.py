@@ -1,5 +1,6 @@
 """Series arithmetic against independent oracles and frozen expansions."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -366,6 +367,48 @@ def test_product_coefficient_at_the_packing_bound(m):
     assert list((s * -s).coeffs) == [-(k + 1) * m * m for k in range(n)]
 
 
+def _int_schoolbook(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+# bounds n*max|a|*max|b| one below, at and one above 2**e where the byte width w
+# of a slot, and the bias 2**(8w - 1) packed into it, step (e = 8w - 1) or the
+# top byte fills (e = 8w); each with every n that divides it, so [m]*n times
+# [1]*n puts the last product coefficient n*m exactly on the bound
+_SLOT_CASES = [
+    (n, bound)
+    for bound in sorted({2**e + d for e in (7, 8, 15, 16, 63, 64) for d in (-1, 0, 1)})
+    for n in (1, 2, 3, 64)
+    if bound % n == 0
+]
+
+
+@pytest.mark.parametrize("n, bound", _SLOT_CASES)
+def test_int_product_at_slot_extremes(n, bound):
+    m = bound // n
+    for a, b in [
+        ([m] * n, [1] * n),  # the last coefficient at +bound
+        ([-m] * n, [1] * n),  # and at -bound
+        ([-m] * n, [-1] * n),  # all-negative operands
+        ([-1] * (n - 1) + [-m], [-1] * n),
+        ([0] * (n - 1) + [m], [1] + [0] * (n - 1)),  # zeros below one nonzero slot
+        ([0] * n, [m] * n),  # all zeros
+    ]:
+        assert riordan.series._int_product(a, b) == _int_schoolbook(a, b)
+
+
+_int_pairs = st.integers(1, 24).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-2, 2) | st.integers(-(2**70), 2**70), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=150)
+@given(_int_pairs)
+def test_int_product_matches_schoolbook(ab):
+    a, b = ab
+    assert riordan.series._int_product(a, b) == _int_schoolbook(a, b)
+
+
 @settings(max_examples=150)
 @given(wide_series, wide.filter(bool), wide_series)
 def test_quotient_matches_long_division_oracle(a, b0, rest):
@@ -649,6 +692,21 @@ def test_format_rational_has_no_digit_cap(rng, digits, sign):
     assert len(text) == digits + (sign < 0) and int(Decimal(text)) == n
     p, q = format_rational(Fraction(n, abs(n) + 1)).split("/")
     assert Fraction(int(Decimal(p)), int(Decimal(q))) == Fraction(n, abs(n) + 1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this CPython has no int-to-str digit cap")
+@pytest.mark.parametrize("digits", [639, 640, 641, 4301])
+def test_format_rational_renders_the_same_past_a_lowered_digit_cap(rng, digits):
+    # str(n) renders up to the cap and str(Decimal(n)) past it, byte for byte alike
+    n = rng.randrange(10 ** (digits - 1), 10**digits)
+    q = Fraction(-n, 2 * n + 1)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest cap CPython accepts
+    try:
+        got = format_rational(n), format_rational(q)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert got == (str(Decimal(n)), f"{Decimal(-n)}/{Decimal(2 * n + 1)}")
 
 
 @pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
