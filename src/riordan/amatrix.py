@@ -9,14 +9,18 @@ where R_i is the generating polynomial of row i: one array equation
 f = sum_(i >= -1) x^(i+1) * P_i(f) whose row -1 is P_(-1)(y) = y^2 * rho(y),
 with coefficients (0, 0, rho_0, rho_1, ...).  Only AMatrixSpec knows how the
 rows continue: ``entry`` reads a[i][j] at any depth i >= -1, and
-``row_sum`` evaluates sum_i s^i * value(row_i) over the rows i >= 0,
+``row_sum`` evaluates sum_i x^i * value(row_i) over the rows i >= 0,
 summing a repeated last row in closed form.  This module solves the
 equation by Newton iteration on power series (the working order doubles at
 each step, Brent & Kung 1978), builds Bell triangles directly from the
-entry recurrence, evaluates the Catalan-composition closed forms for the
-two-row and single-row families as roots of one quadratic each, and
-computes A-sequences by the substitution trick (replace x by fbar in the
-defining equation).
+entry recurrence, and evaluates the Catalan-composition closed forms for
+the two-row and single-row families as roots of one quadratic each.  It
+reads the reverse fbar and the A-sequence off the array with no series
+reversion: replacing x by fbar in the defining equation leaves a
+polynomial equation in u = fbar/x = 1/A with polynomial coefficients (the
+A-matrix construction of Merlini, Rogers, Sprugnoli and Verri 1997), whose
+root follows from the same int recurrence as the closed forms.
+``bell_pair`` seeds a Bell pair's reverse with it.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -36,11 +40,11 @@ from .series import (
     rational,
     rational_series,
     _exact_repr,
-    _quadratic_root,
+    _polynomial_root,
     _ZERO,
     _ONE,
 )
-from .core import LowerTriangle
+from .core import LowerTriangle, RiordanPair, bell_from_f
 
 
 class InvalidSpec(ValueError):
@@ -102,8 +106,18 @@ class AMatrixSpec:
             raise InvalidSpec(str(exc)) from exc
 
     def to_dict(self) -> dict:
+        """The JSON shape of from_dict: integers as ints and other entries as
+        "p/q" strings, and an integer past CPython's cap on int-to-str digits,
+        which json.dumps could not write, as its decimal string."""
+
         def plain(q: Fraction):
-            return q.numerator if q.denominator == 1 else format_rational(q)
+            if q.denominator != 1:
+                return format_rational(q)
+            try:
+                str(q.numerator)  # json.dumps runs int.__repr__, which has the cap
+            except ValueError:
+                return format_rational(q)
+            return q.numerator
 
         return {
             "rows": [[plain(v) for v in row] for row in self.rows],
@@ -135,20 +149,19 @@ class AMatrixSpec:
         """How many of the rows 0..n-1 can be nonzero: all n if the last row repeats."""
         return n if self.repeat_last_row else min(n, len(self.rows))
 
-    def row_sum(self, s: PowerSeries, value) -> PowerSeries:
-        """sum_i s^i * value(row_i) over the array rows i >= 0, for s(0) = 0.
+    def row_sum(self, value) -> PowerSeries:
+        """sum_i x^i * value(row_i) over the array rows i >= 0, to value's order.
 
-        A repeated last row (index L - 1) contributes
-        s^(L-1) * value(last) / (1 - s) for all its copies.  Evaluated by
-        Horner from the last row up; for s = x each step is a shift and the
-        division by 1 - x a running sum, so no series product is taken.
+        A repeated last row (index L - 1) contributes x^(L-1) * value(last) / (1 - x)
+        for all its copies.  Evaluated by Horner from the last row up: each step
+        is a shift and the division by 1 - x a running sum, so no series product
+        is taken.
         """
-        at_x = s == PowerSeries.x(s.order)
         acc = value(self.rows[-1])
         if self.repeat_last_row:
-            acc = acc._partial_sums() if at_x else acc / (1 - s)
+            acc = acc._partial_sums()
         for row in reversed(self.rows[:-1]):
-            acc = (acc.mul_x().truncate(acc.order) if at_x else acc * s) + value(row)
+            acc = acc.mul_x().truncate(acc.order) + value(row)
         return acc
 
 
@@ -172,10 +185,10 @@ def _phi_and_slope(spec: AMatrixSpec, f: PowerSeries, slope: bool = True):
     powers = [PowerSeries.one(order), f]
     while len(powers) <= maxpow:
         powers.append(powers[-1] * f)
-    x, zero = PowerSeries.x(order), PowerSeries.zero(order)
+    zero = PowerSeries.zero(order)
 
     def array_sum(value) -> PowerSeries:
-        return spec.row_sum(x, value).mul_x().truncate(order) + value(spec._rho_row)
+        return spec.row_sum(value).mul_x().truncate(order) + value(spec._rho_row)
 
     phi = array_sum(lambda row: sum((powers[j] * c for j, c in enumerate(row) if c), zero))
     if not slope:
@@ -266,7 +279,7 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
     """
     poly = PowerSeries.of
-    return _quadratic_root(poly([1, 1]), 1 - poly([0, a, c]), poly([0, rho0, b, d]), order)
+    return _polynomial_root(poly([1, 1]), 1 - poly([0, a, c]), [poly([0, rho0, b, d])], order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
@@ -276,25 +289,57 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
     """
     poly = PowerSeries.of
-    return _quadratic_root(poly([1]), 1 - poly([0, a]), poly([0, c, b]), order).mul_x().truncate(order)
+    return _polynomial_root(poly([1]), 1 - poly([0, a]), [poly([0, c, b])], order).mul_x().truncate(order)
+
+
+def _fbar_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
+    """u = fbar/x = 1/A for the solution f of the spec, to the given order, from the array
+    alone: no f and no reversion.
+
+    Replacing x by fbar(y) in f = sum_(i >= -1) x^(i+1) P_i(f), with f(fbar) = y and
+    fbar = y*u, and dividing by y gives the A-matrix equation (Merlini, Rogers,
+    Sprugnoli and Verri 1997, with the rho row added)
+
+        sum_(k=1..L) c_k(y) u^k = 1 - y*rho(y),   c_k = y^(k-1) * R_(k-1)(y).
+
+    A repeated last row sums its copies to c_L u^L / (1 - y*u), so the equation is
+    multiplied through by 1 - y*u: c_1 gains y*(1 - y*rho) and each later c_k loses
+    y*c_(k-1).  Divided by a[0][0], it is den*u = lead + sum_(k>=2) q_k u^k with
+    den(0) = 1 and q_k = -c_k/a[0][0] divisible by y, the form _polynomial_root solves.
+    """
+    n = len(spec.rows) + max(len(spec.rho), *map(len, spec.rows)) + 1  # holds each c_k and y*c_k
+    rhs = PowerSeries.of([1, *(-r for r in spec.rho)], n)  # 1 - y*rho(y)
+    cs = [PowerSeries.of([0] * k + list(row), n) for k, row in enumerate(spec.rows)]  # c_1 .. c_L
+    if spec.repeat_last_row:  # times 1 - y*u
+        cs = [c + low.mul_x() for c, low in zip(cs, [rhs, *(-prev for prev in cs)])]
+    scale = 1 / spec.rows[0][0]
+    return _polynomial_root(rhs * scale, cs[0] * scale, [c * -scale for c in cs[1:]], order)
+
+
+def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
+    """bell_from_f(f) for the solution f of the spec (solve_f's), with its reverse
+    read off the array: fbar = x*u and A = 1/u for the u of _fbar_over_x, so no
+    reversion runs.  The pair's checks, f/x = A(f) and the Z check, test that A
+    against the Newton solution f it was not derived from.
+    """
+    pair = bell_from_f(f)
+    # the cached reverse, one term longer than the pair, that fbar, A and Z are read off
+    pair.__dict__["_long_fbar"] = _fbar_over_x(spec, pair.order).mul_x()
+    return pair
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
-    """A-sequence of the Bell matrix of solve_f(spec), as x / fbar.
+    """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, as 1/u for
+    the u = fbar/x of the substituted equation (_fbar_over_x).
 
-    Also verifies the substituted identity: replacing x by fbar in
-    f = sum_(i >= -1) x^(i+1) P_i(f) and using f(fbar) = x gives
-
-        x = fbar * sum_(i >= 0) fbar^i * R_i(x) + P_(-1)(x),
-
-    whose residual must vanish to ``order``.
+    Also checks it against the Newton solution f: A(f) = f/x must hold to
+    order - 1, or NonConvergence is raised.
     """
     f = solve_f(spec, order).f
-    fbar = f.revert()
-    rhs = fbar * spec.row_sum(fbar, lambda row: PowerSeries.of(row, order))
-    if rhs + PowerSeries.of(spec._rho_row, order) != PowerSeries.x(order):
-        raise NonConvergence("substituted equation residual is nonzero")
-    return Sequence((1 / fbar.div_x()).coeffs)
+    a = 1 / _fbar_over_x(spec, order - 1)
+    if a.compose(f) != f.div_x():
+        raise NonConvergence("the substituted A-sequence fails f/x = A(f)")
+    return Sequence(a.coeffs)
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

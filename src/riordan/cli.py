@@ -26,8 +26,8 @@ import sys
 from decimal import Decimal
 
 from .series import InsufficientTerms, Sequence, format_rational
-from .core import bell_from_f, production_matrix, riordan_triangle, a_sequence, z_sequence
-from .amatrix import AMatrixSpec, InvalidSpec, solve_f
+from .core import production_matrix, riordan_triangle, a_sequence, z_sequence
+from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f
 from .hankel import (
     FAMILY,
     INCONSISTENT,
@@ -190,7 +190,7 @@ def _cmd_pipeline(args) -> int:
             raise _CliError(
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
-    pair = bell_from_f(solve_f(spec, order).f)
+    pair = bell_pair(spec, solve_f(spec, order).f)
     column = Sequence(pair.g.coeffs)
     hank = hankel_transform(column, rows - 1) if args.hankel or args.somos_fit else None
     # (wanted, payload key, JSON value); each runs at most once, in output order

@@ -40,6 +40,9 @@ class RiordanPair:
     formed.  The normalization cuts f to ``order`` terms, but g = f/x still
     holds f to order + 1, so x*g is reverted and inverted one term longer
     than fbar and A are kept: that term of A is the one Z needs at order - 1.
+    A Bell pair built from a coefficient array (``amatrix.bell_pair``) has
+    that long reverse read off the array instead, and reverts nothing; its
+    checks then test A against an f it was not derived from.
     """
 
     g: PowerSeries

@@ -14,8 +14,9 @@ recurrence go over the lcm of their stored denominators (``_over_lcm``).
 A product packs each
 operand into one big int (Kronecker substitution) so a single big-int
 multiply does the work, a quotient is a Newton inverse built from such
-products, and a root of a quadratic series equation (:func:`catalan_of`,
-``sqrt``) follows from one int coefficient recurrence.  Composition (Brent
+products, and a root of a polynomial series equation (:func:`catalan_of`,
+``sqrt``, the closed forms and a spec's reverse) follows from one int
+coefficient recurrence.  Composition (Brent
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
 O(n**2) int multiply-adds, where Horner and a running product take n - 1.
@@ -461,7 +462,7 @@ class PowerSeries:
 
         Only nonzero rational-square constant terms are supported.  With
         self = t0**2 + x*s, the root is t0 + x*w where w solves the quadratic
-        w = s/(2*t0) - x*w**2/(2*t0), read off by _quadratic_root.
+        w = s/(2*t0) - x*w**2/(2*t0), read off by _polynomial_root.
         """
         c0 = self[0]
         num, den = c0.numerator, c0.denominator
@@ -473,7 +474,7 @@ class PowerSeries:
         half = Fraction(rd, 2 * rn)  # 1/(2*t0)
         # one term of w more than t needs, so order 1 needs no case of its own
         s = PowerSeries._ints(self._nums[1:] + (0,), self._den) * half
-        w = _quadratic_root(s, PowerSeries._ints((1,), 1), PowerSeries._ints((0, -rd), 2 * rn), self.order)
+        w = _polynomial_root(s, PowerSeries._ints((1,), 1), [PowerSeries._ints((0, -rd), 2 * rn)], self.order)
         return w.mul_x().truncate(self.order) + Fraction(rn, rd)
 
 
@@ -482,37 +483,54 @@ def rational_series(num, den, order: int) -> PowerSeries:
     return PowerSeries.of(num, order) / PowerSeries.of(den, order)
 
 
-def _quadratic_root(lead, den, q, order: int) -> PowerSeries:
-    """The series F with den*F = lead + q*F**2, to the given order.
+def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
+    """The series F with den*F = lead + sum_(k=2..K) q_k*F**k, for qs = [q_2, ..., q_K],
+    to the given order.
 
-    lead, den and q are series read as polynomials, zero past their order, with den(0) = 1
-    and q(0) = 0, so [x^n](q*F**2) involves only F_0..F_(n-1) and the terms
-    follow one at a time, O(order**2) int products in all.  With lead, den,
-    q = L/D, E/D, K/D over one common denominator D, the integers Phi_n =
-    F_n*D**(2n+1) and S_m = [x^m](F**2)*D**(2m+2) (the Phi-scaled running square) satisfy
-    Phi_n = L_n*D**(2n) - sum_(k>=1) (E_k*D**(2k-1)*Phi_(n-k) - K_k*D**(2k-2)*S_(n-k)).
+    lead, den and each q_k are series read as polynomials, zero past their order, with
+    den(0) = 1 and q_k(0) = 0, so [x^n](q_k*F**k) involves only F_0..F_(n-1) and the
+    terms follow one at a time off the running powers F**2..F**K, O(K*order**2) int
+    products in all.  With lead, den, q_k = L/D, E/D, Q_k/D over one common denominator
+    D, the integers Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k) (the
+    Phi-scaled powers; P_1 = Phi) satisfy
+
+        Phi_n = L_n*D**(K*n) + sum_(j>=1, k=1..K) Q_(k,j)*D**(K*j-k)*P_(k,n-j)
+
+    with Q_1 = -E.  Every term of that sum is one int dot product of the scaled
+    coefficients, j-major with k falling, against the reversed history of
+    (P_(1,m), ..., P_(K,m)) for m < n.
     """
     if order < 1:
         raise SeriesError("order must be positive")
-    (lead_, den_, q_), d = _over_lcm([lead, den, q])
-    lead_ = lead_[:order] + [0] * (order - len(lead_))
-    scale = [d ** (2 * n) for n in range(order)]
-    # E_k D**(2k-1) and K_k D**(2k-2) at index k - 1, dotted with the reversed Phi and S so far
-    es = [c * s // d for c, s in zip(den_[1:order], scale[1:])]
-    ks = [c * s for c, s in zip(q_[1:order], scale)]
-    phi, sq = [], []
-    for n in range(order):
-        phi.append(lead_[n] * scale[n] - sum(map(mul, es, reversed(phi))) + sum(map(mul, ks, reversed(sq))))
-        sq.append(sum(map(mul, phi, reversed(phi))))
+    (lead_, den_, *qs_), d = _over_lcm([lead, den, *qs])
+    top = len(qs) + 1
+    scale = [d ** (top * n) for n in range(order)]
+    polys = list(enumerate([[-c for c in den_], *qs_], 1))[::-1]
+    width = min(order, max(len(p) for _, p in polys))
+    # Q_(k,j)*D**(K*j-k) for j = 1, 2, ... and, within each j, k = K..1: the order of the reversed history
+    coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
+    base = [c * s for c, s in zip(lead_, scale)]
+    base += [0] * (order - len(base))
+    phi, history = [], []
+    powers = [phi] + [[] for _ in qs]
+    chain = list(zip(powers, powers[1:]))  # P_k = P_(k-1) * Phi
+    for b in base:
+        t = b + sum(map(mul, coef, reversed(history)))
+        phi.append(t)
+        history.append(t)
+        for below, p in chain:
+            v = sum(map(mul, below, reversed(phi)))
+            p.append(v)
+            history.append(v)
     return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
 
 
 def catalan_of(u: PowerSeries) -> PowerSeries:
-    """C(u), the solution y of y = 1 + u*y**2, to u's order (by _quadratic_root)."""
+    """C(u), the solution y of y = 1 + u*y**2, to u's order (by _polynomial_root)."""
     if u._nums[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
     one = PowerSeries._ints((1,), 1)
-    return _quadratic_root(one, one, u, u.order)
+    return _polynomial_root(one, one, [u], u.order)
 
 
 def catalan(order: int) -> PowerSeries:

@@ -47,7 +47,6 @@ from .series import InsufficientTerms, PowerSeries, Sequence, rational, rational
 from .core import (
     LowerTriangle,
     RiordanPair,
-    bell_from_f,
     diagonal_sums,
     production_matrix,
     a_sequence,
@@ -58,6 +57,7 @@ from .core import (
 )
 from .amatrix import (
     AMatrixSpec,
+    bell_pair,
     closed_form_f_general,
     direct_triangle,
     narayana_poly_coeffs,
@@ -140,7 +140,8 @@ class _Builder:
             return self._pairs[key]
         kind = spec.get("kind")
         if kind == "amatrix":
-            built = bell_from_f(solve_f(_amatrix_spec(spec), self.order).f)
+            array = _amatrix_spec(spec)
+            built = bell_pair(array, solve_f(array, self.order).f)
         elif kind == "rational_pair":
             built = RiordanPair(
                 rational_series(spec["g_num"], spec["g_den"], self.order),

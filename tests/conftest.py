@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -7,7 +8,10 @@ from hypothesis import settings, strategies as st
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
     PowerSeries,
+    SeriesError,
+    _Substitution,
     _over_common_denominator,
+    _over_lcm,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=30, derandomize=True)
@@ -56,6 +60,26 @@ def series_products(thunk):
     return out
 
 
+def record_reversions_and_substitutions(monkeypatch):
+    """(reverts, substitutions): lists that fill, while monkeypatch is active, with
+    every series PowerSeries.revert reverts and the order n of every composition
+    (_Substitution.__call__, so PowerSeries.compose too)."""
+    reverts, substitutions = [], []
+    revert, substitute = PowerSeries.revert, _Substitution.__call__
+
+    def counted_revert(self):
+        reverts.append(self)
+        return revert(self)
+
+    def counted_substitute(substitution, outer):
+        substitutions.append(substitution.n)
+        return substitute(substitution, outer)
+
+    monkeypatch.setattr(PowerSeries, "revert", counted_revert)
+    monkeypatch.setattr(_Substitution, "__call__", counted_substitute)
+    return reverts, substitutions
+
+
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 
@@ -80,3 +104,49 @@ def catalan_recurrence(u):
         half = sum(y[i] * y[n - i] for i in range((n + 1) // 2))
         sq.append(2 * half + y[n // 2] ** 2 if n % 2 == 0 else 2 * half)
     return PowerSeries(tuple(Fraction(c, d**m) for m, c in enumerate(y)))
+
+
+def quadratic_root(lead, den, q, order: int) -> PowerSeries:
+    """Oracle: the quadratic solver that catalan_of, sqrt and the closed forms ran
+    before the general polynomial root.
+
+    The series F with den*F = lead + q*F**2, to the given order, for den(0) = 1 and
+    q(0) = 0.  With lead, den, q = L/D, E/D, K/D over one common denominator D, the
+    integers Phi_n = F_n*D**(2n+1) and S_m = [x^m](F**2)*D**(2m+2) (the Phi-scaled
+    running square, a full convolution) satisfy
+    Phi_n = L_n*D**(2n) - sum_(k>=1) (E_k*D**(2k-1)*Phi_(n-k) - K_k*D**(2k-2)*S_(n-k)).
+    """
+    if order < 1:
+        raise SeriesError("order must be positive")
+    (lead_, den_, q_), d = _over_lcm([lead, den, q])
+    lead_ = lead_[:order] + [0] * (order - len(lead_))
+    scale = [d ** (2 * n) for n in range(order)]
+    es = [c * s // d for c, s in zip(den_[1:order], scale[1:])]
+    ks = [c * s for c, s in zip(q_[1:order], scale)]
+    phi, sq = [], []
+    for n in range(order):
+        phi.append(lead_[n] * scale[n] - sum(map(mul, es, reversed(phi))) + sum(map(mul, ks, reversed(sq))))
+        sq.append(sum(map(mul, phi, reversed(phi))))
+    return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
+
+
+def polynomial_root_by_terms(lead, den, qs, order: int) -> list[Fraction]:
+    """Oracle: the F with den*F = lead + sum_(k>=2) qs[k-2]*F**k, term by term in
+    Fractions, for den(0) = 1 and q_k(0) = 0.  F_n is lead_n less den's lower
+    terms against F, plus [x^n](q_k*F**k) from F_0..F_(n-1) alone (F_n enters no
+    q_k term since q_k(0) = 0); each power is a fresh schoolbook convolution."""
+
+    def term(s, i):
+        return s.coeffs[i] if i < s.order else Fraction(0)
+
+    f = []
+    for n in range(order):
+        known = f + [Fraction(0)]
+        total = term(lead, n) - sum(term(den, j) * f[n - j] for j in range(1, n + 1))
+        for k, q in enumerate(qs, 2):
+            power = [Fraction(1)] + [Fraction(0)] * n
+            for _ in range(k):
+                power = [sum(power[i] * known[m - i] for i in range(m + 1)) for m in range(n + 1)]
+            total += sum(term(q, j) * power[n - j] for j in range(1, n + 1))
+        f.append(total)
+    return f

@@ -1,20 +1,30 @@
 """Coefficient-array solving, direct triangles, closed forms, substitution."""
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import riordan.amatrix as amatrix_mod
 from riordan.series import PowerSeries, SeriesError, catalan, rational_series
-from riordan.core import bell_from_f, riordan_inverse, riordan_triangle, a_sequence
+from riordan.core import (
+    NotRiordanBand,
+    a_sequence,
+    bell_from_f,
+    production_matrix,
+    riordan_inverse,
+    riordan_triangle,
+    z_sequence,
+)
 from riordan.amatrix import (
     AMatrixSpec,
     InvalidSpec,
     NonConvergence,
     asequence_by_substitution,
+    bell_pair,
     binomial_transform_equation_check,
     closed_form_f_general,
     direct_triangle,
@@ -121,6 +131,18 @@ def test_spec_dict_and_repr_have_no_digit_cap(digits, sign):
         f"AMatrixSpec(rows=((Fraction(1, 1), Fraction({sign}, {Decimal(abs(n))})),), "
         f"rho=(Fraction({Decimal(n)}, 2),), repeat_last_row=False)"
     )
+
+
+@pytest.mark.parametrize("digits", [4299, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spec_json_text_has_no_digit_cap(digits, sign):
+    # json writes an int with int.__repr__, which CPython caps at 4300 digits, so an
+    # integral entry past the cap is written as its decimal string
+    n = sign * (10 ** (digits - 1) + 7)
+    spec = AMatrixSpec.of([[1, n], [n]], [n], repeat_last_row=True)
+    data = spec.to_dict()
+    assert data["rho"] == [n if digits < 4300 else str(Decimal(n))]
+    assert AMatrixSpec.from_dict(json.loads(json.dumps(data))) == spec
 
 
 def test_spec_json_rejects_garbage():
@@ -529,6 +551,53 @@ def test_binomial_transform_is_repeated_row_solution(rng):
 
 
 # -- A-sequences by substitution ------------------------------------------------
+
+
+@st.composite
+def deep_amatrix_specs(draw):
+    """1-5 rows of width <= 4 with p/q entries, a corner other than 1 about half the
+    time, rho of length <= 3, either repeat flag."""
+    rows = draw(st.lists(st.lists(small_fraction, min_size=1, max_size=4), min_size=1, max_size=5))
+    corners = st.sampled_from([Fraction(1), Fraction(2), Fraction(-3), Fraction(2, 3)])
+    rows[0][0] = draw(st.one_of(corners, small_fraction.filter(bool)))
+    return AMatrixSpec.of(rows, draw(st.lists(small_fraction, max_size=3)), draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(deep_amatrix_specs(), st.integers(3, 30))
+@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 24)
+@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 30)
+def test_spec_route_reverse_matches_the_revert_route(spec, order):
+    f = solve_f(spec, order).f
+    pair, oracle = bell_pair(spec, f), bell_from_f(f)  # the oracle reverts x*g
+    assert (pair._long_fbar, pair._long_a) == (oracle._long_fbar, oracle._long_a)
+    assert (pair.fbar, pair.a, pair.z) == (oracle.fbar, oracle.a, oracle.z)
+    assert asequence_by_substitution(spec, order).terms == (1 / f.revert().div_x()).coeffs
+
+
+@pytest.mark.parametrize("term, identity", [(2, "A-series"), (-1, "Z-series")])
+def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch):
+    # A = 1/u: a low term of u moves A itself, the top term only the one term
+    # past A's order that Z = (A - g0)/x reads
+    spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    route = amatrix_mod._fbar_over_x
+
+    def corrupt(spec, order):
+        coeffs = list(route(spec, order).coeffs)
+        coeffs[term] += 1
+        return PowerSeries(tuple(coeffs))
+
+    clean = a_sequence(bell_pair(spec, solve_f(spec, 16).f))
+    monkeypatch.setattr(amatrix_mod, "_fbar_over_x", corrupt)
+    pair = bell_pair(spec, solve_f(spec, 16).f)
+    raising = [lambda p: production_matrix(p, 6), z_sequence]
+    if identity == "A-series":
+        raising.append(a_sequence)
+    else:
+        assert a_sequence(pair) == clean
+    for compute in raising:
+        with pytest.raises(NotRiordanBand, match=identity):
+            compute(pair)
 
 
 def test_substitution_asequence_three_term_spec():

@@ -7,8 +7,10 @@ from decimal import Decimal
 import pytest
 
 from riordan import cli
-from riordan.series import PowerSeries, format_rational
+from riordan.series import format_rational
 from riordan.verify import Fixture
+
+from conftest import record_reversions_and_substitutions
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
 
@@ -180,19 +182,15 @@ def test_pipeline_hankel_and_fit(capsys):
     assert "somos fit: Unique alpha=1 beta=1" in out
 
 
-def test_pipeline_reverts_f_once_for_both_sequences(capsys, monkeypatch):
-    calls = []
-    revert = PowerSeries.revert
-
-    def counted(self):
-        calls.append(self)
-        return revert(self)
-
-    monkeypatch.setattr(PowerSeries, "revert", counted)
-    code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq")
+def test_pipeline_reverts_nothing_and_checks_a_and_z_once_each(capsys, monkeypatch):
+    reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
+    code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq", "--production")
     assert code == 0
     assert "A-sequence: " in out and "Z-sequence: " in out
-    assert len(calls) == 1
+    # fbar and A come from the spec's A-matrix equation, so nothing is reverted; the
+    # only compositions into f are the A and Z checks, at order - 2 = 30
+    assert reverts == []
+    assert substitutions == [30, 30]
 
 
 def test_pipeline_production_display(capsys):

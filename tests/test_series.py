@@ -30,7 +30,15 @@ from riordan.series import (
     _Substitution,
 )
 
-from conftest import catalan_recurrence, random_fraction, random_nonzero_fraction, series_products
+from conftest import (
+    catalan_recurrence,
+    polynomial_root_by_terms,
+    quadratic_root,
+    random_fraction,
+    random_nonzero_fraction,
+    series_products,
+    small_fraction,
+)
 
 
 def expand_quotient(num, den, order):
@@ -775,6 +783,46 @@ def test_catalan_of_matches_recurrence_oracle(u):
 def test_catalan_of_rejects_unit_argument():
     with pytest.raises(CompositionRequiresZeroConstantTerm):
         catalan_of(PowerSeries.of([1, 1], 5))
+
+
+# -- the polynomial root against its oracles ----------------------------------
+
+
+@st.composite
+def root_equations(draw, degrees):
+    """(lead, den, qs, order) for den*F = lead + sum_k q_k*F**k: short polynomials
+    with small or p/q terms, den(0) = 1 and q_k(0) = 0, some q_k of valuation 2."""
+    top = draw(degrees)
+    poly = st.lists(st.one_of(small_fraction, zero_heavy), min_size=1, max_size=4)
+    lead = PowerSeries(tuple(draw(poly)))
+    den = PowerSeries((Fraction(1), *draw(poly)))
+    qs = [
+        PowerSeries((Fraction(0),) * draw(st.sampled_from([1, 1, 2])) + tuple(draw(poly)))
+        for _ in range(top - 1)
+    ]
+    return lead, den, qs, draw(st.integers(1, 14))
+
+
+@settings(max_examples=40)
+@given(root_equations(st.integers(2, 5)))
+def test_polynomial_root_matches_term_by_term_oracle(equation):
+    lead, den, qs, order = equation
+    got = riordan.series._polynomial_root(lead, den, qs, order)
+    assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
+
+
+@settings(max_examples=60)
+@given(root_equations(st.just(2)).flatmap(lambda e: st.tuples(st.just(e), st.integers(1, 48))))
+def test_polynomial_root_matches_quadratic_oracle(case):
+    (lead, den, (q,), _), order = case
+    got = riordan.series._polynomial_root(lead, den, [q], order)
+    assert got == quadratic_root(lead, den, q, order)
+
+
+def test_polynomial_root_without_powers_is_the_quotient():
+    lead, den = PowerSeries.of([1, 2]), PowerSeries.of([1, Fraction(-1, 3), 5])
+    got = riordan.series._polynomial_root(lead, den, [], 20)
+    assert got == PowerSeries.of([1, 2], 20) / PowerSeries.of([1, Fraction(-1, 3), 5], 20)
 
 
 # -- sequences and the binomial transform -------------------------------------

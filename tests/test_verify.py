@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import pathlib
 from decimal import Decimal
 from fractions import Fraction
@@ -28,6 +29,8 @@ from riordan.verify import (
     sweep_conjecture_rho0,
     sweep_conjecture_rho_delta,
 )
+
+from conftest import record_reversions_and_substitutions
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -61,6 +64,25 @@ def test_corpus_loads_and_covers_the_key_ids():
 def test_run_all_fixtures_passes():
     report = run_fixtures()
     assert report.ok, [o for o in report.failed]
+
+
+def test_spec_pairs_revert_nothing_and_check_a_and_z_once_each(monkeypatch):
+    fixtures = [
+        fx
+        for fx in load_corpus()
+        if fx.check_kind in ("aseq", "zseq", "production") and fx.spec["kind"] == "amatrix"
+    ]
+    kinds = {}
+    for fx in fixtures:
+        kinds.setdefault(json.dumps(fx.spec, sort_keys=True), set()).add(fx.check_kind)
+    monkeypatch.setattr(verify_mod, "load_corpus", lambda: fixtures)
+    reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
+    report = run_fixtures()
+    assert report.ok and report.total == len(fixtures) == 15
+    # each pair checks A, and Z when a fixture reads it, once at order - 2
+    assert reverts == []
+    want = sum(1 if k == {"aseq"} else 2 for k in kinds.values())
+    assert substitutions == [verify_mod.DEFAULT_ORDER - 2] * want
 
 
 def test_filtered_runs():
