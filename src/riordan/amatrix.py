@@ -11,16 +11,15 @@ with coefficients (0, 0, rho_0, rho_1, ...).  Only AMatrixSpec knows how the
 rows continue: ``entry`` reads a[i][j] at any depth i >= -1, and
 ``row_sum`` evaluates sum_i x^i * value(row_i) over the rows i >= 0,
 summing a repeated last row in closed form.  This module solves the
-equation by Newton iteration on power series (the working order doubles at
-each step, Brent & Kung 1978), builds Bell triangles directly from the
-entry recurrence, and evaluates the Catalan-composition closed forms for
-the two-row and single-row families as roots of one quadratic each.  It
-reads the reverse fbar and the A-sequence off the array with no series
-reversion: replacing x by fbar in the defining equation leaves a
-polynomial equation in u = fbar/x = 1/A with polynomial coefficients (the
-A-matrix construction of Merlini, Rogers, Sprugnoli and Verri 1997), whose
-root follows from the same int recurrence as the closed forms.
-``bell_pair`` seeds a Bell pair's reverse with it.
+equation as a polynomial equation in F = f/x with polynomial coefficients,
+builds Bell triangles directly from the entry recurrence, and evaluates the
+Catalan-composition closed forms for the two-row and single-row families
+as roots of one quadratic each.  It reads the reverse fbar and the
+A-sequence off the array with no series reversion: replacing x by fbar in
+the defining equation leaves a polynomial equation in u = fbar/x = 1/A (the
+A-matrix construction of Merlini, Rogers, Sprugnoli and Verri 1997).  Every
+one of these roots follows from one int recurrence, and ``bell_pair`` seeds
+a Bell pair's reverse with u.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -87,10 +86,13 @@ class AMatrixSpec:
     def from_dict(cls, data: dict) -> AMatrixSpec:
         """Parse the JSON shape {"rows": [[...]], "rho": [...], "repeat_last_row": bool}.
 
-        Scalars may be integers or "p/q" strings.
+        Scalars may be integers or "p/q" strings; any other key is refused.
         """
         if not isinstance(data, dict) or "rows" not in data:
             raise InvalidSpec("spec JSON must be an object with a 'rows' key")
+        unknown = [key for key in data if key not in ("rows", "rho", "repeat_last_row")]
+        if unknown:
+            raise InvalidSpec(f"unknown spec key {unknown[0]!r}; the keys are 'rows', 'rho' and 'repeat_last_row'")
         rows = data["rows"]
         rho = data.get("rho", [])
         repeat = data.get("repeat_last_row", False)
@@ -167,18 +169,18 @@ class AMatrixSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """The solution f and the solver's pass count: its Newton steps plus the
-    final full-order residual check (6, 7 and 8 at order 64, 128 and 256)."""
+    """The solution f and the solver's pass count: the root pass plus the
+    full-order residual check, so 2 at every order."""
 
     f: PowerSeries
     iterations: int
 
 
-def _phi_and_slope(spec: AMatrixSpec, f: PowerSeries, slope: bool = True):
-    """Phi(f) = sum_(i >= -1) x^(i+1) P_i(f) at f's order, and with ``slope``
-    also Phi'(f) = sum_(i >= -1) x^(i+1) P_i'(f).  Every row is a polynomial
-    in f off one list of powers; row -1 is added apart from ``row_sum``, so
-    the rows i >= 0 end in a ``mul_x`` shift and not in a series product.
+def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
+    """f - Phi(f), Phi(f) = sum_(i >= -1) x^(i+1) P_i(f) the equation's right side at
+    f's order; identically zero at a solution.  Every row is a polynomial in f off one
+    list of powers; row -1 is added apart from ``row_sum``, so the rows i >= 0 end in a
+    ``mul_x`` shift and not in a series product.
     """
     order = f.order
     maxpow = max(len(r) for r in (spec._rho_row, *spec.rows)) - 1
@@ -187,54 +189,50 @@ def _phi_and_slope(spec: AMatrixSpec, f: PowerSeries, slope: bool = True):
         powers.append(powers[-1] * f)
     zero = PowerSeries.zero(order)
 
-    def array_sum(value) -> PowerSeries:
-        return spec.row_sum(value).mul_x().truncate(order) + value(spec._rho_row)
+    def value(row) -> PowerSeries:
+        return sum((powers[j] * c for j, c in enumerate(row) if c), zero)
 
-    phi = array_sum(lambda row: sum((powers[j] * c for j, c in enumerate(row) if c), zero))
-    if not slope:
-        return phi
-    return phi, array_sum(
-        lambda row: sum((powers[j - 1] * (j * c) for j, c in enumerate(row) if j and c), zero)
-    )
+    return f - spec.row_sum(value).mul_x().truncate(order) - value(spec._rho_row)
 
 
-def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
-    """f minus the equation right side; identically zero at a solution."""
-    return f - _phi_and_slope(spec, f, slope=False)
+def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
+    """F = f/x for the solution f of the spec, to the given order, as a polynomial root.
+
+    With f = x*F, dividing f = sum_(i >= -1) x^(i+1) P_i(f) by x and collecting powers
+    of F gives
+
+        (1 - C_1) F = C_0 + sum_(j>=2) C_j F^j,   C_j = sum_(i >= -1) a[i][j] x^(i+j),
+
+    where C_1(0) = 0 and C_j(0) = 0 for j >= 2, as a[-1][0] = a[-1][1] = 0: the form
+    _polynomial_root solves.  A repeated last row adds x^(L-1+j) * last[j] / (1 - x) to
+    C_j, so the equation is multiplied through by 1 - x: each coefficient list, the last
+    row's entry at its end, takes its first differences and drops the term past that end.
+    """
+    rows = (spec._rho_row, *spec.rows)  # row i at index i + 1
+    # x*C_j with F moved left, x*(C_1 - 1): column j of the rows from x^j on
+    xcs = [[0] * j + [r[j] if j < len(r) else 0 for r in rows] for j in range(max(map(len, rows)))]
+    xcs[1][1] -= 1
+    if spec.repeat_last_row:
+        xcs = [[a - b for a, b in zip(c, [0, *c])] for c in xcs]
+    c0, c1, *qs = (PowerSeries.of(c).div_x() for c in xcs)
+    return _polynomial_root(c0, -c1, qs, order)
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     """The unique solution f with f(0) = 0, f'(0) = a[0][0], to truncation.
 
-    Newton iteration on f = Phi(f): Phi'(f) has no constant term, so
-    1 - Phi'(f) is a unit and f <- f - (f - Phi(f)) / (1 - Phi'(f)) doubles
-    the exact coefficients.  From a[0][0]*x, exact to order 2, each step
-    doubles the working order up to ``order``; a full-order residual check
-    closes the solve.  ``iterations`` counts the steps plus that check.
-
-    With f exact to k terms and n = min(2k, order), f - Phi(f) = O(x**k), so
-    the correction x**k * ((f - Phi(f))/x**k * w) needs w = 1/(1 - Phi'(f))
-    only to its n - k new terms.  The w of the step before, from an f that
-    was already exact that far, is an exact prefix of it, so it is carried
-    from step to step and extended by one Newton step of the inverse, not
-    recomputed (Brent and Kung 1978).
+    f = x*F for the root F of the spec's own equation in F (_f_over_x), one term
+    at a time off one int recurrence; a full-order residual check, which
+    evaluates the equation through ``row_sum`` and the powers of f and not
+    through the polynomials the root was read off, closes the solve.
+    ``iterations`` counts the root pass plus that check: 2.
     """
     if order < 2:
         raise InsufficientTerms("order must be at least 2")
-    f = PowerSeries.of([0, spec.rows[0][0]])
-    w = PowerSeries.one(1)  # Phi'(f) has no constant term
-    steps = 0
-    while (k := f.order) < order:
-        n = min(2 * k, order)
-        f = f._padded(n)
-        phi, slope = _phi_and_slope(spec, f)
-        w = (1 - slope.truncate(n - k))._inverse(w)
-        r = f - phi
-        f = f - (PowerSeries._ints(r._nums[k:], r._den) * w)._shift(k)
-        steps += 1
+    f = _f_over_x(spec, order - 1).mul_x()
     if not functional_equation_residual(spec, f).is_zero():
-        raise NonConvergence("Newton iteration left a nonzero residual; the step is miscoded")
-    return SolveReport(f, steps + 1)
+        raise NonConvergence("the root left a nonzero residual; the equation is miscoded")
+    return SolveReport(f, 2)
 
 
 def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
@@ -319,8 +317,8 @@ def _fbar_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
 def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
     """bell_from_f(f) for the solution f of the spec (solve_f's), with its reverse
     read off the array: fbar = x*u and A = 1/u for the u of _fbar_over_x, so no
-    reversion runs.  The pair's checks, f/x = A(f) and the Z check, test that A
-    against the Newton solution f it was not derived from.
+    reversion runs.  The pair's checks, f/x = A(f) and the Z check, test that A,
+    from the equation in u, against the f of the equation in f/x.
     """
     pair = bell_from_f(f)
     # the cached reverse, one term longer than the pair, that fbar, A and Z are read off
@@ -332,7 +330,7 @@ def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, as 1/u for
     the u = fbar/x of the substituted equation (_fbar_over_x).
 
-    Also checks it against the Newton solution f: A(f) = f/x must hold to
+    Also checks it against solve_f's f: A(f) = f/x must hold to
     order - 1, or NonConvergence is raised.
     """
     f = solve_f(spec, order).f

@@ -26,7 +26,7 @@ import sys
 from decimal import Decimal
 
 from .series import InsufficientTerms, Sequence, format_rational
-from .core import production_matrix, riordan_triangle, a_sequence, z_sequence
+from .core import production_matrix, riordan_triangle, a_sequence, z_sequence, _band
 from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f
 from .hankel import (
     FAMILY,
@@ -112,11 +112,8 @@ def _fit_json(fit) -> dict:
 
 
 def _production_json(prod) -> dict:
-    return {
-        "matrix": [_json_list(r) for r in prod.matrix],
-        "z": _json_list(prod.z.terms),
-        "a": _json_list(prod.a.terms),
-    }
+    z, a = _json_list(prod.z.terms), _json_list(prod.a.terms)
+    return {"matrix": _band(z, a, "0"), "z": z, "a": a}
 
 
 def _jfraction_json(jf) -> dict:

@@ -215,11 +215,14 @@ def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
     if size + 1 > pair.order:
         raise InsufficientTerms(f"size {size} needs order >= {size + 1}, have {pair.order}")
     a, z = pair.a.coeffs[:size], pair.z.coeffs[:size]
-    p = tuple(
-        (z[i],) + tuple(a[i - j + 1] if j <= i + 1 else _ZERO for j in range(1, size))
-        for i in range(size)
-    )
-    return ProductionData(p, Sequence(z), Sequence(a))
+    return ProductionData(_band(z, a, _ZERO), Sequence(z), Sequence(a))
+
+
+def _band(z, a, zero) -> tuple:
+    """The production matrix laid out from its sequences, of any entry type: column 0
+    is z and column k >= 1 is a shifted down by k - 1, with ``zero`` above it."""
+    size = len(z)
+    return tuple(((z[i], *a[i::-1]) + (zero,) * size)[:size] for i in range(size))
 
 
 def a_sequence(pair: RiordanPair) -> Sequence:

@@ -15,7 +15,7 @@ A product packs each
 operand into one big int (Kronecker substitution) so a single big-int
 multiply does the work, a quotient is a Newton inverse built from such
 products, and a root of a polynomial series equation (:func:`catalan_of`,
-``sqrt``, the closed forms and a spec's reverse) follows from one int
+``sqrt``, the closed forms and a spec's f and reverse) follows from one int
 coefficient recurrence.  Composition (Brent
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
@@ -279,8 +279,9 @@ class PowerSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self._den) for c in self._nums)
+        if self._coeffs is None:  # Fraction(c) takes no gcd
+            d = self._den
+            self._coeffs = tuple(map(Fraction, self._nums) if d == 1 else (Fraction(c, d) for c in self._nums))
         return self._coeffs
 
     @property
@@ -288,7 +289,7 @@ class PowerSeries:
         return len(self._nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self._nums[i], self._den)
+        return Fraction(self._nums[i]) if self._den == 1 else Fraction(self._nums[i], self._den)
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
         if n > self.order:
@@ -388,22 +389,17 @@ class PowerSeries:
             return self._inverse() * other
         return NotImplemented
 
-    def _inverse(self, g: PowerSeries | None = None) -> PowerSeries:
-        """1/self by Newton iteration, which doubles the exact terms of g.
+    def _inverse(self) -> PowerSeries:
+        """1/self by Newton iteration from g = 1/self(0), doubling g's exact terms.
 
         With g exact to k terms and n = min(2k, order), self*g = 1 + x**k * e
         mod x**n, and g <- g - x**k * (g*e) mod x**n.  The step forms self*g to
-        n terms and g*e to the n - k new ones.  The iteration starts from
-        1/self(0), or from ``g`` when given: 1/self exact to g's order, so a
-        caller that holds an inverse from a shorter prefix of self pays only
-        the steps past it (``solve_f`` carries its inverse that way).
+        n terms and g*e to the n - k new ones.
         """
         if self._nums[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         c0 = self._nums[0]
-        if g is None:
-            g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
-        g = g.truncate(min(g.order, self.order))
+        g = PowerSeries._ints((self._den if c0 > 0 else -self._den,), abs(c0))
         while (k := g.order) < self.order:
             g = g._padded(min(2 * k, self.order))
             r = self * g

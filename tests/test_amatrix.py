@@ -74,7 +74,7 @@ def fixed_point_f(spec, order):
     """Oracle: the fixed-point loop f <- Phi(f) from a[0][0]*x, which pins at
     least one coefficient per pass.  Phi is summed row by row, a repeated
     last row written out to the working order, so neither
-    AMatrixSpec.row_sum nor the Newton step takes part."""
+    AMatrixSpec.row_sum nor solve_f's root takes part."""
     rows = [list(r) for r in spec.rows]
     if spec.repeat_last_row:
         rows += [rows[-1]] * (order - len(rows))
@@ -159,6 +159,9 @@ def test_spec_json_rejects_garbage():
     for zero_denominator in ({"rows": [[1, "1/0"]]}, {"rows": [[1]], "rho": ["1/0"]}):
         with pytest.raises(InvalidSpec):
             AMatrixSpec.from_dict(zero_denominator)
+    for key in ("repeat_last_rows", "Rho", "rows ", "kind"):
+        with pytest.raises(InvalidSpec, match=f"unknown spec key '{key}'"):
+            AMatrixSpec.from_dict({"rows": [[1, 1]], "rho": [1], key: True})
 
 
 def test_spec_entry_reads_rows_from_minus_one():
@@ -223,9 +226,10 @@ def test_residual_vanishes_on_random_specs(rng):
 
 
 def test_iterations_count_newton_steps_plus_the_check():
+    # the root pass plus the residual check, at every order
     spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
     orders = (2, 3, 4, 48, 64, 128, 256)
-    assert [solve_f(spec, n).iterations for n in orders] == [1, 2, 2, 6, 6, 7, 8]
+    assert [solve_f(spec, n).iterations for n in orders] == [2] * len(orders)
 
 
 @st.composite
@@ -245,36 +249,75 @@ def test_newton_solve_matches_fixed_point_oracle(spec, order):
     assert solve_f(spec, order).f.coeffs == fixed_point_f(spec, order).coeffs
 
 
+def newton_slope(spec, f):
+    """Phi'(f) = sum_(i >= -1) x^(i+1) P_i'(f) at f's order, for the Newton oracles."""
+    n = f.order
+    powers = [PowerSeries.one(n), f]
+    while len(powers) < max(map(len, (spec._rho_row, *spec.rows))):
+        powers.append(powers[-1] * f)
+
+    def value(row):
+        return sum((powers[j - 1] * (j * c) for j, c in enumerate(row) if j), PowerSeries.zero(n))
+
+    return spec.row_sum(value).mul_x().truncate(n) + value(spec._rho_row)
+
+
+def newton_f(spec, order):
+    """Oracle: Newton iteration on f = Phi(f) (Brent and Kung 1978), the route
+    solve_f took before the polynomial root.  Phi'(f) has no constant term, so
+    1 - Phi'(f) is a unit and f <- f - (f - Phi(f)) / (1 - Phi'(f)) doubles the
+    exact coefficients, from a[0][0]*x, exact to order 2.  With f exact to k
+    terms and n = min(2k, order), the correction needs w = 1/(1 - Phi'(f)) only
+    to its n - k new terms, and the w of the step before is an exact prefix of
+    it, so w is carried from step to step and extended by Newton steps of the
+    inverse."""
+    f = PowerSeries.of([0, spec.rows[0][0]])
+    w = PowerSeries.one(1)
+    while (k := f.order) < order:
+        n = min(2 * k, order)
+        f = f._padded(n)
+        d = 1 - newton_slope(spec, f).truncate(n - k)
+        while (m := w.order) < n - k:
+            w = w._padded(min(2 * m, n - k))
+            e = d * w
+            w = w - (w * PowerSeries._ints(e._nums[m:], e._den))._shift(m)
+        r = functional_equation_residual(spec, f)
+        f = f - (PowerSeries._ints(r._nums[k:], r._den) * w)._shift(k)
+    return f
+
+
 def full_division_newton(spec, order):
     """Oracle: the Newton solve that carried nothing from step to step, dividing
-    f - Phi(f) by 1 - Phi'(f) with a full Newton inverse at every step; returns
-    f and the pass count (steps plus the residual check)."""
+    f - Phi(f) by 1 - Phi'(f) with a full Newton inverse at every step."""
     f = PowerSeries.of([0, spec.rows[0][0]])
-    steps = 0
     while f.order < order:
         f = f._padded(min(2 * f.order, order))
-        phi, slope = amatrix_mod._phi_and_slope(spec, f)
-        f = f - (f - phi) / (1 - slope)
-        steps += 1
-    return f, steps + 1
+        f = f - functional_equation_residual(spec, f) / (1 - newton_slope(spec, f))
+    return f
 
 
 @settings(max_examples=60)
 @given(amatrix_specs(), st.integers(2, 70))
 def test_newton_solve_matches_full_division_oracle(spec, order):
-    report = solve_f(spec, order)
-    assert (report.f, report.iterations) == full_division_newton(spec, order)
+    assert solve_f(spec, order).f == full_division_newton(spec, order)
+
+
+@settings(max_examples=60)
+@given(amatrix_specs(), st.integers(2, 70))
+def test_root_solve_matches_newton_and_fixed_point_oracles(spec, order):
+    f = solve_f(spec, order).f
+    assert f == newton_f(spec, order)
+    assert f.coeffs == fixed_point_f(spec, order).coeffs
 
 
 def test_solve_f_series_products_at_order_256():
-    # row_sum at s = x shifts and, for a repeated last row, divides by 1 - x
-    # as a running sum, so the two specs take the same products: per step,
-    # f**2, one Newton step of the carried 1/(1 - Phi'(f)) and the
-    # correction, and no (1 - x) inverse; a full inverse per step took 85
+    # the root takes no series product; the residual check forms f**2 once
+    # (both specs have rows of width 3), and row_sum at s = x shifts and, for
+    # a repeated last row, divides by 1 - x as a running sum
     a171416 = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
     repeated = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    assert series_products(lambda: solve_f(a171416, 256)) == 29
-    assert series_products(lambda: solve_f(repeated, 256)) == 29
+    assert series_products(lambda: solve_f(a171416, 256)) == 1
+    assert series_products(lambda: solve_f(repeated, 256)) == 1
 
 
 # -- direct triangle ------------------------------------------------------------

@@ -132,6 +132,18 @@ def test_zero_denominator_in_spec_is_usage_error(tmp_path, capsys):
             assert err.startswith("error: invalid spec") and err.count("\n") == 1
 
 
+def test_unknown_spec_key_is_usage_error(tmp_path, capsys):
+    # a misspelt key would otherwise drop what it meant to set and solve another array
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": [[1, 1, 1], [1, -1, 2]], "rho": [1], "repeat_last_rows": true}')
+    for command in ("solve", "pipeline"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid spec") and err.count("\n") == 1
+        assert "'repeat_last_rows'" in err and "Traceback" not in err
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(spec, order):
         raise RuntimeError("solver blew up\nsecond line")
