@@ -14,12 +14,13 @@ summing a repeated last row in closed form.  This module solves the
 equation as a polynomial equation in F = f/x with polynomial coefficients,
 builds Bell triangles directly from the entry recurrence, and evaluates the
 Catalan-composition closed forms for the two-row and single-row families
-as roots of one quadratic each.  It reads the reverse fbar and the
-A-sequence off the array with no series reversion: replacing x by fbar in
-the defining equation leaves a polynomial equation in u = fbar/x = 1/A (the
-A-matrix construction of Merlini, Rogers, Sprugnoli and Verri 1997).  Every
+as roots of one quadratic each.  It reads the A-sequence off the array
+with no series reversion or inverse: replacing x by fbar in the defining
+equation leaves a polynomial equation in u = fbar/x = 1/A (the A-matrix
+construction of Merlini, Rogers, Sprugnoli and Verri 1997), and the same
+equation divided by u gives A as a polynomial in u over 1 - x*rho(x).  Every
 one of these roots follows from one int recurrence, and ``bell_pair`` seeds
-a Bell pair's reverse with u.
+a Bell pair's A with it.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -43,7 +44,7 @@ from .series import (
     _ZERO,
     _ONE,
 )
-from .core import LowerTriangle, RiordanPair, bell_from_f
+from .core import LowerTriangle, RiordanPair, a_sequence, bell_from_f
 
 
 class InvalidSpec(ValueError):
@@ -290,8 +291,8 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     return _polynomial_root(poly([1]), 1 - poly([0, a]), [poly([0, c, b])], order).mul_x().truncate(order)
 
 
-def _fbar_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
-    """u = fbar/x = 1/A for the solution f of the spec, to the given order, from the array
+def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
+    """A = x/fbar for the solution f of the spec, to the given order, from the array
     alone: no f and no reversion.
 
     Replacing x by fbar(y) in f = sum_(i >= -1) x^(i+1) P_i(f), with f(fbar) = y and
@@ -303,41 +304,44 @@ def _fbar_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
     A repeated last row sums its copies to c_L u^L / (1 - y*u), so the equation is
     multiplied through by 1 - y*u: c_1 gains y*(1 - y*rho) and each later c_k loses
     y*c_(k-1).  Divided by a[0][0], it is den*u = lead + sum_(k>=2) q_k u^k with
-    den(0) = 1 and q_k = -c_k/a[0][0] divisible by y, the form _polynomial_root solves.
+    den(0) = 1 and q_k = -c_k/a[0][0] divisible by y, the form _polynomial_root solves
+    for u = fbar/x.  Divided by u instead, it gives A = 1/u with no inverse:
+    A = (sum_k c_k u^(k-1)) / (1 - y*rho), a Horner sum in u (L - 1 series products)
+    over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
     n = len(spec.rows) + max(len(spec.rho), *map(len, spec.rows)) + 1  # holds each c_k and y*c_k
     rhs = PowerSeries.of([1, *(-r for r in spec.rho)], n)  # 1 - y*rho(y)
     cs = [PowerSeries.of([0] * k + list(row), n) for k, row in enumerate(spec.rows)]  # c_1 .. c_L
     if spec.repeat_last_row:  # times 1 - y*u
         cs = [c + low.mul_x() for c, low in zip(cs, [rhs, *(-prev for prev in cs)])]
-    scale = 1 / spec.rows[0][0]
-    return _polynomial_root(rhs * scale, cs[0] * scale, [c * -scale for c in cs[1:]], order)
+    acc = cs[-1]._padded(order)
+    if len(cs) > 1:
+        scale = 1 / spec.rows[0][0]
+        u = _polynomial_root(rhs * scale, cs[0] * scale, [c * -scale for c in cs[1:]], order)
+        for c in reversed(cs[:-1]):
+            acc = acc * u + c._padded(order)
+    # linear in acc, so the root runs on acc's numerators and divides by its denominator after
+    return _polynomial_root(PowerSeries._ints(acc._nums, 1), rhs, [], order) * Fraction(1, acc._den)
 
 
 def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
-    """bell_from_f(f) for the solution f of the spec (solve_f's), with its reverse
-    read off the array: fbar = x*u and A = 1/u for the u of _fbar_over_x, so no
-    reversion runs.  The pair's checks, f/x = A(f) and the Z check, test that A,
-    from the equation in u, against the f of the equation in f/x.
+    """bell_from_f(f) for the solution f of the spec (solve_f's), with the pair's
+    long A read off the array (_a_series), so no reversion or inverse runs for the
+    checks; fbar is reverted from x*g only if it is read.  The pair's one composition,
+    of that A into f, checks f/x = A(f) and the Z-series: it tests A, from the
+    A-matrix equation, against the f of the equation in f/x.
     """
     pair = bell_from_f(f)
-    # the cached reverse, one term longer than the pair, that fbar, A and Z are read off
-    pair.__dict__["_long_fbar"] = _fbar_over_x(spec, pair.order).mul_x()
+    # the cached A, one term longer than the pair's, that A and Z are read off
+    pair.__dict__["_long_a"] = _a_series(spec, pair.order)
     return pair
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
-    """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, as 1/u for
-    the u = fbar/x of the substituted equation (_fbar_over_x).
-
-    Also checks it against solve_f's f: A(f) = f/x must hold to
-    order - 1, or NonConvergence is raised.
-    """
-    f = solve_f(spec, order).f
-    a = 1 / _fbar_over_x(spec, order - 1)
-    if a.compose(f) != f.div_x():
-        raise NonConvergence("the substituted A-sequence fails f/x = A(f)")
-    return Sequence(a.coeffs)
+    """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, read off
+    the A-matrix equation (bell_pair) and checked against solve_f's f by
+    f/x = A(f), or NotRiordanBand is raised."""
+    return a_sequence(bell_pair(spec, solve_f(spec, order + 1).f))
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

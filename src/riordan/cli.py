@@ -24,6 +24,7 @@ import json
 import re
 import sys
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .series import InsufficientTerms, Sequence, format_rational
 from .core import production_matrix, riordan_triangle, a_sequence, z_sequence, _band
@@ -61,7 +62,29 @@ class _CliError(Exception):
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, at nesting ``indent``.
+
+    Dicts with str keys, lists and tuples are laid out here, and a list of strings is
+    one join of their encodings: indent=2 sends json.dumps to its pure-Python encoder.
+    Any other value is json.dumps's own text, re-indented (a JSON text holds no raw
+    newline but those of its layout).
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        items = [f"{_encode_str(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            items = list(map(_encode_str, value))
+        except TypeError:  # not all strings
+            items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _json_list(values) -> list[str]:

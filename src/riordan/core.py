@@ -31,18 +31,19 @@ class RiordanPair:
 
     Both series are normalized to one shared truncation order on
     construction (the smaller of the two).  fbar, A and Z are cached on
-    first use, and so are f's powers, which both checks compose with; A does
-    not compute Z, and Z reuses A.
+    first use, and so are f's powers, which the checks compose with, and
+    A(f); A does not compute Z, and Z reuses A.
 
     A Bell pair (f/x, f), where g to order - 1 terms equals f/x, takes a
-    shorter route to Z.  There g(fbar) = f(fbar)/fbar = x/fbar = A, so
-    Z = (1 - g0/A)/x * A = (A - g0)/x and no composition into fbar is
-    formed.  The normalization cuts f to ``order`` terms, but g = f/x still
-    holds f to order + 1, so x*g is reverted and inverted one term longer
-    than fbar and A are kept: that term of A is the one Z needs at order - 1.
-    A Bell pair built from a coefficient array (``amatrix.bell_pair``) has
-    that long reverse read off the array instead, and reverts nothing; its
-    checks then test A against an f it was not derived from.
+    shorter route to Z, and one composition checks both.  There
+    g(fbar) = x/fbar = A, so Z = (A - g0)/x and g*Z(f) = (g/F)*(A(f) - g0)/x
+    with g/F = 1 below x^(order - 1), F = f/x: the Z check is g = A(f) to
+    ``order`` terms, one past the A check.  So A is kept one term longer than
+    the pair's A and composed into f once; A(f)'s top term checks Z.  g = f/x
+    holds f to order + 1 terms, so x*g is reverted and inverted to that long
+    A.  A Bell pair built from a coefficient array (``amatrix.bell_pair``) has
+    it read off the array instead and reverts x*g only if fbar is read.
+    Other pairs compose A and Z into f apart, at order - 1.
     """
 
     g: PowerSeries
@@ -85,28 +86,36 @@ class RiordanPair:
 
     @cached_property
     def _at_f(self) -> _Substitution:
-        """Composition into f at order - 1, the order of both checks; f's powers
+        """Composition into f to the long A's order, which the checks read; f's powers
         are built once per pair."""
-        return _Substitution(self.f, self.order - 1)
+        return _Substitution(self.f, self._long_a.order)
+
+    @cached_property
+    def _a_of_f(self) -> PowerSeries:
+        """The long A composed into f: on a Bell pair both checks read it."""
+        return self._at_f(self._long_a)
 
     @cached_property
     def a(self) -> PowerSeries:
         """A = x / fbar to order - 1, checked by f/x = A(f)."""
-        a = self._long_a.truncate(self.order - 1)
-        if self._at_f(a) != self.f.div_x():
+        n = self.order - 1
+        if self._a_of_f.truncate(n) != self.f.div_x():
             raise NotRiordanBand("the A-series fails f/x = A(f)")
-        return a
+        return self._long_a.truncate(n)
 
     @cached_property
     def z(self) -> PowerSeries:
         """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1,
-        or (A - g0)/x on a Bell pair; checked by (g - g0)/x = g * Z(f)."""
+        or (A - g0)/x on a Bell pair; checked by (g - g0)/x = g * Z(f), which on a
+        Bell pair is g = A(f) to order terms."""
         g0, a = self.g[0], self.a  # A is checked before Z, which is read off it
         if self._bell:
             z = (self._long_a - g0).div_x()
+            ok = self._a_of_f == self.g
         else:
             z = (1 - g0 / self.g.compose(self.fbar)).div_x() * a
-        if self.g * self._at_f(z) != (self.g - g0).div_x():
+            ok = self.g * self._at_f(z) == (self.g - g0).div_x()
+        if not ok:
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
         return z
 

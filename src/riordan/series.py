@@ -145,15 +145,17 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
     one big-int multiply gives them all.  Each slot is packed biased, as v + h in 0..2**(8w),
     with one ``to_bytes`` per coefficient; the bias of every slot, K, is taken off each
     operand and put back on the product, whose low slots are then the unsigned digits c + h.
+    Equal operands are packed once and squared.
     """
-    n = len(a)
+    n, square = len(a), a == b
     bound = n * max(map(abs, a)) * max(map(abs, b))
     if bound == 0:
         return [0] * n
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")  # K: h in every slot
-    raw = (_pack(a, width, half) - bias) * (_pack(b, width, half) - bias) + bias
+    pa = _pack(a, width, half) - bias
+    raw = (pa * pa if square else pa * (_pack(b, width, half) - bias)) + bias
     raw = (raw & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 

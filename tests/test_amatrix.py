@@ -22,7 +22,6 @@ from riordan.core import (
 from riordan.amatrix import (
     AMatrixSpec,
     InvalidSpec,
-    NonConvergence,
     asequence_by_substitution,
     bell_pair,
     binomial_transform_equation_check,
@@ -612,18 +611,19 @@ def deep_amatrix_specs(draw):
 @example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 30)
 def test_spec_route_reverse_matches_the_revert_route(spec, order):
     f = solve_f(spec, order).f
-    pair, oracle = bell_pair(spec, f), bell_from_f(f)  # the oracle reverts x*g
-    assert (pair._long_fbar, pair._long_a) == (oracle._long_fbar, oracle._long_a)
+    pair, oracle = bell_pair(spec, f), bell_from_f(f)  # the oracle reverts x*g and inverts
+    assert pair._long_a == oracle._long_a
     assert (pair.fbar, pair.a, pair.z) == (oracle.fbar, oracle.a, oracle.z)
     assert asequence_by_substitution(spec, order).terms == (1 / f.revert().div_x()).coeffs
 
 
 @pytest.mark.parametrize("term, identity", [(2, "A-series"), (-1, "Z-series")])
 def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch):
-    # A = 1/u: a low term of u moves A itself, the top term only the one term
-    # past A's order that Z = (A - g0)/x reads
+    # the seeded A is one term longer than the pair's A: a low term moves A itself,
+    # the top term only the one term past A's order that Z = (A - g0)/x reads, which
+    # the top term of the one composition A(f) checks against g's
     spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    route = amatrix_mod._fbar_over_x
+    route = amatrix_mod._a_series
 
     def corrupt(spec, order):
         coeffs = list(route(spec, order).coeffs)
@@ -631,7 +631,7 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
         return PowerSeries(tuple(coeffs))
 
     clean = a_sequence(bell_pair(spec, solve_f(spec, 16).f))
-    monkeypatch.setattr(amatrix_mod, "_fbar_over_x", corrupt)
+    monkeypatch.setattr(amatrix_mod, "_a_series", corrupt)
     pair = bell_pair(spec, solve_f(spec, 16).f)
     raising = [lambda p: production_matrix(p, 6), z_sequence]
     if identity == "A-series":
@@ -641,6 +641,21 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
     for compute in raising:
         with pytest.raises(NotRiordanBand, match=identity):
             compute(pair)
+
+
+def test_spec_pair_a_and_z_take_one_composition_and_no_inverse():
+    # A off the A-matrix equation takes L - 1 = 1 Horner product and no Newton
+    # inverse; A(f) takes the baby powers of f (m - 1 = 15 at order 255) and its
+    # Horner steps (15), and Z reads A and the top term of A(f), with no product
+    spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    f = solve_f(spec, 256).f
+    assert series_products(lambda: bell_pair(spec, f)) == 1
+    pair = bell_pair(spec, f)
+    assert series_products(lambda: pair.a) == 30
+    assert series_products(lambda: pair.z) == 0
+    single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u
+    f = solve_f(single, 256).f
+    assert series_products(lambda: bell_pair(single, f)) == 0
 
 
 def test_substitution_asequence_three_term_spec():
@@ -687,7 +702,7 @@ def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
     spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1])
     assert asequence_by_substitution(spec, 10).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     monkeypatch.setattr(amatrix_mod, "solve_f", wrong_rho)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NotRiordanBand, match="A-series"):
         asequence_by_substitution(spec, 10)
 
 

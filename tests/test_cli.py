@@ -5,6 +5,7 @@ import pathlib
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riordan import cli
 from riordan.series import format_rational
@@ -53,6 +54,32 @@ def test_solve_json_roundtrips_byte_identical(capsys):
     payload = json.loads(out)
     assert payload["f"][:6] == ["0", "1", "1", "2", "3", "7"]
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+
+
+_json_scalars = st.text() | st.integers() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),  # not str keys: json.dumps lays them out
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    # non-ASCII, control and quote characters come from st.text(); lists of strings
+    # take the writer's one-join path
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@given(st.lists(st.text(alphabet="\u00e9\u2028\U0001f600\"\\\n\x00az09/"), min_size=1), st.integers(0, 3))
+def test_json_writer_matches_json_dumps_on_nested_string_lists(strings, depth):
+    value = strings
+    for level in range(depth):
+        value = {f"k{level}": value, "n": level, "t": (value, None, True)}
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
@@ -199,10 +226,11 @@ def test_pipeline_reverts_nothing_and_checks_a_and_z_once_each(capsys, monkeypat
     code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq", "--production")
     assert code == 0
     assert "A-sequence: " in out and "Z-sequence: " in out
-    # fbar and A come from the spec's A-matrix equation, so nothing is reverted; the
-    # only compositions into f are the A and Z checks, at order - 2 = 30
+    # A comes from the spec's A-matrix equation and fbar is not read, so nothing is
+    # reverted; one composition of A into f, at the pair's order, order - 1 = 31,
+    # checks both A and Z
     assert reverts == []
-    assert substitutions == [30, 30]
+    assert substitutions == [31]
 
 
 def test_pipeline_production_display(capsys):

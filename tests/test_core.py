@@ -356,12 +356,22 @@ def test_a_sequence_does_not_compute_z(monkeypatch):
     monkeypatch.setattr(_Substitution, "__call__", counted)
     pair = motzkin_pair()
     a_sequence(pair)
-    assert calls == [pair.order - 1]  # the check f/x = A(f) only
+    # a Bell pair composes its A, one term longer than the pair's, into f to order terms
+    assert calls == [pair.order]
     assert "z" not in pair.__dict__
-    # a Bell pair reads Z off A with no composition into fbar: Z's check is the one more
+    # it reads Z off A with no composition into fbar, and checks Z off the top term
+    # of that same composition, so Z composes nothing
     assert pair._bell
     z_sequence(pair)
-    assert calls == [pair.order - 1] * 2
+    assert calls == [pair.order]
+    # a pair that is not a Bell pair checks A and Z by a composition each, at order - 1
+    calls.clear()
+    pair = non_bell_pair()
+    a_sequence(pair)
+    assert calls == [pair.order - 1]
+    calls.clear()
+    z_sequence(pair)
+    assert calls == [pair.order, pair.order - 1]  # g(fbar), then Z's check
 
 
 def test_production_band_matches_a_sequence():

@@ -418,6 +418,14 @@ def test_int_product_matches_schoolbook(ab):
 
 
 @settings(max_examples=150)
+@given(st.lists(st.integers(-2, 2) | st.integers(-(2**70), 2**70), min_size=1, max_size=24))
+def test_int_product_squares_equal_operands(a):
+    # equal operands, one list or two equal ones, take the squaring path
+    assert riordan.series._int_product(a, a) == _int_schoolbook(a, a)
+    assert riordan.series._int_product(a, list(a)) == _int_schoolbook(a, a)
+
+
+@settings(max_examples=150)
 @given(wide_series, wide.filter(bool), wide_series)
 def test_quotient_matches_long_division_oracle(a, b0, rest):
     b = PowerSeries((b0,) + rest.coeffs[1:])

@@ -79,10 +79,10 @@ def test_spec_pairs_revert_nothing_and_check_a_and_z_once_each(monkeypatch):
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
     report = run_fixtures()
     assert report.ok and report.total == len(fixtures) == 15
-    # each pair checks A, and Z when a fixture reads it, once at order - 2
+    # each pair checks A, and Z when a fixture reads it, once, by one composition of
+    # its A into f at the pair's order, order - 1
     assert reverts == []
-    want = sum(1 if k == {"aseq"} else 2 for k in kinds.values())
-    assert substitutions == [verify_mod.DEFAULT_ORDER - 2] * want
+    assert substitutions == [verify_mod.DEFAULT_ORDER - 1] * len(kinds)
 
 
 def test_filtered_runs():
