@@ -8,19 +8,19 @@ row repeated forever) and a sequence rho[j].  The associated f solves
 where R_i is the generating polynomial of row i: one array equation
 f = sum_(i >= -1) x^(i+1) * P_i(f) whose row -1 is P_(-1)(y) = y^2 * rho(y),
 with coefficients (0, 0, rho_0, rho_1, ...).  Only AMatrixSpec knows how the
-rows continue: ``entry`` reads a[i][j] at any depth i >= -1, and
-``row_sum`` evaluates sum_i x^i * value(row_i) over the rows i >= 0,
-summing a repeated last row in closed form.  This module solves the
-equation as a polynomial equation in F = f/x with polynomial coefficients,
-builds Bell triangles directly from the entry recurrence, and evaluates the
-Catalan-composition closed forms for the two-row and single-row families
-as roots of one quadratic each.  It reads the A-sequence off the array
-with no series reversion or inverse: replacing x by fbar in the defining
-equation leaves a polynomial equation in u = fbar/x = 1/A (the A-matrix
-construction of Merlini, Rogers, Sprugnoli and Verri 1997), and the same
-equation divided by u gives A as a polynomial in u over 1 - x*rho(x).  Every
-one of these roots follows from one int recurrence, and ``bell_pair`` seeds
-a Bell pair's A with it.
+rows continue: ``entry`` reads a[i][j] at any depth i >= -1, ``row_sum``
+evaluates sum_i x^i * value(row_i) over the rows i >= 0, summing a repeated
+last row in closed form, and ``_equation`` is the coefficient grid of the one
+polynomial E(x, w) = sum_i x^(i+1) P_i(w) - w (times 1 - x for a repeated
+last row).  The grid is read twice, with no series reversion or inverse: its
+columns give the equation E(x, x*F) = 0 for F = f/x, and its rows, with
+x = fbar(y) and w = y, an equation in u = fbar/x = 1/A (the A-matrix
+construction of Merlini, Rogers, Sprugnoli and Verri 1997) that, divided by
+u, gives A as a polynomial in u over 1 - x*rho(x).  Every one of these roots
+follows from one int recurrence, and ``bell_pair`` seeds a Bell pair's A
+with it.  Bell triangles are built directly from the entry recurrence, and
+the Catalan-composition closed forms for the two-row and single-row families
+are roots of one quadratic each.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from .series import (
@@ -148,10 +149,6 @@ class AMatrixSpec:
         row = self._row(i)
         return row[j] if j < len(row) else _ZERO
 
-    def depth(self, n: int) -> int:
-        """How many of the rows 0..n-1 can be nonzero: all n if the last row repeats."""
-        return n if self.repeat_last_row else min(n, len(self.rows))
-
     def row_sum(self, value) -> PowerSeries:
         """sum_i x^i * value(row_i) over the array rows i >= 0, to value's order.
 
@@ -166,6 +163,19 @@ class AMatrixSpec:
         for row in reversed(self.rows[:-1]):
             acc = acc.mul_x().truncate(acc.order) + value(row)
         return acc
+
+    def _equation(self) -> list[tuple[Fraction, ...]]:
+        """The grid e[p][q] = [x^p w^q] E(x, w), E(x, w) = sum_(i >= -1) x^(i+1) P_i(w) - w,
+        whose root w = f is the solution; rows are zero past their end.  Row p is array
+        row p - 1, so row 0 is the rho row with the -w term, (0, -1, rho_0, ...).  A
+        repeated last row makes it the grid of (1 - x)*E: each row loses the row above
+        it, and the copies cancel, so the grid has L + 1 rows either way.
+        """
+        grid = [(_ZERO, -_ONE, *self.rho), *self.rows]
+        if self.repeat_last_row:
+            pairs = zip(grid[1:], grid)  # each row with the row above it
+            grid[1:] = [tuple(a - b for a, b in zip_longest(*pair, fillvalue=_ZERO)) for pair in pairs]
+        return grid
 
 
 @dataclass(frozen=True)
@@ -197,35 +207,27 @@ def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeri
 
 
 def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
-    """F = f/x for the solution f of the spec, to the given order, as a polynomial root.
+    """F = f/x for the solution f of the spec, to the given order, off the columns of
+    the spec's grid e (AMatrixSpec._equation): with w = x*F, E(x, w)/x is
 
-    With f = x*F, dividing f = sum_(i >= -1) x^(i+1) P_i(f) by x and collecting powers
-    of F gives
+        sum_q C_q F^q = 0,   C_q = sum_p e[p][q] x^(p+q-1),
 
-        (1 - C_1) F = C_0 + sum_(j>=2) C_j F^j,   C_j = sum_(i >= -1) a[i][j] x^(i+j),
-
-    where C_1(0) = 0 and C_j(0) = 0 for j >= 2, as a[-1][0] = a[-1][1] = 0: the form
-    _polynomial_root solves.  A repeated last row adds x^(L-1+j) * last[j] / (1 - x) to
-    C_j, so the equation is multiplied through by 1 - x: each coefficient list, the last
-    row's entry at its end, takes its first differences and drops the term past that end.
+    and C_0(0) = a[0][0], C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is
+    (0, -1, rho_0, ...): the form (-C_1) F = C_0 + sum_(q>=2) C_q F^q that
+    _polynomial_root solves.
     """
-    rows = (spec._rho_row, *spec.rows)  # row i at index i + 1
-    # x*C_j with F moved left, x*(C_1 - 1): column j of the rows from x^j on
-    xcs = [[0] * j + [r[j] if j < len(r) else 0 for r in rows] for j in range(max(map(len, rows)))]
-    xcs[1][1] -= 1
-    if spec.repeat_last_row:
-        xcs = [[a - b for a, b in zip(c, [0, *c])] for c in xcs]
-    c0, c1, *qs = (PowerSeries.of(c).div_x() for c in xcs)
-    return _polynomial_root(c0, -c1, qs, order)
+    columns = enumerate(zip_longest(*spec._equation(), fillvalue=_ZERO))
+    c0, c1, *cs = (PowerSeries.of([0] * q + list(col)).div_x() for q, col in columns)
+    return _polynomial_root(c0, -c1, cs, order)
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
     """The unique solution f with f(0) = 0, f'(0) = a[0][0], to truncation.
 
-    f = x*F for the root F of the spec's own equation in F (_f_over_x), one term
-    at a time off one int recurrence; a full-order residual check, which
-    evaluates the equation through ``row_sum`` and the powers of f and not
-    through the polynomials the root was read off, closes the solve.
+    f = x*F for the root F of the equation off the columns of the spec's grid
+    (_f_over_x), one term at a time off one int recurrence; a full-order
+    residual check, which evaluates the equation through ``row_sum`` and the
+    powers of f and not through the grid the root was read off, closes the solve.
     ``iterations`` counts the root pass plus that check: 2.
     """
     if order < 2:
@@ -254,7 +256,7 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     for n in range(nrows):
         terms = [
             (n - 1 - i, j - 1, a)
-            for i in range(-1, spec.depth(n))
+            for i in range(-1, n)
             for j, a in enumerate(spec._row(i))
             if a
         ]
@@ -292,28 +294,23 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
 
 
 def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
-    """A = x/fbar for the solution f of the spec, to the given order, from the array
-    alone: no f and no reversion.
+    """A = x/fbar for the solution f of the spec, to the given order, off the rows of
+    the spec's grid e (AMatrixSpec._equation): no f and no reversion.  With
+    x = fbar(y) = y*u and w = f(fbar) = y, E(x, w)/y is the A-matrix equation
+    (Merlini, Rogers, Sprugnoli and Verri 1997, with the rho row added)
 
-    Replacing x by fbar(y) in f = sum_(i >= -1) x^(i+1) P_i(f), with f(fbar) = y and
-    fbar = y*u, and dividing by y gives the A-matrix equation (Merlini, Rogers,
-    Sprugnoli and Verri 1997, with the rho row added)
+        sum_p c_p u^p = 0,   c_p = sum_q e[p][q] y^(p+q-1),
 
-        sum_(k=1..L) c_k(y) u^k = 1 - y*rho(y),   c_k = y^(k-1) * R_(k-1)(y).
-
-    A repeated last row sums its copies to c_L u^L / (1 - y*u), so the equation is
-    multiplied through by 1 - y*u: c_1 gains y*(1 - y*rho) and each later c_k loses
-    y*c_(k-1).  Divided by a[0][0], it is den*u = lead + sum_(k>=2) q_k u^k with
-    den(0) = 1 and q_k = -c_k/a[0][0] divisible by y, the form _polynomial_root solves
-    for u = fbar/x.  Divided by u instead, it gives A = 1/u with no inverse:
-    A = (sum_k c_k u^(k-1)) / (1 - y*rho), a Horner sum in u (L - 1 series products)
+    so c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y), and a repeated last row
+    adds y*(1 - y*rho) to c_1 and takes y*c_(p-1) from each later c_p.  Divided by
+    a[0][0] = c_1(0), it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1 and
+    q_p = -c_p/a[0][0] divisible by y, the form _polynomial_root solves for
+    u = fbar/x.  Divided by u instead, it gives A = 1/u with no inverse:
+    A = (sum_(p>=1) c_p u^(p-1)) / (-c_0), a Horner sum in u (L - 1 series products)
     over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
-    n = len(spec.rows) + max(len(spec.rho), *map(len, spec.rows)) + 1  # holds each c_k and y*c_k
-    rhs = PowerSeries.of([1, *(-r for r in spec.rho)], n)  # 1 - y*rho(y)
-    cs = [PowerSeries.of([0] * k + list(row), n) for k, row in enumerate(spec.rows)]  # c_1 .. c_L
-    if spec.repeat_last_row:  # times 1 - y*u
-        cs = [c + low.mul_x() for c, low in zip(cs, [rhs, *(-prev for prev in cs)])]
+    c0, *cs = (PowerSeries.of([0] * p + list(row)).div_x() for p, row in enumerate(spec._equation()))
+    rhs = -c0  # 1 - y*rho(y)
     acc = cs[-1]._padded(order)
     if len(cs) > 1:
         scale = 1 / spec.rows[0][0]

@@ -97,7 +97,7 @@ def _load_spec(path: str) -> AMatrixSpec:
             data = json.load(handle, parse_int=lambda s: int(Decimal(s)))  # no digit cap
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # also not UTF-8, too deep
         raise _CliError(EXIT_IO, f"{path} is not valid JSON: {exc}")
     try:
         return AMatrixSpec.from_dict(data)

@@ -69,8 +69,9 @@ _ONE = Fraction(1)
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
 
-    ``bool`` is refused although it subclasses ``int``, so a JSON ``true``
-    never passes for the number 1.
+    A string must be an ASCII integer or 'p/q' (ValueError otherwise, so no
+    decimal or exponent form asks for unbounded work).  ``bool`` is refused
+    although it subclasses ``int``, so a JSON ``true`` never passes for 1.
     """
     if isinstance(value, Fraction):
         return value
@@ -79,7 +80,7 @@ def rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         m = _P_OVER_Q.fullmatch(value)
         if m is None:
-            return Fraction(value)  # decimal and exponent forms
+            raise ValueError(f"not an integer or 'p/q' string: {value.strip()[:40]!r}")
         p, q = (int(Decimal(s)) for s in m.groups("1"))  # no digit cap, unlike int(s)
         if q == 0:
             raise ZeroDivisionError(f"zero denominator in {value.strip()[:40]!r}")
@@ -87,7 +88,7 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-_P_OVER_Q = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+_P_OVER_Q = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def integer_values(values, what: str) -> list[int]:

@@ -606,6 +606,27 @@ def deep_amatrix_specs(draw):
 
 
 @settings(max_examples=60)
+@given(deep_amatrix_specs(), st.lists(small_fraction, min_size=1, max_size=19))
+@example(AMatrixSpec.of([[1, 2, -1]], [1, "1/2"], True), [1, -1])
+def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
+    # sum_(p, q) e[p][q] x^p w^q = -(1 - x)^r * (w - Phi(w)) for every w with w(0) = 0,
+    # r = 1 if the last row repeats, against the residual's own evaluation (row_sum and
+    # the powers of w), which reads no grid: so the grid is pinned off the root too
+    w = PowerSeries.of([0, *tail])
+    n = w.order
+    total = PowerSeries.zero(n)
+    for p, row in enumerate(spec._equation()):
+        power, value = PowerSeries.one(n), PowerSeries.zero(n)
+        for e in row:
+            value, power = value + power * e, power * w
+        total = total + PowerSeries.of([0] * p + list(value.coeffs), n)
+    expected = -functional_equation_residual(spec, w)
+    if spec.repeat_last_row:
+        expected = expected * PowerSeries.of([1, -1], n)
+    assert total == expected
+
+
+@settings(max_examples=60)
 @given(deep_amatrix_specs(), st.integers(3, 30))
 @example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 24)
 @example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 30)

@@ -5,7 +5,7 @@ import pathlib
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riordan import cli
 from riordan.series import format_rational
@@ -135,6 +135,37 @@ def test_solve_malformed_json_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 3
     assert "not valid JSON" in err
+
+
+def test_spec_file_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"rows": [[1, 1]], "rho": ["\xff"]}')
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 3
+    assert out == ""
+    assert "not valid JSON" in err and "internal error" not in err
+
+
+def test_spec_file_nested_too_deep_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "pipeline", str(bad))
+    assert code == 3
+    assert out == ""
+    assert "not valid JSON" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("scalar", ["0.5", "1e3", "1e5000000", "1_000", "\u0661", "1/\u0662", "0x10", ""])
+def test_spec_and_bfile_scalars_are_integers_or_p_over_q(tmp_path, capsys, scalar):
+    # decimal, exponent and separator forms and non-ASCII digits are refused, so no
+    # string asks for more work than its length
+    spec, bfile = tmp_path / "spec.json", tmp_path / "b.txt"
+    spec.write_text(json.dumps({"rows": [[1, scalar]]}))
+    code, out, err = run(capsys, "solve", str(spec))
+    assert (code, out) == (2, "") and err.startswith("error: invalid spec")
+    bfile.write_text(f"0 1\n1 {scalar or '#'}\n")
+    code, out, err = run(capsys, "pipeline", str(SPECS / "pascal.json"), "--bfile", str(bfile))
+    assert (code, out) == (2, "") and err.startswith("error: bad b-file")
 
 
 def test_solve_invalid_spec_is_usage_error(tmp_path, capsys):
@@ -374,6 +405,99 @@ def test_pipeline_non_ascii_bfile_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "bad b-file" in err
+
+
+# -- fuzzed command line ---------------------------------------------------------
+
+class _Huge(int):
+    """An int past CPython's int-to-str cap, with a repr hypothesis can print."""
+
+    def __repr__(self):
+        return f"<{len(str(Decimal(self)).lstrip('-'))}-digit int>"
+
+
+_HUGE = _Huge(10**4999 + 1)
+_odd_strings = st.sampled_from(
+    ["1/2", "-3/4", " 7 ", "2/0", "0.5", "1e3", "1e5000000", "1_000", "\u0661", "x"]
+)
+_numbers = st.integers(-3, 3) | _odd_strings | st.sampled_from([_HUGE, _Huge(-_HUGE)])
+_spec_keys = st.sampled_from(["rows", "rho", "repeat_last_row"])
+_fuzz_values = st.recursive(
+    _numbers | st.text(max_size=6) | st.floats() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_spec_keys | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_entries = st.integers(-3, 3) | _numbers  # mostly small ints, so that many specs solve
+_spec_shaped = st.fixed_dictionaries(
+    {"rows": st.lists(st.lists(_entries, min_size=1, max_size=4), min_size=1, max_size=3)},
+    optional={"rho": st.lists(_entries, max_size=3), "repeat_last_row": st.booleans() | _numbers},
+)
+
+
+def _json_bytes(value) -> bytes:
+    """json.dumps(value) as UTF-8, with ints past CPython's int-to-str cap written out."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(Decimal(value)).encode()
+    if isinstance(value, list):
+        return b"[" + b", ".join(map(_json_bytes, value)) + b"]"
+    if isinstance(value, dict):
+        items = (json.dumps(k).encode() + b": " + _json_bytes(v) for k, v in value.items())
+        return b"{" + b", ".join(items) + b"}"
+    return json.dumps(value).encode()
+
+
+_spec_files = _spec_shaped.map(_json_bytes) | _fuzz_values.map(_json_bytes) | st.binary(max_size=48)
+def _bfile_line(index: int, value) -> str:
+    return f"{index} {Decimal(value) if isinstance(value, int) else value}"
+
+
+_bfile_lines = st.lists(
+    st.builds(_bfile_line, st.integers(-2, 3), _numbers)
+    | st.sampled_from(["# comment", "", "0", "0 1 2", "a b"]),
+    max_size=6,
+)
+_bfiles = st.none() | _bfile_lines.map(lambda lines: "\n".join(lines).encode()) | st.binary(max_size=24)
+
+
+@st.composite
+def _argvs(draw):
+    """solve or pipeline with documented flags: --order <= 20 and --rows <= 8."""
+    command = draw(st.sampled_from(["solve", "pipeline"]))
+    order = draw(st.sampled_from([*range(2, 21), 1, 0, -1]))
+    argv = [command, "--order", str(order), "--format", draw(st.sampled_from(["plain", "json"]))]
+    if command == "pipeline":
+        argv += ["--rows", str(draw(st.sampled_from([*range(1, 9), 0, -1])))]
+        flags = ["--triangle", "--production", "--aseq", "--zseq", "--hankel", "--somos-fit", "--jfraction"]
+        argv += draw(st.lists(st.sampled_from(flags), unique=True))
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_spec_files, _bfiles, _argvs())
+@example(b'{"rows": [[1, 1]], "rho": ["\xff"]}', None, ["solve", "--order", "8", "--format", "plain"])
+@example(b"[" * 100000 + b"]" * 100000, None, ["pipeline", "--order", "8", "--format", "json"])
+@example(b'{"rows": [[1, 1]]}', b"0 1\n1 2\n", ["pipeline", "--order", "8", "--format", "json"])
+def test_fuzzed_cli_exits_as_documented(tmp_path, capsys, spec, bfile, argv):
+    # every run exits 0, 2 or 3, or 1 on a b-file mismatch; no traceback and no
+    # internal error, and nothing on stdout when it exits 2 or 3
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(spec)
+    argv = [argv[0], str(spec_path), *argv[1:]]
+    if bfile is not None and argv[0] == "pipeline":
+        (tmp_path / "b.txt").write_bytes(bfile)
+        argv += ["--bfile", str(tmp_path / "b.txt")]
+    if len(spec) > 4000:  # a 5000-digit entry multiplies its digits at every order
+        argv[argv.index("--order") + 1] = "4"
+    code, out, err = run(capsys, *argv)
+    if code == 1:
+        assert "--bfile" in argv
+        assert "MISMATCH" in out if "plain" in argv else json.loads(out)["bfile"]["match"] is False
+    else:
+        assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err and "internal error" not in err
+    if code in (2, 3):
+        assert out == ""
 
 
 # -- verify ---------------------------------------------------------------------

@@ -138,6 +138,13 @@ def test_rational_accepts_strings_and_rejects_floats():
         rational(True)
 
 
+def test_rational_strings_are_ascii_integers_or_p_over_q():
+    assert rational(" -12/8 ") == Fraction(-3, 2) and rational("+5") == 5
+    for text in ("0.5", "1e3", "1e5000000", "1_000", "\u0661", "3/\u0662", "inf", ""):
+        with pytest.raises(ValueError, match="not an integer or 'p/q' string"):
+            rational(text)
+
+
 @pytest.mark.parametrize("build", [PowerSeries, PowerSeries.of])
 def test_constructor_and_of_coerce_alike(build):
     # one coercion: bool and float are refused, "p/q" strings are parsed
