@@ -26,17 +26,10 @@ import sys
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .series import InsufficientTerms, Sequence, format_rational
-from .core import production_matrix, riordan_triangle, a_sequence, z_sequence, _band
+from .series import InsufficientTerms, format_rational, _ratio_text, _texts
+from .core import _band, _columns, _lower
 from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f
-from .hankel import (
-    FAMILY,
-    INCONSISTENT,
-    UNIQUE,
-    hankel_transform,
-    jfraction,
-    somos_fit,
-)
+from .hankel import FAMILY, INCONSISTENT, UNIQUE, _chebyshev, _somos_fit_ints
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -49,9 +42,9 @@ EXIT_INTERNAL = 4
 MAX_ORDER = 1024
 MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
 MAX_SWEEP_ORDER = 128  # one sweep point takes 0.02-1 s at 128; Hankel bits grow quadratically past it
-# --hankel, --somos-fit and --jfraction run to depth rows - 1.  The slowest bundled spec,
-# hybrid_trees, takes 2.9 / 25 / 130 s for its minors at depth 127 / 191 / 255 and as long
-# again for its J-fraction (CPython 3.11, 2 vCPUs); the next slowest, a171416, 1.3 s at 191.
+# --hankel, --somos-fit and --jfraction run to depth rows - 1, on one Chebyshev pass.  The
+# slowest bundled spec, hybrid_trees, takes 2.9 / 25 / 130 s for that pass at depth
+# 127 / 191 / 255 (CPython 3.11, 2 vCPUs); the next slowest, a171416, 1.3 s at 191.
 MAX_HANKEL_DEPTH = 191
 
 
@@ -87,8 +80,9 @@ def _json_text(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _json_list(values) -> list[str]:
-    return [format_rational(v) for v in values]
+def _coeff_texts(series) -> list[str]:
+    """A series' coefficients rendered from its stored ints, with no Fraction."""
+    return _texts(series._nums, series._den)
 
 
 def _load_spec(path: str) -> AMatrixSpec:
@@ -108,9 +102,10 @@ def _load_spec(path: str) -> AMatrixSpec:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
     report = solve_f(spec, args.order)
+    f = _coeff_texts(report.f)
     payload = {
-        "f": _json_list(report.f.coeffs),
-        "f_over_x": _json_list(report.f.div_x().coeffs),
+        "f": f,
+        "f_over_x": f[1:],
         "iterations": report.iterations,
         "order": args.order,
     }
@@ -128,19 +123,19 @@ def _fit_json(fit) -> dict:
         out["alpha"] = format_rational(fit.alpha)
         out["beta"] = format_rational(fit.beta)
     elif fit.kind == FAMILY:
-        out["line"] = _json_list(fit.family_description)
+        out["line"] = list(map(format_rational, fit.family_description))
     elif fit.kind == INCONSISTENT:
         out["failing_window"] = fit.failing_index
     return out
 
 
-def _production_json(prod) -> dict:
-    z, a = _json_list(prod.z.terms), _json_list(prod.a.terms)
-    return {"matrix": _band(z, a, "0"), "z": z, "a": a}
-
-
-def _jfraction_json(jf) -> dict:
-    return {"b": _json_list(jf.b), "lambda": _json_list(jf.lam), "terminated": jf.terminated}
+def _jfraction_json(b, lam) -> dict:
+    """The J-fraction heads of hankel._chebyshev, (numerator, denominator) pairs."""
+    return {
+        "b": [_ratio_text(*x) for x in b],
+        "lambda": [_ratio_text(*x) for x in lam],
+        "terminated": len(b) == len(lam),
+    }
 
 
 def _fit_description(fit: dict) -> str:
@@ -211,19 +206,34 @@ def _cmd_pipeline(args) -> int:
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
     pair = bell_pair(spec, solve_f(spec, order).f)
-    column = Sequence(pair.g.coeffs)
-    hank = hankel_transform(column, rows - 1) if args.hankel or args.somos_fit else None
+    g = pair.g  # the column, nums / d
+    if args.hankel or args.somos_fit or args.jfraction:
+        # One pass gives the minors H_n of h_n = H_n / d**(n+1) and, for --jfraction
+        # only (it has one more term), the J-fraction.  The fit reads the minors:
+        # they scale window n by d**(2n-2), which no fitted quantity sees.
+        minors, jf = _chebyshev(
+            g._nums[: 2 * rows], rows - 1, heads=args.jfraction, minors=args.hankel or args.somos_fit
+        )
+
+    @functools.cache
+    def sequence(name: str) -> list[str]:  # the pair's checked "a" or "z", rendered once
+        return _coeff_texts(getattr(pair, name))
+
+    def production() -> dict:
+        a, z = sequence("a")[:rows], sequence("z")[:rows]
+        return {"matrix": _band(z, a, "0"), "z": z, "a": a}
+
     # (wanted, payload key, JSON value); each runs at most once, in output order
     analyses = (
-        (args.triangle, "triangle", lambda: [_json_list(r) for r in riordan_triangle(pair, rows).rows]),
-        (args.production, "production", lambda: _production_json(production_matrix(pair, rows))),
-        (args.aseq, "aseq", lambda: _json_list(a_sequence(pair).terms)),
-        (args.zseq, "zseq", lambda: _json_list(z_sequence(pair).terms)),
-        (args.hankel, "hankel", lambda: _json_list(hank.terms)),
-        (args.somos_fit, "somos_fit", lambda: _fit_json(somos_fit(hank))),
-        (args.jfraction, "jfraction", lambda: _jfraction_json(jfraction(column, rows - 1))),
+        (args.triangle, "triangle", lambda: _lower([_coeff_texts(c) for c in _columns(pair, rows)])),
+        (args.production, "production", production),
+        (args.aseq, "aseq", lambda: sequence("a")),
+        (args.zseq, "zseq", lambda: sequence("z")),
+        (args.hankel, "hankel", lambda: [_ratio_text(h, g._den ** (n + 1)) for n, h in enumerate(minors)]),
+        (args.somos_fit, "somos_fit", lambda: _fit_json(_somos_fit_ints(minors))),
+        (args.jfraction, "jfraction", lambda: _jfraction_json(*jf)),
     )
-    payload: dict = {"column": _json_list(column.terms)}
+    payload: dict = {"column": _coeff_texts(g)}
     for wanted, key, compute in analyses:
         if wanted:
             payload[key] = compute()
@@ -236,10 +246,10 @@ def _cmd_pipeline(args) -> int:
         except (verify_mod.MalformedLine, verify_mod.NonConsecutiveIndices) as exc:
             raise _CliError(EXIT_USAGE, f"bad b-file {args.bfile}: {exc}")
         start = max(0, ref.offset)  # the column starts at index 0
-        overlap = min(ref.offset + len(ref), len(column)) - start
+        overlap = min(ref.offset + len(ref), g.order) - start
         if overlap <= 0:
             raise _CliError(EXIT_USAGE, "b-file does not overlap the computed column")
-        match = ref.terms[start - ref.offset :][:overlap] == column.terms[start : start + overlap]
+        match = ref.terms[start - ref.offset :][:overlap] == g.coeffs[start : start + overlap]
         payload["bfile"] = {"path": args.bfile, "compared": overlap, "match": match}
         if not match:
             exit_code = EXIT_FAILURE

@@ -188,14 +188,23 @@ def riordan_triangle(pair: RiordanPair, nrows: int) -> LowerTriangle:
         raise InsufficientTerms(
             f"{nrows} rows need order >= {nrows}, have {pair.order}"
         )
-    rows = [[_ZERO] * (n + 1) for n in range(nrows)]
+    return LowerTriangle(_lower([col.coeffs for col in _columns(pair, nrows)]))
+
+
+def _columns(pair: RiordanPair, nrows: int):
+    """Yield the triangle's columns k = 0..nrows - 1 as series: g * (f/x)**k to
+    the nrows - k terms column k holds, one product each past column 0."""
     col, f_over_x = pair.g.truncate(nrows), pair.f.div_x()
-    for k in range(nrows):
-        for n, c in enumerate(col.coeffs, k):
-            rows[n][k] = c
-        if k + 1 < nrows:
-            col = col.truncate(nrows - k - 1) * f_over_x
-    return LowerTriangle(rows)
+    yield col
+    for k in range(1, nrows):
+        col = col.truncate(nrows - k) * f_over_x
+        yield col
+
+
+def _lower(columns) -> list[list]:
+    """The lower triangle laid out from its columns, of any entry type: column k
+    holds the entries of rows k, k + 1, ..."""
+    return [[columns[k][n - k] for k in range(n + 1)] for n in range(len(columns))]
 
 
 def riordan_mul(left: RiordanPair, right: RiordanPair) -> RiordanPair:

@@ -3,11 +3,12 @@
 Hankel minors and J-fraction coefficients both come from one Chebyshev
 recurrence on monic rows, ints over a denominator known before each row is
 formed: one exact division a row and no gcd over its entries, with row sizes
-that follow the J-fraction rather than the minors.  A block step carries it
-across every run of zero minors; exact_det is Bareiss.  The Somos-4 fitter
-classifies the full linear system over every available window instead of
-trusting the first two, so hidden inconsistencies surface as data rather
-than wrong answers.  All functions are pure.
+that follow the J-fraction rather than the minors; one pass (_chebyshev)
+gives both.  A block step carries it across every run of zero minors;
+exact_det is Bareiss.  The Somos-4 fitter classifies the full linear system,
+on ints, over every available window instead of trusting the first two, so
+hidden inconsistencies surface as data rather than wrong answers.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -141,6 +142,37 @@ def _minors(t, max_n: int) -> list[int]:
     return [h for h, _, _ in islice(_monic_rows(list(t[: 2 * max_n + 1])), max_n + 1)]
 
 
+def _chebyshev(t, depth: int, heads: bool = False, minors: bool = True):
+    """(H, jf): one pass of the monic Chebyshev recurrence (_monic_rows) over the
+    ints t, at least 2 depth + 1 of them, giving the leading Hankel minors
+    H = [H_0, ..., H_depth] and, when heads is asked for (2 depth + 2 terms),
+    the J-fraction jf = (b, lam) as unreduced (numerator, denominator) int pairs.
+    With (c0, c1) the head of row k over D_k and (p0, p1) that of row k - 1 over
+    D_(k-1), and (1, 0) over 1 for row -1,
+
+        b_k = c1/c0 - p1/p0,
+        lam_k = (c0/D_k) / (p0/D_(k-1)) = H_k H_(k-2) / H_(k-1)^2;
+
+    b and lam stop at the first lam_k = 0, the last entry of lam then, and so
+    does the pass when the minors are not asked for (H is then None); jf is None
+    when heads is not asked for.
+    """
+    hs, b, lam = [], [], []
+    p0, p1, dp = 1, 0, 1
+    for k, (h, row, d) in enumerate(islice(_monic_rows(t), depth + 1)):
+        hs.append(h)
+        if heads and p0:  # rows are None only after a zero lam
+            c0, c1 = row[0], row[1]
+            if k:
+                lam.append((c0 * dp, d * p0))
+            if c0:
+                b.append((c1 * p0 - p1 * c0, c0 * p0))
+            p0, p1, dp = c0, c1, d
+        elif not minors:
+            break
+    return (hs if minors else None), ((b, lam) if heads else None)
+
+
 def exact_det(matrix) -> Fraction:
     """Exact determinant of a square matrix of rationals (or ints).
 
@@ -160,7 +192,7 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
     The 2*max_n + 1 terms are put over one common denominator d, and the
-    integer minors (_minors) give every h_n = H_n / d**(n+1) from the monic
+    integer minors (_chebyshev) give every h_n = H_n / d**(n+1) from the monic
     Chebyshev rows, max_n levels of one row step each, with a block step
     across every run of zero minors.
     """
@@ -170,7 +202,8 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
     t, d = _over_common_denominator(s.terms[:need])
-    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(_minors(t, max_n))))
+    minors, _ = _chebyshev(t, max_n)
+    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors)))
 
 
 @dataclass(frozen=True)
@@ -204,20 +237,28 @@ def somos_fit(h: Sequence) -> SomosFitResult:
 
     Windows whose coefficient row and right side are all zero constrain
     nothing and are skipped.  Fewer than two window equations in total is
-    reported as InsufficientData rather than an error.
+    reported as InsufficientData rather than an error.  The fit runs on h's
+    numerators over their common denominator (_somos_fit_ints).
     """
-    t = h.terms
+    return _somos_fit_ints(_over_common_denominator(h.terms)[0])
+
+
+def _somos_fit_ints(t) -> SomosFitResult:
+    """somos_fit on ints t: h's terms scaled so that every product of window n
+    carries one positive factor s_n, which no outcome depends on
+    (check_conjecture_point's argument); h's numerators over one denominator d,
+    or the minors H_n of h_n = H_n / d**(n+1), say.  A solved point is kept as
+    (alpha, beta) * cross, in ints; only the result holds Fractions."""
     if len(t) < 6:
         return SomosFitResult(INSUFFICIENT)
-    line: tuple[Fraction, Fraction, Fraction] | None = None
-    point: tuple[Fraction, Fraction] | None = None
+    line = point = None
     for n, p, q, r in _somos_windows(t):
         if p == 0 and q == 0:
             if r != 0:
                 return SomosFitResult(INCONSISTENT, failing_index=n)
             continue
         if point is not None:
-            if p * point[0] + q * point[1] != r:
+            if p * point[0] + q * point[1] != r * point[2]:
                 return SomosFitResult(INCONSISTENT, failing_index=n)
             continue
         if line is None:
@@ -229,14 +270,12 @@ def somos_fit(h: Sequence) -> SomosFitResult:
             if p0 * r != p * r0 or q0 * r != q * r0:
                 return SomosFitResult(INCONSISTENT, failing_index=n)
             continue
-        alpha = (r0 * q - r * q0) / cross
-        beta = (p0 * r - p * r0) / cross
-        point = (alpha, beta)
+        point = (r0 * q - r * q0, p0 * r - p * r0, cross)
     if point is not None:
-        return SomosFitResult(UNIQUE, alpha=point[0], beta=point[1])
+        return SomosFitResult(UNIQUE, alpha=Fraction(point[0], point[2]), beta=Fraction(point[1], point[2]))
     if line is not None:
         lead = line[0] or line[1]
-        return SomosFitResult(FAMILY, family_description=tuple(v / lead for v in line))
+        return SomosFitResult(FAMILY, family_description=tuple(Fraction(v, lead) for v in line))
     return SomosFitResult(INSUFFICIENT)
 
 
@@ -283,13 +322,8 @@ class JFraction:
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
     """Extract depth + 1 b-coefficients and depth lambdas from the monic
-    Chebyshev recurrence (_monic_rows) on the moments over one common
-    denominator; stops early (terminated=True) when a lambda vanishes.  With
-    (c0, c1) the head of row k over D_k and (p0, p1) that of row k - 1 over
-    D_(k-1), and (1, 0) over 1 for row -1,
-
-        b_k = c1/c0 - p1/p0,
-        lam_k = (c0/D_k) / (p0/D_(k-1)) = H_k H_(k-2) / H_(k-1)^2.
+    Chebyshev recurrence (_chebyshev) on the moments over one common
+    denominator; stops early (terminated=True) when a lambda vanishes.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -298,19 +332,10 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    bs: list[Fraction] = []
-    lams: list[Fraction] = []
-    p0, p1, dp = 1, 0, 1
-    t, _ = _over_common_denominator(s.terms[:need])
-    for _, row, d in _monic_rows(t):
-        c0, c1 = row[0], row[1]
-        if bs:
-            lams.append(Fraction(c0 * dp, d * p0))
-            if c0 == 0:
-                return JFraction(tuple(bs), tuple(lams), terminated=True)
-        bs.append(Fraction(c1 * p0 - p1 * c0, c0 * p0))
-        p0, p1, dp = c0, c1, d
-    return JFraction(tuple(bs), tuple(lams), terminated=False)
+    _, (b, lam) = _chebyshev(_over_common_denominator(s.terms[:need])[0], depth, heads=True, minors=False)
+    return JFraction(
+        tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam), terminated=len(b) == len(lam)
+    )
 
 
 def jfraction_series(jf: JFraction, order: int) -> PowerSeries:

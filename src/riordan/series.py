@@ -30,6 +30,7 @@ function, so series can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -85,7 +86,7 @@ def rational(value: int | str | Fraction) -> Fraction:
         if q == 0:
             raise ZeroDivisionError(f"zero denominator in {value.strip()[:40]!r}")
         return Fraction(p, q)
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise TypeError(f"not an exact rational: {type(value).__name__} {_SHORT_REPR.repr(value)}")
 
 
 _P_OVER_Q = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
@@ -101,15 +102,50 @@ def integer_values(values, what: str) -> list[int]:
     return out
 
 
-def format_rational(value: Fraction | int) -> str:
-    """Render integers bare and proper fractions as 'p/q', at any length:
-    str(n) where CPython's cap on int-to-str digits lets it, and past the cap,
+def _int_text(n: int) -> str:
+    """str(n) where CPython's cap on int-to-str digits lets it, and past the cap,
     where str raises ValueError, str(Decimal(n)), which has no cap."""
-    p, q = value.numerator, value.denominator
     try:
-        return str(p) if q == 1 else f"{p}/{q}"
+        return str(n)
     except ValueError:
-        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
+        return str(Decimal(n))
+
+
+def format_rational(value: Fraction | int) -> str:
+    """Render integers bare and proper fractions as 'p/q', at any length (_int_text)."""
+    return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms, as 'p' or 'p/q' with the sign on p, for ints p and
+    q != 0 at any length (_int_text): one gcd and no Fraction."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    p, q = p // g, q // g
+    return _int_text(p) if q == 1 else f"{_int_text(p)}/{_int_text(q)}"
+
+
+def _texts(nums, den: int) -> list[str]:
+    """format_rational(Fraction(c, den)) for each int c of nums over the int den > 0,
+    built from the ints (a series' _nums and _den, say) with no Fraction."""
+    if den != 1:
+        return [_ratio_text(c, den) for c in nums]
+    try:
+        return list(map(str, nums))
+    except ValueError:  # past the digit cap
+        return list(map(_int_text, nums))
+
+
+class _ShortRepr(reprlib.Repr):
+    """reprlib's capped repr for error messages, with no digit cap (_int_text)."""
+
+    def repr_int(self, x, level):
+        s = _int_text(x)
+        return s if len(s) <= self.maxlong else f"{s[:18]}...{s[-19:]}"
+
+
+_SHORT_REPR = _ShortRepr()
 
 
 def _exact_repr(value) -> str:

@@ -5,6 +5,8 @@ from operator import mul
 import pytest
 from hypothesis import settings, strategies as st
 
+from riordan.amatrix import AMatrixSpec
+from riordan.hankel import FAMILY, INCONSISTENT, INSUFFICIENT, UNIQUE, SomosFitResult, _somos_windows
 from riordan.series import (
     CompositionRequiresZeroConstantTerm,
     PowerSeries,
@@ -81,6 +83,54 @@ def record_reversions_and_substitutions(monkeypatch):
 
 
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def amatrix_specs(draw):
+    """Depth <= 3, width <= 3, rho length <= 2, p/q entries, either repeat flag."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(small_fraction, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    rows[0][0] = draw(small_fraction.filter(bool))
+    rho = draw(st.lists(small_fraction, max_size=2))
+    return AMatrixSpec.of(rows, rho, draw(st.booleans()))
+
+
+def somos_fit_by_fractions(h) -> SomosFitResult:
+    """Oracle: the Fraction loop somos_fit ran before it cleared denominators.
+
+    The window equations of h's terms, classified with every product, point and
+    line a Fraction; see hankel.somos_fit.
+    """
+    t = h.terms
+    if len(t) < 6:
+        return SomosFitResult(INSUFFICIENT)
+    line = point = None
+    for n, p, q, r in _somos_windows(t):
+        if p == 0 and q == 0:
+            if r != 0:
+                return SomosFitResult(INCONSISTENT, failing_index=n)
+            continue
+        if point is not None:
+            if p * point[0] + q * point[1] != r:
+                return SomosFitResult(INCONSISTENT, failing_index=n)
+            continue
+        if line is None:
+            line = (p, q, r)
+            continue
+        p0, q0, r0 = line
+        cross = p0 * q - p * q0
+        if cross == 0:
+            if p0 * r != p * r0 or q0 * r != q * r0:
+                return SomosFitResult(INCONSISTENT, failing_index=n)
+            continue
+        point = ((r0 * q - r * q0) / cross, (p0 * r - p * r0) / cross)
+    if point is not None:
+        return SomosFitResult(UNIQUE, alpha=point[0], beta=point[1])
+    if line is not None:
+        lead = line[0] or line[1]
+        return SomosFitResult(FAMILY, family_description=tuple(v / lead for v in line))
+    return SomosFitResult(INSUFFICIENT)
 
 
 def catalan_recurrence(u):

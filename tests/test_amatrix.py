@@ -35,6 +35,7 @@ from riordan.amatrix import (
 )
 
 from conftest import (
+    amatrix_specs,
     catalan_recurrence,
     random_fraction,
     random_nonzero_fraction,
@@ -229,17 +230,6 @@ def test_iterations_count_newton_steps_plus_the_check():
     spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
     orders = (2, 3, 4, 48, 64, 128, 256)
     assert [solve_f(spec, n).iterations for n in orders] == [2] * len(orders)
-
-
-@st.composite
-def amatrix_specs(draw):
-    """Depth <= 3, width <= 3, rho length <= 2, p/q entries, either repeat flag."""
-    width = draw(st.integers(1, 3))
-    row = st.lists(small_fraction, min_size=width, max_size=width)
-    rows = draw(st.lists(row, min_size=1, max_size=3))
-    rows[0][0] = draw(small_fraction.filter(bool))
-    rho = draw(st.lists(small_fraction, max_size=2))
-    return AMatrixSpec.of(rows, rho, draw(st.booleans()))
 
 
 @settings(max_examples=60)

@@ -1,19 +1,26 @@
 """Command-line behavior: output shapes, exit codes, JSON round-trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riordan import cli
-from riordan.series import format_rational
+from riordan.amatrix import bell_pair, solve_f
+from riordan.core import a_sequence, production_matrix, riordan_triangle, z_sequence
+from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfraction, somos_fit
+from riordan.series import Sequence, format_rational
 from riordan.verify import Fixture
 
-from conftest import record_reversions_and_substitutions
+from conftest import amatrix_specs, record_reversions_and_substitutions
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -121,6 +128,28 @@ def test_pipeline_bfile_with_4400_digit_term(tmp_path, capsys):
     code, out, err = run(capsys, "pipeline", str(spec), "--bfile", str(bfile), "--order", "4", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["bfile"] == {"path": str(bfile), "compared": 2, "match": True}
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        ("[" * 982 + "]" * 982, "list [[[[[[[...]]]]]]]"),  # the spec nests 985 deep
+        ("[%s]" % Decimal(10**4400), "list [%s...%s]" % ("1" + "0" * 17, "0" * 19)),
+    ],
+    ids=["985-deep-list", "list-of-4401-digit-int"],
+)
+def test_spec_entry_that_is_not_a_number_gets_a_short_error(tmp_path, entry, shown):
+    # the message names the type and a capped repr, with no digit-cap error; a fresh
+    # interpreter, as from the shell, since pytest's stack leaves the JSON decoder
+    # too little recursion depth for the deep list
+    spec = tmp_path / "bad.json"
+    spec.write_text('{"rows": [[1, %s]]}' % entry)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "riordan.cli", "solve", str(spec)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: invalid spec in {spec}: not an exact rational: {shown}\n"
 
 
 def test_solve_missing_file_is_io_error(capsys):
@@ -405,6 +434,81 @@ def test_pipeline_non_ascii_bfile_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "bad b-file" in err
+
+
+# -- pipeline against the public API ------------------------------------------------
+
+_ANALYSES = ["--triangle", "--production", "--aseq", "--zseq", "--hankel", "--somos-fit", "--jfraction"]
+
+
+def pipeline_by_api(spec, order: int, rows: int, flags) -> str:
+    """The JSON text of a pipeline run, built from the public API's Fraction
+    results and rendered with format_rational."""
+
+    def texts(values):
+        return [format_rational(v) for v in values]
+
+    pair = bell_pair(spec, solve_f(spec, order).f)
+    column = Sequence(pair.g.coeffs)
+    payload: dict = {"column": texts(column.terms)}
+    if "--triangle" in flags:
+        payload["triangle"] = [texts(row) for row in riordan_triangle(pair, rows).rows]
+    if "--production" in flags:
+        prod = production_matrix(pair, rows)
+        payload["production"] = {
+            "matrix": [texts(row) for row in prod.matrix], "z": texts(prod.z.terms), "a": texts(prod.a.terms)
+        }
+    if "--aseq" in flags:
+        payload["aseq"] = texts(a_sequence(pair).terms)
+    if "--zseq" in flags:
+        payload["zseq"] = texts(z_sequence(pair).terms)
+    if "--hankel" in flags:
+        payload["hankel"] = texts(hankel_transform(column, rows - 1).terms)
+    if "--somos-fit" in flags:
+        fit = somos_fit(hankel_transform(column, rows - 1))
+        payload["somos_fit"] = {"kind": fit.kind}
+        if fit.kind == UNIQUE:
+            payload["somos_fit"].update(alpha=format_rational(fit.alpha), beta=format_rational(fit.beta))
+        elif fit.kind == FAMILY:
+            payload["somos_fit"]["line"] = texts(fit.family_description)
+        elif fit.kind == INCONSISTENT:
+            payload["somos_fit"]["failing_window"] = fit.failing_index
+    if "--jfraction" in flags:
+        jf = jfraction(column, rows - 1)
+        payload["jfraction"] = {"b": texts(jf.b), "lambda": texts(jf.lam), "terminated": jf.terminated}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    amatrix_specs(),
+    st.integers(1, 9),
+    st.lists(st.sampled_from(_ANALYSES), unique=True),
+    st.integers(0, 2),
+)
+@example(None, 12, ["--hankel", "--somos-fit"], 0)  # a171416 at order 24 = 2 * rows
+@example(None, 64, ["--hankel", "--somos-fit", "--triangle"], 0)
+def test_pipeline_json_matches_the_public_api(tmp_path, capsys, spec, rows, flags, extra):
+    # the pipeline renders straight from the series' ints and one Chebyshev pass;
+    # the order is the least the flags allow, or one or two more
+    if spec is None:
+        spec = cli._load_spec(str(SPECS / "a171416.json"))
+    if "--production" in flags:
+        rows = max(rows, 2)
+    order = extra + max(
+        3,
+        4 if "--zseq" in flags else 0,
+        rows + 1 if "--triangle" in flags else 0,
+        rows + 2 if "--production" in flags else 0,
+        2 * rows if {"--hankel", "--somos-fit"} & set(flags) else 0,
+        2 * rows + 1 if "--jfraction" in flags else 0,
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    argv = ["pipeline", str(path), *flags, "--order", str(order), "--rows", str(rows), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == pipeline_by_api(spec, order, rows, flags)
 
 
 # -- fuzzed command line ---------------------------------------------------------

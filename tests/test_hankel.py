@@ -27,7 +27,7 @@ from riordan.hankel import (
     somos_verify,
 )
 
-from conftest import random_fraction, random_nonzero_fraction, small_fraction
+from conftest import random_fraction, random_nonzero_fraction, small_fraction, somos_fit_by_fractions
 
 
 def cofactor_det(m):
@@ -468,6 +468,26 @@ def test_monic_minors_match_scaled_oracle_past_zero_minors(case, data):
     assert got[k] == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(hankel_cases(0, 16), st.data())
+def test_one_chebyshev_pass_gives_the_minors_and_the_jfraction(case, data):
+    # one more term than the minors need adds the J-fraction's last head and
+    # changes no minor; without heads the pass reads no head at all
+    terms, depth = case
+    terms = terms + data.draw(st.lists(hankel_term, min_size=1, max_size=1))
+    t = cleared(terms)
+    want = scaled_minors(t, depth)
+    assert hankel._chebyshev(t[: 2 * depth + 1], depth) == (want, None)
+    minors, (b, lam) = hankel._chebyshev(t[: 2 * depth + 2], depth, heads=True)
+    assert minors == want
+    # without the minors the pass stops where the J-fraction does, with the same heads
+    assert hankel._chebyshev(t[: 2 * depth + 2], depth, heads=True, minors=False) == (None, (b, lam))
+    if t[0] != 0:
+        jf = jfraction(Sequence.of(terms), depth)
+        assert (jf.b, jf.lam) == (tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam))
+        assert jf.terminated == (len(b) == len(lam))
+
+
 def test_integral_jfraction_rows_stay_over_one(rng):
     """Integer moments with an integral J-fraction: every row is ints over
     D_k = 1 (so no step divides), and the rows are <P_k, x^l>."""
@@ -529,6 +549,77 @@ def test_fit_detects_impossible_window():
     fit = somos_fit(Sequence.of([1, 0, 0, 0, 1, 1]))
     assert fit.kind == INCONSISTENT
     assert fit.failing_index == 4
+
+
+def somos_terms(alpha, beta, start, count):
+    """The Somos-4 sequence of (alpha, beta) from four start terms, cut at the
+    first zero divisor: every window of it holds."""
+    t = [Fraction(v) for v in start]
+    while len(t) < count and t[-4] != 0:
+        t.append((alpha * t[-1] * t[-3] + beta * t[-2] ** 2) / t[-4])
+    return t
+
+
+@st.composite
+def somos_cases(draw):
+    """Terms for the fit: random ints or p/q (mostly Inconsistent), zero-heavy
+    (zero windows, InsufficientData), Somos-4 sequences with a term perhaps
+    changed (Unique, Inconsistent late), geometric (Family), and short ones."""
+    kind = draw(st.sampled_from(["int", "p/q", "zeros", "somos", "geometric", "short"]))
+    if kind == "int":
+        return draw(st.lists(st.integers(-3, 3), min_size=6, max_size=12))
+    if kind == "p/q":
+        return draw(st.lists(small_fraction, min_size=6, max_size=12))
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0, 0, 0, 1, -2, Fraction(1, 3)]), min_size=6, max_size=12))
+    if kind == "short":
+        return draw(st.lists(small_fraction, min_size=1, max_size=5))
+    if kind == "geometric":
+        c, r = draw(small_fraction.filter(bool)), draw(small_fraction)
+        return [c * r**n for n in range(draw(st.integers(6, 12)))]
+    alpha, beta = draw(small_fraction), draw(small_fraction)
+    start = draw(st.lists(small_fraction.filter(bool), min_size=4, max_size=4))
+    t = somos_terms(alpha, beta, start, draw(st.integers(6, 14)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(t) - 1))
+        t[i] = draw(small_fraction)
+    return t
+
+
+@settings(max_examples=300)
+@given(somos_cases())
+def test_int_fit_matches_fraction_oracle(terms):
+    h = Sequence.of(terms)
+    assert somos_fit(h) == somos_fit_by_fractions(h)
+
+
+@settings(max_examples=200)
+@given(somos_cases(), st.integers(1, 12))
+def test_int_fit_on_minors_matches_fit_of_their_quotients(terms, d):
+    # the pipeline fits the minors H_n of h_n = H_n / d**(n+1): window n scales by d**(2n-2)
+    minors = cleared(terms)
+    h = Sequence(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors))
+    assert hankel._somos_fit_ints(minors) == somos_fit_by_fractions(h)
+
+
+@pytest.mark.parametrize(
+    "terms, kind",
+    [
+        (somos_terms(2, -3, [1, 2, -1, 3], 10), UNIQUE),
+        (somos_terms(Fraction(1, 2), 3, [1, Fraction(1, 3), -2, 1], 9), UNIQUE),
+        ([Fraction(2, 3) * 3**n for n in range(9)], FAMILY),
+        ([1, 1, 1, 0, 0, 0, 0, 1], FAMILY),  # windows 5 and 6 are zero
+        ([1, 0, 0, 0, 0, 0, 0], INSUFFICIENT),
+        ([1, 2, 3], INSUFFICIENT),
+        ([1, 0, 0, 0, 1, 1], INCONSISTENT),
+        (somos_terms(2, -3, [1, 2, -1, 3], 9) + [1], INCONSISTENT),
+        ([1, 1, 1, 1, 1, 1, Fraction(5, 2)], INCONSISTENT),
+    ],
+)
+def test_int_fit_matches_fraction_oracle_on_each_kind(terms, kind):
+    h = Sequence.of(terms)
+    assert somos_fit(h) == somos_fit_by_fractions(h)
+    assert somos_fit(h).kind == kind
 
 
 @given(

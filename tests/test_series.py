@@ -28,6 +28,8 @@ from riordan.series import (
     rational,
     rational_series,
     _Substitution,
+    _ratio_text,
+    _texts,
 )
 
 from conftest import (
@@ -715,6 +717,48 @@ def test_format_rational_has_no_digit_cap(rng, digits, sign):
     assert len(text) == digits + (sign < 0) and int(Decimal(text)) == n
     p, q = format_rational(Fraction(n, abs(n) + 1)).split("/")
     assert Fraction(int(Decimal(p)), int(Decimal(q))) == Fraction(n, abs(n) + 1)
+
+
+def decimal_text(q: Fraction) -> str:
+    """Oracle: q as 'p' or 'p/q' through Decimal, which has no digit cap."""
+    return str(Decimal(q.numerator)) + ("" if q.denominator == 1 else f"/{Decimal(q.denominator)}")
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("den", [1, 6])
+def test_texts_from_ints_match_format_rational_past_the_digit_cap(rng, digits, sign, den):
+    # numerators of the digit count over den and over a 4301-digit denominator
+    n = sign * rng.randrange(10 ** (digits - 1), 10**digits)
+    big = rng.randrange(10**4300, 10**4301)
+    nums = [n, n * den, 0, sign * 9]
+    for d in (den, big):
+        want = [decimal_text(Fraction(c, d)) for c in nums]
+        assert _texts(nums, d) == want == [format_rational(Fraction(c, d)) for c in nums]
+        assert [_ratio_text(-c, -d) for c in nums] == want
+
+
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8), st.integers(1, 10**12))
+def test_texts_from_ints_match_format_rational(nums, den):
+    want = [decimal_text(Fraction(c, den)) for c in nums]
+    assert _texts(nums, den) == want == [format_rational(Fraction(c, den)) for c in nums]
+    assert [_ratio_text(-c, -den) for c in nums] == want
+
+
+def test_rational_type_error_is_short_and_names_the_type():
+    deep = []
+    for _ in range(985):
+        deep = [deep]
+    for value, shown in [
+        (deep, "list [[[[[[[...]]]]]]]"),
+        ([10**5000], f"list [{'1' + '0' * 17}...{'0' * 19}]"),
+        (0.5, "float 0.5"),
+        (True, "bool True"),
+        (None, "NoneType None"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            rational(value)
+        assert str(info.value) == f"not an exact rational: {shown}"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this CPython has no int-to-str digit cap")
