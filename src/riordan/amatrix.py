@@ -12,15 +12,15 @@ rows continue: ``entry`` reads a[i][j] at any depth i >= -1, ``row_sum``
 evaluates sum_i x^i * value(row_i) over the rows i >= 0, summing a repeated
 last row in closed form, and ``_equation`` is the coefficient grid of the one
 polynomial E(x, w) = sum_i x^(i+1) P_i(w) - w (times 1 - x for a repeated
-last row).  The grid is read twice, with no series reversion or inverse: its
-columns give the equation E(x, x*F) = 0 for F = f/x, and its rows, with
+last row).  The grid is read three times, with no series reversion or inverse:
+its columns give the equation E(x, x*F) = 0 for F = f/x; its rows, with
 x = fbar(y) and w = y, an equation in u = fbar/x = 1/A (the A-matrix
 construction of Merlini, Rogers, Sprugnoli and Verri 1997) that, divided by
-u, gives A as a polynomial in u over 1 - x*rho(x).  Every one of these roots
-follows from one int recurrence, and ``bell_pair`` seeds a Bell pair's A
-with it.  Bell triangles are built directly from the entry recurrence, and
-the Catalan-composition closed forms for the two-row and single-row families
-are roots of one quadratic each.
+u, gives A as a polynomial in u over 1 - x*rho(x); and E(x, f) f^k = 0, the
+entry recurrence of the Bell triangle, runs on its entries as ints with no
+series product.  Every root follows from one int recurrence, ``bell_pair``
+seeds a Bell pair's A with it, and the Catalan-composition closed forms for
+the two-row and single-row families are roots of one quadratic each.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -41,6 +41,7 @@ from .series import (
     rational,
     rational_series,
     _exact_repr,
+    _over_common_denominator,
     _polynomial_root,
     _ZERO,
     _ONE,
@@ -129,24 +130,15 @@ class AMatrixSpec:
             "repeat_last_row": self.repeat_last_row,
         }
 
-    def _row(self, i: int) -> tuple[Fraction, ...]:
-        """Row i >= -1, with last-row repetition applied; () past a finite array."""
-        if i == -1:
-            return self._rho_row
-        rows = self.rows
-        if i >= len(rows):
-            if not self.repeat_last_row:
-                return ()
-            i = len(rows) - 1
-        return rows[i]
-
     def entry(self, i: int, j: int) -> Fraction:
         """a[i][j] for i >= -1 (row -1 is (0, 0, *rho)), with last-row
         repetition and zero padding applied.  Raises ValueError for i < -1
         or j < 0, which index no entry."""
         if i < -1 or j < 0:
             raise ValueError(f"no array entry ({i}, {j}): rows start at -1 and columns at 0")
-        row = self._row(i)
+        if self.repeat_last_row:
+            i = min(i, len(self.rows) - 1)
+        row = self._rho_row if i == -1 else self.rows[i] if i < len(self.rows) else ()
         return row[j] if j < len(row) else _ZERO
 
     def row_sum(self, value) -> PowerSeries:
@@ -239,37 +231,40 @@ def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
 
 
 def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
-    """Bell triangle built purely from the entry recurrence.
-
-    t[n][k] = [x^(n+1)] f^(k+1), and multiplying f = sum_(i >= -1) x^(i+1) P_i(f)
-    by f^k gives, for every a[0][0] and with no seed rows,
-
-        t[n][k] = sum_(i >= -1, j) a[i][j] * t[n-1-i][k-1+j]  (+ a[n][0] at k = 0),
-
-    where t[m][c] = 0 off the triangle and the constant a[n][0] is the
-    j = k = 0 term, f^0 = 1.  Row -1 (rho) reads the current row further
-    right, so rows are filled right to left.
-    """
+    """Bell triangle from the entry recurrence on the spec's grid (_triangle_ints)."""
     if nrows < 1:
         raise ValueError("nrows must be positive")
-    rows: list[list[Fraction]] = []
-    for n in range(nrows):
-        terms = [
-            (n - 1 - i, j - 1, a)
-            for i in range(-1, n)
-            for j, a in enumerate(spec._row(i))
-            if a
-        ]
-        row = [_ZERO] * (n + 1)
-        rows.append(row)
-        for k in range(n, -1, -1):
-            s = spec.entry(n, 0) if k == 0 else _ZERO
-            for m, dj, a in terms:
-                col = k + dj
-                if 0 <= col <= m:
-                    s += a * rows[m][col]
-            row[k] = s
-    return LowerTriangle(rows)
+    return LowerTriangle([list(map(Fraction, nums, dens)) for nums, dens in _triangle_ints(spec, nrows)])
+
+
+def _triangle_ints(spec: AMatrixSpec, nrows: int) -> list[tuple[list[int], list[int]]]:
+    """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k].
+
+    With T(n, m) = [x^n] f^m, t[n][k] = T(n+1, k+1), and E(x, f) f^k = 0 (AMatrixSpec._equation,
+    row 0 (0, -1, rho_0, ...)) gives T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k).  For d
+    the lcm of the grid's denominators, T'(n, m) = d^(2n-m) T(n, m) obeys it with int coefficients
+    d*e[p][q] * d^(2p+q-2), so no step divides and dens are powers of d.  Terms p >= 1 add shifted
+    multiples of earlier rows; the rho terms (p = 0) read the row further right, so run right to left.
+    """
+    grid = spec._equation()
+    cells = [(p, q) for p, row in enumerate(grid) for q, v in enumerate(row) if v and (p, q) != (0, 1)]
+    nums, d = _over_common_denominator([grid[p][q] for p, q in cells])
+    terms = [(p, q, c * d ** (2 * p + q - 2)) for (p, q), c in zip(cells, nums)]
+    rho = [(q - 1, c) for p, q, c in terms if p == 0]
+    t = [[1]]  # row n holds T'(n, m) for m = 0..n; T'(n, 0) = 0 past n = 0
+    for n in range(1, nrows + 1):
+        row = [0] * (n + 1)
+        for p, q, c in terms:
+            if 0 < p <= n:  # c * T'(n-p, m+q-1) into m = 1, 2, ...
+                src = t[n - p][q:]
+                row[1 : len(src) + 1] = [a + c * v for a, v in zip(row[1:], src)]
+        for m in range(n - 1, 0, -1) if rho else ():
+            for s, c in rho:
+                if m + s <= n:
+                    row[m] += c * row[m + s]
+        t.append(row)
+    powers = [d**e for e in range(2 * nrows)]
+    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(t[1:], 1)]
 
 
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:

@@ -27,8 +27,8 @@ from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .series import InsufficientTerms, format_rational, _ratio_text, _texts
-from .core import _band, _columns, _lower
-from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f
+from .core import _band
+from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f, _triangle_ints
 from .hankel import FAMILY, INCONSISTENT, UNIQUE, _chebyshev, _somos_fit_ints
 from . import verify as verify_mod
 
@@ -219,13 +219,16 @@ def _cmd_pipeline(args) -> int:
     def sequence(name: str) -> list[str]:  # the pair's checked "a" or "z", rendered once
         return _coeff_texts(getattr(pair, name))
 
+    def triangle_row(nums, dens) -> list[str]:  # dens are all 1 for an array of integers
+        return _texts(nums, 1) if dens[0] == 1 else list(map(_ratio_text, nums, dens))
+
     def production() -> dict:
         a, z = sequence("a")[:rows], sequence("z")[:rows]
         return {"matrix": _band(z, a, "0"), "z": z, "a": a}
 
     # (wanted, payload key, JSON value); each runs at most once, in output order
     analyses = (
-        (args.triangle, "triangle", lambda: _lower([_coeff_texts(c) for c in _columns(pair, rows)])),
+        (args.triangle, "triangle", lambda: [triangle_row(*r) for r in _triangle_ints(spec, rows)]),
         (args.production, "production", production),
         (args.aseq, "aseq", lambda: sequence("a")),
         (args.zseq, "zseq", lambda: sequence("z")),

@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riordan import cli
 from riordan.amatrix import bell_pair, solve_f
-from riordan.core import a_sequence, production_matrix, riordan_triangle, z_sequence
+from riordan.core import _columns, _lower, a_sequence, production_matrix, riordan_triangle, z_sequence
 from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfraction, somos_fit
-from riordan.series import Sequence, format_rational
+from riordan.series import Sequence, _texts, format_rational
 from riordan.verify import Fixture
 
 from conftest import amatrix_specs, record_reversions_and_substitutions
@@ -332,6 +332,19 @@ def test_pipeline_triangle_preflight(capsys):
     assert "insufficient order" in err
 
 
+@pytest.mark.parametrize("rows", [3, 9, 30])
+def test_pipeline_triangle_alone_needs_order_rows_plus_one(capsys, rows):
+    # the triangle reads no f, but --triangle keeps the order it has always asked for
+    spec = str(SPECS / "a171416.json")
+    argv = ["pipeline", spec, "--triangle", "--rows", str(rows), "--format", "json"]
+    code, out, err = run(capsys, *argv, "--order", str(rows))
+    assert code == 2 and out == ""
+    assert f"insufficient order: a {rows}-row triangle needs order >= {rows + 1}" in err
+    code, out, err = run(capsys, *argv, "--order", str(rows + 1))
+    assert code == 0, err
+    assert len(json.loads(out)["triangle"]) == rows
+
+
 def test_pipeline_rejects_rows_below_one(capsys):
     for rows in ("0", "-3"):
         code, out, err = run(
@@ -509,6 +522,21 @@ def test_pipeline_json_matches_the_public_api(tmp_path, capsys, spec, rows, flag
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == pipeline_by_api(spec, order, rows, flags)
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(amatrix_specs(), st.integers(1, 16))
+def test_pipeline_triangle_equals_the_rendered_series_columns(tmp_path, capsys, spec, rows):
+    # the recurrence's ints over powers of the grid's lcm denominator render in lowest
+    # terms, with the sign on the numerator and "0" for zero, as the columns g * (f/x)^k do
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    order = max(3, rows + 1)
+    argv = ["pipeline", str(path), "--triangle", "--rows", str(rows), "--order", str(order), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    columns = _columns(bell_pair(spec, solve_f(spec, order).f), rows)
+    assert json.loads(out)["triangle"] == _lower([_texts(c._nums, c._den) for c in columns])
 
 
 # -- fuzzed command line ---------------------------------------------------------
