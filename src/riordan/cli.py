@@ -27,7 +27,7 @@ from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .series import InsufficientTerms, format_rational, _ratio_text, _texts
-from .core import _band
+from .core import bell_from_f, _band
 from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f, _triangle_ints
 from .hankel import FAMILY, INCONSISTENT, UNIQUE, _chebyshev, _somos_fit_ints
 from . import verify as verify_mod
@@ -205,7 +205,9 @@ def _cmd_pipeline(args) -> int:
             raise _CliError(
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
-    pair = bell_pair(spec, solve_f(spec, order).f)
+    f = solve_f(spec, order).f
+    # the spec's A (bell_pair) is solved only when A or Z is printed
+    pair = bell_pair(spec, f) if args.aseq or args.zseq or args.production else bell_from_f(f)
     g = pair.g  # the column, nums / d
     if args.hankel or args.somos_fit or args.jfraction:
         # One pass gives the minors H_n of h_n = H_n / d**(n+1) and, for --jfraction

@@ -232,8 +232,8 @@ def production_matrix(pair: RiordanPair, size: int) -> ProductionData:
         raise ValueError("size must be at least 2")
     if size + 1 > pair.order:
         raise InsufficientTerms(f"size {size} needs order >= {size + 1}, have {pair.order}")
-    a, z = pair.a.coeffs[:size], pair.z.coeffs[:size]
-    return ProductionData(_band(z, a, _ZERO), Sequence(z), Sequence(a))
+    a, z = (Sequence._ints(s._nums[:size], s._den) for s in (pair.a, pair.z))
+    return ProductionData(_band(z.terms, a.terms, _ZERO), z, a)
 
 
 def _band(z, a, zero) -> tuple:
@@ -245,14 +245,14 @@ def _band(z, a, zero) -> tuple:
 
 def a_sequence(pair: RiordanPair) -> Sequence:
     """The row-generation sequence A = x / fbar."""
-    return Sequence(pair.a.coeffs)
+    return Sequence._ints(pair.a._nums, pair.a._den)
 
 
 def z_sequence(pair: RiordanPair) -> Sequence:
     """The column-0 generation sequence Z = (1 - g0 / g(fbar)) / fbar."""
     if pair.order < 3:
         raise InsufficientTerms(f"the Z-sequence needs order >= 3, have {pair.order}")
-    return Sequence(pair.z.coeffs)
+    return Sequence._ints(pair.z._nums, pair.z._den)
 
 
 def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:

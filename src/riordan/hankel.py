@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .series import (
@@ -191,19 +191,32 @@ def exact_det(matrix) -> Fraction:
 def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
-    The 2*max_n + 1 terms are put over one common denominator d, and the
-    integer minors (_chebyshev) give every h_n = H_n / d**(n+1) from the monic
-    Chebyshev rows, max_n levels of one row step each, with a block step
-    across every run of zero minors.
+    The 2*max_n + 1 terms are read as the sequence stores them, ints over d, the
+    lcm of their own denominators (Sequence._cleared), and the integer minors
+    (_chebyshev) give every h_n = H_n / d**(n+1) from the monic Chebyshev rows,
+    max_n levels of one row step each, with a block step across every run of
+    zero minors.  The h_n are returned as ints over the lcm of their own
+    denominators, with no Fraction.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     need = 2 * max_n + 1
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
-    t, d = _over_common_denominator(s.terms[:need])
+    t, d = s._cleared(need)
     minors, _ = _chebyshev(t, max_n)
-    return Sequence(tuple(Fraction(v, d ** (n + 1)) for n, v in enumerate(minors)))
+    if d == 1:
+        return Sequence._ints(minors, 1)
+    # h_n in lowest terms is (H_n / g_n) / q_n, q_n = d**(n+1) / g_n with g_n = gcd(H_n, d**(n+1));
+    # over lcm(q_n) the minors need no scaling up to d**(max_n+1) and no gcd at that size
+    nums, dens, power = [], [], 1
+    for v in minors:
+        power *= d
+        g = gcd(v, power)
+        nums.append(v // g)
+        dens.append(power // g)
+    den = lcm(*dens)
+    return Sequence._ints([v * (den // q) for v, q in zip(nums, dens)], den)
 
 
 @dataclass(frozen=True)
@@ -238,9 +251,9 @@ def somos_fit(h: Sequence) -> SomosFitResult:
     Windows whose coefficient row and right side are all zero constrain
     nothing and are skipped.  Fewer than two window equations in total is
     reported as InsufficientData rather than an error.  The fit runs on h's
-    numerators over their common denominator (_somos_fit_ints).
+    stored numerators, which share one denominator (_somos_fit_ints).
     """
-    return _somos_fit_ints(_over_common_denominator(h.terms)[0])
+    return _somos_fit_ints(h._nums)
 
 
 def _somos_fit_ints(t) -> SomosFitResult:
@@ -297,11 +310,13 @@ def fit_allows(fit: SomosFitResult, alpha, beta) -> bool:
 
 def somos_verify(s: Sequence, alpha, beta) -> bool:
     """Product-form check s_n s_(n-4) = alpha s_(n-1) s_(n-3) + beta s_(n-2)^2
-    for every available n >= 4; tolerant of zero terms."""
+    for every available n >= 4; tolerant of zero terms.  The windows run on s's
+    stored numerators, which scales both sides of each by den**2, with alpha and
+    beta as a/e and b/e over one common denominator e."""
     if len(s) < 5:
         raise ValueError("need at least five terms")
-    alpha, beta = rational(alpha), rational(beta)
-    return all(alpha * p + beta * q == r for _, p, q, r in _somos_windows(s.terms))
+    (a, b), e = _over_common_denominator([rational(alpha), rational(beta)])
+    return all(a * p + b * q == e * r for _, p, q, r in _somos_windows(s._nums))
 
 
 @dataclass(frozen=True)
@@ -322,17 +337,18 @@ class JFraction:
 
 def jfraction(s: Sequence, depth: int) -> JFraction:
     """Extract depth + 1 b-coefficients and depth lambdas from the monic
-    Chebyshev recurrence (_chebyshev) on the moments over one common
-    denominator; stops early (terminated=True) when a lambda vanishes.
+    Chebyshev recurrence (_chebyshev) on the moments as ints over the lcm of
+    their denominators (Sequence._cleared); stops early (terminated=True) when
+    a lambda vanishes.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if s.terms[0] == 0:
+    if s._nums[0] == 0:
         raise ValueError("the leading term must be nonzero")
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    _, (b, lam) = _chebyshev(_over_common_denominator(s.terms[:need])[0], depth, heads=True, minors=False)
+    _, (b, lam) = _chebyshev(s._cleared(need)[0], depth, heads=True, minors=False)
     return JFraction(
         tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam), terminated=len(b) == len(lam)
     )

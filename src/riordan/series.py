@@ -3,15 +3,17 @@
 A :class:`PowerSeries` is a coefficient vector together with an explicit
 truncation order (the number of retained coefficients).  Mixed-order
 arithmetic always truncates to the smaller operand's order, so precision is
-visible in the value itself and never silently invented.  A series is
-stored as int numerators over one positive denominator in lowest terms, so
-equality is int comparison and arithmetic builds no ``Fraction`` per
-coefficient; coefficients are returned as ``fractions.Fraction`` (the
-``coeffs`` view, built on first read; indexing reads one), and floats are
-rejected at the boundary.  Denominators are cleared only where
-``Fraction``s enter, in the constructor; series that meet in one int
-recurrence go over the lcm of their stored denominators (``_over_lcm``).
-A product packs each
+visible in the value itself and never silently invented.  A series, and
+a :class:`Sequence` alike, is stored as int numerators over one positive
+denominator in lowest terms (``_lowest``), so equality is int comparison
+and arithmetic builds no ``Fraction`` per value; values are returned as
+``fractions.Fraction`` (the ``coeffs`` or ``terms`` view, built on first
+read; indexing reads one), and floats and bools are rejected at the
+boundary.  Denominators are cleared once, where ``Fraction``s enter, in the
+constructor; series that meet in one int recurrence go over the lcm of
+their stored denominators (``_over_lcm``), and a sequence's prefix goes
+over the lcm of its own denominators with one gcd (``Sequence._cleared``),
+which is how the Hankel layer reads it.  A product packs each
 operand into one big int (Kronecker substitution) so a single big-int
 multiply does the work, a quotient is a Newton inverse built from such
 products, and a root of a polynomial series equation (:func:`catalan_of`,
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -174,6 +176,19 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The ints nums over den > 0 in lowest terms, gcd(den, *nums) == 1: how a series
+    and a sequence store their values.  On a prefix of stored ints it is that prefix
+    over the lcm of its own denominators, _over_common_denominator's form."""
+    g = gcd(den, *nums)
+    return (tuple(nums), den) if g == 1 else (tuple(c // g for c in nums), den // g)
+
+
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    """The Fraction view of stored ints nums over den; Fraction(c) takes no gcd."""
+    return tuple(map(Fraction, nums)) if den == 1 else tuple(Fraction(c, den) for c in nums)
+
+
 def _int_product(a: list[int], b: list[int]) -> list[int]:
     """The first len(a) coefficients of a*b, for int lists of one length.
 
@@ -270,9 +285,8 @@ class PowerSeries:
     def _store(self, nums, den: int) -> None:
         if len(nums) == 0:
             raise SeriesError("a series must retain at least one coefficient")
-        g = gcd(den, *nums)
-        self._nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
-        self._den, self._coeffs = den // g, None
+        self._nums, self._den = _lowest(nums, den)
+        self._coeffs = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -318,9 +332,8 @@ class PowerSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:  # Fraction(c) takes no gcd
-            d = self._den
-            self._coeffs = tuple(map(Fraction, self._nums) if d == 1 else (Fraction(c, d) for c in self._nums))
+        if self._coeffs is None:
+            self._coeffs = _fractions(self._nums, self._den)
         return self._coeffs
 
     @property
@@ -573,34 +586,67 @@ def catalan(order: int) -> PowerSeries:
     return catalan_of(PowerSeries.x(order))
 
 
-@dataclass(frozen=True)
 class Sequence:
-    """A finite run of exact terms; offset records the index of the first one."""
+    """A finite run of exact terms; offset records the index of the first one.
 
-    terms: tuple[Fraction, ...]
-    offset: int = 0
+    Stored as a PowerSeries is: int numerators over one positive denominator in
+    lowest terms, cleared once, when the sequence is built; ``terms`` is the
+    ``Fraction`` view, built when first read.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        if len(self.terms) == 0:
+    __slots__ = ("_nums", "_den", "offset", "_terms")
+
+    def __init__(self, terms, offset: int = 0):
+        self._store(*_over_common_denominator(_exact_values(terms)), offset)
+
+    @classmethod
+    def _ints(cls, nums, den: int, offset: int = 0) -> Sequence:
+        """The sequence nums / den, for int nums and a positive int den."""
+        s = object.__new__(cls)
+        s._store(nums, den, offset)
+        return s
+
+    def _store(self, nums, den: int, offset: int) -> None:
+        if len(nums) == 0:
             raise ValueError("a sequence needs at least one term")
+        self._nums, self._den = _lowest(nums, den)
+        self.offset, self._terms = offset, None
 
-    __repr__ = _exact_repr
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.offset == other.offset and self._den == other._den and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self._nums, self._den, self.offset))
+
+    def __repr__(self):
+        return f"Sequence(terms={_exact_repr(self.terms)}, offset={self.offset!r})"
 
     @classmethod
     def of(cls, values, offset: int = 0) -> Sequence:
-        return cls(tuple(rational(v) for v in values), offset)
+        return cls(values, offset)
+
+    @property
+    def terms(self) -> tuple[Fraction, ...]:
+        if self._terms is None:
+            self._terms = _fractions(self._nums, self._den)
+        return self._terms
+
+    def _cleared(self, n: int) -> tuple[tuple[int, ...], int]:
+        """(nums, d): the first n terms as ints over d, the lcm of their own
+        denominators, by one gcd (_lowest)."""
+        return _lowest(self._nums[:n], self._den)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.terms[i]
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:
-        if n > len(self.terms):
-            raise InsufficientTerms(f"only {len(self.terms)} terms available, asked for {n}")
+        if n > len(self):
+            raise InsufficientTerms(f"only {len(self)} terms available, asked for {n}")
         return self.terms[:n]
 
     def integers(self, n: int | None = None) -> list[int]:
@@ -608,9 +654,7 @@ class Sequence:
 
 
 def binomial_transform(seq: Sequence) -> Sequence:
-    """t_n = sum_k C(n, k) s_k, computed exactly."""
-    terms = tuple(
-        sum((comb(n, k) * seq.terms[k] for k in range(n + 1)), _ZERO)
-        for n in range(len(seq))
-    )
-    return Sequence(terms, seq.offset)
+    """t_n = sum_k C(n, k) s_k, computed exactly, on the stored ints."""
+    nums = seq._nums
+    terms = [sum(comb(n, k) * c for k, c in enumerate(nums[: n + 1])) for n in range(len(nums))]
+    return Sequence._ints(terms, seq._den, seq.offset)

@@ -155,7 +155,8 @@ class _Builder:
         return built
 
     def column(self, spec: dict) -> Sequence:
-        return Sequence(self.pair(spec).g.coeffs)
+        g = self.pair(spec).g
+        return Sequence._ints(g._nums, g._den)
 
     def triangle(self, spec: dict, nrows: int) -> LowerTriangle:
         if spec.get("kind") == "narayana_coeffs":

@@ -10,7 +10,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from riordan import cli
+from riordan import amatrix as amatrix_mod, cli
 from riordan.amatrix import bell_pair, solve_f
 from riordan.core import _columns, _lower, a_sequence, production_matrix, riordan_triangle, z_sequence
 from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfraction, somos_fit
@@ -291,6 +291,25 @@ def test_pipeline_reverts_nothing_and_checks_a_and_z_once_each(capsys, monkeypat
     # checks both A and Z
     assert reverts == []
     assert substitutions == [31]
+
+
+@pytest.mark.parametrize(
+    "flags, solves",
+    [(["--triangle"], 0), (["--hankel", "--somos-fit", "--jfraction"], 0), (["--aseq"], 1),
+     (["--zseq"], 1), (["--production"], 1), (["--triangle", "--aseq", "--zseq", "--production"], 1)],
+)
+def test_pipeline_solves_the_spec_a_only_when_a_or_z_is_printed(flags, solves, capsys, monkeypatch):
+    calls = []
+    route = amatrix_mod._a_series
+
+    def counted(spec, order):
+        calls.append(order)
+        return route(spec, order)
+
+    monkeypatch.setattr(amatrix_mod, "_a_series", counted)
+    code, _, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), *flags)
+    assert code == 0
+    assert len(calls) == solves
 
 
 def test_pipeline_production_display(capsys):

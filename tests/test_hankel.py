@@ -661,6 +661,23 @@ def test_verify_needs_five_terms():
         somos_verify(Sequence.of([1, 1, 2, 3]), 1, 1)
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_int_verify_matches_the_fraction_form(data):
+    # Somos-4 terms of (alpha, beta), perhaps with a term changed, often to zero, and
+    # checked against their own pair or a random one: the windows on the stored ints
+    # with alpha, beta over one denominator against the windows on the Fraction terms
+    alpha, beta = data.draw(small_fraction), data.draw(small_fraction)
+    start = [data.draw(small_fraction.filter(bool)), *data.draw(st.lists(small_fraction, min_size=3, max_size=3))]
+    t = somos_terms(alpha, beta, start, data.draw(st.integers(5, 12)))
+    if data.draw(st.booleans()):
+        t[data.draw(st.integers(0, len(t) - 1))] = data.draw(st.sampled_from([0, 0, Fraction(1, 2), -3]))
+    a, b = data.draw(st.one_of(st.just((alpha, beta)), st.tuples(small_fraction, small_fraction)))
+    s = Sequence.of(t)
+    want = all(a * p + b * q == r for _, p, q, r in hankel._somos_windows(s.terms))
+    assert somos_verify(s, a, b) is want
+
+
 # -- J-fractions ------------------------------------------------------------------
 
 

@@ -896,6 +896,48 @@ def test_sequence_prefix_and_integers():
         Sequence.of(["1/2"]).integers()
 
 
+exact_lists = st.lists(
+    st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60)),
+        st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 60)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(exact_lists, st.integers(-3, 3))
+def test_sequence_stores_lowest_ints_under_its_fraction_view(v, offset):
+    s = Sequence(v, offset)
+    want = tuple(map(rational, v))
+    assert s.terms == want and s.offset == offset
+    assert s._den > 0 and gcd(s._den, *s._nums) == 1
+    assert Sequence.of(v, offset) == s
+    scaled = Sequence._ints([6 * c for c in s._nums], 6 * s._den, offset)  # stored in lowest terms
+    assert (scaled._nums, scaled._den, hash(scaled)) == (s._nums, s._den, hash(s))
+    for n in range(len(v) + 1):
+        nums, d = s._cleared(n)
+        assert (list(nums), d) == riordan.series._over_common_denominator(want[:n])
+
+
+@given(exact_lists, exact_lists, st.integers(0, 1), st.integers(0, 1), st.booleans())
+def test_sequence_equality_and_hash_are_those_of_the_fraction_terms(v, w, i, j, rewrite):
+    if rewrite:  # the same values written another way: p/q strings over a scaled denominator
+        w = [f"{3 * rational(x).numerator}/{3 * rational(x).denominator}" for x in v]
+    a, b = Sequence(v, i), Sequence(w, j)
+    same = (tuple(map(rational, v)), i) == (tuple(map(rational, w)), j)
+    assert (a == b) is same and (b == a) is same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("terms, kind", [((0.5, 1.0, 2.0), "float"), ((True, 1, 2), "bool")])
+def test_sequence_rejects_terms_that_are_not_exact(terms, kind):
+    with pytest.raises(TypeError, match=f"not an exact rational: {kind} "):
+        Sequence(terms)
+
+
 def test_binomial_transform_of_delta_is_all_ones():
     got = binomial_transform(Sequence.of([1, 0, 0, 0, 0, 0]))
     assert got.integers() == [1, 1, 1, 1, 1, 1]
