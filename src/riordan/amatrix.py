@@ -18,9 +18,11 @@ x = fbar(y) and w = y, an equation in u = fbar/x = 1/A (the A-matrix
 construction of Merlini, Rogers, Sprugnoli and Verri 1997) that, divided by
 u, gives A as a polynomial in u over 1 - x*rho(x); and E(x, f) f^k = 0, the
 entry recurrence of the Bell triangle, runs on its entries as ints with no
-series product.  Every root follows from one int recurrence, ``bell_pair``
-seeds a Bell pair's A with it, and the Catalan-composition closed forms for
-the two-row and single-row families are roots of one quadratic each.
+series product.  Every root follows from one int recurrence, and the
+Catalan-composition closed forms for the two-row and single-row families are
+roots of one quadratic each.  ``bell_pair`` ties the readings with no
+composition: the recurrence's column 1 must be the f of the columns, and
+f/x = A(f) for the A of the rows is one int dot product per recurrence row.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -28,10 +30,14 @@ run fully in parallel with no shared state.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from functools import partial
+from itertools import chain, count, islice, zip_longest
 from math import comb
+from operator import mul
 
 from .series import (
     InsufficientTerms,
@@ -237,34 +243,68 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     return LowerTriangle([list(map(Fraction, nums, dens)) for nums, dens in _triangle_ints(spec, nrows)])
 
 
-def _triangle_ints(spec: AMatrixSpec, nrows: int) -> list[tuple[list[int], list[int]]]:
-    """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k].
-
-    With T(n, m) = [x^n] f^m, t[n][k] = T(n+1, k+1), and E(x, f) f^k = 0 (AMatrixSpec._equation,
-    row 0 (0, -1, rho_0, ...)) gives T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k).  For d
-    the lcm of the grid's denominators, T'(n, m) = d^(2n-m) T(n, m) obeys it with int coefficients
-    d*e[p][q] * d^(2p+q-2), so no step divides and dens are powers of d.  Terms p >= 1 add shifted
-    multiples of earlier rows; the rho terms (p = 0) read the row further right, so run right to left.
+def _entry_rows(spec: AMatrixSpec) -> tuple[int, Iterator[list[int]]]:
+    """d and the endless stream of rows T'(n, m) = d^(2n-m) T(n, m), m = 0..n, n = 0, 1, ..., for
+    T(n, m) = [x^n] f^m.  E(x, f) f^k = 0 (AMatrixSpec._equation, row 0 (0, -1, rho_0, ...)) gives
+    T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k); for d the lcm of the grid's denominators,
+    T' obeys it with int coefficients d*e[p][q] * d^(2p+q-2), so no step divides.  Terms p >= 1 add
+    shifted multiples of the last L rows, all the stream keeps; the rho terms (p = 0) read the row
+    further right, so run right to left.
     """
     grid = spec._equation()
     cells = [(p, q) for p, row in enumerate(grid) for q, v in enumerate(row) if v and (p, q) != (0, 1)]
     nums, d = _over_common_denominator([grid[p][q] for p, q in cells])
     terms = [(p, q, c * d ** (2 * p + q - 2)) for (p, q), c in zip(cells, nums)]
     rho = [(q - 1, c) for p, q, c in terms if p == 0]
-    t = [[1]]  # row n holds T'(n, m) for m = 0..n; T'(n, 0) = 0 past n = 0
-    for n in range(1, nrows + 1):
-        row = [0] * (n + 1)
-        for p, q, c in terms:
-            if 0 < p <= n:  # c * T'(n-p, m+q-1) into m = 1, 2, ...
-                src = t[n - p][q:]
-                row[1 : len(src) + 1] = [a + c * v for a, v in zip(row[1:], src)]
-        for m in range(n - 1, 0, -1) if rho else ():
-            for s, c in rho:
-                if m + s <= n:
-                    row[m] += c * row[m + s]
-        t.append(row)
+
+    def rows():
+        t = deque([[1]], maxlen=len(grid))  # t[-p] is row n - p; T'(n, 0) = 0 past n = 0
+        yield t[0]
+        for n in count(1):
+            row = [0] * (n + 1)
+            for p, q, c in terms:
+                if 0 < p <= n:  # c * T'(n-p, m+q-1) into m = 1, 2, ...
+                    src = t[-p][q:]
+                    row[1 : len(src) + 1] = [a + c * v for a, v in zip(row[1:], src)]
+            for m in range(n - 1, 0, -1) if rho else ():
+                for s, c in rho:
+                    if m + s <= n:
+                        row[m] += c * row[m + s]
+            t.append(row)
+            yield row
+
+    return d, rows()
+
+
+def _triangle_ints(spec: AMatrixSpec, nrows: int, pair: RiordanPair | None = None) -> list[tuple[list[int], list[int]]]:
+    """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k]:
+    t[n][k] = T(n+1, k+1), row n + 1 of _entry_rows over powers of d.  Given the spec's pair
+    (bell_pair), the same stream runs on to row pair.order and settles the pair's checks
+    (RiordanPair._checks), so a triangle and the A and Z checks share one pass."""
+    d, rows = _entry_rows(spec)
+    head = list(islice(rows, nrows + 1))
+    if pair is not None:
+        pair.__dict__["_checks"] = _recurrence_checks(pair, d, chain(head, rows))
     powers = [d**e for e in range(2 * nrows)]
-    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(t[1:], 1)]
+    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(head[1:], 1)]
+
+
+def _recurrence_checks(pair: RiordanPair, d: int, rows) -> tuple[bool, bool]:
+    """RiordanPair._checks of a spec's Bell pair off rows 0..N of its entry recurrence, N =
+    pair.order, with no composition.  For the long A = alpha/den, f/x = A(f) at x^(n-1) and the
+    pair's f as the recurrence's column 1 are, in ints (A needs both for n < N, Z for n = N too),
+
+        sum_j alpha_j d^(j+1) T'(n-1, j) = den T'(n, 1),   T'(n, 1) g.den = g.num[n-1] d^(2n-1).
+
+    So A, off the grid's rows, is tied to f, off its columns, through the grid's entries."""
+    a, g, last = pair._long_a, pair.g, pair.order
+    alpha = [c * d ** (j + 1) for j, c in enumerate(a._nums)]
+    prev, scale = next(rows), d
+    for n, row in zip(range(1, last + 1), rows):
+        if a._den * row[1] != sum(map(mul, alpha, prev)) or row[1] * g._den != g._nums[n - 1] * scale:
+            return n == last, False
+        prev, scale = row, scale * d * d
+    return True, True
 
 
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
@@ -317,22 +357,26 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
 
 
 def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
-    """bell_from_f(f) for the solution f of the spec (solve_f's), with the pair's
-    long A read off the array (_a_series), so no reversion or inverse runs for the
-    checks; fbar is reverted from x*g only if it is read.  The pair's one composition,
-    of that A into f, checks f/x = A(f) and the Z-series: it tests A, from the
-    A-matrix equation, against the f of the equation in f/x.
-    """
+    """bell_from_f(f) for the solution f of the spec (solve_f's), with the pair's long A
+    read off the array (_a_series) and, once asked for, its A and Z checks off the entry
+    recurrence (_recurrence_checks): no reversion, inverse or composition runs for them,
+    and fbar is reverted from x*g only if it is read."""
     pair = bell_from_f(f)
     # the cached A, one term longer than the pair's, that A and Z are read off
     pair.__dict__["_long_a"] = _a_series(spec, pair.order)
+    pair.__dict__["_check"] = partial(_spec_checks, spec)  # a partial, not a lambda, so the pair pickles
     return pair
+
+
+def _spec_checks(spec: AMatrixSpec, pair: RiordanPair) -> tuple[bool, bool]:
+    """The checks of the spec's pair (bell_pair) on a recurrence pass of their own."""
+    return _recurrence_checks(pair, *_entry_rows(spec))
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, read off
-    the A-matrix equation (bell_pair) and checked against solve_f's f by
-    f/x = A(f), or NotRiordanBand is raised."""
+    the A-matrix equation (bell_pair) and checked against solve_f's f by f/x = A(f)
+    on the entry recurrence's ints, or NotRiordanBand is raised."""
     return a_sequence(bell_pair(spec, solve_f(spec, order + 1).f))
 
 

@@ -206,8 +206,9 @@ def _cmd_pipeline(args) -> int:
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
     f = solve_f(spec, order).f
-    # the spec's A (bell_pair) is solved only when A or Z is printed
-    pair = bell_pair(spec, f) if args.aseq or args.zseq or args.production else bell_from_f(f)
+    # the spec's A (bell_pair) is solved only when A or Z is printed; --triangle shares its check's rows
+    spec_pair = bell_pair(spec, f) if args.aseq or args.zseq or args.production else None
+    pair = spec_pair or bell_from_f(f)
     g = pair.g  # the column, nums / d
     if args.hankel or args.somos_fit or args.jfraction:
         # One pass gives the minors H_n of h_n = H_n / d**(n+1) and, for --jfraction
@@ -230,7 +231,7 @@ def _cmd_pipeline(args) -> int:
 
     # (wanted, payload key, JSON value); each runs at most once, in output order
     analyses = (
-        (args.triangle, "triangle", lambda: [triangle_row(*r) for r in _triangle_ints(spec, rows)]),
+        (args.triangle, "triangle", lambda: [triangle_row(*r) for r in _triangle_ints(spec, rows, spec_pair)]),
         (args.production, "production", production),
         (args.aseq, "aseq", lambda: sequence("a")),
         (args.zseq, "zseq", lambda: sequence("z")),

@@ -31,19 +31,20 @@ class RiordanPair:
 
     Both series are normalized to one shared truncation order on
     construction (the smaller of the two).  fbar, A and Z are cached on
-    first use, and so are f's powers, which the checks compose with, and
-    A(f); A does not compute Z, and Z reuses A.
+    first use, and so are the checks; A does not compute Z, and Z reuses A.
 
     A Bell pair (f/x, f), where g to order - 1 terms equals f/x, takes a
-    shorter route to Z, and one composition checks both.  There
+    shorter route to Z, and one check settles both.  There
     g(fbar) = x/fbar = A, so Z = (A - g0)/x and g*Z(f) = (g/F)*(A(f) - g0)/x
     with g/F = 1 below x^(order - 1), F = f/x: the Z check is g = A(f) to
     ``order`` terms, one past the A check.  So A is kept one term longer than
-    the pair's A and composed into f once; A(f)'s top term checks Z.  g = f/x
-    holds f to order + 1 terms, so x*g is reverted and inverted to that long
-    A.  A Bell pair built from a coefficient array (``amatrix.bell_pair``) has
-    it read off the array instead and reverts x*g only if fbar is read.
-    Other pairs compose A and Z into f apart, at order - 1.
+    the pair's A, and A(f)'s top term checks Z (``_checks``).  g = f/x holds
+    f to order + 1 terms, so x*g is reverted and inverted to that long A,
+    which is composed into f once.  A Bell pair built from a coefficient
+    array (``amatrix.bell_pair``) has the long A read off the array and both
+    checks read off the array's entry recurrence in ints (its ``_check``),
+    with no composition; it reverts x*g only if fbar is read.  Other pairs
+    compose A and Z into f apart, at order - 1.
     """
 
     g: PowerSeries
@@ -90,18 +91,23 @@ class RiordanPair:
         are built once per pair."""
         return _Substitution(self.f, self._long_a.order)
 
+    _check = None  # amatrix.bell_pair sets one that reads the spec's entry recurrence
+
     @cached_property
-    def _a_of_f(self) -> PowerSeries:
-        """The long A composed into f: on a Bell pair both checks read it."""
-        return self._at_f(self._long_a)
+    def _checks(self) -> tuple[bool, bool]:
+        """(f/x = A(f) to order - 1 terms, g = A(f) to order terms) for the long A: the A check
+        and, on a Bell pair, the Z check; by the pair's own ``_check`` or one composition into f."""
+        if self._check:
+            return self._check(self)
+        a_of_f = self._at_f(self._long_a)
+        return a_of_f.truncate(self.order - 1) == self.f.div_x(), a_of_f == self.g
 
     @cached_property
     def a(self) -> PowerSeries:
         """A = x / fbar to order - 1, checked by f/x = A(f)."""
-        n = self.order - 1
-        if self._a_of_f.truncate(n) != self.f.div_x():
+        if not self._checks[0]:
             raise NotRiordanBand("the A-series fails f/x = A(f)")
-        return self._long_a.truncate(n)
+        return self._long_a.truncate(self.order - 1)
 
     @cached_property
     def z(self) -> PowerSeries:
@@ -111,7 +117,7 @@ class RiordanPair:
         g0, a = self.g[0], self.a  # A is checked before Z, which is read off it
         if self._bell:
             z = (self._long_a - g0).div_x()
-            ok = self._a_of_f == self.g
+            ok = self._checks[1]
         else:
             z = (1 - g0 / self.g.compose(self.fbar)).div_x() * a
             ok = self.g * self._at_f(z) == (self.g - g0).div_x()

@@ -82,6 +82,21 @@ def record_reversions_and_substitutions(monkeypatch):
     return reverts, substitutions
 
 
+def bump_term(series, i):
+    """series with 1 added to its term i."""
+    nums = list(series.coeffs)
+    nums[i] += 1
+    return PowerSeries(tuple(nums))
+
+
+def composition_checks(pair):
+    """Oracle: the A and Z checks a spec's Bell pair ran before the entry recurrence,
+    one composition of its long A into f: (f/x = A(f) to order - 1 terms, g = A(f)
+    to order terms), the pair's ``_checks``."""
+    a_of_f = _Substitution(pair.f, pair._long_a.order)(pair._long_a)
+    return a_of_f.truncate(pair.order - 1) == pair.f.div_x(), a_of_f == pair.g
+
+
 small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 

@@ -1,6 +1,7 @@
 """Coefficient-array solving, direct triangles, closed forms, substitution."""
 
 import json
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -36,9 +37,12 @@ from riordan.amatrix import (
 
 from conftest import (
     amatrix_specs,
+    bump_term,
     catalan_recurrence,
+    composition_checks,
     random_fraction,
     random_nonzero_fraction,
+    record_reversions_and_substitutions,
     series_products,
     small_fraction,
 )
@@ -654,16 +658,64 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
             compute(pair)
 
 
-def test_spec_pair_a_and_z_take_one_composition_and_no_inverse():
+@settings(max_examples=60)
+@given(amatrix_specs(), st.integers(3, 40), st.sampled_from(["none", "a", "f"]), st.integers(0, 40))
+@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, "none", 0)
+@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "a", 23)
+@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "f", 24)
+def test_recurrence_checks_match_the_composition_route(spec, order, corrupt, term):
+    # a pair's A and Z checks off the entry recurrence's ints agree with one composition
+    # of its long A into f, on the spec's own A and f and with one term of either bumped:
+    # a term of A below the top moves A, its top term (the last of the long A) only Z;
+    # a term of f below the top moves A, its top term (held only by g) only Z
+    f = solve_f(spec, order).f
+    if corrupt == "f":
+        f = bump_term(f, 2 + term % (order - 2))
+    pair = bell_pair(spec, f)
+    if corrupt == "a":
+        pair.__dict__["_long_a"] = bump_term(pair._long_a, term % pair.order)
+    assert pair._checks == composition_checks(pair)
+    assert (pair._checks == (True, True)) == (corrupt == "none")
+
+
+@pytest.mark.parametrize("term, identity", [(5, "A-series"), (-1, "Z-series")])
+def test_spec_pair_checks_reject_a_corrupt_f(term, identity):
+    # the top term of f, one past the pair's order, is held only by g = f/x, which
+    # the Z check reads and the A check does not
+    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
+    f = solve_f(spec, 16).f
+    pair = bell_pair(spec, bump_term(f, term % f.order))
+    if identity == "Z-series":
+        assert a_sequence(pair) == a_sequence(bell_pair(spec, f))
+    else:
+        with pytest.raises(NotRiordanBand, match=identity):
+            a_sequence(pair)
+    with pytest.raises(NotRiordanBand, match=identity):
+        z_sequence(pair)
+
+
+def test_spec_pair_pickles_with_its_unread_checks():
+    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
+    pair = bell_pair(spec, solve_f(spec, 20).f)
+    copy = pickle.loads(pickle.dumps(pair))
+    assert "_checks" not in copy.__dict__
+    assert (copy.a, copy.z) == (pair.a, pair.z)
+
+
+def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
     # A off the A-matrix equation takes L - 1 = 1 Horner product and no Newton
-    # inverse; A(f) takes the baby powers of f (m - 1 = 15 at order 255) and its
-    # Horner steps (15), and Z reads A and the top term of A(f), with no product
+    # inverse; both checks read the entry recurrence's ints, with no series product,
+    # composition or reversion.  A pair with no spec composes its long A into f once.
     spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
     f = solve_f(spec, 256).f
     assert series_products(lambda: bell_pair(spec, f)) == 1
     pair = bell_pair(spec, f)
-    assert series_products(lambda: pair.a) == 30
-    assert series_products(lambda: pair.z) == 0
+    reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
+    assert series_products(lambda: (pair.a, pair.z)) == 0
+    assert (reverts, substitutions) == ([], [])
+    plain = bell_from_f(f)
+    assert (plain.a, plain.z) == (pair.a, pair.z)
+    assert (len(reverts), substitutions) == (1, [plain.order])
     single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u
     f = solve_f(single, 256).f
     assert series_products(lambda: bell_pair(single, f)) == 0

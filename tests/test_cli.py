@@ -17,7 +17,7 @@ from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfrac
 from riordan.series import Sequence, _texts, format_rational
 from riordan.verify import Fixture
 
-from conftest import amatrix_specs, record_reversions_and_substitutions
+from conftest import amatrix_specs, bump_term, record_reversions_and_substitutions
 
 SPECS = pathlib.Path(__file__).parent.parent / "specs"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -281,16 +281,53 @@ def test_pipeline_hankel_and_fit(capsys):
     assert "somos fit: Unique alpha=1 beta=1" in out
 
 
-def test_pipeline_reverts_nothing_and_checks_a_and_z_once_each(capsys, monkeypatch):
+def test_pipeline_reverts_and_composes_nothing_to_check_a_and_z(capsys, monkeypatch):
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
-    code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq", "--production")
-    assert code == 0
-    assert "A-sequence: " in out and "Z-sequence: " in out
+    for triangle in ([], ["--triangle"]):
+        code, out, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), "--aseq", "--zseq", "--production", *triangle)
+        assert code == 0
+        assert "A-sequence: " in out and "Z-sequence: " in out
     # A comes from the spec's A-matrix equation and fbar is not read, so nothing is
-    # reverted; one composition of A into f, at the pair's order, order - 1 = 31,
-    # checks both A and Z
+    # reverted; A and Z are checked on the entry recurrence's ints, with no composition,
+    # whether or not --triangle shares its rows
     assert reverts == []
-    assert substitutions == [31]
+    assert substitutions == []
+
+
+@pytest.mark.parametrize(
+    "flags, passes",
+    [(["--triangle"], 1), (["--hankel"], 0), (["--aseq"], 1), (["--zseq", "--production"], 1),
+     (["--triangle", "--aseq", "--zseq", "--production"], 1)],
+)
+def test_pipeline_runs_the_entry_recurrence_at_most_once(flags, passes, capsys, monkeypatch):
+    # --triangle and the A and Z checks read one stream of rows
+    calls = []
+    route = amatrix_mod._entry_rows
+
+    def counted(spec):
+        calls.append(spec)
+        return route(spec)
+
+    monkeypatch.setattr(amatrix_mod, "_entry_rows", counted)
+    code, _, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), *flags, "--rows", "15")
+    assert code == 0
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize(
+    "flags, term",
+    [(["--aseq"], 2), (["--aseq", "--triangle"], 2), (["--zseq"], -1), (["--zseq", "--triangle", "--rows", "5"], -1)],
+)
+def test_pipeline_exits_4_on_a_corrupt_spec_a(flags, term, capsys, monkeypatch):
+    # a low term of the seeded A fails its A check, its top term the Z check; either
+    # way the run writes nothing to stdout and one line to stderr
+    route = amatrix_mod._a_series
+    monkeypatch.setattr(amatrix_mod, "_a_series", lambda spec, order: bump_term(route(spec, order), term))
+    code, out, err = run(capsys, "pipeline", str(SPECS / "a171416.json"), *flags, "--format", "json")
+    identity = "A-series" if term == 2 else "Z-series"
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: NotRiordanBand") and identity in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

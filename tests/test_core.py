@@ -25,7 +25,7 @@ from riordan.core import (
     z_sequence,
 )
 
-from conftest import random_fraction, random_nonzero_fraction, series_products, small_fraction
+from conftest import bump_term, random_fraction, random_nonzero_fraction, series_products, small_fraction
 
 ORDER = 16
 
@@ -287,21 +287,15 @@ def test_reading_a_then_z_forms_f_powers_once_and_short_products():
     assert (products, products.length) == (154, 23321)
 
 
-def _bumped(series, i):
-    nums = list(series.coeffs)
-    nums[i] += 1
-    return PowerSeries(tuple(nums))
-
-
 def _wrong_reverse(pair, monkeypatch):
     assert pair._bell  # a Bell pair reads fbar, A and Z off the long reverse
-    pair.__dict__["_long_fbar"] = _bumped(pair._long_fbar, 3)
+    pair.__dict__["_long_fbar"] = bump_term(pair._long_fbar, 3)
 
 
 def _wrong_top_of_long_a(pair, monkeypatch):
     assert pair._bell
     # the term past A's order, which only Z = (A - g0)/x reads
-    pair.__dict__["_long_a"] = _bumped(pair._long_a, pair.order - 1)
+    pair.__dict__["_long_a"] = bump_term(pair._long_a, pair.order - 1)
 
 
 def _wrong_g_of_fbar(pair, monkeypatch):
