@@ -20,9 +20,10 @@ u, gives A as a polynomial in u over 1 - x*rho(x); and E(x, f) f^k = 0, the
 entry recurrence of the Bell triangle, runs on its entries as ints with no
 series product.  Every root follows from one int recurrence, and the
 Catalan-composition closed forms for the two-row and single-row families are
-roots of one quadratic each.  ``bell_pair`` ties the readings with no
-composition: the recurrence's column 1 must be the f of the columns, and
-f/x = A(f) for the A of the rows is one int dot product per recurrence row.
+roots of one quadratic each.  ``bell_pair`` checks each reading against the
+spec, with no composition: f by the residual of the equation, and A by the
+A-matrix equation it was read off, E(y/A, y) = 0, in L series products; the
+two are then tied by E alone, whose branches through the origin are unique.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -30,12 +31,10 @@ run fully in parallel with no shared state.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count, islice, zip_longest
+from itertools import zip_longest
 from math import comb
 from operator import mul
 
@@ -52,7 +51,7 @@ from .series import (
     _ZERO,
     _ONE,
 )
-from .core import LowerTriangle, RiordanPair, a_sequence, bell_from_f
+from .core import LowerTriangle, NotRiordanBand, RiordanPair, a_sequence, bell_from_f
 
 
 class InvalidSpec(ValueError):
@@ -243,68 +242,62 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     return LowerTriangle([list(map(Fraction, nums, dens)) for nums, dens in _triangle_ints(spec, nrows)])
 
 
-def _entry_rows(spec: AMatrixSpec) -> tuple[int, Iterator[list[int]]]:
-    """d and the endless stream of rows T'(n, m) = d^(2n-m) T(n, m), m = 0..n, n = 0, 1, ..., for
-    T(n, m) = [x^n] f^m.  E(x, f) f^k = 0 (AMatrixSpec._equation, row 0 (0, -1, rho_0, ...)) gives
+def _entry_rows(spec: AMatrixSpec, nrows: int) -> tuple[int, list[list[int]]]:
+    """d and the rows T'(n, m) = d^(2n-m) T(n, m), m = 0..n, n = 0..nrows, for T(n, m) = [x^n] f^m.
+    E(x, f) f^k = 0 (AMatrixSpec._equation, row 0 (0, -1, rho_0, ...)) gives
     T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k); for d the lcm of the grid's denominators,
     T' obeys it with int coefficients d*e[p][q] * d^(2p+q-2), so no step divides.  Terms p >= 1 add
-    shifted multiples of the last L rows, all the stream keeps; the rho terms (p = 0) read the row
-    further right, so run right to left.
+    shifted multiples of the last L rows; the rho terms (p = 0) read the row further right, so run
+    right to left.
     """
     grid = spec._equation()
     cells = [(p, q) for p, row in enumerate(grid) for q, v in enumerate(row) if v and (p, q) != (0, 1)]
     nums, d = _over_common_denominator([grid[p][q] for p, q in cells])
     terms = [(p, q, c * d ** (2 * p + q - 2)) for (p, q), c in zip(cells, nums)]
     rho = [(q - 1, c) for p, q, c in terms if p == 0]
-
-    def rows():
-        t = deque([[1]], maxlen=len(grid))  # t[-p] is row n - p; T'(n, 0) = 0 past n = 0
-        yield t[0]
-        for n in count(1):
-            row = [0] * (n + 1)
-            for p, q, c in terms:
-                if 0 < p <= n:  # c * T'(n-p, m+q-1) into m = 1, 2, ...
-                    src = t[-p][q:]
-                    row[1 : len(src) + 1] = [a + c * v for a, v in zip(row[1:], src)]
-            for m in range(n - 1, 0, -1) if rho else ():
-                for s, c in rho:
-                    if m + s <= n:
-                        row[m] += c * row[m + s]
-            t.append(row)
-            yield row
-
-    return d, rows()
+    t = [[1]]  # T'(n, 0) = 0 past n = 0
+    for n in range(1, nrows + 1):
+        row = [0] * (n + 1)
+        for p, q, c in terms:
+            if 0 < p <= n:  # c * T'(n-p, m+q-1) into m = 1, 2, ...
+                src = t[n - p][q:]
+                row[1 : len(src) + 1] = [a + c * v for a, v in zip(row[1:], src)]
+        for m in range(n - 1, 0, -1) if rho else ():
+            for s, c in rho:
+                if m + s <= n:
+                    row[m] += c * row[m + s]
+        t.append(row)
+    return d, t
 
 
 def _triangle_ints(spec: AMatrixSpec, nrows: int, pair: RiordanPair | None = None) -> list[tuple[list[int], list[int]]]:
     """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k]:
     t[n][k] = T(n+1, k+1), row n + 1 of _entry_rows over powers of d.  Given the spec's pair
-    (bell_pair), the same stream runs on to row pair.order and settles the pair's checks
-    (RiordanPair._checks), so a triangle and the A and Z checks share one pass."""
-    d, rows = _entry_rows(spec)
-    head = list(islice(rows, nrows + 1))
+    (bell_pair), each row is checked against the pair's f and its checked A (_recurrence_checks)."""
+    d, rows = _entry_rows(spec, nrows)
     if pair is not None:
-        pair.__dict__["_checks"] = _recurrence_checks(pair, d, chain(head, rows))
+        _recurrence_checks(pair, d, rows)
     powers = [d**e for e in range(2 * nrows)]
-    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(head[1:], 1)]
+    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(rows[1:], 1)]
 
 
-def _recurrence_checks(pair: RiordanPair, d: int, rows) -> tuple[bool, bool]:
-    """RiordanPair._checks of a spec's Bell pair off rows 0..N of its entry recurrence, N =
-    pair.order, with no composition.  For the long A = alpha/den, f/x = A(f) at x^(n-1) and the
-    pair's f as the recurrence's column 1 are, in ints (A needs both for n < N, Z for n = N too),
+def _recurrence_checks(pair: RiordanPair, d: int, rows: list[list[int]]) -> None:
+    """Check rows 1, 2, ... of a spec's entry recurrence against its Bell pair (bell_pair) once the
+    pair's A has passed its own check.  For A = alpha/den, the pair's f as the recurrence's column 1
+    (every row) and f/x = A(f) at x^(n-1) (rows n < N = pair.order, the terms A holds) are, in ints,
 
-        sum_j alpha_j d^(j+1) T'(n-1, j) = den T'(n, 1),   T'(n, 1) g.den = g.num[n-1] d^(2n-1).
+        T'(n, 1) g.den = g.num[n-1] d^(2n-1),   sum_j alpha_j d^(j+1) T'(n-1, j) = den T'(n, 1).
 
-    So A, off the grid's rows, is tied to f, off its columns, through the grid's entries."""
-    a, g, last = pair._long_a, pair.g, pair.order
+    Raises NotRiordanBand naming the triangle row, n - 1, of the first identity that fails."""
+    a, g = pair.a, pair.g
     alpha = [c * d ** (j + 1) for j, c in enumerate(a._nums)]
-    prev, scale = next(rows), d
-    for n, row in zip(range(1, last + 1), rows):
-        if a._den * row[1] != sum(map(mul, alpha, prev)) or row[1] * g._den != g._nums[n - 1] * scale:
-            return n == last, False
-        prev, scale = row, scale * d * d
-    return True, True
+    scale = d
+    for n, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
+        if row[1] * g._den != g._nums[n - 1] * scale or (
+            n < pair.order and a._den * row[1] != sum(map(mul, alpha, prev))
+        ):
+            raise NotRiordanBand(f"the triangle fails its check against the spec's f and A at row {n - 1}")
+        scale *= d * d
 
 
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
@@ -328,23 +321,29 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     return _polynomial_root(poly([1]), 1 - poly([0, a]), [poly([0, c, b])], order).mul_x().truncate(order)
 
 
+def _equation_rows(spec: AMatrixSpec) -> list[PowerSeries]:
+    """c_p = sum_q e[p][q] y^(p+q-1), p = 0..L, for the rows of the spec's grid e
+    (AMatrixSpec._equation): E(x, w)/y = sum_p c_p u^p at x = y*u and w = y.  So
+    c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y); a repeated last row adds
+    y*(1 - y*rho) to c_1 and takes y*c_(p-1) from each later c_p."""
+    return [PowerSeries.of([0] * p + list(row)).div_x() for p, row in enumerate(spec._equation())]
+
+
 def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
     """A = x/fbar for the solution f of the spec, to the given order, off the rows of
-    the spec's grid e (AMatrixSpec._equation): no f and no reversion.  With
-    x = fbar(y) = y*u and w = f(fbar) = y, E(x, w)/y is the A-matrix equation
-    (Merlini, Rogers, Sprugnoli and Verri 1997, with the rho row added)
+    the spec's grid (_equation_rows): no f and no reversion.  With x = fbar(y) = y*u and
+    w = f(fbar) = y, E(x, w)/y is the A-matrix equation (Merlini, Rogers, Sprugnoli and
+    Verri 1997, with the rho row added)
 
-        sum_p c_p u^p = 0,   c_p = sum_q e[p][q] y^(p+q-1),
+        sum_p c_p u^p = 0.
 
-    so c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y), and a repeated last row
-    adds y*(1 - y*rho) to c_1 and takes y*c_(p-1) from each later c_p.  Divided by
-    a[0][0] = c_1(0), it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1 and
-    q_p = -c_p/a[0][0] divisible by y, the form _polynomial_root solves for
+    Divided by a[0][0] = c_1(0), it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1
+    and q_p = -c_p/a[0][0] divisible by y, the form _polynomial_root solves for
     u = fbar/x.  Divided by u instead, it gives A = 1/u with no inverse:
     A = (sum_(p>=1) c_p u^(p-1)) / (-c_0), a Horner sum in u (L - 1 series products)
     over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
-    c0, *cs = (PowerSeries.of([0] * p + list(row)).div_x() for p, row in enumerate(spec._equation()))
+    c0, *cs = _equation_rows(spec)
     rhs = -c0  # 1 - y*rho(y)
     acc = cs[-1]._padded(order)
     if len(cs) > 1:
@@ -356,12 +355,13 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
     return _polynomial_root(PowerSeries._ints(acc._nums, 1), rhs, [], order) * Fraction(1, acc._den)
 
 
-def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
-    """bell_from_f(f) for the solution f of the spec (solve_f's), with the pair's long A
-    read off the array (_a_series) and, once asked for, its A and Z checks off the entry
-    recurrence (_recurrence_checks): no reversion, inverse or composition runs for them,
-    and fbar is reverted from x*g only if it is read."""
-    pair = bell_from_f(f)
+def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:
+    """bell_from_f(f) for the f of solve_f(spec, order), whose residual ties f to the
+    spec, with the pair's long A read off the array (_a_series) and, once asked for,
+    its A and Z checks run on A's own equation (_spec_checks): no reversion, inverse,
+    composition or entry recurrence runs for them, and fbar is reverted from x*g only
+    if it is read."""
+    pair = bell_from_f(solve_f(spec, order).f)
     # the cached A, one term longer than the pair's, that A and Z are read off
     pair.__dict__["_long_a"] = _a_series(spec, pair.order)
     pair.__dict__["_check"] = partial(_spec_checks, spec)  # a partial, not a lambda, so the pair pickles
@@ -369,15 +369,41 @@ def bell_pair(spec: AMatrixSpec, f: PowerSeries) -> RiordanPair:
 
 
 def _spec_checks(spec: AMatrixSpec, pair: RiordanPair) -> tuple[bool, bool]:
-    """The checks of the spec's pair (bell_pair) on a recurrence pass of their own."""
-    return _recurrence_checks(pair, *_entry_rows(spec))
+    """RiordanPair._checks of the spec's pair (bell_pair): its long A, n = pair.order terms,
+    against the A-matrix equation, in L series products.  Horner in A over the grid's rows,
+
+        S = (...((c_0 A + c_1) A + c_2) ...) A + c_L = sum_p c_p A^(L-p),
+
+    is E(y/A, y) A^L / y, times (A - y)/A when the last row repeats (its grid is that of
+    (1 - x) E).  The A check is A(0) = a[0][0] and [y^k] S = 0 for k < n - 1; the Z check
+    takes k = n - 1 too.  Why that is enough:
+
+    - c_0(0) = -1, c_1(0) = a[0][0] and c_p(0) = 0 for p >= 2, so with A(0) = a[0][0] the
+      term A_k enters [y^k] S with coefficient -L a00^(L-1) + (L-1) a00^(L-1) = -a00^(L-1),
+      nonzero: S = 0 fixes A one term at a time.  ([y^0] S = A(0)^(L-1) (a00 - A(0)) also
+      vanishes at A(0) = 0, hence the separate A(0) check.)
+    - dE/dw(0, 0) = -1 and dE/dx(0, 0) = a[0][0] != 0, so E = 0 has one branch w = f(x) and
+      one branch x = h(w) through the origin; x = fbar(w) is on it, as E(fbar(w), w) =
+      E(fbar(w), f(fbar(w))) = 0, so h = fbar and the A of the true f, y/fbar, solves S = 0.
+    - Hence the checked terms of A are those of y/fbar, and f/x = A(f) holds to the terms
+      checked, for the f that solve_f's residual ties to the same E.
+    """
+    a = pair._long_a
+    if a[0] != spec.rows[0][0]:
+        return False, False
+    c0, *cs = _equation_rows(spec)
+    s = c0._padded(a.order)
+    for c in cs:
+        s = s * a + c._padded(a.order)
+    return not any(s._nums[:-1]), not any(s._nums)
 
 
 def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
     """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, read off
-    the A-matrix equation (bell_pair) and checked against solve_f's f by f/x = A(f)
-    on the entry recurrence's ints, or NotRiordanBand is raised."""
-    return a_sequence(bell_pair(spec, solve_f(spec, order + 1).f))
+    the A-matrix equation (bell_pair) and checked against that equation in L series
+    products (_spec_checks), or NotRiordanBand is raised; NonConvergence if solve_f's
+    f fails its residual."""
+    return a_sequence(bell_pair(spec, order + 1))
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

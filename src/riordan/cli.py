@@ -205,10 +205,9 @@ def _cmd_pipeline(args) -> int:
             raise _CliError(
                 EXIT_USAGE, f"insufficient order: {what} needs order >= {need}, have {order}"
             )
-    f = solve_f(spec, order).f
-    # the spec's A (bell_pair) is solved only when A or Z is printed; --triangle shares its check's rows
-    spec_pair = bell_pair(spec, f) if args.aseq or args.zseq or args.production else None
-    pair = spec_pair or bell_from_f(f)
+    # the spec's A (bell_pair) is solved only when A or Z is printed; --triangle then checks its rows against it
+    spec_pair = bell_pair(spec, order) if args.aseq or args.zseq or args.production else None
+    pair = spec_pair or bell_from_f(solve_f(spec, order).f)
     g = pair.g  # the column, nums / d
     if args.hankel or args.somos_fit or args.jfraction:
         # One pass gives the minors H_n of h_n = H_n / d**(n+1) and, for --jfraction

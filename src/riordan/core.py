@@ -42,9 +42,9 @@ class RiordanPair:
     f to order + 1 terms, so x*g is reverted and inverted to that long A,
     which is composed into f once.  A Bell pair built from a coefficient
     array (``amatrix.bell_pair``) has the long A read off the array and both
-    checks read off the array's entry recurrence in ints (its ``_check``),
-    with no composition; it reverts x*g only if fbar is read.  Other pairs
-    compose A and Z into f apart, at order - 1.
+    checks run on A's own equation in the array's L series products (its
+    ``_check``), with no composition; it reverts x*g only if fbar is read.
+    Other pairs compose A and Z into f apart, at order - 1.
     """
 
     g: PowerSeries
@@ -91,7 +91,7 @@ class RiordanPair:
         are built once per pair."""
         return _Substitution(self.f, self._long_a.order)
 
-    _check = None  # amatrix.bell_pair sets one that reads the spec's entry recurrence
+    _check = None  # amatrix.bell_pair sets one that reads the spec's A-matrix equation
 
     @cached_property
     def _checks(self) -> tuple[bool, bool]:

@@ -61,7 +61,6 @@ from .amatrix import (
     closed_form_f_general,
     direct_triangle,
     narayana_poly_coeffs,
-    solve_f,
 )
 from .hankel import _minors, _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
 
@@ -141,7 +140,7 @@ class _Builder:
         kind = spec.get("kind")
         if kind == "amatrix":
             array = _amatrix_spec(spec)
-            built = bell_pair(array, solve_f(array, self.order).f)
+            built = bell_pair(array, self.order)
         elif kind == "rational_pair":
             built = RiordanPair(
                 rational_series(spec["g_num"], spec["g_den"], self.order),

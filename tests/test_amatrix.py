@@ -23,6 +23,7 @@ from riordan.core import (
 from riordan.amatrix import (
     AMatrixSpec,
     InvalidSpec,
+    NonConvergence,
     asequence_by_substitution,
     bell_pair,
     binomial_transform_equation_check,
@@ -626,7 +627,7 @@ def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
 @example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 30)
 def test_spec_route_reverse_matches_the_revert_route(spec, order):
     f = solve_f(spec, order).f
-    pair, oracle = bell_pair(spec, f), bell_from_f(f)  # the oracle reverts x*g and inverts
+    pair, oracle = bell_pair(spec, order), bell_from_f(f)  # the oracle reverts x*g and inverts
     assert pair._long_a == oracle._long_a
     assert (pair.fbar, pair.a, pair.z) == (oracle.fbar, oracle.a, oracle.z)
     assert asequence_by_substitution(spec, order).terms == (1 / f.revert().div_x()).coeffs
@@ -636,7 +637,7 @@ def test_spec_route_reverse_matches_the_revert_route(spec, order):
 def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch):
     # the seeded A is one term longer than the pair's A: a low term moves A itself,
     # the top term only the one term past A's order that Z = (A - g0)/x reads, which
-    # the top term of the one composition A(f) checks against g's
+    # the top term of A's equation checks
     spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
     route = amatrix_mod._a_series
 
@@ -645,9 +646,9 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
         coeffs[term] += 1
         return PowerSeries(tuple(coeffs))
 
-    clean = a_sequence(bell_pair(spec, solve_f(spec, 16).f))
+    clean = a_sequence(bell_pair(spec, 16))
     monkeypatch.setattr(amatrix_mod, "_a_series", corrupt)
-    pair = bell_pair(spec, solve_f(spec, 16).f)
+    pair = bell_pair(spec, 16)
     raising = [lambda p: production_matrix(p, 6), z_sequence]
     if identity == "A-series":
         raising.append(a_sequence)
@@ -658,67 +659,100 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
             compute(pair)
 
 
-@settings(max_examples=60)
+def _bumped_root(term):
+    """A stand-in for amatrix._f_over_x that adds 1 to term ``term`` of the root F = f/x."""
+    route = amatrix_mod._f_over_x
+    return lambda spec, order: bump_term(route(spec, order), term % order)
+
+
+@settings(max_examples=100)
 @given(amatrix_specs(), st.integers(3, 40), st.sampled_from(["none", "a", "f"]), st.integers(0, 40))
 @example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, "none", 0)
-@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "a", 23)
-@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "f", 24)
-def test_recurrence_checks_match_the_composition_route(spec, order, corrupt, term):
-    # a pair's A and Z checks off the entry recurrence's ints agree with one composition
-    # of its long A into f, on the spec's own A and f and with one term of either bumped:
-    # a term of A below the top moves A, its top term (the last of the long A) only Z;
-    # a term of f below the top moves A, its top term (held only by g) only Z
-    f = solve_f(spec, order).f
+@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"]), 40, "a", 37)  # A's top term
+@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "a", 22)  # the long A's top term
+@example(AMatrixSpec.of([[-1, 1], [1, 2]], [1]), 12, "a", 0)  # A(0) bumped to 0
+@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "f", 22)
+def test_spec_checks_match_the_composition_route(spec, order, corrupt, term):
+    # a spec pair's A and Z checks on A's own equation agree with one composition of its
+    # long A into f, on the spec's own A and with one term of it bumped: a term below the
+    # top moves A, the top term only Z.  A bumped term of the root f can no longer reach
+    # a pair: solve_f's residual refuses it first.
     if corrupt == "f":
-        f = bump_term(f, 2 + term % (order - 2))
-    pair = bell_pair(spec, f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(amatrix_mod, "_f_over_x", _bumped_root(term))
+            with pytest.raises(NonConvergence):
+                bell_pair(spec, order)
+        return
+    pair = bell_pair(spec, order)
+    n = pair.order
     if corrupt == "a":
-        pair.__dict__["_long_a"] = bump_term(pair._long_a, term % pair.order)
+        pair.__dict__["_long_a"] = bump_term(pair._long_a, term % n)
     assert pair._checks == composition_checks(pair)
-    assert (pair._checks == (True, True)) == (corrupt == "none")
+    expected = {"none": (True, True), "a": (term % n == n - 1, False)}[corrupt]
+    assert pair._checks == expected
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_spec_checks_reject_the_other_root_of_the_a_equation(repeat):
+    # for L = 2, S = c_0 A^2 + c_1 A + c_2 has a second root A' = -c_1/c_0 - A with
+    # A'(0) = 0, which passes [y^k] S = 0 at every k; the A(0) check refuses it, as the
+    # composition oracle does
+    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1]], [1, "-1/2"], repeat)
+    pair = bell_pair(spec, 20)
+    a, n = pair._long_a, pair.order
+    c0, c1, _ = amatrix_mod._equation_rows(spec)
+    other = -(c1._padded(n) / c0._padded(n)) - a
+    assert other[0] == 0
+    pair.__dict__["_long_a"] = other
+    assert pair._checks == composition_checks(pair) == (False, False)
 
 
 @pytest.mark.parametrize("term, identity", [(5, "A-series"), (-1, "Z-series")])
-def test_spec_pair_checks_reject_a_corrupt_f(term, identity):
-    # the top term of f, one past the pair's order, is held only by g = f/x, which
-    # the Z check reads and the A check does not
+def test_spec_pair_checks_reject_a_corrupt_f(term, identity, monkeypatch):
+    # a spec pair takes no f, so a wrong f can only come from the root, and solve_f's
+    # residual refuses it before any pair is built.  The composition oracle shows what
+    # that f would have failed: a term below the top A's identity, the top term (held
+    # only by g = f/x) only Z's.
     spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
-    f = solve_f(spec, 16).f
-    pair = bell_pair(spec, bump_term(f, term % f.order))
-    if identity == "Z-series":
-        assert a_sequence(pair) == a_sequence(bell_pair(spec, f))
-    else:
-        with pytest.raises(NotRiordanBand, match=identity):
-            a_sequence(pair)
-    with pytest.raises(NotRiordanBand, match=identity):
-        z_sequence(pair)
+    f = bump_term(amatrix_mod._f_over_x(spec, 15), term % 15).mul_x()
+    oracle = bell_from_f(f)
+    oracle.__dict__["_long_a"] = amatrix_mod._a_series(spec, oracle.order)
+    assert composition_checks(oracle) == (identity == "Z-series", False)
+    monkeypatch.setattr(amatrix_mod, "_f_over_x", _bumped_root(term))
+    with pytest.raises(NonConvergence, match="residual"):
+        bell_pair(spec, 16)
+    with pytest.raises(NonConvergence, match="residual"):
+        asequence_by_substitution(spec, 15)
 
 
 def test_spec_pair_pickles_with_its_unread_checks():
     spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
-    pair = bell_pair(spec, solve_f(spec, 20).f)
+    pair = bell_pair(spec, 20)
     copy = pickle.loads(pickle.dumps(pair))
     assert "_checks" not in copy.__dict__
     assert (copy.a, copy.z) == (pair.a, pair.z)
 
 
 def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
-    # A off the A-matrix equation takes L - 1 = 1 Horner product and no Newton
-    # inverse; both checks read the entry recurrence's ints, with no series product,
-    # composition or reversion.  A pair with no spec composes its long A into f once.
+    # A off the A-matrix equation takes L - 1 = 1 Horner product and no Newton inverse;
+    # both checks run Horner in A over the grid's L + 1 rows, L = 2 series products, with
+    # no composition, reversion or entry recurrence.  A pair with no spec composes its
+    # long A into f once.
     spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    f = solve_f(spec, 256).f
-    assert series_products(lambda: bell_pair(spec, f)) == 1
-    pair = bell_pair(spec, f)
+    assert series_products(lambda: bell_pair(spec, 256)) == series_products(lambda: solve_f(spec, 256)) + 1
+    pair = bell_pair(spec, 256)
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
-    assert series_products(lambda: (pair.a, pair.z)) == 0
-    assert (reverts, substitutions) == ([], [])
-    plain = bell_from_f(f)
+    recurrences = []
+    monkeypatch.setattr(amatrix_mod, "_entry_rows", lambda *args: recurrences.append(args))
+    assert series_products(lambda: (pair.a, pair.z)) == 2
+    assert (reverts, substitutions, recurrences) == ([], [], [])
+    plain = bell_from_f(solve_f(spec, 256).f)
     assert (plain.a, plain.z) == (pair.a, pair.z)
     assert (len(reverts), substitutions) == (1, [plain.order])
-    single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u
-    f = solve_f(single, 256).f
-    assert series_products(lambda: bell_pair(single, f)) == 0
+    single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u, and the check takes one product
+    assert series_products(lambda: bell_pair(single, 256)) == series_products(lambda: solve_f(single, 256))
+    pair = bell_pair(single, 256)
+    assert series_products(lambda: (pair.a, pair.z)) == 1
 
 
 def test_substitution_asequence_three_term_spec():
@@ -757,16 +791,19 @@ def test_repeated_row_matches_rows_written_out(rng):
 
 
 def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
-    solve = amatrix_mod.solve_f
+    # the root of the spec with rho = (2) fails the residual of the spec with rho = (1)
+    route = amatrix_mod._f_over_x
 
     def wrong_rho(spec, order):
-        return solve(AMatrixSpec.of(spec.rows, [2], spec.repeat_last_row), order)
+        return route(AMatrixSpec.of(spec.rows, [2], spec.repeat_last_row), order)
 
     spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1])
     assert asequence_by_substitution(spec, 10).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
-    monkeypatch.setattr(amatrix_mod, "solve_f", wrong_rho)
-    with pytest.raises(NotRiordanBand, match="A-series"):
+    monkeypatch.setattr(amatrix_mod, "_f_over_x", wrong_rho)
+    with pytest.raises(NonConvergence, match="residual"):
         asequence_by_substitution(spec, 10)
+    with pytest.raises(NonConvergence, match="residual"):
+        bell_pair(spec, 11)
 
 
 def test_substitution_agrees_with_group_route(rng):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riordan import amatrix as amatrix_mod, cli
-from riordan.amatrix import bell_pair, solve_f
+from riordan.amatrix import bell_pair
 from riordan.core import _columns, _lower, a_sequence, production_matrix, riordan_triangle, z_sequence
 from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfraction, somos_fit
 from riordan.series import Sequence, _texts, format_rational
@@ -288,25 +288,25 @@ def test_pipeline_reverts_and_composes_nothing_to_check_a_and_z(capsys, monkeypa
         assert code == 0
         assert "A-sequence: " in out and "Z-sequence: " in out
     # A comes from the spec's A-matrix equation and fbar is not read, so nothing is
-    # reverted; A and Z are checked on the entry recurrence's ints, with no composition,
-    # whether or not --triangle shares its rows
+    # reverted; A and Z are checked on that equation, with no composition, whether
+    # or not --triangle's rows are checked against them
     assert reverts == []
     assert substitutions == []
 
 
 @pytest.mark.parametrize(
     "flags, passes",
-    [(["--triangle"], 1), (["--hankel"], 0), (["--aseq"], 1), (["--zseq", "--production"], 1),
+    [(["--triangle"], 1), (["--hankel"], 0), (["--aseq"], 0), (["--zseq", "--production"], 0),
      (["--triangle", "--aseq", "--zseq", "--production"], 1)],
 )
 def test_pipeline_runs_the_entry_recurrence_at_most_once(flags, passes, capsys, monkeypatch):
-    # --triangle and the A and Z checks read one stream of rows
+    # only --triangle runs the recurrence; the A and Z checks read A's equation
     calls = []
     route = amatrix_mod._entry_rows
 
-    def counted(spec):
+    def counted(spec, nrows):
         calls.append(spec)
-        return route(spec)
+        return route(spec, nrows)
 
     monkeypatch.setattr(amatrix_mod, "_entry_rows", counted)
     code, _, _ = run(capsys, "pipeline", str(SPECS / "motzkin.json"), *flags, "--rows", "15")
@@ -328,6 +328,29 @@ def test_pipeline_exits_4_on_a_corrupt_spec_a(flags, term, capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err.startswith("error: internal error: NotRiordanBand") and identity in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, m, failing", [(6, 3, 6), (15, 1, 14)])
+def test_pipeline_exits_4_on_a_corrupt_printed_triangle_row(n, m, failing, capsys, monkeypatch):
+    # with the spec's pair built, each printed row is checked against its f and A.  Entry
+    # T'(n, m) of the recurrence is triangle entry (n - 1, m - 1).  Past column 0 it breaks
+    # f/x = A(f) at triangle row n, whose dot product reads all of row n - 1; in column 0
+    # of the last row, which A's terms do not reach, only the check against f sees it.
+    route = amatrix_mod._entry_rows
+
+    def corrupt(spec, nrows):
+        d, rows = route(spec, nrows)
+        rows[n] = rows[n][:m] + [rows[n][m] + 1] + rows[n][m + 1 :]
+        return d, rows
+
+    monkeypatch.setattr(amatrix_mod, "_entry_rows", corrupt)
+    argv = ("pipeline", str(SPECS / "a171416.json"), "--rows", "15", "--order", "16")
+    code, out, err = run(capsys, *argv, "--triangle", "--aseq", "--format", "json")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: NotRiordanBand") and f"at row {failing}" in err
+    assert err.count("\n") == 1
+    code, out, _ = run(capsys, *argv, "--triangle")  # with no spec pair, the rows print unchecked
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize(
@@ -517,7 +540,7 @@ def pipeline_by_api(spec, order: int, rows: int, flags) -> str:
     def texts(values):
         return [format_rational(v) for v in values]
 
-    pair = bell_pair(spec, solve_f(spec, order).f)
+    pair = bell_pair(spec, order)
     column = Sequence(pair.g.coeffs)
     payload: dict = {"column": texts(column.terms)}
     if "--triangle" in flags:
@@ -591,7 +614,7 @@ def test_pipeline_triangle_equals_the_rendered_series_columns(tmp_path, capsys, 
     argv = ["pipeline", str(path), "--triangle", "--rows", str(rows), "--order", str(order), "--format", "json"]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    columns = _columns(bell_pair(spec, solve_f(spec, order).f), rows)
+    columns = _columns(bell_pair(spec, order), rows)
     assert json.loads(out)["triangle"] == _lower([_texts(c._nums, c._den) for c in columns])
 
 

@@ -75,7 +75,7 @@ def test_spec_pairs_revert_and_compose_nothing_to_check_a_and_z(monkeypatch):
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
     report = run_fixtures()
     assert report.ok and report.total == len(fixtures) == 15
-    # each pair checks A, and Z when a fixture reads it, on its entry recurrence's ints
+    # each pair checks A, and Z when a fixture reads it, on A's own equation
     assert reverts == []
     assert substitutions == []
 
