@@ -46,8 +46,10 @@ from .series import (
     rational,
     rational_series,
     _exact_repr,
+    _exact_values,
     _over_common_denominator,
     _polynomial_root,
+    _root_ints,
     _ZERO,
     _ONE,
 )
@@ -306,9 +308,11 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     The root F of (1-ax-cx^2) F = (1+x) + x(rho0 + bx + dx^2) F^2, in closed form
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
     where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
+    The parameters go over one common denominator straight into the int root kernel
+    (_root_ints), so the one series built is the one returned.
     """
-    poly = PowerSeries.of
-    return _polynomial_root(poly([1, 1]), 1 - poly([0, a, c]), [poly([0, rho0, b, d])], order)
+    (a, b, c, d, rho0), den = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
+    return PowerSeries._ints(*_root_ints([[den, den], [den, -a, -c], [0, rho0, b, d]], den, order))
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
@@ -316,9 +320,11 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
 
     u = x*F for the root F of (1-ax) F = 1 + x(c + bx) F^2; in closed form
     u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
+    F comes from the int root kernel as in closed_form_f_general.
     """
-    poly = PowerSeries.of
-    return _polynomial_root(poly([1]), 1 - poly([0, a]), [poly([0, c, b])], order).mul_x().truncate(order)
+    (a, b, c), den = _over_common_denominator(_exact_values((a, b, c)))
+    nums, den = _root_ints([[den], [den, -a], [0, c, b]], den, order)
+    return PowerSeries._ints([0, *nums[:-1]], den)
 
 
 def _equation_rows(spec: AMatrixSpec) -> list[PowerSeries]:

@@ -10,6 +10,13 @@ Exit codes: 0 success, 1 fixture or comparison failure, 2 bad arguments or
 spec or insufficient order, 3 I/O problems (missing or unparsable files),
 4 an internal error (an unexpected exception, reported on one line).
 
+Work is bounded: --order, --rows, the Hankel depth and the sweep box have caps,
+and so has the size of a spec's entries.  solve and pipeline exit 2 when the
+entries' bit length b (that of the largest of their common denominator and the
+numerators over it) times order**1.5 exceeds MAX_ENTRY_WORK: f's n-th
+coefficient carries about n*b bits, and solving f to order n takes about n**2
+products of such ints.
+
 Output is deterministic.  JSON output renders every rational as a string
 ("7" or "11/4") so arbitrarily large values survive any JSON parser, and is
 emitted with sorted keys so reprinting a parsed report is byte-identical.
@@ -24,9 +31,10 @@ import json
 import re
 import sys
 from decimal import Decimal
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .series import InsufficientTerms, format_rational, _ratio_text, _texts
+from .series import InsufficientTerms, format_rational, _over_common_denominator, _ratio_text, _texts
 from .core import bell_from_f, _band
 from .amatrix import AMatrixSpec, InvalidSpec, bell_pair, solve_f, _triangle_ints
 from .hankel import FAMILY, INCONSISTENT, UNIQUE, _chebyshev, _somos_fit_ints
@@ -41,11 +49,17 @@ EXIT_INTERNAL = 4
 # bounds on the work one command may ask for; larger requests exit 2
 MAX_ORDER = 1024
 MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
-MAX_SWEEP_ORDER = 128  # one sweep point takes 0.02-1 s at 128; Hankel bits grow quadratically past it
+# one non-degenerate sweep point takes 0.002-0.13 s at 128 (median 0.01 s over [-1..1]^4 and 40
+# seeded [-4..4]^4 points, CPython 3.11, 2 vCPUs); Hankel bits grow quadratically past it
+MAX_SWEEP_ORDER = 128
 # --hankel, --somos-fit and --jfraction run to depth rows - 1, on one Chebyshev pass.  The
 # slowest bundled spec, hybrid_trees, takes 2.9 / 25 / 130 s for that pass at depth
 # 127 / 191 / 255 (CPython 3.11, 2 vCPUs); the next slowest, a171416, 1.3 s at 191.
 MAX_HANKEL_DEPTH = 191
+# entry bits times order**1.5: along it a three-row spec's solve takes 0.3 s at order 32
+# (724-bit entries), 3.4 s at 256 and 24 s at 1024 (4 bits; CPython 3.11, 2 vCPUs).  Every
+# bundled spec runs at MAX_ORDER; the README says why the order enters to the power 1.5.
+MAX_ENTRY_WORK = 2**17
 
 
 class _CliError(Exception):
@@ -99,8 +113,21 @@ def _load_spec(path: str) -> AMatrixSpec:
         raise _CliError(EXIT_USAGE, f"invalid spec in {path}: {exc}")
 
 
+def _load_bounded_spec(path: str, order: int) -> AMatrixSpec:
+    """_load_spec, refusing entries whose bits times order**1.5 exceed MAX_ENTRY_WORK."""
+    spec = _load_spec(path)
+    nums, d = _over_common_denominator([*chain(*spec.rows), *spec.rho])
+    bits = max(d, *map(abs, nums)).bit_length()
+    if bits * bits * order**3 > MAX_ENTRY_WORK**2:
+        raise _CliError(
+            EXIT_USAGE,
+            f"spec entries of {bits} bits at --order {order} exceed {MAX_ENTRY_WORK} bits times order^1.5",
+        )
+    return spec
+
+
 def _cmd_solve(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_bounded_spec(args.spec, args.order)
     report = solve_f(spec, args.order)
     f = _coeff_texts(report.f)
     payload = {
@@ -182,7 +209,7 @@ _PLAIN = {
 
 
 def _cmd_pipeline(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_bounded_spec(args.spec, args.order)
     order, rows = args.order, args.rows
     if args.production and rows < 2:
         raise _CliError(EXIT_USAGE, f"--production needs --rows >= 2, got {rows}")

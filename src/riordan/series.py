@@ -546,21 +546,33 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
 
     with Q_1 = -E.  Every term of that sum is one int dot product of the scaled
     coefficients, j-major with k falling, against the reversed history of
-    (P_(1,m), ..., P_(K,m)) for m < n.
+    (P_(1,m), ..., P_(K,m)) for m < n.  This wrapper clears the series to one D
+    (_over_lcm); the recurrence is the int kernel _root_ints, which callers holding
+    ints over one denominator (the closed forms) call directly.
     """
+    return PowerSeries._ints(*_root_ints(*_over_lcm([lead, den, *qs]), order))
+
+
+def _root_ints(polys: list[list[int]], d: int, order: int) -> tuple[list[int], int]:
+    """(nums, den): the root F of _polynomial_root to the given order, F_n = nums[n] / den,
+    for polys = [L, E, Q_2, ..., Q_K], the int coefficients of lead, den and the q_k over
+    one positive d (E_0 = d).  At d = 1 every D-power is 1 and none is formed."""
     if order < 1:
         raise SeriesError("order must be positive")
-    (lead_, den_, *qs_), d = _over_lcm([lead, den, *qs])
-    top = len(qs) + 1
-    scale = [d ** (top * n) for n in range(order)]
+    lead_, den_, *qs_ = polys
     polys = list(enumerate([[-c for c in den_], *qs_], 1))[::-1]
     width = min(order, max(len(p) for _, p in polys))
     # Q_(k,j)*D**(K*j-k) for j = 1, 2, ... and, within each j, k = K..1: the order of the reversed history
-    coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
-    base = [c * s for c, s in zip(lead_, scale)]
+    if d == 1:
+        coef = [p[j] if j < len(p) else 0 for j in range(1, width) for _, p in polys]
+        base = lead_[:order]
+    else:
+        scale = [d ** (len(polys) * n) for n in range(order)]
+        coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
+        base = [c * s for c, s in zip(lead_, scale)]
     base += [0] * (order - len(base))
     phi, history = [], []
-    powers = [phi] + [[] for _ in qs]
+    powers = [phi] + [[] for _ in qs_]
     chain = list(zip(powers, powers[1:]))  # P_k = P_(k-1) * Phi
     for b in base:
         t = b + sum(map(mul, coef, reversed(history)))
@@ -570,7 +582,9 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
             v = sum(map(mul, below, reversed(phi)))
             p.append(v)
             history.append(v)
-    return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
+    if d == 1:
+        return phi, 1
+    return [c * k for c, k in zip(phi, reversed(scale))], d * scale[-1]
 
 
 def catalan_of(u: PowerSeries) -> PowerSeries:

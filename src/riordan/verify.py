@@ -43,7 +43,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .series import InsufficientTerms, PowerSeries, Sequence, rational, rational_series
+from .series import InsufficientTerms, PowerSeries, Sequence, rational, rational_series, _exact_values
 from .core import (
     LowerTriangle,
     RiordanPair,
@@ -276,8 +276,7 @@ def run_fixtures(filter: str | None = None, order: int = DEFAULT_ORDER) -> Fixtu
 
 def conjectured_somos_rho0(a, b, c, d) -> tuple[int | Fraction, int | Fraction]:
     """The conjectured (alpha, beta) for the two-row family with rho = 0."""
-    # integral values stay ints, so an integer sweep point is int arithmetic
-    a, b, c, d = (q.numerator if q.denominator == 1 else q for q in map(rational, (a, b, c, d)))
+    a, b, c, d = _exact_values((a, b, c, d))  # ints as they are: an integer point is int arithmetic
     alpha = (b + a * b + d) ** 2
     beta = (
         b**4
@@ -291,7 +290,7 @@ def conjectured_somos_rho0(a, b, c, d) -> tuple[int | Fraction, int | Fraction]:
 
 def conjectured_somos_rho_delta(a, b, c, d) -> tuple[int | Fraction, int | Fraction]:
     """The conjectured (alpha, beta) for the two-row family with rho = (1, 0, 0, ...)."""
-    a, b, c, d = (q.numerator if q.denominator == 1 else q for q in map(rational, (a, b, c, d)))
+    a, b, c, d = _exact_values((a, b, c, d))
     alpha = (4 + a * a + 3 * b + a * (4 + b) + c + d) ** 2
     beta = (
         -16
@@ -354,10 +353,11 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     if alpha == 0:
         return DEGENERATE, None
     fx = closed_form_f_general(a, b, c, d, rho0, order)
-    windows = list(_somos_windows(_minors(fx._nums, (order - 1) // 2)))
-    if sum(1 for _, p, q, r in windows if p or q or r) < 2:
+    minors = _minors(fx._nums, (order - 1) // 2)
+    usable = [(n, alpha * p + beta * q != r) for n, p, q, r in _somos_windows(minors) if p or q or r]
+    if len(usable) < 2:
         return DEGENERATE, None
-    failing = next((n for n, p, q, r in windows if alpha * p + beta * q != r), None)
+    failing = next((n for n, fails in usable if fails), None)
     return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
 
 

@@ -474,9 +474,10 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
     [lambda: closed_form_f_general(1, -2, 3, 1, 1, 24), lambda: perturbed_f(2, 3, 5, 24)],
 )
 def test_closed_forms_take_no_series_product_or_division(closed_form, monkeypatch):
-    # the quadratic's int recurrence replaces every Newton inverse and series product
+    # the quadratic's int recurrence replaces every Newton inverse and series product,
+    # and the one series stored is the one returned: no PowerSeries argument is built
     calls = []
-    inverse, mul = PowerSeries._inverse, PowerSeries.__mul__
+    inverse, mul, store = PowerSeries._inverse, PowerSeries.__mul__, PowerSeries._store
 
     def counted_inverse(self):
         calls.append("inverse")
@@ -487,10 +488,15 @@ def test_closed_forms_take_no_series_product_or_division(closed_form, monkeypatc
             calls.append("mul")
         return mul(self, other)
 
+    def counted_store(self, nums, den):
+        calls.append("store")
+        return store(self, nums, den)
+
     monkeypatch.setattr(PowerSeries, "_inverse", counted_inverse)
     monkeypatch.setattr(PowerSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(PowerSeries, "_store", counted_store)
     closed_form()
-    assert calls == []
+    assert calls == ["store"]
 
 
 rationals = st.one_of(small_fraction, st.fractions(min_value=-100, max_value=100, max_denominator=10**6))

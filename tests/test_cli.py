@@ -263,6 +263,46 @@ def test_order_above_cap_is_usage_error(capsys):
         assert err.startswith("error:") and "--order" in err and "1024" in err
 
 
+def test_entry_work_above_cap_is_usage_error(tmp_path, capsys):
+    # 10**4999 + 1 has 16607 bits: refused from order 4 on (16607 * 8 > 2**17), by solve
+    # and pipeline, on one line; the 4400-digit entries of the tests above run at order 4
+    assert cli.MAX_ENTRY_WORK == 2**17
+    n = Decimal(10**4999 + 1)
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"rows": [[1, {n}, {n}], [{n}, {n}, -{n}]], "rho": [{n}, {n}, {n}], "repeat_last_row": true}}')
+    for command, order in (("solve", "4"), ("pipeline", "4"), ("solve", "20")):
+        code, out, err = run(capsys, command, str(path), "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: spec entries of 16607 bits at --order {order} exceed 131072 bits times order^1.5\n"
+    # the bits are those of the entries over their common denominator: 2**62 is 2**63/2, 64 bits,
+    # and 64 * 161**1.5 < 2**17 < 64 * 162**1.5
+    path.write_text(f'{{"rows": [[1, "1/2"]], "rho": [{2**62}]}}')
+    assert run(capsys, "solve", str(path), "--order", "64")[0] == 0
+    assert cli._load_bounded_spec(str(path), 161) == cli._load_spec(str(path))
+    for command in ("solve", "pipeline"):
+        code, _, err = run(capsys, command, str(path), "--order", "162")
+        assert code == 2 and err == "error: spec entries of 64 bits at --order 162 exceed 131072 bits times order^1.5\n"
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        *[(str(path), cli.MAX_ORDER) for path in sorted(SPECS.glob("*.json"))],
+        # the p/q specs of the order-512 pipeline steps
+        ({"rows": [[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], "rho": [1, "-1/2"], "repeat_last_row": True}, 512),
+        ({"rows": [[1, 2, -1]], "rho": [1, "1/2"], "repeat_last_row": True}, 512),
+        # the widest entries the benchmark's spec pool draws, at its order 48
+        ({"rows": [[1, "-1/3", 2], ["1/2", -2, "1/3"]], "rho": ["-1/2", 2]}, 48),
+    ],
+)
+def test_entry_cap_admits_bundled_and_recorded_specs(tmp_path, spec, order):
+    if isinstance(spec, dict):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        spec = str(tmp_path / "spec.json")
+    assert cli._load_bounded_spec(spec, order) == cli._load_spec(spec)
+
+
 # -- pipeline -----------------------------------------------------------------
 
 
@@ -698,8 +738,6 @@ def test_fuzzed_cli_exits_as_documented(tmp_path, capsys, spec, bfile, argv):
     if bfile is not None and argv[0] == "pipeline":
         (tmp_path / "b.txt").write_bytes(bfile)
         argv += ["--bfile", str(tmp_path / "b.txt")]
-    if len(spec) > 4000:  # a 5000-digit entry multiplies its digits at every order
-        argv[argv.index("--order") + 1] = "4"
     code, out, err = run(capsys, *argv)
     if code == 1:
         assert "--bfile" in argv

@@ -1,5 +1,6 @@
 """Determinants, Hankel transforms, Somos-4 fitting, J-fractions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -504,6 +505,47 @@ def test_integral_jfraction_rows_stay_over_one(rng):
             for k, (_, row, _) in enumerate(levels):
                 norm *= lam[k - 1] if k else 1
                 assert row[0] == norm
+
+
+def step_forms(t) -> list[tuple[int, str]]:
+    """(k, form) for each step _monic_rows takes from level k on the ints t, read off
+    the rows it yields: "block" where H_k = 0, else the three-term step, "integral"
+    where its scalars over their gcd have a = 1 and "general" otherwise, with "q = 1"
+    where D_(k+1) = D_k a and "q > 1" where D_(k+1) is a proper divisor."""
+    levels = list(hankel._monic_rows(t))
+    forms, (p0, p1) = [], (1, 0)
+    for k, ((_, row, d), (_, after, d_after)) in enumerate(zip(levels, levels[1:])):
+        if row is None:
+            continue
+        c0, c1 = row[0], row[1]
+        if c0 == 0:
+            forms.append((k, "block"))
+        elif after is not None:
+            a, bb, cc = c0 * p0, c1 * p0 - p1 * c0, c0 * c0
+            a //= math.gcd(a, bb, cc) * (1 if a > 0 else -1)
+            q = "q = 1" if d * a == d_after else "q > 1"
+            forms.append((k, f"integral, {q}" if a == 1 else f"general, {q}"))
+        p0, p1 = c0, c1
+    return forms
+
+
+@pytest.mark.parametrize(
+    "form, level, t",
+    [
+        # Catalan numbers, an integral J-fraction: every row over 1
+        ("integral, q = 1", 0, [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]),
+        ("integral, q > 1", 2, [-2, 2, -3, 3, -6, 6, -2, 1, -6, -4, 0, -3, 3]),
+        ("general, q = 1", 0, [3, -2, 2, -3, -2, -3, -1, 0, 3, -2, 0, 1, -3]),
+        ("general, q > 1", 1, [3, -2, 2, -3, -2, -3, -1, 0, 3, -2, 0, 1, -3]),
+        # H_1 = 0
+        ("block", 1, [1, 1, 1, 1, 1, 2, -1, 3, 0, 2, -2, 1, 1]),
+    ],
+)
+def test_each_form_of_the_chebyshev_step(form, level, t):
+    """One named input per form of the step, taken at the given level with
+    later minors that read its row, against the scaled oracle."""
+    assert (level, form) in step_forms(t)
+    assert hankel._minors(t, 6) == scaled_minors(t, 6)
 
 
 # -- Somos fitting ----------------------------------------------------------------

@@ -3,11 +3,12 @@
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import riordan.amatrix
 import riordan.series
 from riordan.amatrix import closed_form_f_general, perturbed_f
 from riordan.core import LowerTriangle, ProductionData, RiordanPair
@@ -700,9 +701,12 @@ def test_series_arithmetic_makes_no_fraction_round_trip(monkeypatch):
     pair.z
     assert calls == []
     assert all(t._coeffs is None for t in (f, s, square, pair.g, pair.f))
-    # the closed forms clear their parameters' polynomials, not order-long lists
+    # the closed forms clear their parameters, not order-long lists
+    monkeypatch.setattr(
+        riordan.amatrix, "_over_common_denominator", lambda v: calls.append(len(v)) or clear(v)
+    )
     closed_form_f_general(1, "1/2", -1, 2, "3/5", 40), perturbed_f("1/3", 2, -1, 40)
-    assert calls and max(calls) <= 4
+    assert calls == [5, 3]
     calls.clear()
     PowerSeries.of([1, 2])  # the constructor from Fractions does clear them
     assert calls == [2]
@@ -862,12 +866,24 @@ def root_equations(draw, degrees):
     return lead, den, qs, draw(st.integers(1, 14))
 
 
-@settings(max_examples=40)
-@given(root_equations(st.integers(2, 5)))
-def test_polynomial_root_matches_term_by_term_oracle(equation):
-    lead, den, qs, order = equation
-    got = riordan.series._polynomial_root(lead, den, qs, order)
-    assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
+def test_polynomial_root_matches_term_by_term_oracle(rng):
+    """Seeded equations of degree K = 1..5, with int terms (the int kernel's d = 1,
+    where it forms no D-power) or p/q terms (d > 1), some q_k of valuation 2."""
+    drawn = set()
+    for i in range(90):
+        terms = (lambda: rng.randint(-3, 3)) if i % 2 else (lambda: random_fraction(rng))
+
+        def poly():
+            return [terms() for _ in range(rng.randint(1, 4))]
+
+        top = rng.randint(1, 5)
+        lead, den = PowerSeries.of(poly()), PowerSeries.of([1, *poly()])
+        qs = [PowerSeries.of([0] * rng.choice([1, 1, 2]) + poly()) for _ in range(top - 1)]
+        order = rng.randint(1, 14)
+        got = riordan.series._polynomial_root(lead, den, qs, order)
+        assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
+        drawn.add((top, lcm(lead._den, den._den, *[q._den for q in qs]) > 1))
+    assert {(top, d) for top in (1, 2, 3) for d in (False, True)} <= drawn
 
 
 @settings(max_examples=60)
