@@ -10,12 +10,13 @@ Exit codes: 0 success, 1 fixture or comparison failure, 2 bad arguments or
 spec or insufficient order, 3 I/O problems (missing or unparsable files),
 4 an internal error (an unexpected exception, reported on one line).
 
-Work is bounded: --order, --rows, the Hankel depth and the sweep box have caps,
-and so has the size of a spec's entries.  solve and pipeline exit 2 when the
-entries' bit length b (that of the largest of their common denominator and the
-numerators over it) times order**1.5 exceeds MAX_ENTRY_WORK: f's n-th
-coefficient carries about n*b bits, and solving f to order n takes about n**2
-products of such ints.
+Work is bounded in size: --order, --rows, the Hankel depth and the sweep box
+have caps.  solve and pipeline exit 2 when the entries' bit length b (that of
+the largest of their common denominator and the numerators over it) times
+order**1.5 exceeds MAX_ENTRY_WORK: f's n-th coefficient carries about n*b bits,
+and solving f to order n takes about n**2 products of such ints.  That bounds
+the solve and the series stages; pipeline's Hankel flags are bounded in depth
+only, and their minors still grow with the entries' bits.
 
 Output is deterministic.  JSON output renders every rational as a string
 ("7" or "11/4") so arbitrarily large values survive any JSON parser, and is
@@ -99,7 +100,8 @@ def _coeff_texts(series) -> list[str]:
     return _texts(series._nums, series._den)
 
 
-def _load_spec(path: str) -> AMatrixSpec:
+def _load_spec(path: str, order: int) -> AMatrixSpec:
+    """The spec in path, refused when its entries' bits times order**1.5 exceed MAX_ENTRY_WORK."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_int=lambda s: int(Decimal(s)))  # no digit cap
@@ -108,14 +110,9 @@ def _load_spec(path: str) -> AMatrixSpec:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # also not UTF-8, too deep
         raise _CliError(EXIT_IO, f"{path} is not valid JSON: {exc}")
     try:
-        return AMatrixSpec.from_dict(data)
+        spec = AMatrixSpec.from_dict(data)
     except (InvalidSpec, TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid spec in {path}: {exc}")
-
-
-def _load_bounded_spec(path: str, order: int) -> AMatrixSpec:
-    """_load_spec, refusing entries whose bits times order**1.5 exceed MAX_ENTRY_WORK."""
-    spec = _load_spec(path)
     nums, d = _over_common_denominator([*chain(*spec.rows), *spec.rho])
     bits = max(d, *map(abs, nums)).bit_length()
     if bits * bits * order**3 > MAX_ENTRY_WORK**2:
@@ -127,7 +124,7 @@ def _load_bounded_spec(path: str, order: int) -> AMatrixSpec:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_bounded_spec(args.spec, args.order)
+    spec = _load_spec(args.spec, args.order)
     report = solve_f(spec, args.order)
     f = _coeff_texts(report.f)
     payload = {
@@ -209,7 +206,7 @@ _PLAIN = {
 
 
 def _cmd_pipeline(args) -> int:
-    spec = _load_bounded_spec(args.spec, args.order)
+    spec = _load_spec(args.spec, args.order)
     order, rows = args.order, args.rows
     if args.production and rows < 2:
         raise _CliError(EXIT_USAGE, f"--production needs --rows >= 2, got {rows}")

@@ -4,8 +4,9 @@ Hankel minors and J-fraction coefficients both come from one Chebyshev
 recurrence on monic rows, ints over a denominator known before each row is
 formed: one exact division a row and no gcd over its entries, with row sizes
 that follow the J-fraction rather than the minors; one pass (_chebyshev)
-gives both.  Where the step's leading scalar divides out (every level of an
-integral J-fraction), a row entry takes one multiply fewer.  A block step
+gives both.  Where the step's leading scalar divides out and its row needs no
+division (every level of an integral J-fraction), a row entry takes one
+multiply fewer.  A block step
 carries it across every run of zero minors; exact_det is Bareiss.  The
 Somos-4 fitter classifies the full linear system, on ints, over every
 available window instead of trusting the first two, so hidden
@@ -79,10 +80,10 @@ def _monic_rows(t: list[int]):
         (a, bb, cc, nden) = (c0 p0, c1 p0 - p1 c0, c0^2, D_K c0 p0) / g,
     g = gcd(c0 p0, bb, c0^2) signed so that nden > 0; the row is stored as its
     numerators over nden divided by q = nden / D_(K+1), with no division where
-    q = 1.  Where g = c0 p0, a = 1 and nden = D_K: the integral step, whose
-    numerators r_(i+2) - bb r_(i+1) - cc v_(i+2) take one multiply fewer.  Every
-    step on integer moments with an integral J-fraction is integral with every
-    row over 1.  For j > 1,
+    q = 1.  Where also g = c0 p0, so a = 1: the integral step, whose entries
+    r_(i+2) - bb r_(i+1) - cc v_(i+2) take one multiply fewer.  Every step on
+    integer moments with an integral J-fraction is integral with every row over
+    1.  For j > 1,
     from Q_j = v_0 r_(j-1)^j and C = -r_(j-1)^(j+1), every division exact,
         Q_m = -(sum_(i=m+1..j) Q_i r_(i+j-1-m) + C v_(j-m)) / r_(j-1), m = j-1..0,
         row_(K+j)[i] = (sum_m Q_m r_(m+j+i) + C v_(j+1+i)) / nden,
@@ -113,8 +114,6 @@ def _monic_rows(t: list[int]):
             terms = zip(cur[2:], cur[1:], prev[2:])
             if a == 1 and q == 1:  # the integral step, one multiply fewer an entry
                 row = [x - bb * y - cc * z for x, y, z in terms]
-            elif a == 1:
-                row = [(x - bb * y - cc * z) // q for x, y, z in terms]
             elif q == 1:
                 row = [a * x - bb * y - cc * z for x, y, z in terms]
             else:

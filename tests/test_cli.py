@@ -96,7 +96,7 @@ def test_spec_integer_literals_have_no_digit_cap(tmp_path, digits, sign):
     n = sign * (10**digits - 3)
     spec = tmp_path / "big.json"
     spec.write_text('{"rows": [[1, %s]], "rho": [%s]}' % (format_rational(n), format_rational(-n)))
-    loaded = cli._load_spec(str(spec))
+    loaded = cli._load_spec(str(spec), 0)  # order 0: parsed, with no solve work to bound
     assert loaded.rows == ((1, n),) and loaded.rho == (-n,)
 
 
@@ -279,7 +279,7 @@ def test_entry_work_above_cap_is_usage_error(tmp_path, capsys):
     # and 64 * 161**1.5 < 2**17 < 64 * 162**1.5
     path.write_text(f'{{"rows": [[1, "1/2"]], "rho": [{2**62}]}}')
     assert run(capsys, "solve", str(path), "--order", "64")[0] == 0
-    assert cli._load_bounded_spec(str(path), 161) == cli._load_spec(str(path))
+    assert cli._load_spec(str(path), 161) == cli._load_spec(str(path), 1)
     for command in ("solve", "pipeline"):
         code, _, err = run(capsys, command, str(path), "--order", "162")
         assert code == 2 and err == "error: spec entries of 64 bits at --order 162 exceed 131072 bits times order^1.5\n"
@@ -300,7 +300,7 @@ def test_entry_cap_admits_bundled_and_recorded_specs(tmp_path, spec, order):
     if isinstance(spec, dict):
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         spec = str(tmp_path / "spec.json")
-    assert cli._load_bounded_spec(spec, order) == cli._load_spec(spec)
+    assert cli._load_spec(spec, order) == cli._load_spec(spec, 1)
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -624,7 +624,7 @@ def test_pipeline_json_matches_the_public_api(tmp_path, capsys, spec, rows, flag
     # the pipeline renders straight from the series' ints and one Chebyshev pass;
     # the order is the least the flags allow, or one or two more
     if spec is None:
-        spec = cli._load_spec(str(SPECS / "a171416.json"))
+        spec = cli._load_spec(str(SPECS / "a171416.json"), cli.MAX_ORDER)
     if "--production" in flags:
         rows = max(rows, 2)
     order = extra + max(

@@ -510,8 +510,9 @@ def test_integral_jfraction_rows_stay_over_one(rng):
 def step_forms(t) -> list[tuple[int, str]]:
     """(k, form) for each step _monic_rows takes from level k on the ints t, read off
     the rows it yields: "block" where H_k = 0, else the three-term step, "integral"
-    where its scalars over their gcd have a = 1 and "general" otherwise, with "q = 1"
-    where D_(k+1) = D_k a and "q > 1" where D_(k+1) is a proper divisor."""
+    where its scalars over their gcd have a = 1 and D_(k+1) = D_k, and "general"
+    otherwise, with "q = 1" where D_(k+1) = D_k a and "q > 1" where D_(k+1) is a
+    proper divisor of D_k a."""
     levels = list(hankel._monic_rows(t))
     forms, (p0, p1) = [], (1, 0)
     for k, ((_, row, d), (_, after, d_after)) in enumerate(zip(levels, levels[1:])):
@@ -524,7 +525,7 @@ def step_forms(t) -> list[tuple[int, str]]:
             a, bb, cc = c0 * p0, c1 * p0 - p1 * c0, c0 * c0
             a //= math.gcd(a, bb, cc) * (1 if a > 0 else -1)
             q = "q = 1" if d * a == d_after else "q > 1"
-            forms.append((k, f"integral, {q}" if a == 1 else f"general, {q}"))
+            forms.append((k, "integral" if a == 1 and q == "q = 1" else f"general, {q}"))
         p0, p1 = c0, c1
     return forms
 
@@ -533,10 +534,11 @@ def step_forms(t) -> list[tuple[int, str]]:
     "form, level, t",
     [
         # Catalan numbers, an integral J-fraction: every row over 1
-        ("integral, q = 1", 0, [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]),
-        ("integral, q > 1", 2, [-2, 2, -3, 3, -6, 6, -2, 1, -6, -4, 0, -3, 3]),
+        ("integral", 0, [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]),
         ("general, q = 1", 0, [3, -2, 2, -3, -2, -3, -1, 0, 3, -2, 0, 1, -3]),
         ("general, q > 1", 1, [3, -2, 2, -3, -2, -3, -1, 0, 3, -2, 0, 1, -3]),
+        # a = 1 with q > 1: the general step's row over q
+        ("general, q > 1", 2, [-2, 2, -3, 3, -6, 6, -2, 1, -6, -4, 0, -3, 3]),
         # H_1 = 0
         ("block", 1, [1, 1, 1, 1, 1, 2, -1, 3, 0, 2, -2, 1, 1]),
     ],

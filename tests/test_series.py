@@ -866,12 +866,21 @@ def root_equations(draw, degrees):
     return lead, den, qs, draw(st.integers(1, 14))
 
 
+ZERO_HEAVY_TERMS = [0, 0, 0, 0, 1, -1, Fraction(3, 2**61 - 1)]
+
+
 def test_polynomial_root_matches_term_by_term_oracle(rng):
     """Seeded equations of degree K = 1..5, with int terms (the int kernel's d = 1,
-    where it forms no D-power) or p/q terms (d > 1), some q_k of valuation 2."""
+    where it forms no D-power), small p/q terms or zero-heavy terms with the prime
+    denominator 2**61 - 1 (d > 1), some q_k of valuation 2."""
+    kinds = [
+        lambda: rng.randint(-3, 3),
+        lambda: random_fraction(rng),
+        lambda: rng.choice(ZERO_HEAVY_TERMS),
+    ]
     drawn = set()
-    for i in range(90):
-        terms = (lambda: rng.randint(-3, 3)) if i % 2 else (lambda: random_fraction(rng))
+    for i in range(150):
+        terms = kinds[i % 3]
 
         def poly():
             return [terms() for _ in range(rng.randint(1, 4))]
@@ -882,8 +891,9 @@ def test_polynomial_root_matches_term_by_term_oracle(rng):
         order = rng.randint(1, 14)
         got = riordan.series._polynomial_root(lead, den, qs, order)
         assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
-        drawn.add((top, lcm(lead._den, den._den, *[q._den for q in qs]) > 1))
-    assert {(top, d) for top in (1, 2, 3) for d in (False, True)} <= drawn
+        d = lcm(lead._den, den._den, *[q._den for q in qs])
+        drawn.add((top, "d = 1" if d == 1 else "2**61 - 1" if d % (2**61 - 1) == 0 else "d > 1"))
+    assert {(top, d) for top in (1, 2, 3) for d in ("d = 1", "d > 1", "2**61 - 1")} <= drawn
 
 
 @settings(max_examples=60)
