@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import zip_longest
 from math import comb
 from operator import mul
@@ -363,20 +362,28 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
 
 def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:
     """bell_from_f(f) for the f of solve_f(spec, order), whose residual ties f to the
-    spec, with the pair's long A read off the array (_a_series) and, once asked for,
-    its A and Z checks run on A's own equation (_spec_checks): no reversion, inverse,
-    composition or entry recurrence runs for them, and fbar is reverted from x*g only
-    if it is read."""
+    spec, with its A and Z read off the array and checked against A's own equation
+    (_spec_checks) before it is returned: no reversion, inverse, composition or entry
+    recurrence runs for them.  A is read one term longer than the pair keeps, n =
+    pair.order terms.  On a Bell pair g(fbar) = x/fbar = A, so Z = (1 - g0/A)/x * A =
+    (A - g0)/x, and its check (g - g0)/x = g*Z(f) = (g/F)*(A(f) - g0)/x, with g/F = 1
+    below x^(n - 1) for F = f/x, is g = A(f) to n terms: one term past the A check, f/x
+    = A(f) to n - 1 terms.  Raises NotRiordanBand naming the series that fails."""
     pair = bell_from_f(solve_f(spec, order).f)
-    # the cached A, one term longer than the pair's, that A and Z are read off
-    pair.__dict__["_long_a"] = _a_series(spec, pair.order)
-    pair.__dict__["_check"] = partial(_spec_checks, spec)  # a partial, not a lambda, so the pair pickles
+    a = _a_series(spec, pair.order)
+    a_ok, z_ok = _spec_checks(spec, a)
+    if not a_ok:
+        raise NotRiordanBand("the A-series fails f/x = A(f)")
+    if not z_ok:
+        raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
+    pair.__dict__.update(a=a.truncate(pair.order - 1), z=(a - pair.g[0]).div_x())
     return pair
 
 
-def _spec_checks(spec: AMatrixSpec, pair: RiordanPair) -> tuple[bool, bool]:
-    """RiordanPair._checks of the spec's pair (bell_pair): its long A, n = pair.order terms,
-    against the A-matrix equation, in L series products.  Horner in A over the grid's rows,
+def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
+    """(A check, Z check) of a spec's pair (bell_pair) for its A read to n = pair.order
+    terms, against the A-matrix equation, in L series products.  Horner in A over the
+    grid's rows,
 
         S = (...((c_0 A + c_1) A + c_2) ...) A + c_L = sum_p c_p A^(L-p),
 
@@ -394,7 +401,6 @@ def _spec_checks(spec: AMatrixSpec, pair: RiordanPair) -> tuple[bool, bool]:
     - Hence the checked terms of A are those of y/fbar, and f/x = A(f) holds to the terms
       checked, for the f that solve_f's residual ties to the same E.
     """
-    a = pair._long_a
     if a[0] != spec.rows[0][0]:
         return False, False
     c0, *cs = _equation_rows(spec)

@@ -15,8 +15,8 @@ have caps.  solve and pipeline exit 2 when the entries' bit length b (that of
 the largest of their common denominator and the numerators over it) times
 order**1.5 exceeds MAX_ENTRY_WORK: f's n-th coefficient carries about n*b bits,
 and solving f to order n takes about n**2 products of such ints.  That bounds
-the solve and the series stages; pipeline's Hankel flags are bounded in depth
-only, and their minors still grow with the entries' bits.
+the solve and the series stages.  pipeline's Hankel flags also exit 2 when b
+times depth**2 exceeds MAX_ENTRY_WORK: the depth-n minors grow as n**2 * b bits.
 
 Output is deterministic.  JSON output renders every rational as a string
 ("7" or "11/4") so arbitrarily large values survive any JSON parser, and is
@@ -60,6 +60,10 @@ MAX_HANKEL_DEPTH = 191
 # entry bits times order**1.5: along it a three-row spec's solve takes 0.3 s at order 32
 # (724-bit entries), 3.4 s at 256 and 24 s at 1024 (4 bits; CPython 3.11, 2 vCPUs).  Every
 # bundled spec runs at MAX_ORDER; the README says why the order enters to the power 1.5.
+# Also entry bits times depth**2 for the Hankel flags: along it the full pipeline of the
+# three-row spec {"rows": [[1, N, N], [N, N, -N]], "rho": [N, N, N], "repeat_last_row": true}
+# takes 272 s at depth 181 (4 bits, the slowest case timed) and 219 s at MAX_HANKEL_DEPTH
+# (3 bits, those of perturbed_moments); 16 bits at depth 126 ran past 300 s.
 MAX_ENTRY_WORK = 2**17
 
 
@@ -100,6 +104,12 @@ def _coeff_texts(series) -> list[str]:
     return _texts(series._nums, series._den)
 
 
+def _entry_bits(spec: AMatrixSpec) -> int:
+    """The bit length of the largest of the entries' common denominator and their numerators over it."""
+    nums, d = _over_common_denominator([*chain(*spec.rows), *spec.rho])
+    return max(d, *map(abs, nums)).bit_length()
+
+
 def _load_spec(path: str, order: int) -> AMatrixSpec:
     """The spec in path, refused when its entries' bits times order**1.5 exceed MAX_ENTRY_WORK."""
     try:
@@ -113,8 +123,7 @@ def _load_spec(path: str, order: int) -> AMatrixSpec:
         spec = AMatrixSpec.from_dict(data)
     except (InvalidSpec, TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid spec in {path}: {exc}")
-    nums, d = _over_common_denominator([*chain(*spec.rows), *spec.rho])
-    bits = max(d, *map(abs, nums)).bit_length()
+    bits = _entry_bits(spec)
     if bits * bits * order**3 > MAX_ENTRY_WORK**2:
         raise _CliError(
             EXIT_USAGE,
@@ -210,10 +219,17 @@ def _cmd_pipeline(args) -> int:
     order, rows = args.order, args.rows
     if args.production and rows < 2:
         raise _CliError(EXIT_USAGE, f"--production needs --rows >= 2, got {rows}")
-    if (args.hankel or args.somos_fit or args.jfraction) and rows - 1 > MAX_HANKEL_DEPTH:
-        raise _CliError(
-            EXIT_USAGE, f"Hankel analyses run to depth rows - 1, at most {MAX_HANKEL_DEPTH}; got --rows {rows}"
-        )
+    if args.hankel or args.somos_fit or args.jfraction:
+        if rows - 1 > MAX_HANKEL_DEPTH:
+            raise _CliError(
+                EXIT_USAGE, f"Hankel analyses run to depth rows - 1, at most {MAX_HANKEL_DEPTH}; got --rows {rows}"
+            )
+        bits = _entry_bits(spec)
+        if bits * (rows - 1) ** 2 > MAX_ENTRY_WORK:
+            raise _CliError(
+                EXIT_USAGE,
+                f"spec entries of {bits} bits at Hankel depth {rows - 1} exceed {MAX_ENTRY_WORK} bits times depth^2",
+            )
     # the Bell pair keeps order - 1 terms of f/x; depth rows - 1 uses 2*rows - 1
     # of them for Hankel and 2*rows for J-fractions
     needs = (

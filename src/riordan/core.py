@@ -32,19 +32,8 @@ class RiordanPair:
     Both series are normalized to one shared truncation order on
     construction (the smaller of the two).  fbar, A and Z are cached on
     first use, and so are the checks; A does not compute Z, and Z reuses A.
-
-    A Bell pair (f/x, f), where g to order - 1 terms equals f/x, takes a
-    shorter route to Z, and one check settles both.  There
-    g(fbar) = x/fbar = A, so Z = (A - g0)/x and g*Z(f) = (g/F)*(A(f) - g0)/x
-    with g/F = 1 below x^(order - 1), F = f/x: the Z check is g = A(f) to
-    ``order`` terms, one past the A check.  So A is kept one term longer than
-    the pair's A, and A(f)'s top term checks Z (``_checks``).  g = f/x holds
-    f to order + 1 terms, so x*g is reverted and inverted to that long A,
-    which is composed into f once.  A Bell pair built from a coefficient
-    array (``amatrix.bell_pair``) has the long A read off the array and both
-    checks run on A's own equation in the array's L series products (its
-    ``_check``), with no composition; it reverts x*g only if fbar is read.
-    Other pairs compose A and Z into f apart, at order - 1.
+    A pair built from a coefficient array (``amatrix.bell_pair``) has its A
+    and Z read off the array and checked when it is built.
     """
 
     g: PowerSeries
@@ -66,62 +55,31 @@ class RiordanPair:
         return self.g.order
 
     @cached_property
-    def _bell(self) -> bool:
-        """Whether g = f/x to every term f gives: a Bell pair, which reads Z off A."""
-        return self.g.truncate(self.order - 1) == self.f.div_x()
-
-    @cached_property
-    def _long_fbar(self) -> PowerSeries:
-        """The reverse of f, one term longer than order on a Bell pair (of x*g)."""
-        return (self.g.mul_x() if self._bell else self.f).revert()
-
-    @cached_property
-    def _long_a(self) -> PowerSeries:
-        """x / fbar to the long reverse's order - 1: order on a Bell pair."""
-        return 1 / self._long_fbar.div_x()
-
-    @cached_property
     def fbar(self) -> PowerSeries:
         """The compositional reverse of f, computed once per pair."""
-        return self._long_fbar.truncate(self.order)
+        return self.f.revert()
 
     @cached_property
     def _at_f(self) -> _Substitution:
-        """Composition into f to the long A's order, which the checks read; f's powers
-        are built once per pair."""
-        return _Substitution(self.f, self._long_a.order)
-
-    _check = None  # amatrix.bell_pair sets one that reads the spec's A-matrix equation
-
-    @cached_property
-    def _checks(self) -> tuple[bool, bool]:
-        """(f/x = A(f) to order - 1 terms, g = A(f) to order terms) for the long A: the A check
-        and, on a Bell pair, the Z check; by the pair's own ``_check`` or one composition into f."""
-        if self._check:
-            return self._check(self)
-        a_of_f = self._at_f(self._long_a)
-        return a_of_f.truncate(self.order - 1) == self.f.div_x(), a_of_f == self.g
+        """Composition into f to order - 1, which both checks read; f's powers are
+        built once per pair."""
+        return _Substitution(self.f, self.order - 1)
 
     @cached_property
     def a(self) -> PowerSeries:
         """A = x / fbar to order - 1, checked by f/x = A(f)."""
-        if not self._checks[0]:
+        a = 1 / self.fbar.div_x()
+        if self._at_f(a) != self.f.div_x():
             raise NotRiordanBand("the A-series fails f/x = A(f)")
-        return self._long_a.truncate(self.order - 1)
+        return a
 
     @cached_property
     def z(self) -> PowerSeries:
         """Z = (1 - g0 / g(fbar)) / fbar = (1 - g0 / g(fbar)) / x * A, to order - 1,
-        or (A - g0)/x on a Bell pair; checked by (g - g0)/x = g * Z(f), which on a
-        Bell pair is g = A(f) to order terms."""
+        checked by (g - g0)/x = g * Z(f)."""
         g0, a = self.g[0], self.a  # A is checked before Z, which is read off it
-        if self._bell:
-            z = (self._long_a - g0).div_x()
-            ok = self._checks[1]
-        else:
-            z = (1 - g0 / self.g.compose(self.fbar)).div_x() * a
-            ok = self.g * self._at_f(z) == (self.g - g0).div_x()
-        if not ok:
+        z = (1 - g0 / self.g.compose(self.fbar)).div_x() * a
+        if self.g * self._at_f(z) != (self.g - g0).div_x():
             raise NotRiordanBand("the Z-series fails (g - g0)/x = g * Z(f)")
         return z
 

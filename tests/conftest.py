@@ -89,11 +89,11 @@ def bump_term(series, i):
     return PowerSeries(tuple(nums))
 
 
-def composition_checks(pair):
-    """Oracle: the A and Z checks a spec's Bell pair ran before the entry recurrence,
-    one composition of its long A into f: (f/x = A(f) to order - 1 terms, g = A(f)
-    to order terms), the pair's ``_checks``."""
-    a_of_f = _Substitution(pair.f, pair._long_a.order)(pair._long_a)
+def composition_checks(pair, a):
+    """Oracle: the A and Z checks of a Bell pair whose A is read to order terms, one
+    composition of that A into f: (f/x = A(f) to order - 1 terms, g = A(f) to order
+    terms), what ``amatrix._spec_checks`` decides on A's own equation."""
+    a_of_f = _Substitution(pair.f, a.order)(a)
     return a_of_f.truncate(pair.order - 1) == pair.f.div_x(), a_of_f == pair.g
 
 

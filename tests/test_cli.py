@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riordan import amatrix as amatrix_mod, cli
-from riordan.amatrix import bell_pair
+from riordan.amatrix import AMatrixSpec, bell_pair
 from riordan.core import _columns, _lower, a_sequence, production_matrix, riordan_triangle, z_sequence
 from riordan.hankel import FAMILY, INCONSISTENT, UNIQUE, hankel_transform, jfraction, somos_fit
 from riordan.series import Sequence, _texts, format_rational
@@ -568,6 +568,32 @@ def test_pipeline_non_ascii_bfile_is_usage_error(tmp_path, capsys):
     assert "bad b-file" in err
 
 
+def test_pipeline_unreadable_bfile_is_io_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.txt", tmp_path):  # no such file, and a directory
+        code, out, err = run(capsys, "pipeline", str(SPECS / "a171416.json"), "--bfile", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_pipeline_bfile_past_the_column_is_usage_error(tmp_path, capsys):
+    # --order 32 gives the column indices 0..30; the b-file starts at 100
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("100 1\n101 2\n")
+    code, out, err = run(capsys, "pipeline", str(SPECS / "a171416.json"), "--order", "32", "--bfile", str(bfile))
+    assert code == 2
+    assert out == ""
+    assert err == "error: b-file does not overlap the computed column\n"
+
+
+def test_pipeline_plain_somos_fit_names_the_inconsistent_window(capsys):
+    code, out, _ = run(capsys, "pipeline", str(SPECS / "hybrid_trees.json"), "--somos-fit", "--order", "32")
+    assert code == 0
+    assert out.splitlines()[-1] == "somos fit: Inconsistent at window 6"
+    code, out, _ = run(capsys, "pipeline", str(SPECS / "hybrid_trees.json"), "--somos-fit", "--order", "32", "--format", "json")
+    assert code == 0 and json.loads(out)["somos_fit"] == {"failing_window": 6, "kind": INCONSISTENT}
+
+
 # -- pipeline against the public API ------------------------------------------------
 
 _ANALYSES = ["--triangle", "--production", "--aseq", "--zseq", "--hankel", "--somos-fit", "--jfraction"]
@@ -752,6 +778,12 @@ def test_fuzzed_cli_exits_as_documented(tmp_path, capsys, spec, bfile, argv):
 # -- verify ---------------------------------------------------------------------
 
 
+def test_verify_json_lists_no_failures(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"failed": [], "total": 76}
+
+
 def test_verify_filtered_fixture_pass(capsys):
     code, out, _ = run(capsys, "verify", "A104545", "--order", "24")
     assert code == 0
@@ -821,6 +853,34 @@ def test_verify_sweep_rejects_reversed_range(capsys):
     assert "empty range" in err
 
 
+def test_verify_sweep_order_below_ten_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--sweep", "rho0", "--order", "9", "--range=0..0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep order must be at least 10 for two usable windows\n"
+
+
+def test_verify_sweep_reports_a_counterexample(capsys, monkeypatch):
+    from riordan import verify as verify_mod
+
+    def check(a, b, c, d, rho0, order):  # one planted counterexample, at window 7
+        if (a, b, c, d) == (0, 1, 0, -1):
+            return verify_mod.COUNTEREXAMPLE, 7
+        return verify_mod.CONFIRMED, None
+
+    monkeypatch.setattr(verify_mod, "check_conjecture_point", check)
+    argv = ("verify", "--sweep", "rho0", "--range=-1..1", "--order", "12")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "sweep rho0 over [-1..1]^4: 80 confirmed, 0 degenerate, 1 counterexamples of 81",
+        "  COUNTEREXAMPLE at (0, 1, 0, -1), window 7",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["counterexamples"] == [{"params": [0, 1, 0, -1], "failing_window": 7}]
+
+
 def test_verify_sweep_box_is_capped(capsys):
     assert cli.MAX_SWEEP_POINTS == 10**4
     for box in ("--range=-5..5", "--range=-50..50"):
@@ -861,6 +921,48 @@ def test_pipeline_hankel_depth_is_capped(capsys):
     # the cap binds the Hankel analyses only
     code, _, err = run(capsys, "pipeline", spec, "--aseq", "--rows", "300", "--order", "64")
     assert code == 0, err
+
+
+def test_pipeline_hankel_flags_are_capped_by_entry_bits_times_depth_squared(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+
+    def write(n):
+        path.write_text(json.dumps({"rows": [[1, n, n], [n, n, -n]], "rho": [n, n, n], "repeat_last_row": True}))
+
+    # 16-bit entries at depth 126 ran for more than 300 s: 16 * 126**2 = 254,016 > 2**17
+    write(2**16 - 1)
+    for flag in ("--hankel", "--somos-fit", "--jfraction"):
+        code, out, err = run(capsys, "pipeline", str(path), flag, "--rows", "127", "--order", "256")
+        assert (code, out) == (2, "")
+        assert err == "error: spec entries of 16 bits at Hankel depth 126 exceed 131072 bits times depth^2\n"
+    # at the boundary: 1083 * 11**2 = 131,043 <= 2**17 < 1083 * 12**2, and the order cap
+    # admits 1083-bit entries to order 24
+    write(2**1082)
+    code, out, err = run(capsys, "pipeline", str(path), "--hankel", "--rows", "12", "--order", "24", "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["hankel"]) == 12
+    code, out, err = run(capsys, "pipeline", str(path), "--hankel", "--rows", "13", "--order", "24")
+    assert (code, out) == (2, "")
+    assert err == "error: spec entries of 1083 bits at Hankel depth 12 exceed 131072 bits times depth^2\n"
+    # the cap binds the Hankel analyses only
+    code, _, err = run(capsys, "pipeline", str(path), "--aseq", "--triangle", "--rows", "13", "--order", "24")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [
+        *[(json.loads(path.read_text()), cli.MAX_HANKEL_DEPTH) for path in sorted(SPECS.glob("*.json"))],
+        # the specs of the Hankel CI steps at their depths
+        ({"rows": [[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], "rho": [1, "-1/2"], "repeat_last_row": True}, 63),
+        ({"rows": [[1, -2, -2], [1, 1, 0]], "rho": [0]}, 126),
+        # the widest entries the benchmark's spec pool draws, at its depth 22
+        ({"rows": [[1, "-1/3", 2], ["1/2", -2, "1/3"]], "rho": ["-1/2", 2]}, 22),
+    ],
+)
+def test_hankel_cap_admits_bundled_and_recorded_specs(spec, depth):
+    # perturbed_moments, with 3-bit entries, is the widest: 3 * 191**2 = 109,443
+    assert cli._entry_bits(AMatrixSpec.from_dict(spec)) * depth**2 <= cli.MAX_ENTRY_WORK
 
 
 def test_verify_sweep_rejects_malformed_range(capsys):

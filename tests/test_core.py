@@ -245,8 +245,8 @@ def test_a_and_z_at_the_lowest_orders_match_production_oracle(rng, order):
 
 
 def general_route(pair):
-    """Oracle: fbar, A and Z as every pair read them before a Bell pair read Z
-    off A: fbar = f.revert(), A = x/fbar and Z = (1 - g0/g(fbar))/x * A."""
+    """Oracle: fbar, A and Z by their formulas, with no check: fbar = f.revert(),
+    A = x/fbar and Z = (1 - g0/g(fbar))/x * A."""
     fbar = pair.f.revert()
     a = 1 / fbar.div_x()
     return fbar, a, (1 - pair.g[0] / pair.g.compose(fbar)).div_x() * a
@@ -254,9 +254,9 @@ def general_route(pair):
 
 @st.composite
 def bell_and_near_bell_pairs(draw):
-    """(pair, is_bell): bell_from_f(f) for f with int or p/q terms, the same
-    with g's top term changed (still g = f/x to every term f gives), or with a
-    lower term of g changed (not a Bell pair)."""
+    """bell_from_f(f) for f with int or p/q terms, the same with g's top term
+    changed (still g = f/x to every term f gives), or with a lower term of g
+    changed (not a Bell pair)."""
     order = draw(st.integers(3, 40))
     term = draw(st.sampled_from([st.integers(-4, 4).map(Fraction), small_fraction]))
     f = [Fraction(0), draw(term.filter(bool))] + draw(st.lists(term, min_size=order - 1, max_size=order - 1))
@@ -266,15 +266,14 @@ def bell_and_near_bell_pairs(draw):
         g[order - 1 if kind == "top" else draw(st.integers(1, order - 2))] += draw(small_fraction.filter(bool))
     pair = RiordanPair(PowerSeries(tuple(g)), PowerSeries(tuple(f)))
     assert pair.order == order
-    return pair, kind != "lower"
+    return pair
 
 
 @given(bell_and_near_bell_pairs())
-@example((motzkin_pair(), True))
-@example((pascal_pair(), True))
-def test_bell_route_matches_general_route(case):
-    pair, is_bell = case
-    assert pair._bell is is_bell
+@example(motzkin_pair())
+@example(pascal_pair())
+def test_bell_route_matches_general_route(pair):
+    # a Bell pair takes the one route every pair takes
     assert (pair.fbar, pair.a, pair.z) == general_route(pair)
 
 
@@ -288,18 +287,10 @@ def test_reading_a_then_z_forms_f_powers_once_and_short_products():
 
 
 def _wrong_reverse(pair, monkeypatch):
-    assert pair._bell  # a Bell pair reads fbar, A and Z off the long reverse
-    pair.__dict__["_long_fbar"] = bump_term(pair._long_fbar, 3)
-
-
-def _wrong_top_of_long_a(pair, monkeypatch):
-    assert pair._bell
-    # the term past A's order, which only Z = (A - g0)/x reads
-    pair.__dict__["_long_a"] = bump_term(pair._long_a, pair.order - 1)
+    pair.__dict__["fbar"] = bump_term(pair.fbar, 3)  # A and Z read fbar
 
 
 def _wrong_g_of_fbar(pair, monkeypatch):
-    assert not pair._bell  # only a pair that is not a Bell pair composes g into fbar
     compose = PowerSeries.compose
 
     def bumped(outer, inner):
@@ -320,10 +311,10 @@ def non_bell_pair(order=ORDER):
     "corrupt, identity, make_pair",
     [
         (_wrong_reverse, "A-series", pascal_pair),
-        (_wrong_top_of_long_a, "Z-series", pascal_pair),
         (_wrong_g_of_fbar, "Z-series", non_bell_pair),
+        (_wrong_g_of_fbar, "Z-series", pascal_pair),
     ],
-    ids=["_wrong_reverse-A-series", "_wrong_top_of_long_a-Z-series", "_wrong_g_of_fbar-Z-series"],
+    ids=["_wrong_reverse-A-series", "_wrong_g_of_fbar-Z-series", "_wrong_g_of_fbar-Z-series-bell-pair"],
 )
 def test_identity_checks_reject_corrupt_production_data(corrupt, identity, make_pair, monkeypatch):
     pair = make_pair()
@@ -332,7 +323,7 @@ def test_identity_checks_reject_corrupt_production_data(corrupt, identity, make_
     raising = [lambda p: production_matrix(p, 6), z_sequence]
     if identity == "A-series":
         raising.append(a_sequence)
-    else:  # A reads neither g(fbar) nor the top term of the long A, so only Z sees them
+    else:  # A does not read g(fbar), so only Z sees it
         assert a_sequence(pair) == clean_a
     for compute in raising:
         with pytest.raises(NotRiordanBand, match=identity):
@@ -348,24 +339,15 @@ def test_a_sequence_does_not_compute_z(monkeypatch):
         return compose(substitution, outer)
 
     monkeypatch.setattr(_Substitution, "__call__", counted)
-    pair = motzkin_pair()
-    a_sequence(pair)
-    # a Bell pair composes its A, one term longer than the pair's, into f to order terms
-    assert calls == [pair.order]
-    assert "z" not in pair.__dict__
-    # it reads Z off A with no composition into fbar, and checks Z off the top term
-    # of that same composition, so Z composes nothing
-    assert pair._bell
-    z_sequence(pair)
-    assert calls == [pair.order]
-    # a pair that is not a Bell pair checks A and Z by a composition each, at order - 1
-    calls.clear()
-    pair = non_bell_pair()
-    a_sequence(pair)
-    assert calls == [pair.order - 1]
-    calls.clear()
-    z_sequence(pair)
-    assert calls == [pair.order, pair.order - 1]  # g(fbar), then Z's check
+    # every pair, a Bell pair or not, checks A and Z by a composition each, at order - 1
+    for pair in (motzkin_pair(), non_bell_pair()):
+        calls.clear()
+        a_sequence(pair)
+        assert calls == [pair.order - 1]
+        assert "z" not in pair.__dict__
+        calls.clear()
+        z_sequence(pair)
+        assert calls == [pair.order, pair.order - 1]  # g(fbar), then Z's check
 
 
 def test_production_band_matches_a_sequence():
