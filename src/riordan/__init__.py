@@ -44,7 +44,6 @@ from .amatrix import (
     InvalidSpec,
     NonConvergence,
     SolveReport,
-    asequence_by_substitution,
     binomial_transform_equation_check,
     closed_form_f_general,
     direct_triangle,

@@ -31,7 +31,7 @@ run fully in parallel with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -52,7 +52,7 @@ from .series import (
     _ZERO,
     _ONE,
 )
-from .core import LowerTriangle, NotRiordanBand, RiordanPair, a_sequence, bell_from_f
+from .core import LowerTriangle, NotRiordanBand, RiordanPair, bell_from_f
 
 
 class InvalidSpec(ValueError):
@@ -75,7 +75,6 @@ class AMatrixSpec:
     rows: tuple[tuple[Fraction, ...], ...]
     rho: tuple[Fraction, ...] = ()
     repeat_last_row: bool = False
-    _rho_row: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     __repr__ = _exact_repr
 
@@ -83,7 +82,6 @@ class AMatrixSpec:
         rows = tuple(tuple(rational(v) for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rho", tuple(rational(v) for v in self.rho))
-        object.__setattr__(self, "_rho_row", (_ZERO, _ZERO) + self.rho)
         if not rows or not rows[0] or rows[0][0] == 0:
             raise InvalidSpec("the top-left array entry must be nonzero")
 
@@ -144,7 +142,7 @@ class AMatrixSpec:
             raise ValueError(f"no array entry ({i}, {j}): rows start at -1 and columns at 0")
         if self.repeat_last_row:
             i = min(i, len(self.rows) - 1)
-        row = self._rho_row if i == -1 else self.rows[i] if i < len(self.rows) else ()
+        row = (_ZERO, _ZERO, *self.rho) if i == -1 else self.rows[i] if i < len(self.rows) else ()
         return row[j] if j < len(row) else _ZERO
 
     def row_sum(self, value) -> PowerSeries:
@@ -192,7 +190,8 @@ def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeri
     ``mul_x`` shift and not in a series product.
     """
     order = f.order
-    maxpow = max(len(r) for r in (spec._rho_row, *spec.rows)) - 1
+    rho_row = (_ZERO, _ZERO, *spec.rho)
+    maxpow = max(len(r) for r in (rho_row, *spec.rows)) - 1
     powers = [PowerSeries.one(order), f]
     while len(powers) <= maxpow:
         powers.append(powers[-1] * f)
@@ -201,7 +200,7 @@ def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeri
     def value(row) -> PowerSeries:
         return sum((powers[j] * c for j, c in enumerate(row) if c), zero)
 
-    return f - spec.row_sum(value).mul_x().truncate(order) - value(spec._rho_row)
+    return f - spec.row_sum(value).mul_x().truncate(order) - value(rho_row)
 
 
 def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
@@ -408,14 +407,6 @@ def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
     for c in cs:
         s = s * a + c._padded(a.order)
     return not any(s._nums[:-1]), not any(s._nums)
-
-
-def asequence_by_substitution(spec: AMatrixSpec, order: int) -> Sequence:
-    """A-sequence of the Bell matrix of solve_f(spec), to order - 1 terms, read off
-    the A-matrix equation (bell_pair) and checked against that equation in L series
-    products (_spec_checks), or NotRiordanBand is raised; NonConvergence if solve_f's
-    f fails its residual."""
-    return a_sequence(bell_pair(spec, order + 1))
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

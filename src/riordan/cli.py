@@ -250,12 +250,10 @@ def _cmd_pipeline(args) -> int:
     pair = spec_pair or bell_from_f(solve_f(spec, order).f)
     g = pair.g  # the column, nums / d
     if args.hankel or args.somos_fit or args.jfraction:
-        # One pass gives the minors H_n of h_n = H_n / d**(n+1) and, for --jfraction
-        # only (it has one more term), the J-fraction.  The fit reads the minors:
-        # they scale window n by d**(2n-2), which no fitted quantity sees.
-        minors, jf = _chebyshev(
-            g._nums[: 2 * rows], rows - 1, heads=args.jfraction, minors=args.hankel or args.somos_fit
-        )
+        # One pass gives the minors H_n of h_n = H_n / d**(n+1) and the J-fraction,
+        # whole when the column has the one more term --jfraction asks for.  The fit
+        # reads the minors: they scale window n by d**(2n-2), which no fitted quantity sees.
+        minors, jf = _chebyshev(g._nums[: 2 * rows], rows - 1, minors=args.hankel or args.somos_fit)
 
     @functools.cache
     def sequence(name: str) -> list[str]:  # the pair's checked "a" or "z", rendered once

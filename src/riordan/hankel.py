@@ -4,10 +4,11 @@ Hankel minors and J-fraction coefficients both come from one Chebyshev
 recurrence on monic rows, ints over a denominator known before each row is
 formed: one exact division a row and no gcd over its entries, with row sizes
 that follow the J-fraction rather than the minors; one pass (_chebyshev)
-gives both.  Where the step's leading scalar divides out and its row needs no
-division (every level of an integral J-fraction), a row entry takes one
-multiply fewer.  A block step
-carries it across every run of zero minors; exact_det is Bareiss.  The
+gives both, reading the J-fraction heads at every level whose row holds two
+entries, so 2 depth + 2 terms give all of them.  Where the step's leading
+scalar divides out and its row needs no division (every level of an integral
+J-fraction), a row entry takes one multiply fewer.  A block step carries it
+across every run of zero minors; exact_det is Bareiss.  The
 Somos-4 fitter classifies the full linear system, on ints, over every
 available window instead of trusting the first two, so hidden
 inconsistencies surface as data rather than wrong answers.  All functions
@@ -151,26 +152,26 @@ def _minors(t, max_n: int) -> list[int]:
     return [h for h, _, _ in islice(_monic_rows(list(t[: 2 * max_n + 1])), max_n + 1)]
 
 
-def _chebyshev(t, depth: int, heads: bool = False, minors: bool = True):
+def _chebyshev(t, depth: int, minors: bool = True):
     """(H, jf): one pass of the monic Chebyshev recurrence (_monic_rows) over the
     ints t, at least 2 depth + 1 of them, giving the leading Hankel minors
-    H = [H_0, ..., H_depth] and, when heads is asked for (2 depth + 2 terms),
-    the J-fraction jf = (b, lam) as unreduced (numerator, denominator) int pairs.
-    With (c0, c1) the head of row k over D_k and (p0, p1) that of row k - 1 over
-    D_(k-1), and (1, 0) over 1 for row -1,
+    H = [H_0, ..., H_depth] and the J-fraction jf = (b, lam) as unreduced
+    (numerator, denominator) int pairs, read at every level whose row holds two
+    entries (all depth + 1 levels from 2 depth + 2 terms).  With (c0, c1) the
+    head of row k over D_k and (p0, p1) that of row k - 1 over D_(k-1), and
+    (1, 0) over 1 for row -1,
 
         b_k = c1/c0 - p1/p0,
         lam_k = (c0/D_k) / (p0/D_(k-1)) = H_k H_(k-2) / H_(k-1)^2;
 
     b and lam stop at the first lam_k = 0, the last entry of lam then, and so
-    does the pass when the minors are not asked for (H is then None); jf is None
-    when heads is not asked for.
+    does the pass when the minors are not asked for (H is then None).
     """
     hs, b, lam = [], [], []
     p0, p1, dp = 1, 0, 1
     for k, (h, row, d) in enumerate(islice(_monic_rows(t), depth + 1)):
         hs.append(h)
-        if heads and p0:  # rows are None only after a zero lam
+        if p0 and len(row) > 1:  # rows are None only after a zero lam
             c0, c1 = row[0], row[1]
             if k:
                 lam.append((c0 * dp, d * p0))
@@ -179,7 +180,7 @@ def _chebyshev(t, depth: int, heads: bool = False, minors: bool = True):
             p0, p1, dp = c0, c1, d
         elif not minors:
             break
-    return (hs if minors else None), ((b, lam) if heads else None)
+    return (hs if minors else None), (b, lam)
 
 
 def exact_det(matrix) -> Fraction:
@@ -202,7 +203,7 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
 
     The 2*max_n + 1 terms are read as the sequence stores them, ints over d, the
     lcm of their own denominators (Sequence._cleared), and the integer minors
-    (_chebyshev) give every h_n = H_n / d**(n+1) from the monic Chebyshev rows,
+    (_minors) give every h_n = H_n / d**(n+1) from the monic Chebyshev rows,
     max_n levels of one row step each, with a block step across every run of
     zero minors.  The h_n are returned as ints over the lcm of their own
     denominators, with no Fraction.
@@ -213,7 +214,7 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
     t, d = s._cleared(need)
-    minors, _ = _chebyshev(t, max_n)
+    minors = _minors(t, max_n)
     if d == 1:
         return Sequence._ints(minors, 1)
     # h_n in lowest terms is (H_n / g_n) / q_n, q_n = d**(n+1) / g_n with g_n = gcd(H_n, d**(n+1));
@@ -301,22 +302,6 @@ def _somos_fit_ints(t) -> SomosFitResult:
     return SomosFitResult(INSUFFICIENT)
 
 
-def fit_allows(fit: SomosFitResult, alpha, beta) -> bool:
-    """True iff the fitted solution set contains the pair (alpha, beta).
-
-    Sequences with degenerate windows (an all-ones Hankel transform, say)
-    admit a whole line of valid parameter pairs; a claimed pair then counts
-    as confirmed when it lies on that line.
-    """
-    alpha, beta = rational(alpha), rational(beta)
-    if fit.kind == UNIQUE:
-        return fit.alpha == alpha and fit.beta == beta
-    if fit.kind == FAMILY:
-        p, q, r = fit.family_description
-        return p * alpha + q * beta == r
-    return False
-
-
 def somos_verify(s: Sequence, alpha, beta) -> bool:
     """Product-form check s_n s_(n-4) = alpha s_(n-1) s_(n-3) + beta s_(n-2)^2
     for every available n >= 4; tolerant of zero terms.  The windows run on s's
@@ -357,7 +342,7 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    _, (b, lam) = _chebyshev(s._cleared(need)[0], depth, heads=True, minors=False)
+    _, (b, lam) = _chebyshev(s._cleared(need)[0], depth, minors=False)
     return JFraction(
         tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam), terminated=len(b) == len(lam)
     )

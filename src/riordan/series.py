@@ -340,7 +340,9 @@ class PowerSeries:
     def order(self) -> int:
         return len(self._nums)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.coeffs[i]
         return Fraction(self._nums[i]) if self._den == 1 else Fraction(self._nums[i], self._den)
 
     def prefix(self, n: int) -> tuple[Fraction, ...]:

@@ -14,6 +14,7 @@ from riordan.series import (
     _Substitution,
     _over_common_denominator,
     _over_lcm,
+    rational,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=30, derandomize=True)
@@ -146,6 +147,22 @@ def somos_fit_by_fractions(h) -> SomosFitResult:
         lead = line[0] or line[1]
         return SomosFitResult(FAMILY, family_description=tuple(v / lead for v in line))
     return SomosFitResult(INSUFFICIENT)
+
+
+def fit_allows(fit: SomosFitResult, alpha, beta) -> bool:
+    """True iff the fitted solution set contains the pair (alpha, beta).
+
+    Sequences with degenerate windows (an all-ones Hankel transform, say)
+    admit a whole line of valid parameter pairs; a claimed pair then counts
+    as confirmed when it lies on that line.
+    """
+    alpha, beta = rational(alpha), rational(beta)
+    if fit.kind == UNIQUE:
+        return fit.alpha == alpha and fit.beta == beta
+    if fit.kind == FAMILY:
+        p, q, r = fit.family_description
+        return p * alpha + q * beta == r
+    return False
 
 
 def catalan_recurrence(u):

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from riordan.series import PowerSeries, Sequence, rational_series
 from riordan.core import (
@@ -23,7 +24,6 @@ from riordan.core import (
 )
 from riordan.amatrix import (
     AMatrixSpec,
-    asequence_by_substitution,
     binomial_transform_equation_check,
     closed_form_f_general,
     direct_triangle,
@@ -31,9 +31,9 @@ from riordan.amatrix import (
     narayana_poly_coeffs,
     solve_f,
 )
+from riordan.amatrix import bell_pair as spec_pair
 from riordan.hankel import (
     UNIQUE,
-    fit_allows,
     hankel_transform,
     jfraction,
     somos_fit,
@@ -42,7 +42,7 @@ from riordan.hankel import (
 from riordan.verify import CONFIRMED, check_conjecture_point
 from riordan.verify import sweep_conjecture_rho0, sweep_conjecture_rho_delta
 
-from conftest import random_fraction, random_nonzero_fraction
+from conftest import fit_allows, random_fraction, random_nonzero_fraction
 from test_amatrix import random_specs
 
 
@@ -206,7 +206,7 @@ def test_criterion_06_delta_rho_examples():
     with criterion(6, "delta-rho families"):
         col = column_of([[1, 0, 1], [1, 1, 0]], [1])
         assert col.integers(7) == [1, 2, 6, 22, 90, 394, 1806]
-        aseq = asequence_by_substitution(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 12)
+        aseq = a_sequence(spec_pair(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 13))
         assert aseq.integers()[:8] == [1, 2, 2, 2, 2, 2, 2, 2]
 
         tri = direct_triangle(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 7)
@@ -219,7 +219,7 @@ def test_criterion_06_delta_rho_examples():
             [6, 7, 3, 4, 0, 1],
             [15, 14, 12, 4, 5, 0, 1],
         ]
-        aseq2 = asequence_by_substitution(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 12)
+        aseq2 = a_sequence(spec_pair(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 13))
         assert aseq2.integers()[:5] == [1, 0, 1, 1, 1]
 
         col1 = column_of([[1, 0, -1], [1, 0, -2]], [1])
@@ -379,7 +379,7 @@ def test_criterion_09_substitution_example():
             [23694, 15704, 6828, 2248, 570, 108, 14, 1],
             [132612, 88876, 39818, 13856, 3850, 844, 140, 16, 1],
         ]
-        aseq = asequence_by_substitution(spec, 13)
+        aseq = a_sequence(spec_pair(spec, 14))
         assert aseq.integers() == [1, 2, 4, 2, 2, 8, -2, -10, 52, -26, -202, 576]
         prod = production_matrix(bell_pair([[1, 1, 1], [0, 1, 0]], [1]), 8)
         assert prod.integer_rows() == [
@@ -421,7 +421,7 @@ def test_criterion_10_property_suites(rng):
         # A-sequence two ways
         for spec in random_specs(rng, 6):
             assert (
-                asequence_by_substitution(spec, 10).terms[:8]
+                a_sequence(spec_pair(spec, 11)).terms[:8]
                 == a_sequence(bell_from_f(solve_f(spec, 10).f)).terms[:8]
             )
 
@@ -515,3 +515,11 @@ def test_criterion_11_conjecture_sweeps():
         # full-grid counterexample lists are data, not assertions; echo them
         if rho0.counterexamples or rhodelta.counterexamples:
             print("recorded counterexamples:", rho0.counterexamples, rhodelta.counterexamples)
+
+
+def test_readme_library_example_runs_on_the_public_names(capsys):
+    # a public name the example reads that is retired or renamed fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "[1, 1, 2, 3, 7, 23, 59, 314, 1529, 8209, 83313]"

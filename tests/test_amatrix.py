@@ -22,7 +22,6 @@ from riordan.amatrix import (
     AMatrixSpec,
     InvalidSpec,
     NonConvergence,
-    asequence_by_substitution,
     bell_pair,
     binomial_transform_equation_check,
     closed_form_f_general,
@@ -244,14 +243,15 @@ def test_newton_solve_matches_fixed_point_oracle(spec, order):
 def newton_slope(spec, f):
     """Phi'(f) = sum_(i >= -1) x^(i+1) P_i'(f) at f's order, for the Newton oracles."""
     n = f.order
+    rho_row = (0, 0, *spec.rho)
     powers = [PowerSeries.one(n), f]
-    while len(powers) < max(map(len, (spec._rho_row, *spec.rows))):
+    while len(powers) < max(map(len, (rho_row, *spec.rows))):
         powers.append(powers[-1] * f)
 
     def value(row):
         return sum((powers[j - 1] * (j * c) for j, c in enumerate(row) if j), PowerSeries.zero(n))
 
-    return spec.row_sum(value).mul_x().truncate(n) + value(spec._rho_row)
+    return spec.row_sum(value).mul_x().truncate(n) + value(rho_row)
 
 
 def newton_f(spec, order):
@@ -634,7 +634,7 @@ def test_spec_route_reverse_matches_the_revert_route(spec, order):
     pair, oracle = bell_pair(spec, order), bell_from_f(f)  # the oracle reverts f and inverts
     assert {"a", "z"} <= pair.__dict__.keys()  # stored by bell_pair, checked on the spec
     assert (pair.a, pair.z, pair.fbar) == (oracle.a, oracle.z, oracle.fbar)
-    assert asequence_by_substitution(spec, order).terms == (1 / f.revert().div_x()).coeffs
+    assert a_sequence(bell_pair(spec, order + 1)).terms == (1 / f.revert().div_x()).coeffs
 
 
 @pytest.mark.parametrize("term, identity", [(2, "A-series"), (-1, "Z-series")])
@@ -653,8 +653,6 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
     monkeypatch.setattr(amatrix_mod, "_a_series", corrupt)
     with pytest.raises(NotRiordanBand, match=identity):
         bell_pair(spec, 16)
-    with pytest.raises(NotRiordanBand, match=identity):
-        asequence_by_substitution(spec, 15)
 
 
 def _bumped_root(term):
@@ -718,8 +716,6 @@ def test_spec_pair_checks_reject_a_corrupt_f(term, identity, monkeypatch):
     monkeypatch.setattr(amatrix_mod, "_f_over_x", _bumped_root(term))
     with pytest.raises(NonConvergence, match="residual"):
         bell_pair(spec, 16)
-    with pytest.raises(NonConvergence, match="residual"):
-        asequence_by_substitution(spec, 15)
 
 
 def test_spec_pair_pickles_with_its_stored_a_and_z():
@@ -754,17 +750,17 @@ def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
 
 
 def test_substitution_asequence_three_term_spec():
-    got = asequence_by_substitution(AMatrixSpec.of([[1, 1, 1], [0, 1, 0]], [1]), 13)
+    got = a_sequence(bell_pair(AMatrixSpec.of([[1, 1, 1], [0, 1, 0]], [1]), 14))
     assert got.integers() == [1, 2, 4, 2, 2, 8, -2, -10, 52, -26, -202, 576]
 
 
 def test_substitution_asequence_schroeder():
-    got = asequence_by_substitution(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 10)
+    got = a_sequence(bell_pair(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 11))
     assert got.integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_substitution_asequence_motzkin_sums():
-    got = asequence_by_substitution(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 10)
+    got = a_sequence(bell_pair(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 11))
     assert got.integers() == [1, 0, 1, 1, 1, 1, 1, 1, 1]
 
 
@@ -783,9 +779,7 @@ def test_repeated_row_matches_rows_written_out(rng):
         got, want = solve_f(repeated, order), solve_f(written, order)
         assert (got.f, got.iterations) == (want.f, want.iterations)
         assert direct_triangle(repeated, order).rows == direct_triangle(written, order).rows
-        assert asequence_by_substitution(repeated, order) == asequence_by_substitution(
-            written, order
-        )
+        assert a_sequence(bell_pair(repeated, order + 1)) == a_sequence(bell_pair(written, order + 1))
 
 
 def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
@@ -796,24 +790,22 @@ def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
         return route(AMatrixSpec.of(spec.rows, [2], spec.repeat_last_row), order)
 
     spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1])
-    assert asequence_by_substitution(spec, 10).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert a_sequence(bell_pair(spec, 11)).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     monkeypatch.setattr(amatrix_mod, "_f_over_x", wrong_rho)
-    with pytest.raises(NonConvergence, match="residual"):
-        asequence_by_substitution(spec, 10)
     with pytest.raises(NonConvergence, match="residual"):
         bell_pair(spec, 11)
 
 
 def test_substitution_agrees_with_group_route(rng):
     for spec in random_specs(rng, 8):
-        via_subst = asequence_by_substitution(spec, 10)
+        via_subst = a_sequence(bell_pair(spec, 11))
         via_group = a_sequence(bell_from_f(solve_f(spec, 10).f))
         assert via_subst.terms[:8] == via_group.terms[:8]
 
 
 def test_substitution_handles_repeated_rows():
     spec = AMatrixSpec.of([[1, 2, 3]], [5], repeat_last_row=True)
-    via_subst = asequence_by_substitution(spec, 10)
+    via_subst = a_sequence(bell_pair(spec, 11))
     via_group = a_sequence(bell_from_f(solve_f(spec, 10).f))
     assert via_subst.terms[:8] == via_group.terms[:8]
 
@@ -823,7 +815,7 @@ def test_single_row_delta_rho_asequence(rng):
     # so the A-sequence of [[1, r]] with delta rho is 1, r+1, r+1, ...
     # (consistent with the Schroeder case r = 1 -> 1, 2, 2, 2, ...)
     for r in (1, 2, 3):
-        got = asequence_by_substitution(AMatrixSpec.of([[1, r]], [1]), 9)
+        got = a_sequence(bell_pair(AMatrixSpec.of([[1, r]], [1]), 10))
         assert got.integers() == [1] + [r + 1] * 7
 
 

@@ -20,7 +20,6 @@ from riordan.hankel import (
     InsufficientTerms,
     JFraction,
     exact_det,
-    fit_allows,
     hankel_transform,
     jfraction,
     jfraction_series,
@@ -28,7 +27,7 @@ from riordan.hankel import (
     somos_verify,
 )
 
-from conftest import random_fraction, random_nonzero_fraction, small_fraction, somos_fit_by_fractions
+from conftest import fit_allows, random_fraction, random_nonzero_fraction, small_fraction, somos_fit_by_fractions
 
 
 def cofactor_det(m):
@@ -472,17 +471,16 @@ def test_monic_minors_match_scaled_oracle_past_zero_minors(case, data):
 @settings(max_examples=150, deadline=None)
 @given(hankel_cases(0, 16), st.data())
 def test_one_chebyshev_pass_gives_the_minors_and_the_jfraction(case, data):
-    # one more term than the minors need adds the J-fraction's last head and
-    # changes no minor; without heads the pass reads no head at all
+    # one more term than the minors need adds the J-fraction's last heads and
+    # changes no minor: row depth holds one entry without it and two with it
     terms, depth = case
     terms = terms + data.draw(st.lists(hankel_term, min_size=1, max_size=1))
     t = cleared(terms)
-    want = scaled_minors(t, depth)
-    assert hankel._chebyshev(t[: 2 * depth + 1], depth) == (want, None)
-    minors, (b, lam) = hankel._chebyshev(t[: 2 * depth + 2], depth, heads=True)
-    assert minors == want
+    minors, (b, lam) = hankel._chebyshev(t[: 2 * depth + 2], depth)
+    assert minors == scaled_minors(t, depth)
+    assert hankel._chebyshev(t[: 2 * depth + 1], depth) == (minors, (b[:depth], lam[: max(depth - 1, 0)]))
     # without the minors the pass stops where the J-fraction does, with the same heads
-    assert hankel._chebyshev(t[: 2 * depth + 2], depth, heads=True, minors=False) == (None, (b, lam))
+    assert hankel._chebyshev(t[: 2 * depth + 2], depth, minors=False) == (None, (b, lam))
     if t[0] != 0:
         jf = jfraction(Sequence.of(terms), depth)
         assert (jf.b, jf.lam) == (tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam))
@@ -548,6 +546,24 @@ def test_each_form_of_the_chebyshev_step(form, level, t):
     later minors that read its row, against the scaled oracle."""
     assert (level, form) in step_forms(t)
     assert hankel._minors(t, 6) == scaled_minors(t, 6)
+
+
+@pytest.mark.parametrize(
+    "t, minors",
+    [
+        ([1] * 9, [1, 0, 0, 0, 0, 0, 0, 0]),  # a row with no nonzero entry
+        ([1, 1, 1, 1, 1, 2], [1, 0, 0, 0, 1]),  # too few terms for the row past the block
+        ([1, 0, 0, 0, 0, 0, 0, 3], [1, 0, 0, 0, 0, 0, -729]),
+        ([2, 1, 0, 0, 0, 0, 0, 0, 5], [2, -1, 0, 0, 0, 0, -3125]),
+    ],
+)
+def test_monic_rows_end_in_a_block_with_exact_minors_past_the_end_of_t(rng, t, minors):
+    # the rows run out inside a block step; a minor H_k with 2k + 1 > len(t) reads
+    # terms past t, and is the Hankel determinant of every extension of t
+    assert [h for h, _, _ in hankel._monic_rows(t)] == minors
+    for _ in range(30):
+        ext = t + [rng.randint(-9, 9) for _ in range(2 * len(minors) - 1 - len(t))]
+        assert [exact_det([ext[i : i + k + 1] for i in range(k + 1)]) for k in range(len(minors))] == minors
 
 
 # -- Somos fitting ----------------------------------------------------------------

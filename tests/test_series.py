@@ -922,6 +922,21 @@ def test_sequence_prefix_and_integers():
         Sequence.of(["1/2"]).integers()
 
 
+@pytest.mark.parametrize("cls", [PowerSeries, Sequence])
+@pytest.mark.parametrize("values", [[1, 2, 3], [1, "1/2", "-2/3"]])
+def test_indexing_reads_the_fraction_view(cls, values):
+    # an int index, negative ones too, gives one Fraction and a slice a tuple of them,
+    # as on the coeffs and terms views
+    s = cls.of(values)
+    view = tuple(Fraction(v) for v in values)
+    assert [s[i] for i in range(-3, 3)] == [view[i] for i in range(-3, 3)]
+    assert all(type(s[i]) is Fraction for i in range(-3, 3))
+    assert (s[1:], s[::-1], s[-2:], s[5:]) == (view[1:], view[::-1], view[-2:], ())
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            s[i]
+
+
 exact_lists = st.lists(
     st.one_of(
         st.integers(-(10**30), 10**30),
