@@ -40,7 +40,6 @@ from operator import mul
 from .series import (
     InsufficientTerms,
     PowerSeries,
-    Sequence,
     format_rational,
     rational,
     rational_series,

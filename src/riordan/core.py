@@ -112,6 +112,9 @@ class LowerTriangle:
         return len(self.rows)
 
     def entry(self, n: int, k: int) -> Fraction:
+        """Entry (n, k), for 0 <= k <= n < nrows; IndexError elsewhere."""
+        if not 0 <= k <= n < len(self.rows):
+            raise IndexError(f"no entry ({n}, {k}) in a triangle of {len(self.rows)} rows")
         return self.rows[n][k]
 
     def get(self, n: int, k: int) -> Fraction:

@@ -3,14 +3,14 @@
 A :class:`PowerSeries` is a coefficient vector together with an explicit
 truncation order (the number of retained coefficients).  Mixed-order
 arithmetic always truncates to the smaller operand's order, so precision is
-visible in the value itself and never silently invented.  A series, and
-a :class:`Sequence` alike, is stored as int numerators over one positive
-denominator in lowest terms (``_lowest``), so equality is int comparison
-and arithmetic builds no ``Fraction`` per value; values are returned as
-``fractions.Fraction`` (the ``coeffs`` or ``terms`` view, built on first
-read; indexing reads one), and floats and bools are rejected at the
-boundary.  Denominators are cleared once, where ``Fraction``s enter, in the
-constructor; series that meet in one int recurrence go over the lcm of
+visible in the value itself and never silently invented.  A series and
+a :class:`Sequence` share one store, ``_Stored``: int numerators over one
+positive denominator in lowest terms (``_lowest``), so equality is int
+comparison and arithmetic builds no ``Fraction`` per value.  Values are
+returned as ``fractions.Fraction`` (the ``coeffs`` or ``terms`` view, built
+on first read; indexing reads one), and floats and bools are rejected at
+the boundary.  Denominators are cleared once, where ``Fraction``s enter, in
+the constructor; series that meet in one int recurrence go over the lcm of
 their stored denominators (``_over_lcm``), and a sequence's prefix goes
 over the lcm of its own denominators with one gcd (``Sequence._cleared``),
 which is how the Hankel layer reads it.  A product packs each
@@ -184,11 +184,6 @@ def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
     return (tuple(nums), den) if g == 1 else (tuple(c // g for c in nums), den // g)
 
 
-def _fractions(nums, den: int) -> tuple[Fraction, ...]:
-    """The Fraction view of stored ints nums over den; Fraction(c) takes no gcd."""
-    return tuple(map(Fraction, nums)) if den == 1 else tuple(Fraction(c, den) for c in nums)
-
-
 def _int_product(a: list[int], b: list[int]) -> list[int]:
     """The first len(a) coefficients of a*b, for int lists of one length.
 
@@ -265,28 +260,64 @@ class _Substitution:
         return acc
 
 
-class PowerSeries:
-    """A power series known modulo x**order, where order = len(coeffs), stored
-    as int numerators over one positive denominator with gcd(den, *nums) == 1;
-    ``coeffs`` is the ``Fraction`` view, built when first read."""
+class _Stored:
+    """Exact values stored as int numerators over one positive denominator with
+    gcd(den, *nums) == 1 (_lowest), cleared once, when the value is built.  The
+    ``Fraction`` view (a series' ``coeffs``, a sequence's ``terms``) is built when
+    first read; an int index reads one value and a slice reads the view."""
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den", "_view")
 
     def __init__(self, coeffs):
+        """coeffs: ints, Fractions or 'p/q' strings (a Sequence names them terms)."""
         self._store(*_over_common_denominator(_exact_values(coeffs)))
 
     @classmethod
-    def _ints(cls, nums, den: int) -> PowerSeries:
-        """The series nums / den, for int nums and a positive int den."""
+    def _ints(cls, nums, den: int):
+        """The value nums / den, for int nums and a positive int den."""
         s = object.__new__(cls)
         s._store(nums, den)
         return s
 
     def _store(self, nums, den: int) -> None:
         if len(nums) == 0:
-            raise SeriesError("a series must retain at least one coefficient")
+            raise SeriesError(f"a {type(self).__name__} needs at least one value")
         self._nums, self._den = _lowest(nums, den)
-        self._coeffs = None
+        self._view = None
+
+    @property
+    def _values(self) -> tuple[Fraction, ...]:
+        """The Fraction view, built when first read; Fraction(c) takes no gcd."""
+        if self._view is None:
+            nums, den = self._nums, self._den
+            self._view = tuple(map(Fraction, nums)) if den == 1 else tuple(Fraction(c, den) for c in nums)
+        return self._view
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._values[i]
+        return Fraction(self._nums[i]) if self._den == 1 else Fraction(self._nums[i], self._den)
+
+    def prefix(self, n: int) -> tuple[Fraction, ...]:
+        """The first n values, for 0 <= n <= their count."""
+        if n < 0:
+            raise SeriesError(f"negative length {n}")
+        if n > len(self._nums):
+            raise InsufficientTerms(f"only {len(self._nums)} values retained, asked for {n}")
+        return self._values[:n]
+
+    def integers(self, n: int | None = None) -> list[int]:
+        """The first n values (all by default) as ints; raises if any is non-integral."""
+        return integer_values(self._values if n is None else self.prefix(n), "value")
+
+
+class PowerSeries(_Stored):
+    """A power series known modulo x**order, where order = len(coeffs), on the
+    one store (_Stored); ``coeffs`` is its ``Fraction`` view."""
+
+    __slots__ = ()
+
+    coeffs = _Stored._values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -331,28 +362,8 @@ class PowerSeries:
     # -- inspection -----------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            self._coeffs = _fractions(self._nums, self._den)
-        return self._coeffs
-
-    @property
     def order(self) -> int:
         return len(self._nums)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.coeffs[i]
-        return Fraction(self._nums[i]) if self._den == 1 else Fraction(self._nums[i], self._den)
-
-    def prefix(self, n: int) -> tuple[Fraction, ...]:
-        if n > self.order:
-            raise InsufficientTerms(f"only {self.order} coefficients retained, asked for {n}")
-        return self.coeffs[:n]
-
-    def integers(self, n: int | None = None) -> list[int]:
-        """The first n coefficients as ints; raises if any is non-integral."""
-        return integer_values(self.coeffs if n is None else self.prefix(n), "coefficient")
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -360,8 +371,8 @@ class PowerSeries:
     # -- reshaping ------------------------------------------------------
 
     def truncate(self, order: int) -> PowerSeries:
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series")
+        if not 1 <= order <= self.order:
+            raise SeriesError(f"order {order} needs 1..{self.order}: a truncation cannot extend a series")
         return PowerSeries._ints(self._nums[:order], self._den)
 
     def _padded(self, order: int) -> PowerSeries:
@@ -602,31 +613,24 @@ def catalan(order: int) -> PowerSeries:
     return catalan_of(PowerSeries.x(order))
 
 
-class Sequence:
+class Sequence(_Stored):
     """A finite run of exact terms; offset records the index of the first one.
 
-    Stored as a PowerSeries is: int numerators over one positive denominator in
-    lowest terms, cleared once, when the sequence is built; ``terms`` is the
-    ``Fraction`` view, built when first read.
+    Stored as a PowerSeries is (_Stored); ``terms`` is the ``Fraction`` view.
     """
 
-    __slots__ = ("_nums", "_den", "offset", "_terms")
+    __slots__ = ("offset",)
 
     def __init__(self, terms, offset: int = 0):
-        self._store(*_over_common_denominator(_exact_values(terms)), offset)
+        super().__init__(terms)
+        self.offset = offset
 
     @classmethod
     def _ints(cls, nums, den: int, offset: int = 0) -> Sequence:
-        """The sequence nums / den, for int nums and a positive int den."""
-        s = object.__new__(cls)
-        s._store(nums, den, offset)
+        """The sequence nums / den from index offset, for int nums and a positive int den."""
+        s = super()._ints(nums, den)
+        s.offset = offset
         return s
-
-    def _store(self, nums, den: int, offset: int) -> None:
-        if len(nums) == 0:
-            raise ValueError("a sequence needs at least one term")
-        self._nums, self._den = _lowest(nums, den)
-        self.offset, self._terms = offset, None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -643,11 +647,7 @@ class Sequence:
     def of(cls, values, offset: int = 0) -> Sequence:
         return cls(values, offset)
 
-    @property
-    def terms(self) -> tuple[Fraction, ...]:
-        if self._terms is None:
-            self._terms = _fractions(self._nums, self._den)
-        return self._terms
+    terms = _Stored._values
 
     def _cleared(self, n: int) -> tuple[tuple[int, ...], int]:
         """(nums, d): the first n terms as ints over d, the lcm of their own
@@ -656,17 +656,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return len(self._nums)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.terms[i]
-
-    def prefix(self, n: int) -> tuple[Fraction, ...]:
-        if n > len(self):
-            raise InsufficientTerms(f"only {len(self)} terms available, asked for {n}")
-        return self.terms[:n]
-
-    def integers(self, n: int | None = None) -> list[int]:
-        return integer_values(self.terms if n is None else self.prefix(n), "term")
 
 
 def binomial_transform(seq: Sequence) -> Sequence:

@@ -117,6 +117,16 @@ def test_triangle_validates_row_lengths():
         LowerTriangle.of([[1], [2, 3, 4]])
 
 
+@pytest.mark.parametrize("n, k", [(-1, 0), (1, -1), (1, 2), (3, 0)])
+def test_entry_refuses_positions_outside_the_triangle(n, k):
+    # negative positions once read as Python indices: entry(-1, 0) read the last row
+    # and entry(1, -1) read 3, where get gives 0
+    tri = LowerTriangle.of([[1], [2, 3], [4, 5, 6]])
+    with pytest.raises(IndexError):
+        tri.entry(n, k)
+    assert tri.get(n, k) == 0
+
+
 # -- group structure ---------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import riordan.amatrix
 import riordan.series
@@ -177,6 +177,25 @@ def test_truncate_refuses_to_extend():
     assert s.truncate(2).coeffs == (1, 2)
     with pytest.raises(SeriesError):
         s.truncate(4)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_truncate_refuses_an_order_below_one(order):
+    # a negative order once read as a slice bound: truncate(-1) dropped the last coefficient
+    with pytest.raises(SeriesError):
+        PowerSeries.of([1, 2, 3]).truncate(order)
+
+
+@pytest.mark.parametrize("cls", [PowerSeries, Sequence])
+def test_prefix_refuses_a_negative_length(cls):
+    with pytest.raises(ValueError):
+        cls.of([1, 2, 3]).prefix(-1)
+
+
+@pytest.mark.parametrize("cls", [PowerSeries, Sequence])
+def test_integers_refuses_a_negative_length(cls):
+    with pytest.raises(ValueError):
+        cls.of([1, 2, 3]).integers(-2)
 
 
 def test_mul_x_div_x_roundtrip():
@@ -700,7 +719,7 @@ def test_series_arithmetic_makes_no_fraction_round_trip(monkeypatch):
     pair = RiordanPair(1 / (1 - f), f)
     pair.z
     assert calls == []
-    assert all(t._coeffs is None for t in (f, s, square, pair.g, pair.f))
+    assert all(t._view is None for t in (f, s, square, pair.g, pair.f))
     # the closed forms clear their parameters, not order-long lists
     monkeypatch.setattr(
         riordan.amatrix, "_over_common_denominator", lambda v: calls.append(len(v)) or clear(v)
@@ -971,6 +990,44 @@ def test_sequence_equality_and_hash_are_those_of_the_fraction_terms(v, w, i, j, 
     assert (a == b) is same and (b == a) is same
     if same:
         assert hash(a) == hash(b)
+
+
+slice_bound = st.one_of(st.none(), st.integers(-12, 12))
+
+
+@given(
+    st.lists(st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**6)), max_size=10),
+    st.integers(-3, 3),
+    st.builds(slice, slice_bound, slice_bound, st.one_of(st.none(), st.sampled_from([-3, -2, -1, 1, 2, 3]))),
+)
+@example([], 0, slice(None))
+@example([Fraction(3), Fraction(-1), Fraction(4)], 1, slice(-1, None, -2))
+def test_series_and_sequence_share_one_store(v, offset, cut):
+    if not v:
+        for build in (PowerSeries, Sequence):
+            with pytest.raises(SeriesError):
+                build(v)
+        return
+    a, b = PowerSeries(v), Sequence(v, offset)
+    assert (a._nums, a._den) == (b._nums, b._den)
+    assert a.coeffs == b.terms == tuple(v)
+    n = len(v)
+    assert [a[i] for i in range(-n, n)] == [b[i] for i in range(-n, n)] == [v[i] for i in range(-n, n)]
+    assert a[cut] == b[cut] == tuple(v)[cut]
+    for k in range(n + 1):
+        assert a.prefix(k) == b.prefix(k) == tuple(v[:k])
+        if all(c.denominator == 1 for c in v[:k]):
+            assert a.integers(k) == b.integers(k) == [c.numerator for c in v[:k]]
+        else:
+            for x in (a, b):
+                with pytest.raises(ValueError):
+                    x.integers(k)
+    for k in (-1, n + 1):
+        for x in (a, b):
+            with pytest.raises(ValueError):
+                x.prefix(k)
+    namespace = {"Fraction": Fraction, "PowerSeries": PowerSeries, "Sequence": Sequence}
+    assert eval(repr(a), namespace) == a and eval(repr(b), namespace) == b
 
 
 @pytest.mark.parametrize("terms, kind", [((0.5, 1.0, 2.0), "float"), ((True, 1, 2), "bool")])
