@@ -31,8 +31,10 @@ disagreement between the two routes is reported rather than masked.
 
 The sweep harness grids the two-row family over a parameter box, evaluates
 the conjectured Somos parameters in closed form, and verifies the Hankel
-transform against them window by window.  Counterexamples are recorded
-output, not assertion failures.
+transform against them window by window.  A point's Hankel minors are read
+off the P-fraction of the monic quartic under the square root in its
+generating function (_quartic_minors), with no series and no Chebyshev pass.
+Counterexamples are recorded output, not assertion failures.
 """
 
 from __future__ import annotations
@@ -43,7 +45,16 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 
-from .series import InsufficientTerms, PowerSeries, Sequence, rational, rational_series, _exact_values
+from .series import (
+    InsufficientTerms,
+    PowerSeries,
+    Sequence,
+    SeriesError,
+    rational,
+    rational_series,
+    _exact_values,
+    _over_common_denominator,
+)
 from .core import (
     LowerTriangle,
     RiordanPair,
@@ -58,11 +69,10 @@ from .core import (
 from .amatrix import (
     AMatrixSpec,
     bell_pair,
-    closed_form_f_general,
     direct_triangle,
     narayana_poly_coeffs,
 )
-from .hankel import _minors, _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
+from .hankel import _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
 
 
 class FixtureNotFound(ValueError):
@@ -330,19 +340,118 @@ DEGENERATE = "degenerate"
 COUNTEREXAMPLE = "counterexample"
 
 
+def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) -> list[int]:
+    """The Hankel minors H_0..H_depth of the t_n of G = sum_n t_n z^(-n-1), the root with
+    G ~ 1/z of A G^2 + B G + C = 0 for the ints A = r z^2 + b z + d, B = -(z^2 - a z - c)
+    and C = z + g, read off the P-fraction of G in ints: no series term and no Chebyshev row.
+
+    The family.  At x = 1/z, times z^3, (1 - ax - cx^2) F = (1 + x) + x(rho0 + bx + dx^2) F^2
+    is this equation for G = F(1/z)/z and g = 1, so t_n = [x^n] f/x, an int polynomial of
+    degree <= n in the parameters.  Over a common denominator g, G(z/g)/g has the int moments
+    g^n t_n and the ints (ga, g^2 b, g^2 c, g^3 d, g rho0, g), so its minors are
+    g^(n(n+1)) H_n(t) (check_conjecture_point).
+
+    The P-fraction.  D = B^2 - 4AC is monic of degree 4, S = z^2 + s1 z + s0 is the polynomial
+    part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0; with X = rg + b + r(a + r),
+    s1 = -a - 2r, s0 = -c - 2X, E1 = -(bg + d) - rc - (a + 2r) X and E0 = -dg - cX - X^2
+    are ints.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
+    (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC.  For w = (P + sqrt(D)) / Q with Q twice a monic
+    polynomial of degree 1 or 0 that divides D - P^2, let q be the polynomial part of w:
+    the quotient of P + S by Q, since (sqrt(D) - S) / Q = O(1/z); q is monic of degree 1 or 2.
+    P' = qQ - P and R = (D - P'^2) / Q, exact as P' = -P mod Q, give
+    w - q = R / (P' + sqrt(D)) = -lam / w' with lam = -lc(R)/2 and w' = (P' + sqrt(D)) / Q',
+    Q' = -R / lam, which divides D - P'^2 = -lam Q Q'.  So G = 1/(q_0 - lam_1/(q_1 - lam_2/...)).
+    P' is S + u' for a constant u' at every level:
+      - Q = 2(z + theta) gives q = z - b with b = theta - s1 from level 1 on (P = S + u),
+        and u' = -2 S(-theta) - u; level 0 gives u' = 2(c + X - g(g + a + r)).
+        R = -u' z + 2 E1 - s1 u' + theta u', so if u' != 0, lam' = u'/2 and
+        theta' = s1 - theta - E1/lam'; if u' = 0, R = 2 E1, so lam' = -E1 and Q' = 2 if
+        E1 != 0, and if E1 = 0 the fraction ends (w = q).
+      - Q = 2 (reached only from u' = 0, so P = S) gives q = S, P' = S and R = 2 E1 z + 2 E0:
+        lam' = -E1 and theta' = E0/E1.
+    So at a linear level k, lam_(k+1) = -mu_k - S(-theta_k) for mu_k = u_(k-1)/2: lam_k after
+    a linear level, 0 after a level of degree 2, and b + r(a + r) at level 0.  Where level
+    k - 1 is linear too, D - P_k^2 = -4 lam_k (z + theta_(k-1))(z + theta_k) at z^1 and z^0
+    gives E1 = lam_k (s1 - theta_(k-1) - theta_k), E0 = lam_k (lam_k + s0 - theta_(k-1) theta_k),
+    and with theta_(k-1) eliminated, lam_k is a root of L^2 + S(-theta_k) L = E0 - theta_k E1.
+    lam_(k+1) = -S(-theta_k) - lam_k is the other, so lam_k lam_(k+1) = theta_k E1 - E0.
+
+    The minors (Han, Adv. Math. 303, 2016, reads them off such a fraction).  Let q_k have
+    degree m_k, N_k = m_0 + ... + m_k, L_k = lam_1 ... lam_k (L_0 = t_0 = 1), and
+    Q_k = q_k Q_(k-1) - lam_k Q_(k-2) (Q_(-1) = 1, Q_(-2) = 0) the convergents' denominators,
+    monic of degree N_k.  With G_j = 1/w_j = z^(-m_j) (1 + O(1/z)), induction on
+    q_k G_k - 1 = lam_(k+1) G_k G_(k+1) gives Q_k G - U_k = L_(k+1) G_0 ... G_(k+1) for the
+    numerators U_k, so l(z^i Q_k), l(z^n) = t_n, the z^(-i-1) coefficient of Q_k G, is 0 for
+    i < N_(k+1) - 1 and L_(k+1) at N_(k+1) - 1.  The Hankel matrix of size N is the Gram
+    matrix (l(p_i p_j)) of 1, ..., z^(N-1), and of the monic basis z^j Q_(k-1)
+    (0 <= j < m_k) of the degrees N_(k-1) + j, whose change of basis is unit triangular.
+    That matrix is block diagonal, block k anti-triangular with L_k on its anti-diagonal, so
+        H at size N_k = prod_(i <= k) (-1)^(m_i (m_i - 1)/2) L_i^(m_i),
+    a size inside a block has a zero first row in its last block, and a fraction that ends at
+    level k leaves l(z^i Q_k) = 0 for every i, a zero row at every later size.
+
+    The ints.  M_k is the minor at size N_k (M_(-1) = 1): M_(k-1) L_k after a linear level,
+    -M_(k-1) L_k^2 after one of degree 2, so lam_(k+1) = M_(k+1) M_(k-1) / M_k^2 at two linear
+    levels.  Z_k = sigma_k M_k for sigma_k the z^(N_k - 1) coefficient of Q_k; M_k Q_k has int
+    coefficients (Cramer's rule on the Hankel system that fixes Q_k), so Z_k is an int.  At a
+    linear level sigma_k = sigma_(k-1) - b_k, so theta_k = sigma_(k-1) - sigma_k + s1, at level
+    0 too with sigma_(-1) read as r (Z_(-1) = r).  With W = M_k M_(k-1) and
+    T = theta_k W = Z_(k-1) M_k - Z_k M_(k-1) + s1 W, the next level's minor
+    lam_(k+1) M_k^2 / M_(k-1) is
+        (E1 T - E0 W) / M_(k-2)                       where level k - 1 is linear,
+        -(T^2 - s1 T W + (mu_k + s0) W^2) / M_(k-1)^3   at level 0 and after degree 2,
+    and sigma_(k+1) = sigma_k - b_(k+1) = sigma_(k-1) + s1 + E1/lam_(k+1) gives
+        Z_(k+1) = (M_(k+1) Z_(k-1) + E1 M_k^2) / M_(k-1) + s1 M_(k+1).
+    Where that minor is 0 (u' = 0) and E1 != 0, the minors at sizes N_k + 1, + 2, + 3 are 0,
+    M_(k+1) = -E1^2 M_k^3 / M_(k-1)^2 and M_(k+2) = M_(k+1) E1^2 M_k / M_(k-1), and q_(k+1) = S
+    and theta_(k+2) = E0/E1 give sigma_(k+1) = sigma_k + s1 and sigma_(k+2) = sigma_(k+1) +
+    s1 - E0/E1.  Every division is exact: its quotient is a minor, a Z or Z - s1 M.
+    """
+    s1 = -a - 2 * r
+    x = r * g + b + r * (a + r)
+    s0 = -c - 2 * x
+    e1 = -(b * g + d) - r * c - (a + 2 * r) * x
+    e0 = -d * g - c * x - x * x
+    m2, m1, m0 = None, 1, 1  # M_(k-2), M_(k-1), M_k
+    z1, z0 = r, -(g + a + r)  # Z_(k-1), Z_k
+    mu = b + r * (a + r)  # None where level k - 1 is linear
+    h = [1]
+    while len(h) <= depth:
+        w = m0 * m1
+        t = z1 * m0 - z0 * m1 + s1 * w
+        if mu is None:
+            mn = (e1 * t - e0 * w) // m2
+        else:
+            mn = -(t * (t - s1 * w) + (mu + s0) * w * w) // (m1 * m1 * m1)
+        if mn:
+            h.append(mn)
+            m2, m1, m0, z1, z0, mu = m1, m0, mn, z0, (mn * z1 + e1 * m0 * m0) // m1 + s1 * mn, None
+            continue
+        if not e1:  # the fraction ends
+            break
+        ma = -(e1 * m0) ** 2 * m0 // (m1 * m1)
+        mb = ma * e1 * e1 * m0 // m1
+        za = z0 * ma // m0 + s1 * ma
+        h += [0, ma, mb]
+        m1, m0, z1, z0, mu = ma, mb, za, ((za + s1 * ma) * e1 - e0 * ma) * mb // (ma * e1), 0
+    return h[: depth + 1] + [0] * (depth + 1 - len(h))
+
+
 def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int | None]:
     """Evaluate the conjecture at one parameter tuple.
 
     Returns (status, failing_window).  Tuples with conjectured alpha = 0
-    are degenerate before any series or minor is formed, and so are tuples
-    with fewer than two usable Hankel windows; otherwise the product-form
-    relation is checked at every window of the transform.
+    are degenerate before any minor is formed, and so are tuples with fewer
+    than two usable Hankel windows; otherwise the product-form relation is
+    checked at every window of the transform to depth (order - 1) // 2.
 
-    The windows run on the int minors H_n of the closed form's numerators
-    over its denominator D (_minors), never on a Fraction view: the Hankel
-    transform is h_n = H_n / D**(n+1), so all three products of window n
-    carry D**(2n-2), and neither a window's usability nor the relation
-    alpha p + beta q = r depends on that scale.
+    The windows run on the int minors of the P-fraction of the quartic
+    (_quartic_minors), with no series and no Fraction view.  For parameters
+    over a common denominator g > 1 those are H_n = g^(n(n+1)) h_n, so the
+    three products of window n carry g^(E+6), g^(E+4) and g^(E+12), E =
+    2n^2 - 6n, and alpha p + beta q = r holds for h exactly when alpha g^6 p +
+    beta g^8 q = r holds for H; neither that nor a window's usability (p, q
+    or r nonzero) depends on the scale.
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
@@ -352,8 +461,11 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
         alpha, beta = conjectured_somos_rho_delta(a, b, c, d)
     if alpha == 0:
         return DEGENERATE, None
-    fx = closed_form_f_general(a, b, c, d, rho0, order)
-    minors = _minors(fx._nums, (order - 1) // 2)
+    (a, b, c, d, rho0), g = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
+    if order < 1:
+        raise SeriesError("order must be positive")
+    minors = _quartic_minors(a, b * g, c * g, d * g * g, rho0, g, (order - 1) // 2)
+    alpha, beta = alpha * g**6, beta * g**8
     usable = [(n, alpha * p + beta * q != r) for n, p, q, r in _somos_windows(minors) if p or q or r]
     if len(usable) < 2:
         return DEGENERATE, None

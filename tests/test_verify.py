@@ -7,11 +7,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riordan import verify as verify_mod
-from riordan.series import InsufficientTerms, PowerSeries, Sequence
+from riordan import amatrix as amatrix_mod, hankel as hankel_mod, series as series_mod, verify as verify_mod
+from riordan.series import InsufficientTerms, Sequence, SeriesError, _over_common_denominator
 from riordan.amatrix import AMatrixSpec, closed_form_f_general, solve_f
-from riordan.hankel import _somos_windows, hankel_transform
+from riordan.hankel import _minors, _somos_windows, hankel_transform
 from riordan.verify import (
     COUNTEREXAMPLE,
     CONFIRMED,
@@ -179,17 +180,48 @@ def test_point_check_flags_degenerate_tuples():
     assert status == DEGENERATE
 
 
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        ((Fraction(1, 2), 1, 1.5, 0, 0, 32), TypeError, "not an exact rational: float 1.5"),
+        ((0, 1, 1, 0, True, 32), TypeError, "not an exact rational: bool True"),
+        ((0, 1, 1, 0, 1.0, 32), TypeError, "not an exact rational: float 1.0"),
+        ((0, 1, 1, 0, True, 0), TypeError, "not an exact rational: bool True"),
+        ((0, 1, 1, 0, 0, 32.0), TypeError, ""),
+        ((0, 1, 1, 0, 0, "32"), TypeError, ""),
+        ((0, 1, 1, 0, 2, 32), ValueError, "rho0 must be 0 or 1"),
+        ((0, 1, 1, 0, "1", 32), ValueError, "rho0 must be 0 or 1"),
+        ((0, 1, 1, 0, 0, 0), SeriesError, "order must be positive"),
+        ((0, 1, 1, 0, 0, -3), SeriesError, "order must be positive"),
+        ((0, 1, 1, 0, 1, 0), SeriesError, "order must be positive"),
+    ],
+)
+def test_point_check_errors(args, error, message):
+    with pytest.raises(error) as info:
+        check_conjecture_point(*args)
+    assert message in str(info.value)
+
+
+def test_point_check_orders_that_raise_nothing():
+    # alpha = 0 is degenerate before the order is read; orders 1 and 2 give one minor, no window
+    assert check_conjecture_point(1, 0, 1, 0, 0, 0) == (DEGENERATE, None)
+    assert check_conjecture_point(1, 0, 1, 0, 0, -3) == (DEGENERATE, None)
+    for order in (1, 2, True):
+        assert check_conjecture_point(0, 1, 1, 0, 0, order) == (DEGENERATE, None)
+    assert check_conjecture_point(0, "1/2", 1, 0, Fraction(1), 32) == check_conjecture_point(0, "1/2", 1, 0, 1, 32)
+
+
 @pytest.mark.parametrize("point", [(0, 1, 1, 0, 0), (0, -1, 0, -2, 1)])
 def test_point_check_reports_the_first_failing_window(point, monkeypatch):
     assert check_conjecture_point(*point, 32) == (CONFIRMED, None)
-    minors = verify_mod._minors
+    minors = verify_mod._quartic_minors
 
-    def bumped(t, max_n):
-        h = minors(t, max_n)
+    def bumped(*args):
+        h = minors(*args)
         h[8] += 1
         return h
 
-    monkeypatch.setattr(verify_mod, "_minors", bumped)
+    monkeypatch.setattr(verify_mod, "_quartic_minors", bumped)
     assert check_conjecture_point(*point, 32) == (COUNTEREXAMPLE, 8)
 
 
@@ -197,15 +229,13 @@ def test_point_check_needs_two_usable_windows(monkeypatch):
     assert conjectured_somos_rho0(0, 1, 1, 0) == (1, 1)
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (CONFIRMED, None)
     # H = 1, 1, 1, 0, ...: only window 4 (0 = alpha * 0 + beta * 1) is usable
-    monkeypatch.setattr(verify_mod, "_minors", lambda t, max_n: [1, 1, 1] + [0] * 13)
+    monkeypatch.setattr(verify_mod, "_quartic_minors", lambda *args: [1, 1, 1] + [0] * 13)
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
     monkeypatch.undo()
     # 1 + x has Hankel transform 1, -1, 0, 0, ...: every window reads 0 = 0
-    monkeypatch.setattr(
-        verify_mod,
-        "closed_form_f_general",
-        lambda a, b, c, d, rho0, order: PowerSeries.of([1, 1], order),
-    )
+    ones = [1, -1] + [0] * 14
+    assert list(hankel_transform(Sequence.of([1, 1] + [0] * 30), 15).terms) == ones
+    monkeypatch.setattr(verify_mod, "_quartic_minors", lambda *args: list(ones))
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
 
 
@@ -245,6 +275,113 @@ def test_int_point_check_matches_the_fraction_route(rng, bump, monkeypatch):
         dens.add(closed_form_f_general(*params, rho0, order)._den > 1)
     assert dens == {False, True}
     assert statuses == ({CONFIRMED, DEGENERATE} if bump == 0 else {COUNTEREXAMPLE, DEGENERATE})
+
+
+def closed_form_minors(a, b, c, d, rho0, order):
+    """Oracle: the int minors of the closed form's numerators (closed_form_f_general, then
+    hankel._minors), the point check's route before the P-fraction, and that denominator."""
+    fx = closed_form_f_general(a, b, c, d, rho0, order)
+    return _minors(fx._nums, (order - 1) // 2), fx._den
+
+
+def minors_point_check(a, b, c, d, rho0, minors):
+    """Oracle: the point check's windows on the oracle's minors."""
+    conjectured = verify_mod.conjectured_somos_rho0 if rho0 == 0 else verify_mod.conjectured_somos_rho_delta
+    alpha, beta = conjectured(a, b, c, d)
+    usable = [(n, alpha * p + beta * q != r) for n, p, q, r in _somos_windows(minors) if p or q or r]
+    if alpha == 0 or len(usable) < 2:
+        return DEGENERATE, None
+    failing = next((n for n, fails in usable if fails), None)
+    return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
+
+
+def quartic_minors(a, b, c, d, rho0, depth):
+    """(_quartic_minors of the point over its common denominator g, g)."""
+    (a, b, c, d, r), g = _over_common_denominator([Fraction(v) for v in (a, b, c, d, rho0)])
+    return verify_mod._quartic_minors(a, b * g, c * g, d * g * g, r, g, depth), g
+
+
+def assert_matches_the_closed_form(params, rho0, order):
+    """The P-fraction's minors against the oracle's (equal for integer parameters: the
+    oracle's are den^(n+1) h_n, these g^(n(n+1)) h_n), and the point check's status and
+    failing window against the oracle's, with the conjectured alpha as is and bumped."""
+    want, den = closed_form_minors(*params, rho0, order)
+    got, g = quartic_minors(*params, rho0, (order - 1) // 2)
+    if g == 1:
+        assert got == want and den == 1
+    assert [h * den ** (n + 1) for n, h in enumerate(got)] == [h * g ** (n * (n + 1)) for n, h in enumerate(want)]
+    statuses = []
+    for bump in (0, Fraction(1, 3)):
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("conjectured_somos_rho0", "conjectured_somos_rho_delta"):
+                conjectured = getattr(verify_mod, name)
+                mp.setattr(verify_mod, name, lambda *p, f=conjectured: (f(*p)[0] + bump, f(*p)[1]))
+            status = check_conjecture_point(*params, rho0, order)
+            assert status == minors_point_check(*params, rho0, want)
+            statuses.append(status)
+    return got, statuses
+
+
+small_ints = st.integers(-6, 6)
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4))
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(  # integer points apart, so that half the examples compare the minors themselves
+        st.lists(small_ints, min_size=4, max_size=4),
+        st.lists(st.one_of(small_ints, small_fractions), min_size=4, max_size=4),
+    ),
+    st.sampled_from([0, 1]),
+    st.integers(10, 128),
+)
+def test_point_check_matches_the_closed_form_minors(params, rho0, order):
+    assert_matches_the_closed_form(params, rho0, order)
+
+
+def test_a_degree_two_quotient_gives_one_zero_minor():
+    got, statuses = assert_matches_the_closed_form((-4, -4, 1, -4), 0, 32)
+    assert [n for n, h in enumerate(got) if h == 0] == [1, 5, 9, 13]
+    # window 4 reads p = H_3 H_1 = 0, so a bumped alpha first fails at window 5
+    assert statuses == [(CONFIRMED, None), (COUNTEREXAMPLE, 5)]
+    # the first level's quotient has degree 2: H_1 = 0 and H_2 = -E1^2, E1 = -(b + d) - ab = -8
+    assert got[:3] == [1, 0, -64]
+
+
+def test_a_fraction_that_ends_gives_zero_minors_to_its_end():
+    """A = 0 (rho0 = b = d = 0): G = (z + 1)/(z^2 - az - c) is rational, so its fraction ends.
+    alpha is 0 there, so the point check never reaches the recurrence; call it directly."""
+    ends = set()
+    for a in range(-3, 4):
+        for c in range(-3, 4):
+            want, _ = closed_form_minors(a, 0, c, 0, 0, 40)
+            got, g = quartic_minors(a, 0, c, 0, 0, 19)
+            assert got == want and g == 1
+            assert conjectured_somos_rho0(a, 0, c, 0)[0] == 0
+            ends.add(sum(1 for h in got if h != 0))
+    # the fraction ends at level 0 (1 + a = c) or 1, or has one quotient of degree 2
+    assert ends == {1, 2}
+
+
+def test_p_over_q_points_match_the_closed_form():
+    for params, rho0 in [
+        ((Fraction(1, 2), Fraction(-1, 3), 2, Fraction(1, 4)), 1),
+        ((Fraction(-4, 3), Fraction(5, 2), Fraction(1, 6), -1), 0),
+        ((0, "1/2", 1, 0), 0),
+    ]:
+        got, statuses = assert_matches_the_closed_form(params, rho0, 40)
+        assert statuses[0] == (CONFIRMED, None)
+
+
+def test_point_check_forms_no_series_and_no_chebyshev_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point check formed a series or a Chebyshev row")
+
+    for module, name in ((amatrix_mod, "closed_form_f_general"), (series_mod, "_root_ints"), (hankel_mod, "_monic_rows")):
+        monkeypatch.setattr(module, name, refuse)
+    assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (CONFIRMED, None)
+    assert check_conjecture_point(-4, -4, 1, -4, 0, 32) == (CONFIRMED, None)
+    assert check_conjecture_point(Fraction(1, 2), Fraction(-1, 3), 2, Fraction(1, 4), 1, 40) == (CONFIRMED, None)
 
 
 def test_small_sweeps_are_well_formed():
