@@ -345,19 +345,21 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
     G ~ 1/z of A G^2 + B G + C = 0 for the ints A = r z^2 + b z + d, B = -(z^2 - a z - c)
     and C = z + g, read off the P-fraction of G in ints: no series term and no Chebyshev row.
 
-    The family.  At x = 1/z, times z^3, (1 - ax - cx^2) F = (1 + x) + x(rho0 + bx + dx^2) F^2
-    is this equation for G = F(1/z)/z and g = 1, so t_n = [x^n] f/x, an int polynomial of
-    degree <= n in the parameters.  Over a common denominator g, G(z/g)/g has the int moments
-    g^n t_n and the ints (ga, g^2 b, g^2 c, g^3 d, g rho0, g), so its minors are
-    g^(n(n+1)) H_n(t) (check_conjecture_point).
+    The family.  At x = 1/z and F = zG, times z, (1 - ax - cx^2) F = (1 + x) +
+    x(rho0 + bx + dx^2) F^2 is this equation for g = 1, so t_n = [x^n] f/x, an int polynomial
+    of degree <= n in the parameters, and the equation fixes G term by term.  Over a common
+    denominator g, G(z/g)/g has the int moments g^n t_n and solves the equation for the ints
+    (ga, g^2 b, g^2 c, g^3 d, g rho0, g), so its minors are g^(n(n+1)) H_n(t)
+    (check_conjecture_point).
 
     The P-fraction.  D = B^2 - 4AC is monic of degree 4, S = z^2 + s1 z + s0 is the polynomial
     part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0; with X = rg + b + r(a + r),
     s1 = -a - 2r, s0 = -c - 2X, E1 = -(bg + d) - rc - (a + 2r) X and E0 = -dg - cX - X^2
     are ints.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
-    (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC.  For w = (P + sqrt(D)) / Q with Q twice a monic
-    polynomial of degree 1 or 0 that divides D - P^2, let q be the polynomial part of w:
-    the quotient of P + S by Q, since (sqrt(D) - S) / Q = O(1/z); q is monic of degree 1 or 2.
+    (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC makes 1/w_0 the root ~ 1/z.  For w = (P + sqrt(D)) / Q
+    with P monic of degree 2 and Q twice a monic polynomial of degree 1 or 0 that divides
+    D - P^2, let q be the polynomial part of w, the quotient of P + S by Q, since
+    (sqrt(D) - S) / Q = O(1/z); q is monic of degree 1 or 2.
     P' = qQ - P and R = (D - P'^2) / Q, exact as P' = -P mod Q, give
     w - q = R / (P' + sqrt(D)) = -lam / w' with lam = -lc(R)/2 and w' = (P' + sqrt(D)) / Q',
     Q' = -R / lam, which divides D - P'^2 = -lam Q Q'.  So G = 1/(q_0 - lam_1/(q_1 - lam_2/...)).
@@ -369,12 +371,13 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
         E1 != 0, and if E1 = 0 the fraction ends (w = q).
       - Q = 2 (reached only from u' = 0, so P = S) gives q = S, P' = S and R = 2 E1 z + 2 E0:
         lam' = -E1 and theta' = E0/E1.
-    So at a linear level k, lam_(k+1) = -mu_k - S(-theta_k) for mu_k = u_(k-1)/2: lam_k after
-    a linear level, 0 after a level of degree 2, and b + r(a + r) at level 0.  Where level
-    k - 1 is linear too, D - P_k^2 = -4 lam_k (z + theta_(k-1))(z + theta_k) at z^1 and z^0
-    gives E1 = lam_k (s1 - theta_(k-1) - theta_k), E0 = lam_k (lam_k + s0 - theta_(k-1) theta_k),
+    So a linear level k has u_k/2 = -mu_k - S(-theta_k), lam_(k+1) where it is not 0, for
+    mu_k = u_(k-1)/2: lam_k after a linear level, 0 after one of degree 2, and b + r(a + r)
+    at level 0.  Where level k - 1 is linear too, D - P_k^2 = -4 lam_k (z + theta_(k-1))
+    (z + theta_k) at z^1 and z^0 gives E1 = lam_k (s1 - theta_(k-1) - theta_k) and
+    E0 = lam_k (lam_k + s0 - theta_(k-1) theta_k),
     and with theta_(k-1) eliminated, lam_k is a root of L^2 + S(-theta_k) L = E0 - theta_k E1.
-    lam_(k+1) = -S(-theta_k) - lam_k is the other, so lam_k lam_(k+1) = theta_k E1 - E0.
+    u_k/2 = -S(-theta_k) - lam_k is the other, so lam_k u_k/2 = theta_k E1 - E0.
 
     The minors (Han, Adv. Math. 303, 2016, reads them off such a fraction).  Let q_k have
     degree m_k, N_k = m_0 + ... + m_k, L_k = lam_1 ... lam_k (L_0 = t_0 = 1), and
@@ -383,26 +386,26 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
     q_k G_k - 1 = lam_(k+1) G_k G_(k+1) gives Q_k G - U_k = L_(k+1) G_0 ... G_(k+1) for the
     numerators U_k, so l(z^i Q_k), l(z^n) = t_n, the z^(-i-1) coefficient of Q_k G, is 0 for
     i < N_(k+1) - 1 and L_(k+1) at N_(k+1) - 1.  The Hankel matrix of size N is the Gram
-    matrix (l(p_i p_j)) of 1, ..., z^(N-1), and of the monic basis z^j Q_(k-1)
-    (0 <= j < m_k) of the degrees N_(k-1) + j, whose change of basis is unit triangular.
-    That matrix is block diagonal, block k anti-triangular with L_k on its anti-diagonal, so
+    matrix (l(p_i p_j)) of 1, ..., z^(N-1); a unit triangular change of basis to the monic
+    z^j Q_(k-1) (0 <= j < m_k) of the degrees N_(k-1) + j keeps its determinant, and makes
+    it block diagonal, block k anti-triangular with L_k on its anti-diagonal, so
         H at size N_k = prod_(i <= k) (-1)^(m_i (m_i - 1)/2) L_i^(m_i),
     a size inside a block has a zero first row in its last block, and a fraction that ends at
     level k leaves l(z^i Q_k) = 0 for every i, a zero row at every later size.
 
-    The ints.  M_k is the minor at size N_k (M_(-1) = 1): M_(k-1) L_k after a linear level,
-    -M_(k-1) L_k^2 after one of degree 2, so lam_(k+1) = M_(k+1) M_(k-1) / M_k^2 at two linear
+    The ints.  M_k is the minor at size N_k (M_(-1) = 1): M_(k-1) L_k if level k is linear,
+    -M_(k-1) L_k^2 if it has degree 2, so lam_(k+1) = M_(k+1) M_(k-1) / M_k^2 at two linear
     levels.  Z_k = sigma_k M_k for sigma_k the z^(N_k - 1) coefficient of Q_k; M_k Q_k has int
     coefficients (Cramer's rule on the Hankel system that fixes Q_k), so Z_k is an int.  At a
     linear level sigma_k = sigma_(k-1) - b_k, so theta_k = sigma_(k-1) - sigma_k + s1, at level
     0 too with sigma_(-1) read as r (Z_(-1) = r).  With W = M_k M_(k-1) and
-    T = theta_k W = Z_(k-1) M_k - Z_k M_(k-1) + s1 W, the next level's minor
-    lam_(k+1) M_k^2 / M_(k-1) is
+    T = theta_k W = Z_(k-1) M_k - Z_k M_(k-1) + s1 W, (u_k/2) M_k^2 / M_(k-1), which is
+    M_(k+1) if u_k != 0 and 0 if not, is
         (E1 T - E0 W) / M_(k-2)                       where level k - 1 is linear,
         -(T^2 - s1 T W + (mu_k + s0) W^2) / M_(k-1)^3   at level 0 and after degree 2,
     and sigma_(k+1) = sigma_k - b_(k+1) = sigma_(k-1) + s1 + E1/lam_(k+1) gives
         Z_(k+1) = (M_(k+1) Z_(k-1) + E1 M_k^2) / M_(k-1) + s1 M_(k+1).
-    Where that minor is 0 (u' = 0) and E1 != 0, the minors at sizes N_k + 1, + 2, + 3 are 0,
+    Where it is 0 and E1 != 0, the minors at sizes N_k + 1, + 2, + 3 are 0,
     M_(k+1) = -E1^2 M_k^3 / M_(k-1)^2 and M_(k+2) = M_(k+1) E1^2 M_k / M_(k-1), and q_(k+1) = S
     and theta_(k+2) = E0/E1 give sigma_(k+1) = sigma_k + s1 and sigma_(k+2) = sigma_(k+1) +
     s1 - E0/E1.  Every division is exact: its quotient is a minor, a Z or Z - s1 M.
