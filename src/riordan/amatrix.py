@@ -18,10 +18,11 @@ x = fbar(y) and w = y, an equation in u = fbar/x = 1/A (the A-matrix
 construction of Merlini, Rogers, Sprugnoli and Verri 1997) that, divided by
 u, gives A as a polynomial in u over 1 - x*rho(x); and E(x, f) f^k = 0, the
 entry recurrence of the Bell triangle, runs on its entries as ints with no
-series product.  Every root follows from one int recurrence, and the
-Catalan-composition closed forms for the two-row and single-row families are
-roots of one quadratic each.  ``bell_pair`` checks each reading against the
-spec, with no composition: f by the residual of the equation, and A by the
+series product.  Every root follows from one int recurrence, and the paper's
+two named families, the two-row spec [[1, a, b], [1, c, d]] with rho = (rho0)
+and the single-row spec [[1, a, b]] with rho = (c), are solved as specs on the
+same route (``closed_form_f_general``, ``perturbed_f``).  ``bell_pair`` checks
+each reading against the spec, with no composition: f by the residual of the equation, and A by the
 A-matrix equation it was read off, E(y/A, y) = 0, in L series products; the
 two are then tied by E alone, whose branches through the origin are unique.
 
@@ -44,10 +45,8 @@ from .series import (
     rational,
     rational_series,
     _exact_repr,
-    _exact_values,
     _over_common_denominator,
     _polynomial_root,
-    _root_ints,
     _ZERO,
     _ONE,
 )
@@ -305,11 +304,9 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     The root F of (1-ax-cx^2) F = (1+x) + x(rho0 + bx + dx^2) F^2, in closed form
     (1+x)/(1-ax-cx^2) * C(x(1+x)(rho0 + bx + dx^2) / (1-ax-cx^2)^2),
     where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
-    The parameters go over one common denominator straight into the int root kernel
-    (_root_ints), so the one series built is the one returned.
+    The equation is that of the spec's grid, solved by _f_over_x.
     """
-    (a, b, c, d, rho0), den = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
-    return PowerSeries._ints(*_root_ints([[den, den], [den, -a, -c], [0, rho0, b, d]], den, order))
+    return _f_over_x(AMatrixSpec.of([[1, a, b], [1, c, d]], [rho0]), order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
@@ -317,11 +314,9 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
 
     u = x*F for the root F of (1-ax) F = 1 + x(c + bx) F^2; in closed form
     u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
-    F comes from the int root kernel as in closed_form_f_general.
+    F is read off the spec [[1, a, b]] with rho = (c) by _f_over_x.
     """
-    (a, b, c), den = _over_common_denominator(_exact_values((a, b, c)))
-    nums, den = _root_ints([[den], [den, -a], [0, c, b]], den, order)
-    return PowerSeries._ints([0, *nums[:-1]], den)
+    return _f_over_x(AMatrixSpec.of([[1, a, b]], [c]), order).mul_x().truncate(order)
 
 
 def _equation_rows(spec: AMatrixSpec) -> list[PowerSeries]:
@@ -434,18 +429,15 @@ def binomial_transform_equation_check(a, b, c, order: int) -> bool:
     """Check that the binomial transform of u/x, with u = perturbed_f(a, b, c),
     satisfies v/x = (1 + a*v + b*v^2)/(1 - x) + c*v^2/x.
 
-    The transform of u/x is v/x with v = u(x/(1-x)); this is also the
-    solution of the repeated-row variant of the same equation.
+    The transform of u/x is v/x with v = u(x/(1-x)), and that equation is the
+    one of the repeated-row spec [[1, a, b]]* with rho = (c), so v is checked by
+    that spec's residual (functional_equation_residual).
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    u = perturbed_f(a, b, c, order)
-    v = u.compose(rational_series([0, 1], [1, -1], order))
-    a, b, c = (rational(v_) for v_ in (a, b, c))
-    lhs = v.div_x()
-    rhs = (1 + v * a + v * v * b) / PowerSeries.of([1, -1], order)
-    rhs = rhs + (v * v).div_x() * c
-    return lhs == rhs
+    spec = AMatrixSpec.of([[1, a, b]], [c], repeat_last_row=True)
+    v = perturbed_f(a, b, c, order).compose(rational_series([0, 1], [1, -1], order))
+    return functional_equation_residual(spec, v).is_zero()
 
 
 def orthogonal_poly_coeffs(a, b, nrows: int) -> LowerTriangle:

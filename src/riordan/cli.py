@@ -318,11 +318,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
+    if args.sweep and args.filter:
+        raise _CliError(EXIT_USAGE, f"a fixture filter ({args.filter!r}) does not apply to --sweep")
+    if not args.sweep and args.range is not None:
+        raise _CliError(EXIT_USAGE, "--range applies only to --sweep")
     if args.sweep:
         order = args.order if args.order is not None else verify_mod.SWEEP_ORDER
         if order > MAX_SWEEP_ORDER:
             raise _CliError(EXIT_USAGE, f"sweep --order must be at most {MAX_SWEEP_ORDER}, got {order}")
-        lo, hi = _parse_range(args.range)
+        lo, hi = _parse_range("-2..2" if args.range is None else args.range)
         points = (hi - lo + 1) ** 4
         if points > MAX_SWEEP_POINTS:
             raise _CliError(EXIT_USAGE, f"sweep box [{lo}..{hi}]^4 has {points} points, more than {MAX_SWEEP_POINTS}")
@@ -412,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sweep", choices=("rho0", "rhodelta"), help="run a conjecture sweep instead of fixtures")
     p_verify.add_argument(
         "--range",
-        default="-2..2",
-        help="per-parameter integer range LO..HI (write --range=-2..2 for negative bounds)",
+        default=None,
+        help="per-parameter integer range LO..HI of --sweep, -2..2 by default (write --range=-2..2 for negative bounds)",
     )
     p_verify.set_defaults(func=_cmd_verify)
     return parser

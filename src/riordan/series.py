@@ -17,8 +17,8 @@ which is how the Hankel layer reads it.  A product packs each
 operand into one big int (Kronecker substitution) so a single big-int
 multiply does the work, a quotient is a Newton inverse built from such
 products, and a root of a polynomial series equation (:func:`catalan_of`,
-``sqrt``, the closed forms and a spec's f and reverse) follows from one int
-coefficient recurrence.  Composition (Brent
+``sqrt``, and a spec's f and reverse, the closed forms among them) follows
+from one int coefficient recurrence, ``_polynomial_root``.  Composition (Brent
 and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
 Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
 O(n**2) int multiply-adds, where Horner and a running product take n - 1.
@@ -552,27 +552,18 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
     den(0) = 1 and q_k(0) = 0, so [x^n](q_k*F**k) involves only F_0..F_(n-1) and the
     terms follow one at a time off the running powers F**2..F**K, O(K*order**2) int
     products in all.  With lead, den, q_k = L/D, E/D, Q_k/D over one common denominator
-    D, the integers Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k) (the
-    Phi-scaled powers; P_1 = Phi) satisfy
+    D (_over_lcm), the integers Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k)
+    (the Phi-scaled powers; P_1 = Phi) satisfy
 
         Phi_n = L_n*D**(K*n) + sum_(j>=1, k=1..K) Q_(k,j)*D**(K*j-k)*P_(k,n-j)
 
     with Q_1 = -E.  Every term of that sum is one int dot product of the scaled
     coefficients, j-major with k falling, against the reversed history of
-    (P_(1,m), ..., P_(K,m)) for m < n.  This wrapper clears the series to one D
-    (_over_lcm); the recurrence is the int kernel _root_ints, which callers holding
-    ints over one denominator (the closed forms) call directly.
+    (P_(1,m), ..., P_(K,m)) for m < n.  At D = 1 every D-power is 1 and none is formed.
     """
-    return PowerSeries._ints(*_root_ints(*_over_lcm([lead, den, *qs]), order))
-
-
-def _root_ints(polys: list[list[int]], d: int, order: int) -> tuple[list[int], int]:
-    """(nums, den): the root F of _polynomial_root to the given order, F_n = nums[n] / den,
-    for polys = [L, E, Q_2, ..., Q_K], the int coefficients of lead, den and the q_k over
-    one positive d (E_0 = d).  At d = 1 every D-power is 1 and none is formed."""
     if order < 1:
         raise SeriesError("order must be positive")
-    lead_, den_, *qs_ = polys
+    (lead_, den_, *qs_), d = _over_lcm([lead, den, *qs])
     polys = list(enumerate([[-c for c in den_], *qs_], 1))[::-1]
     width = min(order, max(len(p) for _, p in polys))
     # Q_(k,j)*D**(K*j-k) for j = 1, 2, ... and, within each j, k = K..1: the order of the reversed history
@@ -596,8 +587,8 @@ def _root_ints(polys: list[list[int]], d: int, order: int) -> tuple[list[int], i
             p.append(v)
             history.append(v)
     if d == 1:
-        return phi, 1
-    return [c * k for c, k in zip(phi, reversed(scale))], d * scale[-1]
+        return PowerSeries._ints(phi, 1)
+    return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
 
 
 def catalan_of(u: PowerSeries) -> PowerSeries:

@@ -472,10 +472,9 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
     [lambda: closed_form_f_general(1, -2, 3, 1, 1, 24), lambda: perturbed_f(2, 3, 5, 24)],
 )
 def test_closed_forms_take_no_series_product_or_division(closed_form, monkeypatch):
-    # the quadratic's int recurrence replaces every Newton inverse and series product,
-    # and the one series stored is the one returned: no PowerSeries argument is built
+    # the quadratic's int recurrence replaces every Newton inverse and series product
     calls = []
-    inverse, mul, store = PowerSeries._inverse, PowerSeries.__mul__, PowerSeries._store
+    inverse, mul = PowerSeries._inverse, PowerSeries.__mul__
 
     def counted_inverse(self):
         calls.append("inverse")
@@ -486,15 +485,10 @@ def test_closed_forms_take_no_series_product_or_division(closed_form, monkeypatc
             calls.append("mul")
         return mul(self, other)
 
-    def counted_store(self, nums, den):
-        calls.append("store")
-        return store(self, nums, den)
-
     monkeypatch.setattr(PowerSeries, "_inverse", counted_inverse)
     monkeypatch.setattr(PowerSeries, "__mul__", counted_mul)
-    monkeypatch.setattr(PowerSeries, "_store", counted_store)
     closed_form()
-    assert calls == ["store"]
+    assert calls == []
 
 
 rationals = st.one_of(small_fraction, st.fractions(min_value=-100, max_value=100, max_denominator=10**6))
@@ -579,6 +573,17 @@ def test_binomial_transform_equation_full_grid():
         binomial_transform_equation_check(a, b, c, 10)
         for a, b, c in product(range(-2, 3), repeat=3)
     )
+
+
+@pytest.mark.parametrize("a, b, c", [(2, 3, 5), (0, 0, 0), (-1, 2, -2), ("1/2", -1, "3/4"), (Fraction(-2, 3), "5/7", 3)])
+def test_binomial_transform_check_refuses_a_bumped_u(a, b, c, rng, monkeypatch):
+    # a wrong u term k >= 1 moves v's term k by the same amount and no lower term, so the
+    # repeated-row residual is nonzero at x^k: the check must fail for every k, the top one too
+    order, solve = 10, amatrix_mod.perturbed_f
+    assert binomial_transform_equation_check(a, b, c, order)
+    for k in (1, rng.randrange(2, order - 1), order - 1):
+        monkeypatch.setattr(amatrix_mod, "perturbed_f", lambda *args, k=k: bump_term(solve(*args), k))
+        assert not binomial_transform_equation_check(a, b, c, order), (a, b, c, k)
 
 
 def test_binomial_transform_is_repeated_row_solution(rng):

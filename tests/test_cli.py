@@ -969,3 +969,23 @@ def test_verify_sweep_rejects_malformed_range(capsys):
     code, _, err = run(capsys, "verify", "--sweep", "rho0", "--range", "1to2")
     assert code == 2
     assert "range must look like" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--range=garbage"], "error: --range applies only to --sweep\n"),
+        (["--range=-1..1", "--format", "json"], "error: --range applies only to --sweep\n"),
+        (["pascal", "--sweep", "rho0"], "error: a fixture filter ('pascal') does not apply to --sweep\n"),
+        (["pascal", "--sweep", "rhodelta", "--range=0..0"], "error: a fixture filter ('pascal') does not apply to --sweep\n"),
+        (["--sweep", "rho0", "--range="], "error: range must look like -2..2, got ''\n"),
+    ],
+)
+def test_verify_refuses_an_argument_it_would_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_verify_sweep_range_defaults_to_minus_two_to_two(capsys):
+    code, out, _ = run(capsys, "verify", "--sweep", "rho0", "--order", "10", "--format", "json")
+    assert code == 0 and json.loads(out)["range"] == [-2, 2]

@@ -377,7 +377,7 @@ def test_point_check_forms_no_series_and_no_chebyshev_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the point check formed a series or a Chebyshev row")
 
-    for module, name in ((amatrix_mod, "closed_form_f_general"), (series_mod, "_root_ints"), (hankel_mod, "_monic_rows")):
+    for module, name in ((amatrix_mod, "closed_form_f_general"), (series_mod, "_polynomial_root"), (hankel_mod, "_monic_rows")):
         monkeypatch.setattr(module, name, refuse)
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (CONFIRMED, None)
     assert check_conjecture_point(-4, -4, 1, -4, 0, 32) == (CONFIRMED, None)
