@@ -10,21 +10,22 @@ f = sum_(i >= -1) x^(i+1) * P_i(f) whose row -1 is P_(-1)(y) = y^2 * rho(y),
 with coefficients (0, 0, rho_0, rho_1, ...).  Only AMatrixSpec knows how the
 rows continue: ``entry`` reads a[i][j] at any depth i >= -1, ``row_sum``
 evaluates sum_i x^i * value(row_i) over the rows i >= 0, summing a repeated
-last row in closed form, and ``_equation`` is the coefficient grid of the one
-polynomial E(x, w) = sum_i x^(i+1) P_i(w) - w (times 1 - x for a repeated
-last row).  The grid is read three times, with no series reversion or inverse:
-its columns give the equation E(x, x*F) = 0 for F = f/x; its rows, with
-x = fbar(y) and w = y, an equation in u = fbar/x = 1/A (the A-matrix
-construction of Merlini, Rogers, Sprugnoli and Verri 1997) that, divided by
-u, gives A as a polynomial in u over 1 - x*rho(x); and E(x, f) f^k = 0, the
-entry recurrence of the Bell triangle, runs on its entries as ints with no
-series product.  Every root follows from one int recurrence, and the paper's
-two named families, the two-row spec [[1, a, b], [1, c, d]] with rho = (rho0)
-and the single-row spec [[1, a, b]] with rho = (c), are solved as specs on the
-same route (``closed_form_f_general``, ``perturbed_f``).  ``bell_pair`` checks
-each reading against the spec, with no composition: f by the residual of the equation, and A by the
-A-matrix equation it was read off, E(y/A, y) = 0, in L series products; the
-two are then tied by E alone, whose branches through the origin are unique.
+last row in closed form, and ``_grid`` is the coefficient grid of the one
+polynomial E(x, w) = sum_i x^(i+1) P_i(w) - w (times 1 - x for a repeated last
+row), int rows over one denominator, cleared once per spec.  The grid is read
+three times, with no series reversion or inverse: its columns give the
+equation E(x, x*F) = 0 for F = f/x; its rows, with x = fbar(y) and w = y, an
+equation in u = fbar/x = 1/A (the A-matrix construction of Merlini, Rogers,
+Sprugnoli and Verri 1997) that, divided by u, gives A as a polynomial in u over
+1 - x*rho(x); and E(x, f) f^k = 0, the entry recurrence of the Bell triangle,
+runs on its entries as ints with no series product.  Every root follows from
+one int recurrence, and the paper's two named families, the two-row spec
+[[1, a, b], [1, c, d]] with rho = (rho0) and the single-row spec [[1, a, b]]
+with rho = (c), are solved as specs on the same route (``closed_form_f_general``,
+``perturbed_f``).  ``bell_pair`` checks each reading against the spec, with no
+composition: f by the residual of the equation, and A by the A-matrix equation
+it was read off, E(y/A, y) = 0, in L int products; the two are then tied by E
+alone, whose branches through the origin are unique.
 
 Everything is a pure function over immutable values; parameter sweeps can
 run fully in parallel with no shared state.
@@ -32,10 +33,11 @@ run fully in parallel with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb
+from functools import cached_property
+from itertools import islice, zip_longest
+from math import comb, lcm
 from operator import mul
 
 from .series import (
@@ -45,6 +47,8 @@ from .series import (
     rational,
     rational_series,
     _exact_repr,
+    _int_product,
+    _lowest,
     _over_common_denominator,
     _polynomial_root,
     _ZERO,
@@ -158,18 +162,24 @@ class AMatrixSpec:
             acc = acc.mul_x().truncate(acc.order) + value(row)
         return acc
 
-    def _equation(self) -> list[tuple[Fraction, ...]]:
-        """The grid e[p][q] = [x^p w^q] E(x, w), E(x, w) = sum_(i >= -1) x^(i+1) P_i(w) - w,
-        whose root w = f is the solution; rows are zero past their end.  Row p is array
-        row p - 1, so row 0 is the rho row with the -w term, (0, -1, rho_0, ...).  A
-        repeated last row makes it the grid of (1 - x)*E: each row loses the row above
-        it, and the copies cancel, so the grid has L + 1 rows either way.
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, d): the grid e[p][q] = [x^p w^q] E(x, w), E(x, w) = sum_(i >= -1) x^(i+1) P_i(w) - w,
+        whose root w = f is the solution, as int rows over d, their lcm denominator, built once per
+        spec; rows are zero past their end.  Row p is array row p - 1, so row 0 is the rho row with
+        the -w term, (0, -1, rho_0, ...).  A repeated last row makes it the grid of (1 - x)*E: each
+        row loses the row above it, and the copies cancel, so the grid has L + 1 rows either way.
         """
         grid = [(_ZERO, -_ONE, *self.rho), *self.rows]
         if self.repeat_last_row:
             pairs = zip(grid[1:], grid)  # each row with the row above it
             grid[1:] = [tuple(a - b for a, b in zip_longest(*pair, fillvalue=_ZERO)) for pair in pairs]
-        return grid
+        nums, d = _over_common_denominator([v for row in grid for v in row])
+        it = iter(nums)
+        return tuple(tuple(islice(it, len(row))) for row in grid), d
+
+    def __getstate__(self):  # the fields alone: a spec pickles the same with or without its _grid
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -183,27 +193,31 @@ class SolveReport:
 
 def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeries:
     """f - Phi(f), Phi(f) = sum_(i >= -1) x^(i+1) P_i(f) the equation's right side at
-    f's order; identically zero at a solution.  Every row is a polynomial in f off one
-    list of powers; row -1 is added apart from ``row_sum``, so the rows i >= 0 end in a
-    ``mul_x`` shift and not in a series product.
+    f's order; identically zero at a solution, read off the rows and rho, not the grid.  Each
+    row is an int combination of the ints of f's powers (one series product each past f) over
+    one denominator; row -1 is added apart from ``row_sum``, so the rows i >= 0 end in a shift.
     """
     order = f.order
     rho_row = (_ZERO, _ZERO, *spec.rho)
-    maxpow = max(len(r) for r in (rho_row, *spec.rows)) - 1
     powers = [PowerSeries.one(order), f]
-    while len(powers) <= maxpow:
+    while len(powers) < max(len(r) for r in (rho_row, *spec.rows)):
         powers.append(powers[-1] * f)
-    zero = PowerSeries.zero(order)
+    den = lcm(*[c.denominator for row in (rho_row, *spec.rows) for c in row]) * lcm(*[p._den for p in powers])
+    scale = [den // p._den for p in powers]
 
-    def value(row) -> PowerSeries:
-        return sum((powers[j] * c for j, c in enumerate(row) if c), zero)
+    def value(row) -> PowerSeries:  # as ints, all scaled alike, which the linear row_sum carries
+        acc = [0] * order
+        for w, p in [(c.numerator * scale[j] // c.denominator, powers[j]._nums) for j, c in enumerate(row) if c]:
+            acc = [a + w * v for a, v in zip(acc, p)]
+        return PowerSeries._ints(acc, 1)
 
-    return f - spec.row_sum(value).mul_x().truncate(order) - value(rho_row)
+    phi, rho = spec.row_sum(value)._nums, value(rho_row)._nums
+    return PowerSeries._ints([scale[1] * c - a - r for c, a, r in zip(f._nums, (0, *phi), rho)], den)
 
 
 def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
     """F = f/x for the solution f of the spec, to the given order, off the columns of
-    the spec's grid e (AMatrixSpec._equation): with w = x*F, E(x, w)/x is
+    the spec's grid e (AMatrixSpec._grid): with w = x*F, E(x, w)/x is
 
         sum_q C_q F^q = 0,   C_q = sum_p e[p][q] x^(p+q-1),
 
@@ -211,8 +225,8 @@ def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
     (0, -1, rho_0, ...): the form (-C_1) F = C_0 + sum_(q>=2) C_q F^q that
     _polynomial_root solves.
     """
-    columns = enumerate(zip_longest(*spec._equation(), fillvalue=_ZERO))
-    c0, c1, *cs = (PowerSeries.of([0] * q + list(col)).div_x() for q, col in columns)
+    grid, d = spec._grid
+    c0, c1, *cs = (PowerSeries._ints(((0,) * q + col)[1:], d) for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
     return _polynomial_root(c0, -c1, cs, order)
 
 
@@ -242,16 +256,15 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
 
 def _entry_rows(spec: AMatrixSpec, nrows: int) -> tuple[int, list[list[int]]]:
     """d and the rows T'(n, m) = d^(2n-m) T(n, m), m = 0..n, n = 0..nrows, for T(n, m) = [x^n] f^m.
-    E(x, f) f^k = 0 (AMatrixSpec._equation, row 0 (0, -1, rho_0, ...)) gives
+    E(x, f) f^k = 0 (AMatrixSpec._grid, row 0 (0, -1, rho_0, ...)) gives
     T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k); for d the lcm of the grid's denominators,
     T' obeys it with int coefficients d*e[p][q] * d^(2p+q-2), so no step divides.  Terms p >= 1 add
     shifted multiples of the last L rows; the rho terms (p = 0) read the row further right, so run
     right to left.
     """
-    grid = spec._equation()
-    cells = [(p, q) for p, row in enumerate(grid) for q, v in enumerate(row) if v and (p, q) != (0, 1)]
-    nums, d = _over_common_denominator([grid[p][q] for p, q in cells])
-    terms = [(p, q, c * d ** (2 * p + q - 2)) for (p, q), c in zip(cells, nums)]
+    grid, d = spec._grid
+    cells = ((p, q, c) for p, row in enumerate(grid) for q, c in enumerate(row) if c and (p, q) != (0, 1))
+    terms = [(p, q, c * d ** (2 * p + q - 2)) for p, q, c in cells]
     rho = [(q - 1, c) for p, q, c in terms if p == 0]
     t = [[1]]  # T'(n, 0) = 0 past n = 0
     for n in range(1, nrows + 1):
@@ -319,12 +332,13 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     return _f_over_x(AMatrixSpec.of([[1, a, b]], [c]), order).mul_x().truncate(order)
 
 
-def _equation_rows(spec: AMatrixSpec) -> list[PowerSeries]:
-    """c_p = sum_q e[p][q] y^(p+q-1), p = 0..L, for the rows of the spec's grid e
-    (AMatrixSpec._equation): E(x, w)/y = sum_p c_p u^p at x = y*u and w = y.  So
-    c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y); a repeated last row adds
+def _equation_rows(spec: AMatrixSpec) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, d): c_p = sum_q e[p][q] y^(p+q-1), p = 0..L, as int rows over the d of the spec's
+    grid e (AMatrixSpec._grid), one per grid row: E(x, w)/y = sum_p c_p u^p at x = y*u and w = y.
+    So c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y); a repeated last row adds
     y*(1 - y*rho) to c_1 and takes y*c_(p-1) from each later c_p."""
-    return [PowerSeries.of([0] * p + list(row)).div_x() for p, row in enumerate(spec._equation())]
+    grid, d = spec._grid
+    return [((0,) * p + row)[1:] for p, row in enumerate(grid)], d
 
 
 def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
@@ -341,7 +355,8 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
     A = (sum_(p>=1) c_p u^(p-1)) / (-c_0), a Horner sum in u (L - 1 series products)
     over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
-    c0, *cs = _equation_rows(spec)
+    rows, d = _equation_rows(spec)
+    c0, *cs = (PowerSeries._ints(c, d) for c in rows)
     rhs = -c0  # 1 - y*rho(y)
     acc = cs[-1]._padded(order)
     if len(cs) > 1:
@@ -362,6 +377,8 @@ def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:
     (A - g0)/x, and its check (g - g0)/x = g*Z(f) = (g/F)*(A(f) - g0)/x, with g/F = 1
     below x^(n - 1) for F = f/x, is g = A(f) to n terms: one term past the A check, f/x
     = A(f) to n - 1 terms.  Raises NotRiordanBand naming the series that fails."""
+    if order < 3:
+        raise InsufficientTerms(f"a spec's Bell pair needs order >= 3, got {order}")
     pair = bell_from_f(solve_f(spec, order).f)
     a = _a_series(spec, pair.order)
     a_ok, z_ok = _spec_checks(spec, a)
@@ -375,8 +392,8 @@ def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:
 
 def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
     """(A check, Z check) of a spec's pair (bell_pair) for its A read to n = pair.order
-    terms, against the A-matrix equation, in L series products.  Horner in A over the
-    grid's rows,
+    terms, against the A-matrix equation, in L int products.  Horner in A over the
+    grid's rows (_equation_rows),
 
         S = (...((c_0 A + c_1) A + c_2) ...) A + c_L = sum_p c_p A^(L-p),
 
@@ -396,11 +413,13 @@ def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
     """
     if a[0] != spec.rows[0][0]:
         return False, False
-    c0, *cs = _equation_rows(spec)
-    s = c0._padded(a.order)
+    (c0, *cs), d = _equation_rows(spec)
+    n = a.order
+    s, scale = (c0 + (0,) * n)[:n], d  # S = s / scale, in lowest terms after each step
     for c in cs:
-        s = s * a + c._padded(a.order)
-    return not any(s._nums[:-1]), not any(s._nums)
+        k = scale * a._den
+        s, scale = _lowest([d * v + k * w for v, w in zip(_int_product(s, a._nums), c + (0,) * n)], k * d)
+    return not any(s[:-1]), not any(s)
 
 
 def narayana_poly_coeffs(nrows: int) -> LowerTriangle:

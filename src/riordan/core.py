@@ -42,7 +42,7 @@ class RiordanPair:
     def __post_init__(self):
         n = min(self.g.order, self.f.order)
         if n < 2:
-            raise InsufficientTerms("a Riordan pair needs order >= 2")
+            raise InsufficientTerms(f"a Riordan pair needs g and f of order >= 2, not {self.g.order} and {self.f.order}")
         object.__setattr__(self, "g", self.g.truncate(n))
         object.__setattr__(self, "f", self.f.truncate(n))
         if self.g[0] == 0:

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 import pytest
 from hypothesis import settings, strategies as st
 
+import riordan.amatrix
+import riordan.series
 from riordan.amatrix import AMatrixSpec
 from riordan.hankel import FAMILY, INCONSISTENT, INSUFFICIENT, UNIQUE, SomosFitResult, _somos_windows
 from riordan.series import (
@@ -63,6 +66,23 @@ def series_products(thunk):
     return out
 
 
+def int_products(thunk) -> list[tuple[int, bool]]:
+    """The int products (series._int_product) thunk() makes, through a series product
+    or directly: each one's length and whether it squares (its operands are equal)."""
+    calls = []
+    product = riordan.series._int_product
+
+    def counted(a, b):
+        calls.append((len(a), a == b))
+        return product(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (riordan.series, riordan.amatrix):
+            mp.setattr(module, "_int_product", counted)
+        thunk()
+    return calls
+
+
 def record_reversions_and_substitutions(monkeypatch):
     """(reverts, substitutions): lists that fill, while monkeypatch is active, with
     every series PowerSeries.revert reverts and the order n of every composition
@@ -88,6 +108,35 @@ def bump_term(series, i):
     nums = list(series.coeffs)
     nums[i] += 1
     return PowerSeries(tuple(nums))
+
+
+def series_residual(spec, f):
+    """Oracle: the series route of amatrix.functional_equation_residual, f - Phi(f) at
+    f's order.  Every row is a polynomial in f off one list of series powers, each term
+    a series-by-scalar product and each row a series sum; row -1 is added apart from
+    ``row_sum``, so the rows i >= 0 end in a ``mul_x`` shift."""
+    order = f.order
+    rho_row = (Fraction(0), Fraction(0), *spec.rho)
+    maxpow = max(len(r) for r in (rho_row, *spec.rows)) - 1
+    powers = [PowerSeries.one(order), f]
+    while len(powers) <= maxpow:
+        powers.append(powers[-1] * f)
+    zero = PowerSeries.zero(order)
+
+    def value(row):
+        return sum((powers[j] * c for j, c in enumerate(row) if c), zero)
+
+    return f - spec.row_sum(value).mul_x().truncate(order) - value(rho_row)
+
+
+def fraction_grid(spec):
+    """Oracle: the spec's grid e[p][q] = [x^p w^q] E(x, w) as Fraction rows (AMatrixSpec._grid):
+    the rho row (0, -1, rho_0, ...) and the array rows, each less the row above it when the
+    last row repeats (the grid of (1 - x)*E)."""
+    grid = [(Fraction(0), Fraction(-1), *spec.rho), *spec.rows]
+    if spec.repeat_last_row:
+        grid[1:] = [tuple(a - b for a, b in zip_longest(row, up, fillvalue=0)) for row, up in zip(grid[1:], grid)]
+    return grid
 
 
 def composition_checks(pair, a):

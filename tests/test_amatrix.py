@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import riordan.amatrix as amatrix_mod
-from riordan.series import PowerSeries, SeriesError, catalan, rational_series
+from riordan.series import InsufficientTerms, PowerSeries, SeriesError, catalan, rational_series, _over_common_denominator
 from riordan.core import (
     NotRiordanBand,
     a_sequence,
@@ -38,10 +38,13 @@ from conftest import (
     bump_term,
     catalan_recurrence,
     composition_checks,
+    fraction_grid,
+    int_products,
     random_fraction,
     random_nonzero_fraction,
     record_reversions_and_substitutions,
     series_products,
+    series_residual,
     small_fraction,
 )
 
@@ -303,13 +306,15 @@ def test_root_solve_matches_newton_and_fixed_point_oracles(spec, order):
 
 
 def test_solve_f_series_products_at_order_256():
-    # the root takes no series product; the residual check forms f**2 once
-    # (both specs have rows of width 3), and row_sum at s = x shifts and, for
-    # a repeated last row, divides by 1 - x as a running sum
+    # the root takes no series product; the residual check forms f**2 once, one int
+    # squaring at full order, and takes no other int product (both specs have rows of
+    # width 3): row_sum at s = x shifts and, for a repeated last row, divides by 1 - x
+    # as a running sum
     a171416 = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
     repeated = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    assert series_products(lambda: solve_f(a171416, 256)) == 1
-    assert series_products(lambda: solve_f(repeated, 256)) == 1
+    for spec in (a171416, repeated):
+        assert series_products(lambda: solve_f(spec, 256)) == 1
+        assert int_products(lambda: solve_f(spec, 256)) == [(256, True)]
 
 
 # -- direct triangle ------------------------------------------------------------
@@ -619,10 +624,11 @@ def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
     w = PowerSeries.of([0, *tail])
     n = w.order
     total = PowerSeries.zero(n)
-    for p, row in enumerate(spec._equation()):
+    grid, d = spec._grid
+    for p, row in enumerate(grid):
         power, value = PowerSeries.one(n), PowerSeries.zero(n)
         for e in row:
-            value, power = value + power * e, power * w
+            value, power = value + power * Fraction(e, d), power * w
         total = total + PowerSeries.of([0] * p + list(value.coeffs), n)
     expected = -functional_equation_residual(spec, w)
     if spec.repeat_last_row:
@@ -702,10 +708,57 @@ def test_spec_checks_reject_the_other_root_of_the_a_equation(repeat):
     spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1]], [1, "-1/2"], repeat)
     pair = bell_pair(spec, 20)
     n = pair.order
-    c0, c1, _ = amatrix_mod._equation_rows(spec)
-    other = -(c1._padded(n) / c0._padded(n)) - amatrix_mod._a_series(spec, n)
+    (c0, c1, _), d = amatrix_mod._equation_rows(spec)
+    c0, c1 = (PowerSeries._ints(c, d)._padded(n) for c in (c0, c1))
+    other = -(c1 / c0) - amatrix_mod._a_series(spec, n)
     assert other[0] == 0
     assert amatrix_mod._spec_checks(spec, other) == composition_checks(pair, other) == (False, False)
+
+
+@settings(max_examples=100)
+@given(amatrix_specs(), st.integers(3, 40), st.integers(0, 10**6))
+@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, 17)
+@example(AMatrixSpec.of([["-3/2", "1/3"], [1, "2/3", 2]], ["1/2", -1], True), 24, 23)
+@example(AMatrixSpec.of([["2/3", 1, 1]], [1, 2]), 3, 1)
+def test_int_residual_and_checks_match_the_series_routes(spec, order, draw):
+    # the residual, one int combination of f's powers, equals the series route exactly at
+    # the solution and with f bumped at a drawn term past the constant one, where the bump
+    # shows first, as it is; the spec checks on a bumped A equal one composition of it into f
+    f = solve_f(spec, order).f
+    assert functional_equation_residual(spec, f) == series_residual(spec, f) == PowerSeries.zero(order)
+    term = 1 + draw % (order - 1)
+    bumped = bump_term(f, term)
+    got = functional_equation_residual(spec, bumped)
+    assert got == series_residual(spec, bumped)
+    assert got[: term + 1] == (0,) * term + (1,)
+    pair = bell_pair(spec, order)
+    n = pair.order
+    a = bump_term(amatrix_mod._a_series(spec, n), draw % n)
+    assert amatrix_mod._spec_checks(spec, a) == composition_checks(pair, a) == (draw % n == n - 1, False)
+
+
+@given(amatrix_specs())
+@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True))
+def test_cached_grid_is_the_cleared_fraction_grid_and_leaves_the_spec_value_alone(spec):
+    twin = AMatrixSpec.of(spec.rows, spec.rho, spec.repeat_last_row)
+    before = (hash(spec), repr(spec), pickle.dumps(spec))
+    grid, d = spec._grid
+    fractions = fraction_grid(spec)
+    assert ([v for row in grid for v in row], d) == _over_common_denominator([v for row in fractions for v in row])
+    assert list(map(len, grid)) == list(map(len, fractions))
+    assert spec._grid is spec._grid and "_grid" in vars(spec) and "_grid" not in vars(twin)
+    assert spec == twin and (hash(spec), repr(spec), pickle.dumps(spec)) == before
+    copy = pickle.loads(before[2])
+    assert copy == spec and "_grid" not in vars(copy) and copy._grid == spec._grid
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_bell_pair_refuses_an_order_below_three_naming_it(order):
+    # f to order 2 leaves g = f/x one term, too few for a pair
+    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
+    with pytest.raises(InsufficientTerms, match=rf"a spec's Bell pair needs order >= 3, got {order}$"):
+        bell_pair(spec, order)
+    assert bell_pair(spec, 3).order == 2
 
 
 @pytest.mark.parametrize("term, identity", [(5, "A-series"), (-1, "Z-series")])
@@ -732,12 +785,14 @@ def test_spec_pair_pickles_with_its_stored_a_and_z():
 
 
 def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
-    # A off the A-matrix equation takes L - 1 = 1 Horner product and no Newton inverse;
-    # both checks run Horner in A over the grid's L + 1 rows, L = 2 series products, as
-    # the pair is built, with no composition, reversion or entry recurrence, and reading
-    # A and Z then takes nothing.  A pair with no spec reverts f and composes into f.
+    # A off the A-matrix equation takes L - 1 = 1 Horner product, a series product, and
+    # no Newton inverse; both checks run Horner in A over the grid's L + 1 rows, L = 2 int
+    # products of A's n = 255 terms and no series product, as the pair is built, with no
+    # composition, reversion or entry recurrence, and reading A and Z then takes nothing.
+    # A pair with no spec reverts f and composes into f.
     spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
-    assert series_products(lambda: bell_pair(spec, 256)) == series_products(lambda: solve_f(spec, 256)) + 3
+    assert series_products(lambda: bell_pair(spec, 256)) == series_products(lambda: solve_f(spec, 256)) + 1
+    assert int_products(lambda: bell_pair(spec, 256)) == int_products(lambda: solve_f(spec, 256)) + [(255, False)] * 3
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
     recurrences = []
     monkeypatch.setattr(amatrix_mod, "_entry_rows", lambda *args: recurrences.append(args))
@@ -749,7 +804,8 @@ def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
     n = plain.order  # A's check, then g(fbar) and Z's check
     assert (len(reverts), substitutions) == (1, [n - 1, n, n - 1])
     single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u, and the check takes one product
-    assert series_products(lambda: bell_pair(single, 256)) == series_products(lambda: solve_f(single, 256)) + 1
+    assert series_products(lambda: bell_pair(single, 256)) == series_products(lambda: solve_f(single, 256))
+    assert int_products(lambda: bell_pair(single, 256)) == int_products(lambda: solve_f(single, 256)) + [(255, False)]
     pair = bell_pair(single, 256)
     assert series_products(lambda: (pair.a, pair.z)) == 0
 

@@ -98,6 +98,14 @@ def test_triangle_demands_enough_order():
         riordan_triangle(pascal_pair(4), 5)
 
 
+def test_too_short_pair_names_the_orders_of_g_and_f():
+    # bell_from_f on an f of order 2 has a g = f/x of one term
+    with pytest.raises(InsufficientTerms, match=r"needs g and f of order >= 2, not 1 and 2$"):
+        bell_from_f(PowerSeries.of([0, 1]))
+    with pytest.raises(InsufficientTerms, match=r"not 3 and 1$"):
+        RiordanPair(PowerSeries.of([1, 1, 1]), PowerSeries.of([0]))
+
+
 def test_too_few_terms_is_one_exception_type():
     assert InsufficientOrder is InsufficientTerms is hankel.InsufficientTerms
     with pytest.raises(InsufficientTerms):
