@@ -29,12 +29,14 @@ Triangle checks against an amatrix builder that is not inverted run both
 constructions (series realization and the direct entry recurrence) so a
 disagreement between the two routes is reported rather than masked.
 
-The sweep harness grids the two-row family over a parameter box, evaluates
-the conjectured Somos parameters in closed form, and verifies the Hankel
-transform against them window by window.  A point's Hankel minors are read
-off the P-fraction of the monic quartic under the square root in its
-generating function (_quartic_minors), with no series and no Chebyshev pass.
-Counterexamples are recorded output, not assertion failures.
+The sweep harness grids the two-row family over a parameter box and verifies
+each point's Hankel transform window by window against the conjectured Somos
+parameters, read off the monic quartic under the square root in the point's
+generating function as its Somos-4 invariants (_family_quartic); the paper's
+closed forms (conjectured_somos_rho0, conjectured_somos_rho_delta) equal them
+and stay as the tests' reference.  A point's Hankel minors are read off the
+P-fraction of the same quartic (_quartic_minors), with no series and no
+Chebyshev pass.  Counterexamples are recorded output, not assertion failures.
 """
 
 from __future__ import annotations
@@ -340,10 +342,32 @@ DEGENERATE = "degenerate"
 COUNTEREXAMPLE = "counterexample"
 
 
-def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) -> list[int]:
+def _family_quartic(a: int, b: int, c: int, d: int, r: int, g: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The quartic of the family point with grid ints (a, b, c, d, r, g) (_quartic_minors), as
+    its ints (s1, s0, E1, E0), and its Somos-4 invariants (alpha, beta) = (E1^2, E0^2 + s0 E1^2
+    - s1 E1 E0) (van der Poorten, J. Integer Seq. 8, 2005; Hone, Bull. LMS 37, 2005).
+
+    S = z^2 + s1 z + s0 is the polynomial part of sqrt(D) for D = B^2 - 4AC, and D - S^2 =
+    4 E1 z + 4 E0; with X = rg + b + r(a + r), s1 = -a - 2r, s0 = -c - 2X,
+    E1 = -(bg + d) - rc - (a + 2r) X and E0 = -dg - cX - X^2.  At g = 1 the invariants are
+    conjectured_somos_rho0 or conjectured_somos_rho_delta of the point (the tests prove the
+    polynomial identities).  The point over its common denominator g > 1 has the quartic
+    g^4 D(z/g), so s1, s0, E1 and E0 carry g, g^2, g^3 and g^4, and the invariants are already
+    g^6 alpha and g^8 beta of the point's own.
+    """
+    s1 = -a - 2 * r
+    x = r * g + b + r * (a + r)
+    s0 = -c - 2 * x
+    e1 = -(b * g + d) - r * c - (a + 2 * r) * x
+    e0 = -d * g - c * x - x * x
+    return (s1, s0, e1, e0), (e1 * e1, e0 * e0 + s0 * e1 * e1 - s1 * e1 * e0)
+
+
+def _quartic_minors(a: int, b: int, r: int, g: int, quartic: tuple[int, ...], depth: int) -> list[int]:
     """The Hankel minors H_0..H_depth of the t_n of G = sum_n t_n z^(-n-1), the root with
     G ~ 1/z of A G^2 + B G + C = 0 for the ints A = r z^2 + b z + d, B = -(z^2 - a z - c)
     and C = z + g, read off the P-fraction of G in ints: no series term and no Chebyshev row.
+    quartic is (s1, s0, E1, E0) of _family_quartic(a, b, c, d, r, g).
 
     The family.  At x = 1/z and F = zG, times z, (1 - ax - cx^2) F = (1 + x) +
     x(rho0 + bx + dx^2) F^2 is this equation for g = 1, so t_n = [x^n] f/x, an int polynomial
@@ -353,9 +377,8 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
     (check_conjecture_point).
 
     The P-fraction.  D = B^2 - 4AC is monic of degree 4, S = z^2 + s1 z + s0 is the polynomial
-    part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0; with X = rg + b + r(a + r),
-    s1 = -a - 2r, s0 = -c - 2X, E1 = -(bg + d) - rc - (a + 2r) X and E0 = -dg - cX - X^2
-    are ints.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
+    part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0, for the ints s1, s0, E1 and
+    E0 of quartic.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
     (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC makes 1/w_0 the root ~ 1/z.  For w = (P + sqrt(D)) / Q
     with P monic of degree 2 and Q twice a monic polynomial of degree 1 or 0 that divides
     D - P^2, let q be the polynomial part of w, the quotient of P + S by Q, since
@@ -365,7 +388,8 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
     Q' = -R / lam, which divides D - P'^2 = -lam Q Q'.  So G = 1/(q_0 - lam_1/(q_1 - lam_2/...)).
     P' is S + u' for a constant u' at every level:
       - Q = 2(z + theta) gives q = z - b with b = theta - s1 from level 1 on (P = S + u),
-        and u' = -2 S(-theta) - u; level 0 gives u' = 2(c + X - g(g + a + r)).
+        and u' = -2 S(-theta) - u; level 0 gives u' = 2(c + X - g(g + a + r)),
+        X of _family_quartic.
         R = -u' z + 2 E1 - s1 u' + theta u', so if u' != 0, lam' = u'/2 and
         theta' = s1 - theta - E1/lam'; if u' = 0, R = 2 E1, so lam' = -E1 and Q' = 2 if
         E1 != 0, and if E1 = 0 the fraction ends (w = q).
@@ -409,12 +433,18 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
     M_(k+1) = -E1^2 M_k^3 / M_(k-1)^2 and M_(k+2) = M_(k+1) E1^2 M_k / M_(k-1), and q_(k+1) = S
     and theta_(k+2) = E0/E1 give sigma_(k+1) = sigma_k + s1 and sigma_(k+2) = sigma_(k+1) +
     s1 - E0/E1.  Every division is exact: its quotient is a minor, a Z or Z - s1 M.
+
+    The invariants.  Where levels k - 1 to k + 2 are linear, three identities above read
+      - lam_k lam_(k+1) = theta_k E1 - E0, the product of the roots, as u_k/2 = lam_(k+1);
+      - theta_k + theta_(k+1) = s1 - E1/lam_(k+1), the theta step;
+      - theta_k theta_(k+1) = lam_(k+1) + s0 - E0/lam_(k+1), E0 at level k + 1.
+    The first at k times the first at k + 1, with the other two, gives
+    lam_k lam_(k+1)^2 lam_(k+2) = alpha lam_(k+1) + beta for alpha = E1^2 and
+    beta = E0^2 + s0 E1^2 - s1 E1 E0, the invariants of _family_quartic, and with
+    lam_(j+1) = M_(j+1) M_(j-1) / M_j^2 that is M_(k+2) M_(k-2) = alpha M_(k+1) M_(k-1) + beta M_k^2,
+    the Somos-4 window that check_conjecture_point reads.
     """
-    s1 = -a - 2 * r
-    x = r * g + b + r * (a + r)
-    s0 = -c - 2 * x
-    e1 = -(b * g + d) - r * c - (a + 2 * r) * x
-    e0 = -d * g - c * x - x * x
+    s1, s0, e1, e0 = quartic
     m2, m1, m0 = None, 1, 1  # M_(k-2), M_(k-1), M_k
     z1, z0 = r, -(g + a + r)  # Z_(k-1), Z_k
     mu = b + r * (a + r)  # None where level k - 1 is linear
@@ -443,36 +473,42 @@ def _quartic_minors(a: int, b: int, c: int, d: int, r: int, g: int, depth: int) 
 def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int | None]:
     """Evaluate the conjecture at one parameter tuple.
 
-    Returns (status, failing_window).  Tuples with conjectured alpha = 0
-    are degenerate before any minor is formed, and so are tuples with fewer
-    than two usable Hankel windows; otherwise the product-form relation is
-    checked at every window of the transform to depth (order - 1) // 2.
+    Returns (status, failing_window).  rho0 must be 0 or 1 (ValueError), and every parameter,
+    rho0 included, an int, a Fraction or a 'p/q' string (TypeError for a bool or a float)
+    before anything else is read.  Tuples with conjectured alpha = 0 are degenerate before the
+    order is read and any minor is formed, and so are tuples with fewer than two usable Hankel
+    windows (p, q or r nonzero); otherwise the product-form relation is checked at every window
+    of the transform to depth (order - 1) // 2, and the first failing one is reported.
 
-    The windows run on the int minors of the P-fraction of the quartic
-    (_quartic_minors), with no series and no Fraction view.  For parameters
-    over a common denominator g > 1 those are H_n = g^(n(n+1)) h_n, so the
-    three products of window n carry g^(E+6), g^(E+4) and g^(E+12), E =
-    2n^2 - 6n, and alpha p + beta q = r holds for h exactly when alpha g^6 p +
-    beta g^8 q = r holds for H; neither that nor a window's usability (p, q
-    or r nonzero) depends on the scale.
+    The conjectured (alpha, beta) is read off the point's quartic, as its Somos-4 invariants
+    (_family_quartic), which equal conjectured_somos_rho0 and conjectured_somos_rho_delta as
+    polynomials.  The windows run on the int minors of the quartic's P-fraction
+    (_quartic_minors), with no series and no Fraction view.  An int point is its own grid, g = 1;
+    any other is cleared to its common denominator g.  For g > 1 the minors are
+    H_n = g^(n(n+1)) h_n, so the three products of window n carry g^(E+6), g^(E+4) and
+    g^(E+12), E = 2n^2 - 6n, and the invariants of the scaled point are g^6 alpha and g^8 beta;
+    so alpha p + beta q = r holds for h exactly when it holds for H and the scaled invariants,
+    and neither that nor a window's usability depends on the scale.
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
-    if rho0 == 0:
-        alpha, beta = conjectured_somos_rho0(a, b, c, d)
-    else:
-        alpha, beta = conjectured_somos_rho_delta(a, b, c, d)
-    if alpha == 0:
+    g = 1
+    if not type(a) is type(b) is type(c) is type(d) is type(rho0) is int:
+        (a, b, c, d, rho0), g = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
+        b, c, d = b * g, c * g, d * g * g
+    quartic, (alpha, beta) = _family_quartic(a, b, c, d, rho0, g)
+    if not alpha:
         return DEGENERATE, None
-    (a, b, c, d, rho0), g = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
     if order < 1:
         raise SeriesError("order must be positive")
-    minors = _quartic_minors(a, b * g, c * g, d * g * g, rho0, g, (order - 1) // 2)
-    alpha, beta = alpha * g**6, beta * g**8
-    usable = [(n, alpha * p + beta * q != r) for n, p, q, r in _somos_windows(minors) if p or q or r]
-    if len(usable) < 2:
+    usable, failing = 0, None
+    for n, p, q, r in _somos_windows(_quartic_minors(a, b, rho0, g, quartic, (order - 1) // 2)):
+        if p or q or r:
+            usable += 1
+            if failing is None and alpha * p + beta * q != r:
+                failing = n
+    if usable < 2:
         return DEGENERATE, None
-    failing = next((n for n, fails in usable if fails), None)
     return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
 
 

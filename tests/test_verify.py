@@ -5,6 +5,7 @@ import dataclasses
 import pathlib
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,9 @@ def test_point_check_flags_degenerate_tuples():
         ((0, 1, 1, 0, 0, 0), SeriesError, "order must be positive"),
         ((0, 1, 1, 0, 0, -3), SeriesError, "order must be positive"),
         ((0, 1, 1, 0, 1, 0), SeriesError, "order must be positive"),
+        # conjectured alpha = 0 at both points: every parameter is read before that exit
+        ((0, 0, 0, -4, True, 32), TypeError, "not an exact rational: bool True"),
+        ((0, 0, 0, -4, 1.0, 32), TypeError, "not an exact rational: float 1.0"),
     ],
 )
 def test_point_check_errors(args, error, message):
@@ -239,13 +243,32 @@ def test_point_check_needs_two_usable_windows(monkeypatch):
     assert check_conjecture_point(0, 1, 1, 0, 0, 32) == (DEGENERATE, None)
 
 
-def fraction_point_check(a, b, c, d, rho0, order):
+def plant(mp, alpha_bump=0, beta_bump=0):
+    """Make the point check read (alpha + alpha_bump, beta + beta_bump) for its invariants
+    (alpha, beta), through _family_quartic, which scales them by g^6 and g^8 over a common
+    denominator g; the minors still read the point's own quartic."""
+    family_quartic = verify_mod._family_quartic
+
+    def planted(a, b, c, d, r, g):
+        quartic, (alpha, beta) = family_quartic(a, b, c, d, r, g)
+        return quartic, (alpha + alpha_bump * g**6, beta + beta_bump * g**8)
+
+    mp.setattr(verify_mod, "_family_quartic", planted)
+
+
+def conjectured(a, b, c, d, rho0):
+    """Oracle: the paper's closed-form (alpha, beta) of the point."""
+    return (conjectured_somos_rho0 if rho0 == 0 else conjectured_somos_rho_delta)(a, b, c, d)
+
+
+def fraction_point_check(a, b, c, d, rho0, order, bump=0):
     """Oracle: the point check on the closed form's Fraction Sequence, through
-    hankel_transform and Fraction windows (the route before int minors)."""
+    hankel_transform and Fraction windows (the route before int minors), with the
+    closed-form alpha bumped by bump."""
     fx = closed_form_f_general(a, b, c, d, rho0, order)
     h = hankel_transform(Sequence(fx.coeffs), (order - 1) // 2).terms
-    conjectured = verify_mod.conjectured_somos_rho0 if rho0 == 0 else verify_mod.conjectured_somos_rho_delta
-    alpha, beta = conjectured(a, b, c, d)
+    alpha, beta = conjectured(a, b, c, d, rho0)
+    alpha += bump
     windows = list(_somos_windows(h))
     if alpha == 0 or sum(1 for _, p, q, r in windows if p or q or r) < 2:
         return DEGENERATE, None
@@ -257,11 +280,7 @@ def fraction_point_check(a, b, c, d, rho0, order):
 def test_int_point_check_matches_the_fraction_route(rng, bump, monkeypatch):
     """Seeded int and p/q points (closed-form denominators other than 1), with
     the conjectured alpha as is or bumped so that windows fail."""
-    for name in ("conjectured_somos_rho0", "conjectured_somos_rho_delta"):
-        conjectured = getattr(verify_mod, name)
-        monkeypatch.setattr(
-            verify_mod, name, lambda *p, f=conjectured: (f(*p)[0] + bump, f(*p)[1])
-        )
+    plant(monkeypatch, bump)
     statuses, dens = set(), set()
     for i in range(60):
         if i % 2:
@@ -270,7 +289,7 @@ def test_int_point_check_matches_the_fraction_route(rng, bump, monkeypatch):
             params = [rng.randint(-4, 4) for _ in range(4)]
         rho0, order = i % 4 // 2, rng.randint(10, 24)
         got = check_conjecture_point(*params, rho0, order)
-        assert got == fraction_point_check(*params, rho0, order)
+        assert got == fraction_point_check(*params, rho0, order, bump)
         statuses.add(got[0])
         dens.add(closed_form_f_general(*params, rho0, order)._den > 1)
     assert dens == {False, True}
@@ -284,10 +303,11 @@ def closed_form_minors(a, b, c, d, rho0, order):
     return _minors(fx._nums, (order - 1) // 2), fx._den
 
 
-def minors_point_check(a, b, c, d, rho0, minors):
-    """Oracle: the point check's windows on the oracle's minors."""
-    conjectured = verify_mod.conjectured_somos_rho0 if rho0 == 0 else verify_mod.conjectured_somos_rho_delta
-    alpha, beta = conjectured(a, b, c, d)
+def minors_point_check(a, b, c, d, rho0, minors, bump=0):
+    """Oracle: the point check's windows on the oracle's minors, with the closed-form alpha
+    bumped by bump."""
+    alpha, beta = conjectured(a, b, c, d, rho0)
+    alpha += bump
     usable = [(n, alpha * p + beta * q != r) for n, p, q, r in _somos_windows(minors) if p or q or r]
     if alpha == 0 or len(usable) < 2:
         return DEGENERATE, None
@@ -295,10 +315,17 @@ def minors_point_check(a, b, c, d, rho0, minors):
     return (CONFIRMED, None) if failing is None else (COUNTEREXAMPLE, failing)
 
 
+def family_grid(a, b, c, d, rho0):
+    """The grid ints (a, b, c, d, r, g) of the point over its common denominator g."""
+    (a, b, c, d, r), g = _over_common_denominator([Fraction(v) for v in (a, b, c, d, rho0)])
+    return a, b * g, c * g, d * g * g, r, g
+
+
 def quartic_minors(a, b, c, d, rho0, depth):
     """(_quartic_minors of the point over its common denominator g, g)."""
-    (a, b, c, d, r), g = _over_common_denominator([Fraction(v) for v in (a, b, c, d, rho0)])
-    return verify_mod._quartic_minors(a, b * g, c * g, d * g * g, r, g, depth), g
+    a, b, c, d, r, g = family_grid(a, b, c, d, rho0)
+    quartic, _ = verify_mod._family_quartic(a, b, c, d, r, g)
+    return verify_mod._quartic_minors(a, b, r, g, quartic, depth), g
 
 
 def assert_matches_the_closed_form(params, rho0, order):
@@ -313,11 +340,9 @@ def assert_matches_the_closed_form(params, rho0, order):
     statuses = []
     for bump in (0, Fraction(1, 3)):
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("conjectured_somos_rho0", "conjectured_somos_rho_delta"):
-                conjectured = getattr(verify_mod, name)
-                mp.setattr(verify_mod, name, lambda *p, f=conjectured: (f(*p)[0] + bump, f(*p)[1]))
+            plant(mp, bump)
             status = check_conjecture_point(*params, rho0, order)
-            assert status == minors_point_check(*params, rho0, want)
+            assert status == minors_point_check(*params, rho0, want, bump)
             statuses.append(status)
     return got, statuses
 
@@ -371,6 +396,51 @@ def test_p_over_q_points_match_the_closed_form():
     ]:
         got, statuses = assert_matches_the_closed_form(params, rho0, 40)
         assert statuses[0] == (CONFIRMED, None)
+
+
+@pytest.mark.parametrize("rho0", [0, 1])
+def test_the_closed_forms_are_the_quartic_invariants(rho0):
+    """The paper's closed forms equal the invariants (E1^2, E0^2 + s0 E1^2 - s1 E1 E0) of the
+    point's quartic (_family_quartic at g = 1) at every point of [-3..3]^4, which proves them
+    equal as polynomials in a, b, c and d.  In each variable both sides have degree <= 5: s1
+    and s0 have degree <= 1 and E1 and E0 degree <= 2, so beta has degree <= 5, and the closed
+    forms' highest power is a^5.  Two polynomials of degree <= 5 in each of four variables
+    that agree at 7 values of each agree everywhere, by induction on the variables: a
+    polynomial of degree <= 5 in one variable with more than 5 roots is 0."""
+    for a, b, c, d in product(range(-3, 4), repeat=4):
+        _, invariants = verify_mod._family_quartic(a, b, c, d, rho0, 1)
+        assert invariants == conjectured(a, b, c, d, rho0)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(small_ints, small_fractions), min_size=4, max_size=4), st.sampled_from([0, 1]))
+def test_the_quartic_invariants_of_a_scaled_point_carry_g6_and_g8(params, rho0):
+    grid = family_grid(*params, rho0)
+    alpha, beta = conjectured(*params, rho0)
+    assert verify_mod._family_quartic(*grid)[1] == (grid[5] ** 6 * alpha, grid[5] ** 8 * beta)
+
+
+def test_a_planted_beta_fails_at_the_first_usable_window_with_q_nonzero(rng):
+    """beta + 1 moves window n by q = H_(n-2)^2 alone, so a point that holds fails first where
+    q != 0, past any usable window with H_(n-2) = 0, and a degenerate point stays degenerate."""
+    points = [((0, 1, 1, 0), 0), ((-4, -4, 1, -4), 0), ((-4, -1, -4, -1), 0), ((0, -1, -2, 2), 1)]
+    points += [([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)], i % 2) for i in range(30)]
+    past_q_zero, statuses = set(), set()
+    for params, rho0 in points:
+        status = check_conjecture_point(*params, rho0, 32)
+        with pytest.MonkeyPatch.context() as mp:
+            plant(mp, beta_bump=1)
+            planted = check_conjecture_point(*params, rho0, 32)
+        statuses.add(status[0])
+        if status == (DEGENERATE, None):
+            assert planted == status
+            continue
+        want, _ = closed_form_minors(*params, rho0, 32)
+        usable = [(n, q) for n, p, q, r in _somos_windows(want) if p or q or r]
+        n = next(n for n, q in usable if q)
+        assert status == (CONFIRMED, None) and planted == (COUNTEREXAMPLE, n)
+        past_q_zero.add(n > usable[0][0])
+    assert past_q_zero == {False, True} and statuses == {CONFIRMED, DEGENERATE}
 
 
 def test_point_check_forms_no_series_and_no_chebyshev_row(monkeypatch):
