@@ -86,10 +86,12 @@ class AMatrixSpec:
         object.__setattr__(self, "rho", tuple(rational(v) for v in self.rho))
         if not rows or not rows[0] or rows[0][0] == 0:
             raise InvalidSpec("the top-left array entry must be nonzero")
+        if type(self.repeat_last_row) is not bool:
+            raise TypeError(f"repeat_last_row must be a bool, not {type(self.repeat_last_row).__name__}")
 
     @classmethod
     def of(cls, rows, rho=(), repeat_last_row: bool = False) -> AMatrixSpec:
-        return cls(rows, rho, bool(repeat_last_row))
+        return cls(rows, rho, repeat_last_row)
 
     @classmethod
     def from_dict(cls, data: dict) -> AMatrixSpec:

@@ -50,9 +50,9 @@ EXIT_INTERNAL = 4
 # bounds on the work one command may ask for; larger requests exit 2
 MAX_ORDER = 1024
 MAX_SWEEP_POINTS = 10**4  # [-4..4]^4, 6561 points, runs; [-5..5]^4 does not
-# one non-degenerate sweep point takes at most 0.008 s at 128 and 0.18 s at 256 (medians 0.0008 and
-# 0.0135 s over [-1..1]^4 and 40 seeded [-4..4]^4 points, CPython 3.11, 2 vCPUs): the minors' bits
-# grow with the square of the order, so 10^4 points take seconds at 128 and minutes at 256
+# a non-degenerate sweep point's P-fraction takes 0.0023-0.0032 s (median) and at most 0.008 s at 128,
+# 0.049-0.068 s and at most 0.17 s at 256 (40 seeded [-4..4]^4 points, CPython 3.11, 2 vCPUs): the minors'
+# bits grow with the square of the order, so the rho0 [-4..4]^4 box takes 12-14 s at 128, minutes at 256
 MAX_SWEEP_ORDER = 128
 # --hankel, --somos-fit and --jfraction run to depth rows - 1, on one Chebyshev pass.  The
 # slowest bundled spec, hybrid_trees, takes 2.9 / 25 / 130 s for that pass at depth

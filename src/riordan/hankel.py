@@ -1,17 +1,17 @@
 """Exact Hankel transforms, Somos-4 parameter fitting, and J-fractions.
 
-Hankel minors and J-fraction coefficients both come from one Chebyshev
-recurrence on monic rows, ints over a denominator known before each row is
-formed: one exact division a row and no gcd over its entries, with row sizes
-that follow the J-fraction rather than the minors; one pass (_chebyshev)
-gives both, reading the J-fraction heads at every level whose row holds two
-entries, so 2 depth + 2 terms give all of them.  Where the step's leading
-scalar divides out and its row needs no division (every level of an integral
-J-fraction), a row entry takes one multiply fewer.  A block step carries it
-across every run of zero minors; exact_det is Bareiss.  The
-Somos-4 fitter classifies the full linear system, on ints, over every
-available window instead of trusting the first two, so hidden
-inconsistencies surface as data rather than wrong answers.  All functions
+Hankel minors and J-fraction coefficients both come from one Chebyshev recurrence on monic rows,
+ints over a denominator known before each row is formed: one exact division a row and no gcd
+over its entries, with row sizes that follow the J-fraction rather than the minors; one pass
+(_chebyshev) gives both, reading the J-fraction heads at every level whose row holds two
+entries, so 2 depth + 2 terms give all of them.  Where the step's leading scalar divides out and
+its row needs no division (every level of an integral J-fraction), a row entry takes one
+multiply fewer.  A block step carries it across every run of zero minors; exact_det is Bareiss.
+The genus-1 route reads the minors of a column whose equation has a 3 x 3 int grid off the
+P-fraction of its quartic instead, in O(depth) int steps (_quartic_minors), and the quartic's
+Somos-4 invariants (_genus1_quartic); only the conjecture sweep takes it.  The Somos-4 fitter
+classifies the full linear system, on ints, over every available window instead of trusting the
+first two, so hidden inconsistencies surface as data rather than wrong answers.  All functions
 are pure.
 """
 
@@ -181,6 +181,127 @@ def _chebyshev(t, depth: int, minors: bool = True):
         elif not minors:
             break
     return (hs if minors else None), (b, lam)
+
+
+def _genus1_quartic(e) -> tuple[tuple[int, int, int, int], tuple[int, int]]:
+    """The quartic D = B^2 - 4AC of the grid ints e (_quartic_minors), as its ints
+    (s1, s0, E1, E0), and its Somos-4 invariants (alpha, beta) = (E1^2, E0^2 + s0 E1^2 - s1 E1 E0)
+    (van der Poorten, J. Integer Seq. 8, 2005; Hone, Bull. LMS 37, 2005): S = z^2 + s1 z + s0 is
+    the polynomial part of sqrt(D), and D - S^2 = 4 E1 z + 4 E0.
+    """
+    e02, e11, e12, e20, e21, e22 = e
+    s1 = -e11 - 2 * e02
+    x = e02 * e20 + e12 + e02 * (e11 + e02)
+    s0 = -e21 - 2 * x
+    e1 = -(e12 * e20 + e22) - e02 * e21 - (e11 + 2 * e02) * x
+    e0 = -e22 * e20 - e21 * x - x * x
+    return (s1, s0, e1, e0), (e1 * e1, e0 * e0 + s0 * e1 * e1 - s1 * e1 * e0)
+
+
+def _quartic_minors(e, quartic: tuple[int, int, int, int], depth: int) -> list[int]:
+    """The Hankel minors H_0..H_depth of the t_n of G = sum_n t_n z^(-n-1), the root with
+    G ~ 1/z of A G^2 + B G + C = 0 for A = e02 z^2 + e12 z + e22, B = -z^2 + e11 z + e21 and
+    C = z + e20, read off the P-fraction of G in ints: no series term and no Chebyshev row.
+    quartic is (s1, s0, E1, E0) of _genus1_quartic(e).
+
+    The grid.  e = (e02, e11, e12, e20, e21, e22) are the free entries of a 3 x 3 int grid
+    e[p][q] = [x^p w^q] E(x, w) (AMatrixSpec._grid) whose row 0 is (0, -1, e02) and whose
+    e10 = 1.  At x = 1/z, z^2 E(x, G) = A G^2 + B G + C for G = f(x), so t_n = [x^n] f/x for
+    the root f of E(x, f) = 0, and the equation fixes G term by term.
+
+    The P-fraction.  D = B^2 - 4AC is monic of degree 4, S = z^2 + s1 z + s0 is the polynomial
+    part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0, for the ints s1, s0, E1 and
+    E0 of quartic.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
+    (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC makes 1/w_0 the root ~ 1/z.  For w = (P + sqrt(D)) / Q
+    with P monic of degree 2 and Q twice a monic polynomial of degree 1 or 0 that divides
+    D - P^2, let q be the polynomial part of w, the quotient of P + S by Q, since
+    (sqrt(D) - S) / Q = O(1/z); q is monic of degree 1 or 2.
+    P' = qQ - P and R = (D - P'^2) / Q, exact as P' = -P mod Q, give
+    w - q = R / (P' + sqrt(D)) = -lam / w' with lam = -lc(R)/2 and w' = (P' + sqrt(D)) / Q',
+    Q' = -R / lam, which divides D - P'^2 = -lam Q Q'.  So G = 1/(q_0 - lam_1/(q_1 - lam_2/...)).
+    P' is S + u' for a constant u' at every level:
+      - Q = 2(z + theta) gives q = z - b with b = theta - s1 from level 1 on (P = S + u),
+        and u' = -2 S(-theta) - u; level 0 gives u' = 2(e21 + X - e20(e20 + e11 + e02)),
+        X = -(s0 + e21)/2.
+        R = -u' z + 2 E1 - s1 u' + theta u', so if u' != 0, lam' = u'/2 and
+        theta' = s1 - theta - E1/lam'; if u' = 0, R = 2 E1, so lam' = -E1 and Q' = 2 if
+        E1 != 0, and if E1 = 0 the fraction ends (w = q).
+      - Q = 2 (reached only from u' = 0, so P = S) gives q = S, P' = S and R = 2 E1 z + 2 E0:
+        lam' = -E1 and theta' = E0/E1.
+    So a linear level k has u_k/2 = -mu_k - S(-theta_k), lam_(k+1) where it is not 0, for
+    mu_k = u_(k-1)/2: lam_k after a linear level, 0 after one of degree 2, and e12 + e02(e11 + e02)
+    at level 0.  Where level k - 1 is linear too, D - P_k^2 = -4 lam_k (z + theta_(k-1))
+    (z + theta_k) at z^1 and z^0 gives E1 = lam_k (s1 - theta_(k-1) - theta_k) and
+    E0 = lam_k (lam_k + s0 - theta_(k-1) theta_k),
+    and with theta_(k-1) eliminated, lam_k is a root of L^2 + S(-theta_k) L = E0 - theta_k E1.
+    u_k/2 = -S(-theta_k) - lam_k is the other, so lam_k u_k/2 = theta_k E1 - E0.
+
+    The minors (Han, Adv. Math. 303, 2016, reads them off such a fraction).  Let q_k have
+    degree m_k, N_k = m_0 + ... + m_k, L_k = lam_1 ... lam_k (L_0 = t_0 = 1), and
+    Q_k = q_k Q_(k-1) - lam_k Q_(k-2) (Q_(-1) = 1, Q_(-2) = 0) the convergents' denominators,
+    monic of degree N_k.  With G_j = 1/w_j = z^(-m_j) (1 + O(1/z)), induction on
+    q_k G_k - 1 = lam_(k+1) G_k G_(k+1) gives Q_k G - U_k = L_(k+1) G_0 ... G_(k+1) for the
+    numerators U_k, so l(z^i Q_k), l(z^n) = t_n, the z^(-i-1) coefficient of Q_k G, is 0 for
+    i < N_(k+1) - 1 and L_(k+1) at N_(k+1) - 1.  The Hankel matrix of size N is the Gram
+    matrix (l(p_i p_j)) of 1, ..., z^(N-1); a unit triangular change of basis to the monic
+    z^j Q_(k-1) (0 <= j < m_k) of the degrees N_(k-1) + j keeps its determinant, and makes
+    it block diagonal, block k anti-triangular with L_k on its anti-diagonal, so
+        H at size N_k = prod_(i <= k) (-1)^(m_i (m_i - 1)/2) L_i^(m_i),
+    a size inside a block has a zero first row in its last block, and a fraction that ends at
+    level k leaves l(z^i Q_k) = 0 for every i, a zero row at every later size.
+
+    The ints.  M_k is the minor at size N_k (M_(-1) = 1): M_(k-1) L_k if level k is linear,
+    -M_(k-1) L_k^2 if it has degree 2, so lam_(k+1) = M_(k+1) M_(k-1) / M_k^2 at two linear
+    levels.  Z_k = sigma_k M_k for sigma_k the z^(N_k - 1) coefficient of Q_k; M_k Q_k has int
+    coefficients (Cramer's rule on the Hankel system that fixes Q_k), so Z_k is an int.  At a
+    linear level sigma_k = sigma_(k-1) - b_k, so theta_k = sigma_(k-1) - sigma_k + s1, at level
+    0 too with sigma_(-1) read as e02 (Z_(-1) = e02).  With W = M_k M_(k-1) and
+    T = theta_k W = Z_(k-1) M_k - Z_k M_(k-1) + s1 W, (u_k/2) M_k^2 / M_(k-1), which is
+    M_(k+1) if u_k != 0 and 0 if not, is
+        (E1 T - E0 W) / M_(k-2)                       where level k - 1 is linear,
+        -(T^2 - s1 T W + (mu_k + s0) W^2) / M_(k-1)^3   at level 0 and after degree 2,
+    and sigma_(k+1) = sigma_k - b_(k+1) = sigma_(k-1) + s1 + E1/lam_(k+1) gives
+        Z_(k+1) = (M_(k+1) Z_(k-1) + E1 M_k^2) / M_(k-1) + s1 M_(k+1).
+    Where it is 0 and E1 != 0, the minors at sizes N_k + 1, + 2, + 3 are 0,
+    M_(k+1) = -E1^2 M_k^3 / M_(k-1)^2 and M_(k+2) = M_(k+1) E1^2 M_k / M_(k-1), and q_(k+1) = S
+    and theta_(k+2) = E0/E1 give sigma_(k+1) = sigma_k + s1 and sigma_(k+2) = sigma_(k+1) +
+    s1 - E0/E1.  Every division is exact: its quotient is a minor, a Z or Z - s1 M.
+
+    The invariants.  Where levels k - 1 to k + 2 are linear, three identities above read
+      - lam_k lam_(k+1) = theta_k E1 - E0, the product of the roots, as u_k/2 = lam_(k+1);
+      - theta_k + theta_(k+1) = s1 - E1/lam_(k+1), the theta step;
+      - theta_k theta_(k+1) = lam_(k+1) + s0 - E0/lam_(k+1), E0 at level k + 1.
+    The first at k times the first at k + 1, with the other two, gives
+    lam_k lam_(k+1)^2 lam_(k+2) = alpha lam_(k+1) + beta for alpha = E1^2 and
+    beta = E0^2 + s0 E1^2 - s1 E1 E0, the invariants of _genus1_quartic, and with
+    lam_(j+1) = M_(j+1) M_(j-1) / M_j^2 that is M_(k+2) M_(k-2) = alpha M_(k+1) M_(k-1) + beta M_k^2,
+    the Somos-4 window of _somos_windows.
+    """
+    e02, e11, e12, e20 = e[:4]
+    s1, s0, e1, e0 = quartic
+    m2, m1, m0 = None, 1, 1  # M_(k-2), M_(k-1), M_k
+    z1, z0 = e02, -(e20 + e11 + e02)  # Z_(k-1), Z_k
+    mu = e12 + e02 * (e11 + e02)  # None where level k - 1 is linear
+    h = [1]
+    while len(h) <= depth:
+        w = m0 * m1
+        t = z1 * m0 - z0 * m1 + s1 * w
+        if mu is None:
+            mn = (e1 * t - e0 * w) // m2
+        else:
+            mn = -(t * (t - s1 * w) + (mu + s0) * w * w) // (m1 * m1 * m1)
+        if mn:
+            h.append(mn)
+            m2, m1, m0, z1, z0, mu = m1, m0, mn, z0, (mn * z1 + e1 * m0 * m0) // m1 + s1 * mn, None
+            continue
+        if not e1:  # the fraction ends
+            break
+        ma = -(e1 * m0) ** 2 * m0 // (m1 * m1)
+        mb = ma * e1 * e1 * m0 // m1
+        za = z0 * ma // m0 + s1 * ma
+        h += [0, ma, mb]
+        m1, m0, z1, z0, mu = ma, mb, za, ((za + s1 * ma) * e1 - e0 * ma) * mb // (ma * e1), 0
+    return h[: depth + 1] + [0] * (depth + 1 - len(h))
 
 
 def exact_det(matrix) -> Fraction:

@@ -29,14 +29,14 @@ Triangle checks against an amatrix builder that is not inverted run both
 constructions (series realization and the direct entry recurrence) so a
 disagreement between the two routes is reported rather than masked.
 
-The sweep harness grids the two-row family over a parameter box and verifies
-each point's Hankel transform window by window against the conjectured Somos
-parameters, read off the monic quartic under the square root in the point's
-generating function as its Somos-4 invariants (_family_quartic); the paper's
-closed forms (conjectured_somos_rho0, conjectured_somos_rho_delta) equal them
-and stay as the tests' reference.  A point's Hankel minors are read off the
-P-fraction of the same quartic (_quartic_minors), with no series and no
-Chebyshev pass.  Counterexamples are recorded output, not assertion failures.
+The sweep harness grids the two-row family over a parameter box and verifies each point's
+Hankel transform window by window against its conjectured Somos parameters.  Both come from
+the point's 3 x 3 int grid (check_conjecture_point): the minors off the P-fraction of the
+monic quartic under the square root in its generating function (hankel._quartic_minors),
+with no series and no Chebyshev pass, and (alpha, beta) as that quartic's Somos-4 invariants
+(hankel._genus1_quartic), which the paper's closed forms (conjectured_somos_rho0,
+conjectured_somos_rho_delta) equal and which stay as the tests' reference.  Counterexamples
+are recorded output, not assertion failures.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ from .amatrix import (
     direct_triangle,
     narayana_poly_coeffs,
 )
-from .hankel import _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
+from .hankel import (
+    _genus1_quartic, _quartic_minors, _somos_windows, hankel_transform, jfraction, somos_fit, somos_verify
+)
 
 
 class FixtureNotFound(ValueError):
@@ -342,134 +344,6 @@ DEGENERATE = "degenerate"
 COUNTEREXAMPLE = "counterexample"
 
 
-def _family_quartic(a: int, b: int, c: int, d: int, r: int, g: int) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """The quartic of the family point with grid ints (a, b, c, d, r, g) (_quartic_minors), as
-    its ints (s1, s0, E1, E0), and its Somos-4 invariants (alpha, beta) = (E1^2, E0^2 + s0 E1^2
-    - s1 E1 E0) (van der Poorten, J. Integer Seq. 8, 2005; Hone, Bull. LMS 37, 2005).
-
-    S = z^2 + s1 z + s0 is the polynomial part of sqrt(D) for D = B^2 - 4AC, and D - S^2 =
-    4 E1 z + 4 E0; with X = rg + b + r(a + r), s1 = -a - 2r, s0 = -c - 2X,
-    E1 = -(bg + d) - rc - (a + 2r) X and E0 = -dg - cX - X^2.  At g = 1 the invariants are
-    conjectured_somos_rho0 or conjectured_somos_rho_delta of the point (the tests prove the
-    polynomial identities).  The point over its common denominator g > 1 has the quartic
-    g^4 D(z/g), so s1, s0, E1 and E0 carry g, g^2, g^3 and g^4, and the invariants are already
-    g^6 alpha and g^8 beta of the point's own.
-    """
-    s1 = -a - 2 * r
-    x = r * g + b + r * (a + r)
-    s0 = -c - 2 * x
-    e1 = -(b * g + d) - r * c - (a + 2 * r) * x
-    e0 = -d * g - c * x - x * x
-    return (s1, s0, e1, e0), (e1 * e1, e0 * e0 + s0 * e1 * e1 - s1 * e1 * e0)
-
-
-def _quartic_minors(a: int, b: int, r: int, g: int, quartic: tuple[int, ...], depth: int) -> list[int]:
-    """The Hankel minors H_0..H_depth of the t_n of G = sum_n t_n z^(-n-1), the root with
-    G ~ 1/z of A G^2 + B G + C = 0 for the ints A = r z^2 + b z + d, B = -(z^2 - a z - c)
-    and C = z + g, read off the P-fraction of G in ints: no series term and no Chebyshev row.
-    quartic is (s1, s0, E1, E0) of _family_quartic(a, b, c, d, r, g).
-
-    The family.  At x = 1/z and F = zG, times z, (1 - ax - cx^2) F = (1 + x) +
-    x(rho0 + bx + dx^2) F^2 is this equation for g = 1, so t_n = [x^n] f/x, an int polynomial
-    of degree <= n in the parameters, and the equation fixes G term by term.  Over a common
-    denominator g, G(z/g)/g has the int moments g^n t_n and solves the equation for the ints
-    (ga, g^2 b, g^2 c, g^3 d, g rho0, g), so its minors are g^(n(n+1)) H_n(t)
-    (check_conjecture_point).
-
-    The P-fraction.  D = B^2 - 4AC is monic of degree 4, S = z^2 + s1 z + s0 is the polynomial
-    part of sqrt(D) (the root ~ z^2) and D - S^2 = 4 E1 z + 4 E0, for the ints s1, s0, E1 and
-    E0 of quartic.  1/G = w_0 = (P_0 + sqrt(D)) / Q_0, P_0 = -B, Q_0 = 2C, since
-    (P_0 + sqrt(D))(P_0 - sqrt(D)) = 4AC makes 1/w_0 the root ~ 1/z.  For w = (P + sqrt(D)) / Q
-    with P monic of degree 2 and Q twice a monic polynomial of degree 1 or 0 that divides
-    D - P^2, let q be the polynomial part of w, the quotient of P + S by Q, since
-    (sqrt(D) - S) / Q = O(1/z); q is monic of degree 1 or 2.
-    P' = qQ - P and R = (D - P'^2) / Q, exact as P' = -P mod Q, give
-    w - q = R / (P' + sqrt(D)) = -lam / w' with lam = -lc(R)/2 and w' = (P' + sqrt(D)) / Q',
-    Q' = -R / lam, which divides D - P'^2 = -lam Q Q'.  So G = 1/(q_0 - lam_1/(q_1 - lam_2/...)).
-    P' is S + u' for a constant u' at every level:
-      - Q = 2(z + theta) gives q = z - b with b = theta - s1 from level 1 on (P = S + u),
-        and u' = -2 S(-theta) - u; level 0 gives u' = 2(c + X - g(g + a + r)),
-        X of _family_quartic.
-        R = -u' z + 2 E1 - s1 u' + theta u', so if u' != 0, lam' = u'/2 and
-        theta' = s1 - theta - E1/lam'; if u' = 0, R = 2 E1, so lam' = -E1 and Q' = 2 if
-        E1 != 0, and if E1 = 0 the fraction ends (w = q).
-      - Q = 2 (reached only from u' = 0, so P = S) gives q = S, P' = S and R = 2 E1 z + 2 E0:
-        lam' = -E1 and theta' = E0/E1.
-    So a linear level k has u_k/2 = -mu_k - S(-theta_k), lam_(k+1) where it is not 0, for
-    mu_k = u_(k-1)/2: lam_k after a linear level, 0 after one of degree 2, and b + r(a + r)
-    at level 0.  Where level k - 1 is linear too, D - P_k^2 = -4 lam_k (z + theta_(k-1))
-    (z + theta_k) at z^1 and z^0 gives E1 = lam_k (s1 - theta_(k-1) - theta_k) and
-    E0 = lam_k (lam_k + s0 - theta_(k-1) theta_k),
-    and with theta_(k-1) eliminated, lam_k is a root of L^2 + S(-theta_k) L = E0 - theta_k E1.
-    u_k/2 = -S(-theta_k) - lam_k is the other, so lam_k u_k/2 = theta_k E1 - E0.
-
-    The minors (Han, Adv. Math. 303, 2016, reads them off such a fraction).  Let q_k have
-    degree m_k, N_k = m_0 + ... + m_k, L_k = lam_1 ... lam_k (L_0 = t_0 = 1), and
-    Q_k = q_k Q_(k-1) - lam_k Q_(k-2) (Q_(-1) = 1, Q_(-2) = 0) the convergents' denominators,
-    monic of degree N_k.  With G_j = 1/w_j = z^(-m_j) (1 + O(1/z)), induction on
-    q_k G_k - 1 = lam_(k+1) G_k G_(k+1) gives Q_k G - U_k = L_(k+1) G_0 ... G_(k+1) for the
-    numerators U_k, so l(z^i Q_k), l(z^n) = t_n, the z^(-i-1) coefficient of Q_k G, is 0 for
-    i < N_(k+1) - 1 and L_(k+1) at N_(k+1) - 1.  The Hankel matrix of size N is the Gram
-    matrix (l(p_i p_j)) of 1, ..., z^(N-1); a unit triangular change of basis to the monic
-    z^j Q_(k-1) (0 <= j < m_k) of the degrees N_(k-1) + j keeps its determinant, and makes
-    it block diagonal, block k anti-triangular with L_k on its anti-diagonal, so
-        H at size N_k = prod_(i <= k) (-1)^(m_i (m_i - 1)/2) L_i^(m_i),
-    a size inside a block has a zero first row in its last block, and a fraction that ends at
-    level k leaves l(z^i Q_k) = 0 for every i, a zero row at every later size.
-
-    The ints.  M_k is the minor at size N_k (M_(-1) = 1): M_(k-1) L_k if level k is linear,
-    -M_(k-1) L_k^2 if it has degree 2, so lam_(k+1) = M_(k+1) M_(k-1) / M_k^2 at two linear
-    levels.  Z_k = sigma_k M_k for sigma_k the z^(N_k - 1) coefficient of Q_k; M_k Q_k has int
-    coefficients (Cramer's rule on the Hankel system that fixes Q_k), so Z_k is an int.  At a
-    linear level sigma_k = sigma_(k-1) - b_k, so theta_k = sigma_(k-1) - sigma_k + s1, at level
-    0 too with sigma_(-1) read as r (Z_(-1) = r).  With W = M_k M_(k-1) and
-    T = theta_k W = Z_(k-1) M_k - Z_k M_(k-1) + s1 W, (u_k/2) M_k^2 / M_(k-1), which is
-    M_(k+1) if u_k != 0 and 0 if not, is
-        (E1 T - E0 W) / M_(k-2)                       where level k - 1 is linear,
-        -(T^2 - s1 T W + (mu_k + s0) W^2) / M_(k-1)^3   at level 0 and after degree 2,
-    and sigma_(k+1) = sigma_k - b_(k+1) = sigma_(k-1) + s1 + E1/lam_(k+1) gives
-        Z_(k+1) = (M_(k+1) Z_(k-1) + E1 M_k^2) / M_(k-1) + s1 M_(k+1).
-    Where it is 0 and E1 != 0, the minors at sizes N_k + 1, + 2, + 3 are 0,
-    M_(k+1) = -E1^2 M_k^3 / M_(k-1)^2 and M_(k+2) = M_(k+1) E1^2 M_k / M_(k-1), and q_(k+1) = S
-    and theta_(k+2) = E0/E1 give sigma_(k+1) = sigma_k + s1 and sigma_(k+2) = sigma_(k+1) +
-    s1 - E0/E1.  Every division is exact: its quotient is a minor, a Z or Z - s1 M.
-
-    The invariants.  Where levels k - 1 to k + 2 are linear, three identities above read
-      - lam_k lam_(k+1) = theta_k E1 - E0, the product of the roots, as u_k/2 = lam_(k+1);
-      - theta_k + theta_(k+1) = s1 - E1/lam_(k+1), the theta step;
-      - theta_k theta_(k+1) = lam_(k+1) + s0 - E0/lam_(k+1), E0 at level k + 1.
-    The first at k times the first at k + 1, with the other two, gives
-    lam_k lam_(k+1)^2 lam_(k+2) = alpha lam_(k+1) + beta for alpha = E1^2 and
-    beta = E0^2 + s0 E1^2 - s1 E1 E0, the invariants of _family_quartic, and with
-    lam_(j+1) = M_(j+1) M_(j-1) / M_j^2 that is M_(k+2) M_(k-2) = alpha M_(k+1) M_(k-1) + beta M_k^2,
-    the Somos-4 window that check_conjecture_point reads.
-    """
-    s1, s0, e1, e0 = quartic
-    m2, m1, m0 = None, 1, 1  # M_(k-2), M_(k-1), M_k
-    z1, z0 = r, -(g + a + r)  # Z_(k-1), Z_k
-    mu = b + r * (a + r)  # None where level k - 1 is linear
-    h = [1]
-    while len(h) <= depth:
-        w = m0 * m1
-        t = z1 * m0 - z0 * m1 + s1 * w
-        if mu is None:
-            mn = (e1 * t - e0 * w) // m2
-        else:
-            mn = -(t * (t - s1 * w) + (mu + s0) * w * w) // (m1 * m1 * m1)
-        if mn:
-            h.append(mn)
-            m2, m1, m0, z1, z0, mu = m1, m0, mn, z0, (mn * z1 + e1 * m0 * m0) // m1 + s1 * mn, None
-            continue
-        if not e1:  # the fraction ends
-            break
-        ma = -(e1 * m0) ** 2 * m0 // (m1 * m1)
-        mb = ma * e1 * e1 * m0 // m1
-        za = z0 * ma // m0 + s1 * ma
-        h += [0, ma, mb]
-        m1, m0, z1, z0, mu = ma, mb, za, ((za + s1 * ma) * e1 - e0 * ma) * mb // (ma * e1), 0
-    return h[: depth + 1] + [0] * (depth + 1 - len(h))
-
-
 def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int | None]:
     """Evaluate the conjecture at one parameter tuple.
 
@@ -480,15 +354,17 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     windows (p, q or r nonzero); otherwise the product-form relation is checked at every window
     of the transform to depth (order - 1) // 2, and the first failing one is reported.
 
-    The conjectured (alpha, beta) is read off the point's quartic, as its Somos-4 invariants
-    (_family_quartic), which equal conjectured_somos_rho0 and conjectured_somos_rho_delta as
-    polynomials.  The windows run on the int minors of the quartic's P-fraction
-    (_quartic_minors), with no series and no Fraction view.  An int point is its own grid, g = 1;
-    any other is cleared to its common denominator g.  For g > 1 the minors are
-    H_n = g^(n(n+1)) h_n, so the three products of window n carry g^(E+6), g^(E+4) and
-    g^(E+12), E = 2n^2 - 6n, and the invariants of the scaled point are g^6 alpha and g^8 beta;
-    so alpha p + beta q = r holds for h exactly when it holds for H and the scaled invariants,
-    and neither that nor a window's usability depends on the scale.
+    The point's column is that of the spec [[1, a, b], [1, c, d]] with rho (rho0).  An int point is
+    its own grid, g = 1; any other is cleared to its common denominator g, whose moments g^n t_n are
+    the column of [[1, ga, g^2 b], [g, g^2 c, g^3 d]] with rho (g rho0), the 3 x 3 int grid
+    e = (g rho0, ga, g^2 b, g, g^2 c, g^3 d) of hankel._quartic_minors.  The windows run on the int minors
+    H_n = g^(n(n+1)) h_n of its P-fraction, with no series and no Fraction view, and (alpha, beta)
+    are read off its quartic as its Somos-4 invariants (_genus1_quartic).  At g = 1 they equal
+    conjectured_somos_rho0 and conjectured_somos_rho_delta as polynomials (the tests prove the
+    identities); for g > 1 the quartic g^4 D(z/g) scales s1, s0, E1 and E0 by g, g^2, g^3 and g^4,
+    so the invariants are g^6 alpha and g^8 beta.  The three products of window n carry g^(E+6),
+    g^(E+4) and g^(E+12), E = 2n^2 - 6n, so alpha p + beta q = r holds for h exactly when it holds
+    for H and the scaled invariants, and neither that nor a window's usability depends on the scale.
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
@@ -496,13 +372,14 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     if not type(a) is type(b) is type(c) is type(d) is type(rho0) is int:
         (a, b, c, d, rho0), g = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
         b, c, d = b * g, c * g, d * g * g
-    quartic, (alpha, beta) = _family_quartic(a, b, c, d, rho0, g)
+    e = (rho0, a, b, g, c, d)
+    quartic, (alpha, beta) = _genus1_quartic(e)
     if not alpha:
         return DEGENERATE, None
     if order < 1:
         raise SeriesError("order must be positive")
     usable, failing = 0, None
-    for n, p, q, r in _somos_windows(_quartic_minors(a, b, rho0, g, quartic, (order - 1) // 2)):
+    for n, p, q, r in _somos_windows(_quartic_minors(e, quartic, (order - 1) // 2)):
         if p or q or r:
             usable += 1
             if failing is None and alpha * p + beta * q != r:

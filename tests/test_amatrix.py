@@ -123,6 +123,22 @@ def test_spec_json_roundtrip():
     assert again == spec
 
 
+@pytest.mark.parametrize("flag", ["false", "no", 1, 0, None])
+@pytest.mark.parametrize("build", [AMatrixSpec, AMatrixSpec.of])
+def test_spec_refuses_a_repeat_flag_that_is_not_a_bool(build, flag):
+    # coercing would read "false" as True, and a spec storing 1 or None has a dict from_dict refuses
+    with pytest.raises(TypeError, match="repeat_last_row must be a bool"):
+        build([[1, 1]], [], flag)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_spec_with_a_bool_flag_round_trips(flag):
+    spec = AMatrixSpec.of([[1, 1]], [], flag)
+    assert spec.repeat_last_row is flag
+    assert spec.to_dict()["repeat_last_row"] is flag
+    assert AMatrixSpec.from_dict(spec.to_dict()) == spec
+
+
 @pytest.mark.parametrize("digits", [4299, 4300, 4301, 50_000])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_spec_dict_and_repr_have_no_digit_cap(digits, sign):

@@ -1,6 +1,8 @@
 """Determinants, Hankel transforms, Somos-4 fitting, J-fractions."""
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -981,3 +983,56 @@ def test_jfraction_recovers_its_coefficients(jf, lead):
     got = jfraction(Sequence(tuple(terms)), depth)
     assert got == jf
     assert got == scaled_jfraction(Sequence(tuple(terms)), depth)
+
+
+# -- the genus-1 grid route ---------------------------------------------------
+
+SPECS = pathlib.Path(__file__).parent.parent / "specs"
+GRID_SPECS = {
+    **{name: AMatrixSpec.from_dict(json.loads((SPECS / f"{name}.json").read_text()))
+       for name in ("a171416", "motzkin", "pascal", "perturbed_moments", "schroeder")},
+    "repeat-row": AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True),
+    "rho2-repeat": AMatrixSpec.of([[1, 3, -2], [4, -1, 5]], [2], True),
+    "rho-2": AMatrixSpec.of([[1, -3, 2], [2, 5, -1]], [-2]),
+    "rho7": AMatrixSpec.of([[1, 7, -5], [6, -7, 7]], [7]),
+}
+
+
+def grid_entries(spec):
+    """The free entries e = (e02, e11, e12, e20, e21, e22) of the spec's grid padded to 3 x 3,
+    which must be ints with row 0 (0, -1, e02) and e10 = 1."""
+    rows, d = spec._grid
+    e = [list(row) + [0] * (3 - len(row)) for row in rows] + [[0] * 3] * (3 - len(rows))
+    assert d == 1 and len(e) == 3 and all(len(row) == 3 for row in e)
+    assert e[0][:2] == [0, -1] and e[1][0] == 1
+    return e[0][2], e[1][1], e[1][2], e[2][0], e[2][1], e[2][2]
+
+
+def spec_column(spec, depth):
+    """The ints t_0..t_(2 depth) of f/x for the spec's root f."""
+    f = solve_f(spec, 2 * depth + 2).f
+    assert f._den == 1
+    return f._nums[1:]
+
+
+@pytest.mark.parametrize("name", GRID_SPECS)
+def test_the_grid_route_gives_the_chebyshev_minors(name):
+    e = grid_entries(GRID_SPECS[name])
+    quartic, _ = hankel._genus1_quartic(e)
+    assert hankel._quartic_minors(e, quartic, 30) == hankel._minors(spec_column(GRID_SPECS[name], 30), 30)
+
+
+@pytest.mark.parametrize("name, invariants", [
+    ("a171416", (1, 1)),
+    ("repeat-row", (121, -343)),
+    ("rho2-repeat", (9801, -81791)),
+    ("rho-2", (3969, -27963)),
+    ("rho7", (7634169, -702660357)),
+])
+def test_the_grid_invariants_are_the_somos_fit(name, invariants):
+    """On the genus-1 grids the quartic's invariants are the pair that somos_fit finds on the
+    Chebyshev route's Hankel transform of the column."""
+    spec = GRID_SPECS[name]
+    assert hankel._genus1_quartic(grid_entries(spec))[1] == invariants
+    fit = somos_fit(hankel_transform(Sequence(spec_column(spec, 30)), 30))
+    assert (fit.kind, fit.alpha, fit.beta) == (UNIQUE, *invariants)

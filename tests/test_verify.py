@@ -218,7 +218,7 @@ def test_point_check_orders_that_raise_nothing():
 @pytest.mark.parametrize("point", [(0, 1, 1, 0, 0), (0, -1, 0, -2, 1)])
 def test_point_check_reports_the_first_failing_window(point, monkeypatch):
     assert check_conjecture_point(*point, 32) == (CONFIRMED, None)
-    minors = verify_mod._quartic_minors
+    minors = hankel_mod._quartic_minors
 
     def bumped(*args):
         h = minors(*args)
@@ -245,15 +245,16 @@ def test_point_check_needs_two_usable_windows(monkeypatch):
 
 def plant(mp, alpha_bump=0, beta_bump=0):
     """Make the point check read (alpha + alpha_bump, beta + beta_bump) for its invariants
-    (alpha, beta), through _family_quartic, which scales them by g^6 and g^8 over a common
-    denominator g; the minors still read the point's own quartic."""
-    family_quartic = verify_mod._family_quartic
+    (alpha, beta), through _genus1_quartic, which scales them by g^6 and g^8 over a common
+    denominator g = e20; the minors still read the point's own quartic."""
+    genus1_quartic = hankel_mod._genus1_quartic
 
-    def planted(a, b, c, d, r, g):
-        quartic, (alpha, beta) = family_quartic(a, b, c, d, r, g)
+    def planted(e):
+        quartic, (alpha, beta) = genus1_quartic(e)
+        g = e[3]
         return quartic, (alpha + alpha_bump * g**6, beta + beta_bump * g**8)
 
-    mp.setattr(verify_mod, "_family_quartic", planted)
+    mp.setattr(verify_mod, "_genus1_quartic", planted)
 
 
 def conjectured(a, b, c, d, rho0):
@@ -316,16 +317,17 @@ def minors_point_check(a, b, c, d, rho0, minors, bump=0):
 
 
 def family_grid(a, b, c, d, rho0):
-    """The grid ints (a, b, c, d, r, g) of the point over its common denominator g."""
+    """The grid ints e = (g rho0, ga, g^2 b, g, g^2 c, g^3 d) of the point over its common
+    denominator g: [[1, ga, g^2 b], [g, g^2 c, g^3 d]] with rho (g rho0)."""
     (a, b, c, d, r), g = _over_common_denominator([Fraction(v) for v in (a, b, c, d, rho0)])
-    return a, b * g, c * g, d * g * g, r, g
+    return r, a, b * g, g, c * g, d * g * g
 
 
 def quartic_minors(a, b, c, d, rho0, depth):
     """(_quartic_minors of the point over its common denominator g, g)."""
-    a, b, c, d, r, g = family_grid(a, b, c, d, rho0)
-    quartic, _ = verify_mod._family_quartic(a, b, c, d, r, g)
-    return verify_mod._quartic_minors(a, b, r, g, quartic, depth), g
+    e = family_grid(a, b, c, d, rho0)
+    quartic, _ = hankel_mod._genus1_quartic(e)
+    return hankel_mod._quartic_minors(e, quartic, depth), e[3]
 
 
 def assert_matches_the_closed_form(params, rho0, order):
@@ -401,14 +403,14 @@ def test_p_over_q_points_match_the_closed_form():
 @pytest.mark.parametrize("rho0", [0, 1])
 def test_the_closed_forms_are_the_quartic_invariants(rho0):
     """The paper's closed forms equal the invariants (E1^2, E0^2 + s0 E1^2 - s1 E1 E0) of the
-    point's quartic (_family_quartic at g = 1) at every point of [-3..3]^4, which proves them
+    point's quartic (_genus1_quartic at g = 1) at every point of [-3..3]^4, which proves them
     equal as polynomials in a, b, c and d.  In each variable both sides have degree <= 5: s1
     and s0 have degree <= 1 and E1 and E0 degree <= 2, so beta has degree <= 5, and the closed
     forms' highest power is a^5.  Two polynomials of degree <= 5 in each of four variables
     that agree at 7 values of each agree everywhere, by induction on the variables: a
     polynomial of degree <= 5 in one variable with more than 5 roots is 0."""
     for a, b, c, d in product(range(-3, 4), repeat=4):
-        _, invariants = verify_mod._family_quartic(a, b, c, d, rho0, 1)
+        _, invariants = hankel_mod._genus1_quartic((rho0, a, b, 1, c, d))
         assert invariants == conjectured(a, b, c, d, rho0)
 
 
@@ -417,7 +419,7 @@ def test_the_closed_forms_are_the_quartic_invariants(rho0):
 def test_the_quartic_invariants_of_a_scaled_point_carry_g6_and_g8(params, rho0):
     grid = family_grid(*params, rho0)
     alpha, beta = conjectured(*params, rho0)
-    assert verify_mod._family_quartic(*grid)[1] == (grid[5] ** 6 * alpha, grid[5] ** 8 * beta)
+    assert hankel_mod._genus1_quartic(grid)[1] == (grid[3] ** 6 * alpha, grid[3] ** 8 * beta)
 
 
 def test_a_planted_beta_fails_at_the_first_usable_window_with_q_nonzero(rng):
