@@ -43,9 +43,10 @@ from operator import mul
 from .series import (
     InsufficientTerms,
     PowerSeries,
+    Sequence,
+    binomial_transform,
     format_rational,
     rational,
-    rational_series,
     _exact_repr,
     _int_product,
     _lowest,
@@ -90,10 +91,6 @@ class AMatrixSpec:
             raise TypeError(f"repeat_last_row must be a bool, not {type(self.repeat_last_row).__name__}")
 
     @classmethod
-    def of(cls, rows, rho=(), repeat_last_row: bool = False) -> AMatrixSpec:
-        return cls(rows, rho, repeat_last_row)
-
-    @classmethod
     def from_dict(cls, data: dict) -> AMatrixSpec:
         """Parse the JSON shape {"rows": [[...]], "rho": [...], "repeat_last_row": bool}.
 
@@ -112,7 +109,7 @@ class AMatrixSpec:
         if not isinstance(rho, list) or not isinstance(repeat, bool):
             raise InvalidSpec("'rho' must be a list and 'repeat_last_row' a bool")
         try:
-            return cls.of(rows, rho, repeat)
+            return cls(rows, rho, repeat)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, InvalidSpec):
                 raise
@@ -321,7 +318,7 @@ def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
     where C is the Catalan generating function.  rho0 = 0 gives the pure two-row case.
     The equation is that of the spec's grid, solved by _f_over_x.
     """
-    return _f_over_x(AMatrixSpec.of([[1, a, b], [1, c, d]], [rho0]), order)
+    return _f_over_x(AMatrixSpec([[1, a, b], [1, c, d]], [rho0]), order)
 
 
 def perturbed_f(a, b, c, order: int) -> PowerSeries:
@@ -331,7 +328,7 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     u = x/(1-ax) * C(x(bx + c)/(1-ax)^2), also the reverse of x(1 - cx)/(1 + ax + bx^2).
     F is read off the spec [[1, a, b]] with rho = (c) by _f_over_x.
     """
-    return _f_over_x(AMatrixSpec.of([[1, a, b]], [c]), order).mul_x().truncate(order)
+    return _f_over_x(AMatrixSpec([[1, a, b]], [c]), order).mul_x().truncate(order)
 
 
 def _equation_rows(spec: AMatrixSpec) -> tuple[list[tuple[int, ...]], int]:
@@ -450,15 +447,16 @@ def binomial_transform_equation_check(a, b, c, order: int) -> bool:
     """Check that the binomial transform of u/x, with u = perturbed_f(a, b, c),
     satisfies v/x = (1 + a*v + b*v^2)/(1 - x) + c*v^2/x.
 
-    The transform of u/x is v/x with v = u(x/(1-x)), and that equation is the
-    one of the repeated-row spec [[1, a, b]]* with rho = (c), so v is checked by
-    that spec's residual (functional_equation_residual).
+    The transform (binomial_transform, on u/x's ints) has OGF U(x/(1-x))/(1-x) = v/x, for
+    U = u/x and v = u(x/(1-x)), with no composition; that equation is the one of the repeated-row
+    spec [[1, a, b]]* with rho = (c), so v is checked by its residual (functional_equation_residual).
     """
     if order < 4:
         raise ValueError("order must be at least 4")
-    spec = AMatrixSpec.of([[1, a, b]], [c], repeat_last_row=True)
-    v = perturbed_f(a, b, c, order).compose(rational_series([0, 1], [1, -1], order))
-    return functional_equation_residual(spec, v).is_zero()
+    spec = AMatrixSpec([[1, a, b]], [c], repeat_last_row=True)
+    u = perturbed_f(a, b, c, order).div_x()
+    v = binomial_transform(Sequence._ints(u._nums, u._den))
+    return functional_equation_residual(spec, PowerSeries._ints(v._nums, v._den).mul_x()).is_zero()
 
 
 def orthogonal_poly_coeffs(a, b, nrows: int) -> LowerTriangle:

@@ -1,8 +1,8 @@
 """Riordan arrays as (g, f) pairs of exact truncated power series.
 
-Provides the triangle realization t[n][k] = [x^n] g * f^k, the group
-operations, production matrices and A- and Z-sequences read off each pair's
-cached, checked A- and Z-series, quasi-involution testing and diagonal sums.
+Provides the triangle realization t[n][k] = [x^n] g * f^k, the group operations,
+production matrices and A- and Z-sequences read off each pair's cached, checked
+A- and Z-series, quasi-involution testing by one group product and diagonal sums.
 
 Equality everywhere is exact equality of rationals; there are no
 tolerances.  All values are immutable and all functions are pure.
@@ -175,8 +175,9 @@ def _lower(columns) -> list[list]:
 
 
 def riordan_mul(left: RiordanPair, right: RiordanPair) -> RiordanPair:
-    """Group law: (g, f) . (u, v) = (g * u(f), v(f))."""
-    return RiordanPair(left.g * right.g.compose(left.f), right.f.compose(left.f))
+    """Group law: (g, f) . (u, v) = (g * u(f), v(f)), u and v composed into f by one _Substitution."""
+    at_f = _Substitution(left.f, min(left.order, right.order))
+    return RiordanPair(left.g * at_f(right.g), at_f(right.f))
 
 
 def riordan_inverse(pair: RiordanPair) -> RiordanPair:
@@ -241,14 +242,12 @@ def _aerate(g: PowerSeries, sign: int) -> PowerSeries:
 
 
 def quasi_involution_check(g: PowerSeries) -> bool:
-    """True iff (g(x^2), x*g(x^2))^-1 equals (g(-x^2), x*g(-x^2)) to truncation."""
+    """True iff P = (g(x^2), x*g(x^2)) has inverse Q = (g(-x^2), x*g(-x^2)) to truncation, by P*Q = I:
+    pairs of order N multiply and invert as their N x N triangles, so P*Q = I exactly when P^-1 = Q."""
     if g[0] == 0:
         raise ValueError("g must have a nonzero constant term")
-    plus = _aerate(g, 1)
-    minus = _aerate(g, -1)
-    inv = riordan_inverse(RiordanPair(plus, plus.mul_x()))
-    target = RiordanPair(minus, minus.mul_x())
-    return inv == target
+    p, q = (RiordanPair(s, s.mul_x()) for s in (_aerate(g, 1), _aerate(g, -1)))
+    return riordan_mul(p, q) == RiordanPair.identity(p.order)
 
 
 def diagonal_sums(tri: LowerTriangle) -> Sequence:

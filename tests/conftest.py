@@ -158,7 +158,7 @@ def amatrix_specs(draw):
     rows = draw(st.lists(row, min_size=1, max_size=3))
     rows[0][0] = draw(small_fraction.filter(bool))
     rho = draw(st.lists(small_fraction, max_size=2))
-    return AMatrixSpec.of(rows, rho, draw(st.booleans()))
+    return AMatrixSpec(rows, rho, draw(st.booleans()))
 
 
 def somos_fit_by_fractions(h) -> SomosFitResult:

@@ -58,7 +58,7 @@ def criterion(n: int, label: str):
 
 
 def bell_pair(rows, rho, order=32, repeat=False):
-    return bell_from_f(solve_f(AMatrixSpec.of(rows, rho, repeat), order).f)
+    return bell_from_f(solve_f(AMatrixSpec(rows, rho, repeat), order).f)
 
 
 def column_of(rows, rho, order=32, repeat=False):
@@ -67,12 +67,12 @@ def column_of(rows, rho, order=32, repeat=False):
 
 def test_criterion_01_array_characterizations():
     with criterion(1, "solver fixtures"):
-        pascal = solve_f(AMatrixSpec.of([[1, 0, 0], [0, -1, -1]], [1]), 16).f
+        pascal = solve_f(AMatrixSpec([[1, 0, 0], [0, -1, -1]], [1]), 16).f
         assert pascal.coeffs == rational_series([0, 1], [1, -1], 16).coeffs
 
-        alt1 = solve_f(AMatrixSpec.of([[1, 0, 1], [-1, -1, 0]], [1]), 16).f
-        alt2 = solve_f(AMatrixSpec.of([[1, -1, 1], [0, -1, 0]], [1]), 16).f
-        simple = solve_f(AMatrixSpec.of([[1]], []), 16).f
+        alt1 = solve_f(AMatrixSpec([[1, 0, 1], [-1, -1, 0]], [1]), 16).f
+        alt2 = solve_f(AMatrixSpec([[1, -1, 1], [0, -1, 0]], [1]), 16).f
+        simple = solve_f(AMatrixSpec([[1]], []), 16).f
         x = PowerSeries.x(16)
         assert alt1.coeffs == x.coeffs and alt2.coeffs == x.coeffs
         assert simple.coeffs == x.coeffs
@@ -104,7 +104,7 @@ def test_criterion_01_array_characterizations():
 def test_criterion_02_somos_pipeline_under_two_seconds():
     with criterion(2, "column + Hankel + fit, < 2 s"):
         started = time.perf_counter()
-        f = solve_f(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], []), 32).f
+        f = solve_f(AMatrixSpec([[1, 0, 1], [1, 1, 0]], []), 32).f
         assert f.integers(12) == [0, 1, 1, 2, 3, 7, 13, 31, 65, 156, 351, 849]
         h = hankel_transform(Sequence(f.div_x().coeffs), 10)
         assert h.integers() == [1, 1, 2, 3, 7, 23, 59, 314, 1529, 8209, 83313]
@@ -132,7 +132,7 @@ def test_criterion_03_signed_expansion():
 def test_criterion_04_three_worked_examples():
     with criterion(4, "triangles, J-fraction, zero-bearing verify, r-family"):
         # (i)
-        spec_i = AMatrixSpec.of([[1, 1, 0], [1, 1, 1]], [])
+        spec_i = AMatrixSpec([[1, 1, 0], [1, 1, 1]], [])
         assert direct_triangle(spec_i, 7).integers() == [
             [1],
             [2, 1],
@@ -206,10 +206,10 @@ def test_criterion_06_delta_rho_examples():
     with criterion(6, "delta-rho families"):
         col = column_of([[1, 0, 1], [1, 1, 0]], [1])
         assert col.integers(7) == [1, 2, 6, 22, 90, 394, 1806]
-        aseq = a_sequence(spec_pair(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 13))
+        aseq = a_sequence(spec_pair(AMatrixSpec([[1, 0, 1], [1, 1, 0]], [1]), 13))
         assert aseq.integers()[:8] == [1, 2, 2, 2, 2, 2, 2, 2]
 
-        tri = direct_triangle(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 7)
+        tri = direct_triangle(AMatrixSpec([[1, -2, 2], [1, -1, 1]], [1]), 7)
         assert tri.integers() == [
             [1],
             [0, 1],
@@ -219,7 +219,7 @@ def test_criterion_06_delta_rho_examples():
             [6, 7, 3, 4, 0, 1],
             [15, 14, 12, 4, 5, 0, 1],
         ]
-        aseq2 = a_sequence(spec_pair(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 13))
+        aseq2 = a_sequence(spec_pair(AMatrixSpec([[1, -2, 2], [1, -1, 1]], [1]), 13))
         assert aseq2.integers()[:5] == [1, 0, 1, 1, 1]
 
         col1 = column_of([[1, 0, -1], [1, 0, -2]], [1])
@@ -237,7 +237,7 @@ def test_criterion_06_delta_rho_examples():
 
 def test_criterion_07_linear_rho_families():
     with criterion(7, "linear-rho families"):
-        hybrid = AMatrixSpec.of([[1, 1]], [1, 1])
+        hybrid = AMatrixSpec([[1, 1]], [1, 1])
         assert direct_triangle(hybrid, 7).integers() == [
             [1],
             [2, 1],
@@ -270,7 +270,7 @@ def test_criterion_07_linear_rho_families():
             [64, 32, 16, 8, 4, 2],
         ]
 
-        jac = AMatrixSpec.of([[1, 2]], [1, 2])
+        jac = AMatrixSpec([[1, 2]], [1, 2])
         assert direct_triangle(jac, 7).integers() == [
             [1],
             [3, 1],
@@ -304,7 +304,7 @@ def test_criterion_07_linear_rho_families():
             1, 1, 3, 9, 30, 108, 406, 1577, 6280, 25499, 105169,
         ]
 
-        wide = AMatrixSpec.of([[1, 0, 0, 1], [0, 1, 0, 0]], [1])
+        wide = AMatrixSpec([[1, 0, 0, 1], [0, 1, 0, 0]], [1])
         assert direct_triangle(wide, 7).integers() == [
             [1],
             [1, 1],
@@ -318,7 +318,7 @@ def test_criterion_07_linear_rho_families():
 
 def test_criterion_08_perturbed_moment_matrices():
     with criterion(8, "perturbed moment matrices"):
-        spec = AMatrixSpec.of([[1, 2, 3]], [5])
+        spec = AMatrixSpec([[1, 2, 3]], [5])
         tri = direct_triangle(spec, 7)
         assert tri.integers() == [
             [1],
@@ -334,7 +334,7 @@ def test_criterion_08_perturbed_moment_matrices():
         rhs = tri.entry(3, 0) + 2 * tri.entry(3, 1) + 3 * tri.entry(3, 2) + 5 * tri.entry(4, 2)
         assert lhs == rhs == 3880
 
-        bspec = AMatrixSpec.of([[1, 2, 3]], [5], repeat_last_row=True)
+        bspec = AMatrixSpec([[1, 2, 3]], [5], repeat_last_row=True)
         btri = direct_triangle(bspec, 7)
         assert btri.integers() == [
             [1],
@@ -367,7 +367,7 @@ def test_criterion_08_perturbed_moment_matrices():
 
 def test_criterion_09_substitution_example():
     with criterion(9, "substitution A-sequence example"):
-        spec = AMatrixSpec.of([[1, 1, 1], [0, 1, 0]], [1])
+        spec = AMatrixSpec([[1, 1, 1], [0, 1, 0]], [1])
         assert direct_triangle(spec, 9).integers() == [
             [1],
             [2, 1],

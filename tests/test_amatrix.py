@@ -71,7 +71,7 @@ def random_specs(rng, count):
         rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(depth)]
         rows[0][0] = 1
         rho = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
-        out.append(AMatrixSpec.of(rows, rho))
+        out.append(AMatrixSpec(rows, rho))
     return out
 
 
@@ -107,9 +107,9 @@ def fixed_point_f(spec, order):
 
 def test_spec_requires_nonzero_corner():
     with pytest.raises(InvalidSpec):
-        AMatrixSpec.of([[0, 1]], [])
+        AMatrixSpec([[0, 1]], [])
     with pytest.raises(InvalidSpec):
-        AMatrixSpec.of([], [])
+        AMatrixSpec([], [])
 
 
 def test_spec_json_roundtrip():
@@ -124,7 +124,7 @@ def test_spec_json_roundtrip():
 
 
 @pytest.mark.parametrize("flag", ["false", "no", 1, 0, None])
-@pytest.mark.parametrize("build", [AMatrixSpec, AMatrixSpec.of])
+@pytest.mark.parametrize("build", [AMatrixSpec])
 def test_spec_refuses_a_repeat_flag_that_is_not_a_bool(build, flag):
     # coercing would read "false" as True, and a spec storing 1 or None has a dict from_dict refuses
     with pytest.raises(TypeError, match="repeat_last_row must be a bool"):
@@ -133,7 +133,7 @@ def test_spec_refuses_a_repeat_flag_that_is_not_a_bool(build, flag):
 
 @pytest.mark.parametrize("flag", [False, True])
 def test_spec_with_a_bool_flag_round_trips(flag):
-    spec = AMatrixSpec.of([[1, 1]], [], flag)
+    spec = AMatrixSpec([[1, 1]], [], flag)
     assert spec.repeat_last_row is flag
     assert spec.to_dict()["repeat_last_row"] is flag
     assert AMatrixSpec.from_dict(spec.to_dict()) == spec
@@ -144,7 +144,7 @@ def test_spec_with_a_bool_flag_round_trips(flag):
 def test_spec_dict_and_repr_have_no_digit_cap(digits, sign):
     # CPython 3.11+ caps str(int) and int(str) at 4300 digits; a spec has no cap
     n = sign * (10**digits + 1)
-    spec = AMatrixSpec.of([[1, Fraction(1, n)]], [Fraction(n, 2)])
+    spec = AMatrixSpec([[1, Fraction(1, n)]], [Fraction(n, 2)])
     again = AMatrixSpec.from_dict(spec.to_dict())
     assert again == spec
     assert spec.to_dict()["rho"] == [f"{Decimal(n)}/2"]
@@ -160,7 +160,7 @@ def test_spec_json_text_has_no_digit_cap(digits, sign):
     # json writes an int with int.__repr__, which CPython caps at 4300 digits, so an
     # integral entry past the cap is written as its decimal string
     n = sign * (10 ** (digits - 1) + 7)
-    spec = AMatrixSpec.of([[1, n], [n]], [n], repeat_last_row=True)
+    spec = AMatrixSpec([[1, n], [n]], [n], repeat_last_row=True)
     data = spec.to_dict()
     assert data["rho"] == [n if digits < 4300 else str(Decimal(n))]
     assert AMatrixSpec.from_dict(json.loads(json.dumps(data))) == spec
@@ -186,10 +186,10 @@ def test_spec_json_rejects_garbage():
 
 
 def test_spec_entry_reads_rows_from_minus_one():
-    spec = AMatrixSpec.of([[1, 2], [3, 4]], [5], repeat_last_row=True)
+    spec = AMatrixSpec([[1, 2], [3, 4]], [5], repeat_last_row=True)
     assert [spec.entry(-1, j) for j in range(4)] == [0, 0, 5, 0]
     assert [spec.entry(i, 1) for i in range(4)] == [2, 4, 4, 4]
-    assert AMatrixSpec.of([[1, 2]]).entry(3, 0) == 0
+    assert AMatrixSpec([[1, 2]]).entry(3, 0) == 0
     for i, j in ((-2, 0), (-3, 0), (0, -1), (-1, -1)):
         with pytest.raises(ValueError, match="no array entry"):
             spec.entry(i, j)
@@ -199,19 +199,19 @@ def test_spec_entry_reads_rows_from_minus_one():
 
 
 def test_solve_geometric_row():
-    spec = AMatrixSpec.of([[1, 0, 0], [0, -1, -1]], [1])
+    spec = AMatrixSpec([[1, 0, 0], [0, -1, -1]], [1])
     rep = solve_f(spec, 10)
     assert functional_equation_residual(spec, rep.f).is_zero()
     assert rep.f.coeffs == rational_series([0, 1], [1, -1], 10).coeffs
 
 
 def test_solve_two_row_no_rho():
-    rep = solve_f(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]]), 12)
+    rep = solve_f(AMatrixSpec([[1, 0, 1], [1, 1, 0]]), 12)
     assert rep.f.integers() == [0, 1, 1, 2, 3, 7, 13, 31, 65, 156, 351, 849]
 
 
 def test_solve_single_row_with_quadratic_rho():
-    rep = solve_f(AMatrixSpec.of([[1, 1]], [1, 2]), 8)
+    rep = solve_f(AMatrixSpec([[1, 1]], [1, 2]), 8)
     assert rep.f.div_x().integers() == [1, 2, 8, 40, 224, 1344, 8448]
     # matches the radical closed form (1 - sqrt(1-8x)) / 4
     closed = (1 - PowerSeries.of([1, -8], 8).sqrt()) / 4
@@ -220,9 +220,9 @@ def test_solve_single_row_with_quadratic_rho():
 
 def test_identity_array_has_three_characterizations():
     specs = [
-        AMatrixSpec.of([[1, 0, 1], [-1, -1, 0]], [1]),
-        AMatrixSpec.of([[1, -1, 1], [0, -1, 0]], [1]),
-        AMatrixSpec.of([[1]], []),
+        AMatrixSpec([[1, 0, 1], [-1, -1, 0]], [1]),
+        AMatrixSpec([[1, -1, 1], [0, -1, 0]], [1]),
+        AMatrixSpec([[1]], []),
     ]
     for spec in specs:
         f = solve_f(spec, 10).f
@@ -231,7 +231,7 @@ def test_identity_array_has_three_characterizations():
 
 def test_solve_rejects_low_order():
     with pytest.raises(ValueError):
-        solve_f(AMatrixSpec.of([[1]], []), 1)
+        solve_f(AMatrixSpec([[1]], []), 1)
     for order in (0, -1):
         with pytest.raises(SeriesError):
             closed_form_f_general(1, -2, 3, 1, 1, order)
@@ -248,7 +248,7 @@ def test_residual_vanishes_on_random_specs(rng):
 
 def test_iterations_count_newton_steps_plus_the_check():
     # the root pass plus the residual check, at every order
-    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
+    spec = AMatrixSpec([[1, 0, 1], [1, 1, 0]])
     orders = (2, 3, 4, 48, 64, 128, 256)
     assert [solve_f(spec, n).iterations for n in orders] == [2] * len(orders)
 
@@ -326,8 +326,8 @@ def test_solve_f_series_products_at_order_256():
     # squaring at full order, and takes no other int product (both specs have rows of
     # width 3): row_sum at s = x shifts and, for a repeated last row, divides by 1 - x
     # as a running sum
-    a171416 = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
-    repeated = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    a171416 = AMatrixSpec([[1, 0, 1], [1, 1, 0]])
+    repeated = AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
     for spec in (a171416, repeated):
         assert series_products(lambda: solve_f(spec, 256)) == 1
         assert int_products(lambda: solve_f(spec, 256)) == [(256, True)]
@@ -337,7 +337,7 @@ def test_solve_f_series_products_at_order_256():
 
 
 def test_direct_triangle_two_row_display():
-    tri = direct_triangle(AMatrixSpec.of([[1, 1, 0], [1, 1, 1]]), 5)
+    tri = direct_triangle(AMatrixSpec([[1, 1, 0], [1, 1, 1]]), 5)
     assert tri.integers() == [
         [1],
         [2, 1],
@@ -348,7 +348,7 @@ def test_direct_triangle_two_row_display():
 
 
 def test_direct_triangle_with_rho_pair():
-    tri = direct_triangle(AMatrixSpec.of([[1, 1]], [1, 1]), 5)
+    tri = direct_triangle(AMatrixSpec([[1, 1]], [1, 1]), 5)
     assert tri.integers() == [
         [1],
         [2, 1],
@@ -367,7 +367,7 @@ def test_direct_triangle_matches_series_triangle_for_any_corner(spec, nrows):
 
 @pytest.mark.parametrize("a00", [1, 2, -3, Fraction(2, 3)])
 def test_direct_triangle_first_row_is_the_corner(a00):
-    spec = AMatrixSpec.of([[a00, 1, 1], [1, -1, 2]], [1, 2])
+    spec = AMatrixSpec([[a00, 1, 1], [1, -1, 2]], [1, 2])
     assert direct_triangle(spec, 1).rows == ((a00,),)
 
 
@@ -388,7 +388,7 @@ def test_seed_formula_matches_solved_coefficient(rng):
     ],
 )
 def test_seed_formula_reproduces_stated_cases(rows, rho, seed):
-    tri = direct_triangle(AMatrixSpec.of(rows, rho), 3)
+    tri = direct_triangle(AMatrixSpec(rows, rho), 3)
     assert tri.entry(1, 0) == seed
 
 
@@ -405,7 +405,7 @@ def test_dual_construction_with_repeated_rows(rng):
     for _ in range(6):
         rows = [[1, rng.randint(-2, 2), rng.randint(-2, 2)]]
         rho = [rng.randint(-2, 2)]
-        spec = AMatrixSpec.of(rows, rho, repeat_last_row=True)
+        spec = AMatrixSpec(rows, rho, repeat_last_row=True)
         f = solve_f(spec, 9).f
         assert riordan_triangle(bell_from_f(f), 8).rows == direct_triangle(spec, 8).rows
 
@@ -436,7 +436,7 @@ def test_six_term_recurrence_for_two_row_arrays(rng):
     #         + t[n-2][k-1] + c t[n-2][k] + d t[n-2][k+1]
     for _ in range(6):
         a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
-        spec = AMatrixSpec.of([[1, a, b], [1, c, d]])
+        spec = AMatrixSpec([[1, a, b], [1, c, d]])
         tri = riordan_triangle(bell_from_f(solve_f(spec, 10).f), 9)
         for n in range(2, 9):
             for k in range(n + 1):
@@ -470,7 +470,7 @@ def test_closed_form_agrees_with_solver_on_full_grid():
     order = 8
     for a, b, c, d in product(range(-2, 3), repeat=4):
         for rho0 in (0, 1):
-            spec = AMatrixSpec.of([[1, a, b], [1, c, d]], [rho0] if rho0 else [])
+            spec = AMatrixSpec([[1, a, b], [1, c, d]], [rho0] if rho0 else [])
             f = solve_f(spec, order + 1).f
             closed = closed_form_f_general(a, b, c, d, rho0, order)
             assert closed.coeffs == f.div_x().coeffs, (a, b, c, d, rho0)
@@ -483,7 +483,7 @@ def test_closed_form_agrees_with_solver_at_higher_order(rng):
     for _ in range(10):
         a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
         rho0 = rng.randint(0, 1)
-        spec = AMatrixSpec.of([[1, a, b], [1, c, d]], [rho0] if rho0 else [])
+        spec = AMatrixSpec([[1, a, b], [1, c, d]], [rho0] if rho0 else [])
         closed = closed_form_f_general(a, b, c, d, rho0, 16)
         assert closed.coeffs == solve_f(spec, 17).f.div_x().coeffs
 
@@ -537,7 +537,7 @@ def test_general_rho0_symbolic_entries(rng):
     for _ in range(8):
         a, b, c, d = (Fraction(rng.randint(-2, 2)) for _ in range(4))
         rho0 = Fraction(rng.randint(0, 2))
-        spec = AMatrixSpec.of([[1, a, b], [1, c, d]], [rho0])
+        spec = AMatrixSpec([[1, a, b], [1, c, d]], [rho0])
         tri = direct_triangle(spec, 3)
         assert tri.entry(1, 0) == a + rho0 + 1
         assert tri.entry(2, 0) == a * a + a * (3 * rho0 + 1) + b + c + 2 * rho0 * (rho0 + 1)
@@ -580,7 +580,7 @@ def test_perturbed_equals_reversion_form():
 def test_perturbed_matches_general_solver(rng):
     for _ in range(6):
         a, b, c = (rng.randint(-2, 2) for _ in range(3))
-        spec = AMatrixSpec.of([[1, a, b]], [c])
+        spec = AMatrixSpec([[1, a, b]], [c])
         assert perturbed_f(a, b, c, 10).coeffs == solve_f(spec, 10).f.coeffs
 
 
@@ -607,13 +607,19 @@ def test_binomial_transform_check_refuses_a_bumped_u(a, b, c, rng, monkeypatch):
         assert not binomial_transform_equation_check(a, b, c, order), (a, b, c, k)
 
 
+def test_binomial_transform_equation_check_refuses_an_order_below_4():
+    with pytest.raises(ValueError, match="order must be at least 4"):
+        binomial_transform_equation_check(1, 1, 1, 3)
+
+
 def test_binomial_transform_is_repeated_row_solution(rng):
-    # v = u(x/(1-x)) also solves the repeated-row variant of the equation
-    for _ in range(5):
-        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+    # v = u(x/(1-x)) also solves the repeated-row variant of the equation, at int and p/q points
+    points = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)]
+    points += [tuple(random_fraction(rng) for _ in range(3)) for _ in range(5)]
+    for a, b, c in points:
         u = perturbed_f(a, b, c, 10)
         v = u.compose(rational_series([0, 1], [1, -1], 10))
-        spec = AMatrixSpec.of([[1, a, b]], [c], repeat_last_row=True)
+        spec = AMatrixSpec([[1, a, b]], [c], repeat_last_row=True)
         assert v.coeffs == solve_f(spec, 10).f.coeffs
 
 
@@ -627,12 +633,12 @@ def deep_amatrix_specs(draw):
     rows = draw(st.lists(st.lists(small_fraction, min_size=1, max_size=4), min_size=1, max_size=5))
     corners = st.sampled_from([Fraction(1), Fraction(2), Fraction(-3), Fraction(2, 3)])
     rows[0][0] = draw(st.one_of(corners, small_fraction.filter(bool)))
-    return AMatrixSpec.of(rows, draw(st.lists(small_fraction, max_size=3)), draw(st.booleans()))
+    return AMatrixSpec(rows, draw(st.lists(small_fraction, max_size=3)), draw(st.booleans()))
 
 
 @settings(max_examples=60)
 @given(deep_amatrix_specs(), st.lists(small_fraction, min_size=1, max_size=19))
-@example(AMatrixSpec.of([[1, 2, -1]], [1, "1/2"], True), [1, -1])
+@example(AMatrixSpec([[1, 2, -1]], [1, "1/2"], True), [1, -1])
 def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
     # sum_(p, q) e[p][q] x^p w^q = -(1 - x)^r * (w - Phi(w)) for every w with w(0) = 0,
     # r = 1 if the last row repeats, against the residual's own evaluation (row_sum and
@@ -654,8 +660,8 @@ def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
 
 @settings(max_examples=60)
 @given(deep_amatrix_specs(), st.integers(3, 30))
-@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 24)
-@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 30)
+@example(AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 24)
+@example(AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], True), 30)
 def test_spec_route_reverse_matches_the_revert_route(spec, order):
     f = solve_f(spec, order).f
     pair, oracle = bell_pair(spec, order), bell_from_f(f)  # the oracle reverts f and inverts
@@ -669,7 +675,7 @@ def test_spec_pair_checks_reject_a_corrupt_seeded_a(term, identity, monkeypatch)
     # A is read one term longer than the pair's A: a low term moves A itself, the top
     # term only the one term past A's order that Z = (A - g0)/x reads, which the top
     # term of A's equation checks; bell_pair refuses the pair either way
-    spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    spec = AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
     route = amatrix_mod._a_series
 
     def corrupt(spec, order):
@@ -690,11 +696,11 @@ def _bumped_root(term):
 
 @settings(max_examples=100)
 @given(amatrix_specs(), st.integers(3, 40), st.sampled_from(["none", "a", "f"]), st.integers(0, 40))
-@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, "none", 0)
-@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"]), 40, "a", 37)  # A's top term
-@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "a", 22)  # the long A's top term
-@example(AMatrixSpec.of([[-1, 1], [1, 2]], [1]), 12, "a", 0)  # A(0) bumped to 0
-@example(AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True), 24, "f", 22)
+@example(AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, "none", 0)
+@example(AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"]), 40, "a", 37)  # A's top term
+@example(AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], True), 24, "a", 22)  # the long A's top term
+@example(AMatrixSpec([[-1, 1], [1, 2]], [1]), 12, "a", 0)  # A(0) bumped to 0
+@example(AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], True), 24, "f", 22)
 def test_spec_checks_match_the_composition_route(spec, order, corrupt, term):
     # a spec pair's A and Z checks on A's own equation agree with one composition of its
     # A, read one term longer than the pair's, into f, on the spec's own A and with one
@@ -721,7 +727,7 @@ def test_spec_checks_reject_the_other_root_of_the_a_equation(repeat):
     # for L = 2, S = c_0 A^2 + c_1 A + c_2 has a second root A' = -c_1/c_0 - A with
     # A'(0) = 0, which passes [y^k] S = 0 at every k; the A(0) check refuses it, as the
     # composition oracle does
-    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1]], [1, "-1/2"], repeat)
+    spec = AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1]], [1, "-1/2"], repeat)
     pair = bell_pair(spec, 20)
     n = pair.order
     (c0, c1, _), d = amatrix_mod._equation_rows(spec)
@@ -733,9 +739,9 @@ def test_spec_checks_reject_the_other_root_of_the_a_equation(repeat):
 
 @settings(max_examples=100)
 @given(amatrix_specs(), st.integers(3, 40), st.integers(0, 10**6))
-@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, 17)
-@example(AMatrixSpec.of([["-3/2", "1/3"], [1, "2/3", 2]], ["1/2", -1], True), 24, 23)
-@example(AMatrixSpec.of([["2/3", 1, 1]], [1, 2]), 3, 1)
+@example(AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True), 40, 17)
+@example(AMatrixSpec([["-3/2", "1/3"], [1, "2/3", 2]], ["1/2", -1], True), 24, 23)
+@example(AMatrixSpec([["2/3", 1, 1]], [1, 2]), 3, 1)
 def test_int_residual_and_checks_match_the_series_routes(spec, order, draw):
     # the residual, one int combination of f's powers, equals the series route exactly at
     # the solution and with f bumped at a drawn term past the constant one, where the bump
@@ -754,9 +760,9 @@ def test_int_residual_and_checks_match_the_series_routes(spec, order, draw):
 
 
 @given(amatrix_specs())
-@example(AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True))
+@example(AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True))
 def test_cached_grid_is_the_cleared_fraction_grid_and_leaves_the_spec_value_alone(spec):
-    twin = AMatrixSpec.of(spec.rows, spec.rho, spec.repeat_last_row)
+    twin = AMatrixSpec(spec.rows, spec.rho, spec.repeat_last_row)
     before = (hash(spec), repr(spec), pickle.dumps(spec))
     grid, d = spec._grid
     fractions = fraction_grid(spec)
@@ -771,7 +777,7 @@ def test_cached_grid_is_the_cleared_fraction_grid_and_leaves_the_spec_value_alon
 @pytest.mark.parametrize("order", [1, 2])
 def test_bell_pair_refuses_an_order_below_three_naming_it(order):
     # f to order 2 leaves g = f/x one term, too few for a pair
-    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]])
+    spec = AMatrixSpec([[1, 0, 1], [1, 1, 0]])
     with pytest.raises(InsufficientTerms, match=rf"a spec's Bell pair needs order >= 3, got {order}$"):
         bell_pair(spec, order)
     assert bell_pair(spec, 3).order == 2
@@ -783,7 +789,7 @@ def test_spec_pair_checks_reject_a_corrupt_f(term, identity, monkeypatch):
     # residual refuses it before any pair is built.  The composition oracle shows what
     # that f would have failed: a term below the top A's identity, the top term (held
     # only by g = f/x) only Z's.
-    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
+    spec = AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
     f = bump_term(amatrix_mod._f_over_x(spec, 15), term % 15).mul_x()
     oracle = bell_from_f(f)
     assert composition_checks(oracle, amatrix_mod._a_series(spec, oracle.order)) == (identity == "Z-series", False)
@@ -793,7 +799,7 @@ def test_spec_pair_checks_reject_a_corrupt_f(term, identity, monkeypatch):
 
 
 def test_spec_pair_pickles_with_its_stored_a_and_z():
-    spec = AMatrixSpec.of([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
+    spec = AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1], [1, "1/3", -1]], [1, "-1/2"], True)
     pair = bell_pair(spec, 20)
     copy = pickle.loads(pickle.dumps(pair))
     assert (copy.__dict__["a"], copy.__dict__["z"]) == (pair.a, pair.z)
@@ -806,7 +812,7 @@ def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
     # products of A's n = 255 terms and no series product, as the pair is built, with no
     # composition, reversion or entry recurrence, and reading A and Z then takes nothing.
     # A pair with no spec reverts f and composes into f.
-    spec = AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
+    spec = AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], repeat_last_row=True)
     assert series_products(lambda: bell_pair(spec, 256)) == series_products(lambda: solve_f(spec, 256)) + 1
     assert int_products(lambda: bell_pair(spec, 256)) == int_products(lambda: solve_f(spec, 256)) + [(255, False)] * 3
     reverts, substitutions = record_reversions_and_substitutions(monkeypatch)
@@ -819,7 +825,7 @@ def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
     assert (plain.a, plain.z) == (pair.a, pair.z)
     n = plain.order  # A's check, then g(fbar) and Z's check
     assert (len(reverts), substitutions) == (1, [n - 1, n, n - 1])
-    single = AMatrixSpec.of([[1, 3]], [1])  # L = 1: A reads no u, and the check takes one product
+    single = AMatrixSpec([[1, 3]], [1])  # L = 1: A reads no u, and the check takes one product
     assert series_products(lambda: bell_pair(single, 256)) == series_products(lambda: solve_f(single, 256))
     assert int_products(lambda: bell_pair(single, 256)) == int_products(lambda: solve_f(single, 256)) + [(255, False)]
     pair = bell_pair(single, 256)
@@ -827,17 +833,17 @@ def test_spec_pair_a_and_z_take_no_composition_and_no_inverse(monkeypatch):
 
 
 def test_substitution_asequence_three_term_spec():
-    got = a_sequence(bell_pair(AMatrixSpec.of([[1, 1, 1], [0, 1, 0]], [1]), 14))
+    got = a_sequence(bell_pair(AMatrixSpec([[1, 1, 1], [0, 1, 0]], [1]), 14))
     assert got.integers() == [1, 2, 4, 2, 2, 8, -2, -10, 52, -26, -202, 576]
 
 
 def test_substitution_asequence_schroeder():
-    got = a_sequence(bell_pair(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1]), 11))
+    got = a_sequence(bell_pair(AMatrixSpec([[1, 0, 1], [1, 1, 0]], [1]), 11))
     assert got.integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_substitution_asequence_motzkin_sums():
-    got = a_sequence(bell_pair(AMatrixSpec.of([[1, -2, 2], [1, -1, 1]], [1]), 11))
+    got = a_sequence(bell_pair(AMatrixSpec([[1, -2, 2], [1, -1, 1]], [1]), 11))
     assert got.integers() == [1, 0, 1, 1, 1, 1, 1, 1, 1]
 
 
@@ -851,8 +857,8 @@ def test_repeated_row_matches_rows_written_out(rng):
         rows = [[random_fraction(rng) for _ in range(width)] for _ in range(depth)]
         rows[0][0] = random_nonzero_fraction(rng)
         rho = [random_fraction(rng) for _ in range(rng.randint(0, 2))]
-        repeated = AMatrixSpec.of(rows, rho, repeat_last_row=True)
-        written = AMatrixSpec.of(rows + [rows[-1]] * (order - depth), rho)
+        repeated = AMatrixSpec(rows, rho, repeat_last_row=True)
+        written = AMatrixSpec(rows + [rows[-1]] * (order - depth), rho)
         got, want = solve_f(repeated, order), solve_f(written, order)
         assert (got.f, got.iterations) == (want.f, want.iterations)
         assert direct_triangle(repeated, order).rows == direct_triangle(written, order).rows
@@ -864,9 +870,9 @@ def test_substitution_rejects_a_solution_for_another_rho(monkeypatch):
     route = amatrix_mod._f_over_x
 
     def wrong_rho(spec, order):
-        return route(AMatrixSpec.of(spec.rows, [2], spec.repeat_last_row), order)
+        return route(AMatrixSpec(spec.rows, [2], spec.repeat_last_row), order)
 
-    spec = AMatrixSpec.of([[1, 0, 1], [1, 1, 0]], [1])
+    spec = AMatrixSpec([[1, 0, 1], [1, 1, 0]], [1])
     assert a_sequence(bell_pair(spec, 11)).integers() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     monkeypatch.setattr(amatrix_mod, "_f_over_x", wrong_rho)
     with pytest.raises(NonConvergence, match="residual"):
@@ -881,7 +887,7 @@ def test_substitution_agrees_with_group_route(rng):
 
 
 def test_substitution_handles_repeated_rows():
-    spec = AMatrixSpec.of([[1, 2, 3]], [5], repeat_last_row=True)
+    spec = AMatrixSpec([[1, 2, 3]], [5], repeat_last_row=True)
     via_subst = a_sequence(bell_pair(spec, 11))
     via_group = a_sequence(bell_from_f(solve_f(spec, 10).f))
     assert via_subst.terms[:8] == via_group.terms[:8]
@@ -892,7 +898,7 @@ def test_single_row_delta_rho_asequence(rng):
     # so the A-sequence of [[1, r]] with delta rho is 1, r+1, r+1, ...
     # (consistent with the Schroeder case r = 1 -> 1, 2, 2, 2, ...)
     for r in (1, 2, 3):
-        got = a_sequence(bell_pair(AMatrixSpec.of([[1, r]], [1]), 10))
+        got = a_sequence(bell_pair(AMatrixSpec([[1, r]], [1]), 10))
         assert got.integers() == [1] + [r + 1] * 7
 
 
@@ -915,7 +921,7 @@ def test_narayana_polynomials_match_bell_columns():
     # Bell array for rows [[1, r]], rho = (1, r)
     tri = narayana_poly_coeffs(7)
     for r in (1, 2, 3):
-        col = solve_f(AMatrixSpec.of([[1, r]], [1, r]), 8).f.div_x()
+        col = solve_f(AMatrixSpec([[1, r]], [1, r]), 8).f.div_x()
         for n in range(7):
             value = sum(tri.entry(n, k) * Fraction(r) ** k for k in range(n + 1))
             assert value == col.coeffs[n]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from riordan.series import InsufficientTerms, PowerSeries, Sequence, rational_series, _Substitution
-from riordan import hankel
+from riordan import core as core_mod, hankel
+from riordan.amatrix import AMatrixSpec, bell_pair, binomial_transform_equation_check
 from riordan.core import (
     InsufficientOrder,
     LowerTriangle,
@@ -249,6 +250,14 @@ def test_z_sequence_is_production_column_zero(pair):
     assert list(z_sequence(pair).terms) == column
 
 
+@given(st.tuples(unit_pairs(), unit_pairs()).filter(lambda pairs: pairs[0].order != pairs[1].order))
+def test_mul_matches_the_two_composition_oracle(pairs):
+    # one substitution into left.f serves right.g and right.f, to the smaller order
+    left, right = pairs
+    want = RiordanPair(left.g * right.g.compose(left.f), right.f.compose(left.f))
+    assert riordan_mul(left, right) == want
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_and_z_at_the_lowest_orders_match_production_oracle(rng, order):
     for _ in range(20):
@@ -459,6 +468,73 @@ def test_schroeder_gf_is_quasi_involution():
     g = (1 - PowerSeries.x(14) - root).div_x() / 2
     assert g.integers()[:5] == [1, 2, 6, 22, 90]
     assert quasi_involution_check(g)
+
+
+def aerated_column(a00, s, r, order):
+    """The even terms of the column of [[a00, 0, r], [0, s*r, 0]], a quasi-involution whose
+    odd terms are zero, to the given order."""
+    col = bell_pair(AMatrixSpec([[a00, 0, r], [0, s * r, 0]]), 2 * order).g.coeffs
+    assert not any(col[1::2])
+    return list(col[0::2])
+
+
+@st.composite
+def quasi_involution_candidates(draw):
+    """(g, known): g with p/q terms of order 1-16 and g(0) != 0 (known None), or an aerated
+    column of [[+-1, 0, r], [0, +-r, 0]], r in {+-1, +-2}, with one term k >= 1 bumped or
+    none (known True)."""
+    order = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        g = [draw(small_fraction.filter(bool))] + draw(st.lists(small_fraction, min_size=order - 1, max_size=order - 1))
+        return PowerSeries(g), None
+    signs = st.sampled_from((1, -1))
+    g = aerated_column(draw(signs), draw(signs), draw(st.sampled_from((1, -1, 2, -2))), max(order, 2))
+    if not draw(st.booleans()):
+        return PowerSeries(g), True
+    g[draw(st.integers(1, len(g) - 1))] += draw(small_fraction.filter(bool))
+    return PowerSeries(g), None
+
+
+def inverse_route(g):
+    """Oracle: the check by the group inverse, riordan_inverse(P) == Q."""
+    plus, minus = (PowerSeries([t for i, c in enumerate(g.coeffs) for t in (c * sign**i, 0)]) for sign in (1, -1))
+    return riordan_inverse(RiordanPair(plus, plus.mul_x())) == RiordanPair(minus, minus.mul_x())
+
+
+@given(quasi_involution_candidates())
+def test_quasi_involution_check_matches_the_inverse_route(candidate):
+    g, known = candidate
+    assert quasi_involution_check(g) == inverse_route(g)
+    if known is not None:
+        assert quasi_involution_check(g) is known
+
+
+@pytest.mark.parametrize("a00, s, r", [(1, 1, 1), (-1, 1, 2), (1, -1, -2)])
+def test_an_aerated_column_bumped_at_an_even_term_is_not_a_quasi_involution(a00, s, r):
+    # 1 added to term k moves P*Q's x^(2k) term by g0 (1 + (-1)^k g0^(2k)), with g0 = +-1: by 2 g0
+    # for even k, and by 0 for odd k, where a bumped column can stay a quasi-involution
+    g = PowerSeries(aerated_column(a00, s, r, 9))
+    assert quasi_involution_check(g)
+    for k in (2, 4, 8):
+        assert not quasi_involution_check(bump_term(g, k))
+
+
+def test_quasi_involution_check_refuses_g_vanishing_at_zero():
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        quasi_involution_check(PowerSeries([0, 1, 1]))
+
+
+def test_quasi_involution_and_binomial_checks_invert_and_compose_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check reverted, inverted or composed a series")
+
+    for owner, name in ((PowerSeries, "revert"), (PowerSeries, "_inverse"), (PowerSeries, "compose"), (core_mod, "riordan_inverse")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert quasi_involution_check(PowerSeries(aerated_column(1, 1, 1, 12)))
+    assert quasi_involution_check(PowerSeries(aerated_column(-1, 1, 2, 12)))
+    assert not quasi_involution_check(PowerSeries([1] * 10))
+    for a, b, c in ((2, 3, 5), ("1/2", -1, "3/4"), (Fraction(-2, 3), "5/7", 3)):
+        assert binomial_transform_equation_check(a, b, c, 16)
 
 
 def test_aerated_triangle_and_inverse_rows():

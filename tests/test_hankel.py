@@ -794,7 +794,7 @@ def rational_chebyshev_jfraction(s: Sequence, depth: int) -> JFraction:
 
 
 def test_jfraction_fifth_column_values():
-    col = solve_f(AMatrixSpec.of([[1, 1, 0], [1, 1, 1]]), 13).f.div_x()
+    col = solve_f(AMatrixSpec([[1, 1, 0], [1, 1, 1]]), 13).f.div_x()
     jf = jfraction(Sequence(col.coeffs), 3)
     assert list(jf.b) == [2, -2, Fraction(11, 4), Fraction(43, 12)]
     assert list(jf.lam) == [-1, -4, Fraction(3, 16)]
@@ -809,7 +809,7 @@ def test_jfraction_geometric_terminates():
 
 
 def test_jfraction_motzkin_is_all_ones():
-    m = solve_f(AMatrixSpec.of([[1, 0, 1], [1, 1, 1]]), 15).f.div_x()
+    m = solve_f(AMatrixSpec([[1, 0, 1], [1, 1, 1]]), 15).f.div_x()
     jf = jfraction(Sequence(m.coeffs), 5)
     assert list(jf.b) == [1] * 6
     assert list(jf.lam) == [1] * 5
@@ -991,10 +991,10 @@ SPECS = pathlib.Path(__file__).parent.parent / "specs"
 GRID_SPECS = {
     **{name: AMatrixSpec.from_dict(json.loads((SPECS / f"{name}.json").read_text()))
        for name in ("a171416", "motzkin", "pascal", "perturbed_moments", "schroeder")},
-    "repeat-row": AMatrixSpec.of([[1, 1, 1], [1, -1, 2]], [1], True),
-    "rho2-repeat": AMatrixSpec.of([[1, 3, -2], [4, -1, 5]], [2], True),
-    "rho-2": AMatrixSpec.of([[1, -3, 2], [2, 5, -1]], [-2]),
-    "rho7": AMatrixSpec.of([[1, 7, -5], [6, -7, 7]], [7]),
+    "repeat-row": AMatrixSpec([[1, 1, 1], [1, -1, 2]], [1], True),
+    "rho2-repeat": AMatrixSpec([[1, 3, -2], [4, -1, 5]], [2], True),
+    "rho-2": AMatrixSpec([[1, -3, 2], [2, 5, -1]], [-2]),
+    "rho7": AMatrixSpec([[1, 7, -5], [6, -7, 7]], [7]),
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from riordan import amatrix as amatrix_mod, hankel as hankel_mod, series as series_mod, verify as verify_mod
 from riordan.series import InsufficientTerms, Sequence, SeriesError, _over_common_denominator
 from riordan.amatrix import AMatrixSpec, closed_form_f_general, solve_f
+from riordan.core import LowerTriangle
 from riordan.hankel import _minors, _somos_windows, hankel_transform
 from riordan.verify import (
     COUNTEREXAMPLE,
@@ -130,6 +131,43 @@ def test_every_check_kind_reports_a_wrong_literal(monkeypatch):
         report = run_fixtures()
         assert [o.ok for o in report.outcomes] == [True, False], kind
         assert "Error" not in report.outcomes[1].detail, kind
+
+
+def _report_of(monkeypatch, *fixtures):
+    monkeypatch.setattr(verify_mod, "load_corpus", lambda: list(fixtures))
+    return run_fixtures()
+
+
+def test_a_quasi_involution_fixture_needs_an_aerated_column(monkeypatch):
+    motzkin = {"kind": "amatrix", "rows": [[1, 0, 1], [1, 1, 1]], "rho": []}
+    report = _report_of(monkeypatch, verify_mod.Fixture("motzkin.quasi", motzkin, "quasi_involution", True))
+    assert [(o.ok, o.detail) for o in report.outcomes] == [(False, "column is not aerated")]
+
+
+def test_a_direct_recurrence_that_disagrees_is_reported(monkeypatch):
+    fx = next(fx for fx in load_corpus() if fx.id == "motzkin.triangle")
+    direct = verify_mod.direct_triangle
+    monkeypatch.setattr(
+        verify_mod, "direct_triangle", lambda spec, nrows: LowerTriangle(direct(spec, nrows).rows[:-1] + ((0,) * nrows,))
+    )
+    report = _report_of(monkeypatch, fx)
+    assert [(o.ok, o.detail) for o in report.outcomes] == [(False, "direct recurrence disagrees with series triangle")]
+
+
+def test_a_check_that_raises_or_an_unknown_builder_is_a_failing_outcome(monkeypatch):
+    zero_corner = {"kind": "amatrix", "rows": [[0, 1]], "rho": []}
+    unknown = {"kind": "chebyshev_pair"}
+    report = _report_of(
+        monkeypatch,
+        verify_mod.Fixture("zero-corner.column", zero_corner, "column", [1]),
+        verify_mod.Fixture("unknown.column", unknown, "column", [1]),
+        next(fx for fx in load_corpus() if fx.id == "pascal.triangle"),
+    )
+    assert [(o.ok, o.detail) for o in report.outcomes] == [
+        (False, "InvalidSpec: the top-left array entry must be nonzero"),
+        (False, "ValueError: builder kind 'chebyshev_pair' does not describe a pair"),
+        (True, ""),
+    ]
 
 
 # -- conjectured parameter formulas -------------------------------------------
@@ -489,7 +527,7 @@ def test_load_bundled_somos_bfile():
 
 def test_hankel_matches_somos_bfile_with_shift():
     # Hankel transform of the A171416 column equals the b-file from index 2 on
-    col = solve_f(AMatrixSpec.of([[1, 0, 1], [1, 1, 0]]), 24).f.div_x()
+    col = solve_f(AMatrixSpec([[1, 0, 1], [1, 1, 0]]), 24).f.div_x()
     h = hankel_transform(Sequence(col.coeffs), 11)
     ref = load_bfile(DATA / "b006720.txt")
     assert list(h.terms) == list(ref.terms[2 : 2 + 12])
