@@ -140,7 +140,6 @@ def _cmd_solve(args) -> int:
     payload = {
         "f": f,
         "f_over_x": f[1:],
-        "iterations": report.iterations,
         "order": args.order,
     }
     if args.format == "json":

@@ -2,7 +2,8 @@
 
 Provides the triangle realization t[n][k] = [x^n] g * f^k, the group operations,
 production matrices and A- and Z-sequences read off each pair's cached, checked
-A- and Z-series, quasi-involution testing by one group product and diagonal sums.
+A- and Z-series, quasi-involution testing by one series identity at g's own
+order and diagonal sums.
 
 Equality everywhere is exact equality of rationals; there are no
 tolerances.  All values are immutable and all functions are pure.
@@ -97,15 +98,11 @@ class LowerTriangle:
     __repr__ = _exact_repr
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(tuple(rational(v) for v in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-
-    @classmethod
-    def of(cls, rows) -> LowerTriangle:
-        return cls(tuple(tuple(rational(v) for v in row) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -234,20 +231,19 @@ def reconstruct_from_AZ(a: PowerSeries, z: PowerSeries) -> RiordanPair:
     return riordan_inverse(RiordanPair(g0, f0))
 
 
-def _aerate(g: PowerSeries, sign: int) -> PowerSeries:
-    """g(x^2) or g(-x^2): exact at twice the input order."""
-    out = [0] * (2 * g.order)
-    out[::2] = [c * sign**i for i, c in enumerate(g._nums)]
-    return PowerSeries._ints(out, g._den)
-
-
 def quasi_involution_check(g: PowerSeries) -> bool:
-    """True iff P = (g(x^2), x*g(x^2)) has inverse Q = (g(-x^2), x*g(-x^2)) to truncation, by P*Q = I:
-    pairs of order N multiply and invert as their N x N triangles, so P*Q = I exactly when P^-1 = Q."""
+    """True iff P = (g(x^2), x*g(x^2)) has inverse Q = (g(-x^2), x*g(-x^2)) at order 2n, n = g.order.
+
+    With G = g(x^2), P*Q = (G * G(-x^2 G^2), x * G * G(-x^2 G^2)) = (h(x^2), x*h(x^2)) for
+    h(y) = g(y) * g(-y g(y)^2), so P*Q = I exactly when h = 1 mod y^n: one identity at g's own
+    order.  h(0) = g(0)^2, so g(0) = +-1.  Term k of g enters h at y^k with weight
+    g(0) (1 + (-1)^k g(0)^(2k)): 2 g(0) for even k and 0 for odd k.  An odd term is read only
+    at y^(k+1) or later, so when n is even the last term is never read; for g = 1 + c*y^k
+    with k odd, c is first read at y^(2k)."""
     if g[0] == 0:
         raise ValueError("g must have a nonzero constant term")
-    p, q = (RiordanPair(s, s.mul_x()) for s in (_aerate(g, 1), _aerate(g, -1)))
-    return riordan_mul(p, q) == RiordanPair.identity(p.order)
+    n = g.order
+    return g * _Substitution(-(g * g).mul_x().truncate(n), n)(g) == PowerSeries.one(n)
 
 
 def diagonal_sums(tri: LowerTriangle) -> Sequence:

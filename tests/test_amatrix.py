@@ -371,6 +371,19 @@ def test_direct_triangle_first_row_is_the_corner(a00):
     assert direct_triangle(spec, 1).rows == ((a00,),)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: direct_triangle(AMatrixSpec([[1, 1]]), n),
+        narayana_poly_coeffs,
+        lambda n: orthogonal_poly_coeffs(0, 1, n),
+    ],
+)
+def test_triangles_refuse_zero_rows(build):
+    with pytest.raises(ValueError, match="nrows must be positive"):
+        build(0)
+
+
 def test_seed_formula_matches_solved_coefficient(rng):
     # t[1][0] = a[0][1] + a[1][0] + rho[0] must equal the x^2 coefficient of f
     for spec in random_specs(rng, 12):

@@ -99,6 +99,15 @@ def test_triangle_demands_enough_order():
         riordan_triangle(pascal_pair(4), 5)
 
 
+def test_core_guards_refuse_degenerate_sizes():
+    with pytest.raises(ValueError, match="nrows must be positive"):
+        riordan_triangle(pascal_pair(4), 0)
+    with pytest.raises(ValueError, match="size must be at least 2"):
+        production_matrix(pascal_pair(4), 1)
+    with pytest.raises(ValueError, match=r"A\(0\) must be nonzero"):
+        reconstruct_from_AZ(PowerSeries.x(6), PowerSeries.one(6))
+
+
 def test_too_short_pair_names_the_orders_of_g_and_f():
     # bell_from_f on an f of order 2 has a g = f/x of one term
     with pytest.raises(InsufficientTerms, match=r"needs g and f of order >= 2, not 1 and 2$"):
@@ -123,14 +132,23 @@ def test_too_few_terms_is_one_exception_type():
 
 def test_triangle_validates_row_lengths():
     with pytest.raises(ValueError):
-        LowerTriangle.of([[1], [2, 3, 4]])
+        LowerTriangle([[1], [2, 3, 4]])
+
+
+def test_triangle_coerces_its_entries():
+    tri = LowerTriangle([[1], ["1/2", Fraction(2, 3)]])
+    assert tri.rows == ((Fraction(1),), (Fraction(1, 2), Fraction(2, 3)))
+    assert LowerTriangle([[1], [2, "3"]]).integers() == [[1], [2, 3]]
+    for bad in ([[0.5], [1, 2]], [[1], [True, 2]]):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            LowerTriangle(bad)
 
 
 @pytest.mark.parametrize("n, k", [(-1, 0), (1, -1), (1, 2), (3, 0)])
 def test_entry_refuses_positions_outside_the_triangle(n, k):
     # negative positions once read as Python indices: entry(-1, 0) read the last row
     # and entry(1, -1) read 3, where get gives 0
-    tri = LowerTriangle.of([[1], [2, 3], [4, 5, 6]])
+    tri = LowerTriangle([[1], [2, 3], [4, 5, 6]])
     with pytest.raises(IndexError):
         tri.entry(n, k)
     assert tri.get(n, k) == 0
@@ -495,10 +513,22 @@ def quasi_involution_candidates(draw):
     return PowerSeries(g), None
 
 
+def aerated_pairs(g):
+    """P = (g(x^2), x*g(x^2)) and Q = (g(-x^2), x*g(-x^2)) at twice g's order."""
+    plus, minus = (PowerSeries([t for i, c in enumerate(g.coeffs) for t in (c * sign**i, 0)]) for sign in (1, -1))
+    return RiordanPair(plus, plus.mul_x()), RiordanPair(minus, minus.mul_x())
+
+
 def inverse_route(g):
     """Oracle: the check by the group inverse, riordan_inverse(P) == Q."""
-    plus, minus = (PowerSeries([t for i, c in enumerate(g.coeffs) for t in (c * sign**i, 0)]) for sign in (1, -1))
-    return riordan_inverse(RiordanPair(plus, plus.mul_x())) == RiordanPair(minus, minus.mul_x())
+    p, q = aerated_pairs(g)
+    return riordan_inverse(p) == q
+
+
+def product_route(g):
+    """Oracle: the check by the group product, P * Q == I."""
+    p, q = aerated_pairs(g)
+    return riordan_mul(p, q) == RiordanPair.identity(p.order)
 
 
 @given(quasi_involution_candidates())
@@ -507,6 +537,30 @@ def test_quasi_involution_check_matches_the_inverse_route(candidate):
     assert quasi_involution_check(g) == inverse_route(g)
     if known is not None:
         assert quasi_involution_check(g) is known
+
+
+@given(quasi_involution_candidates())
+def test_quasi_involution_check_matches_the_product_route(candidate):
+    g, _ = candidate
+    assert quasi_involution_check(g) == product_route(g)
+
+
+def test_quasi_involution_check_reads_an_odd_last_term_only_past_g_order():
+    # term k of g enters h(y) = g(y) g(-y g(y)^2) at y^k with weight 2 g(0) for even k and 0
+    # for odd k, so the last term of an even-order g is never read
+    assert quasi_involution_check(PowerSeries([1, 2, 6, 99]))
+    assert not quasi_involution_check(PowerSeries([1, 2, 6, 22, 91]))
+    assert quasi_involution_check(PowerSeries([1, 5]))
+    assert not quasi_involution_check(PowerSeries([1, 5, 0]))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_a_single_odd_term_is_first_read_at_twice_its_index(n):
+    # g = 1 + c y^k with k odd: c is first read at y^(2k), so g passes exactly when 2k >= n
+    def g(k):
+        return PowerSeries([1] + [0] * (k - 1) + [Fraction(3, 2)] + [0] * (n - k - 1))
+
+    assert [k for k in range(1, n) if quasi_involution_check(g(k))] == [k for k in range(1, n) if k % 2 and 2 * k >= n]
 
 
 @pytest.mark.parametrize("a00, s, r", [(1, 1, 1), (-1, 1, 2), (1, -1, -2)])
@@ -526,9 +580,13 @@ def test_quasi_involution_check_refuses_g_vanishing_at_zero():
 
 def test_quasi_involution_and_binomial_checks_invert_and_compose_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a check reverted, inverted or composed a series")
+        raise AssertionError("a check reverted, inverted, composed or multiplied pairs")
 
-    for owner, name in ((PowerSeries, "revert"), (PowerSeries, "_inverse"), (PowerSeries, "compose"), (core_mod, "riordan_inverse")):
+    patched = (
+        (PowerSeries, "revert"), (PowerSeries, "_inverse"), (PowerSeries, "compose"),
+        (core_mod, "riordan_inverse"), (core_mod, "riordan_mul"),
+    )
+    for owner, name in patched:
         monkeypatch.setattr(owner, name, refuse)
     assert quasi_involution_check(PowerSeries(aerated_column(1, 1, 1, 12)))
     assert quasi_involution_check(PowerSeries(aerated_column(-1, 1, 2, 12)))

@@ -825,6 +825,8 @@ def test_jfraction_needs_terms():
         jfraction(Sequence.of([1, 2, 3]), 3)
     with pytest.raises(ValueError):
         jfraction(Sequence.of([0, 1, 2, 3]), 0)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        jfraction(Sequence.of([1, 2, 3]), -1)
 
 
 def test_jfraction_reconstruction(rng):

@@ -226,6 +226,27 @@ def test_division_by_x_fails():
         PowerSeries.one(5) / PowerSeries.x(5)
 
 
+def test_series_guards_refuse_empty_and_zero_operands():
+    with pytest.raises(SeriesError, match="order must be positive"):
+        PowerSeries.of([1], 0)
+    with pytest.raises(SeriesError, match="no coefficients would remain"):
+        PowerSeries([0]).div_x()
+    with pytest.raises(DivisionByNonUnit, match="division by zero scalar"):
+        PowerSeries([1, 2]) / 0
+
+
+def test_series_arithmetic_with_a_str_is_a_type_error():
+    s = PowerSeries([1, 2])
+    for op in (lambda: s + "1", lambda: s - "1", lambda: s * "1", lambda: s / "1", lambda: "1" / s):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_a_series_never_equals_a_sequence():
+    assert not PowerSeries([1]) == Sequence([1])
+    assert not Sequence([1]) == PowerSeries([1])
+
+
 def test_rational_series_matches_long_division_oracle():
     num, den = [2, -1, 3], [1, 1, -2, 5]
     got = rational_series(num, den, 12)
