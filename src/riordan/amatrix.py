@@ -12,8 +12,8 @@ rows continue: ``entry`` reads a[i][j] at any depth i >= -1, ``row_sum``
 evaluates sum_i x^i * value(row_i) over the rows i >= 0, summing a repeated
 last row in closed form, and ``_grid`` is the coefficient grid of the one
 polynomial E(x, w) = sum_i x^(i+1) P_i(w) - w (times 1 - x for a repeated last
-row), int rows over one denominator, cleared once per spec.  The grid is read
-three times, with no series reversion or inverse: its columns give the
+row), as the ints of E(mu x, lam w)/lam, cleared once per spec.  The grid is read
+in ints three times, with no series reversion or inverse: its columns give the
 equation E(x, x*F) = 0 for F = f/x; its rows, with x = fbar(y) and w = y, an
 equation in u = fbar/x = 1/A (the A-matrix construction of Merlini, Rogers,
 Sprugnoli and Verri 1997) that, divided by u, gives A as a polynomial in u over
@@ -162,20 +162,25 @@ class AMatrixSpec:
         return acc
 
     @cached_property
-    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows, d): the grid e[p][q] = [x^p w^q] E(x, w), E(x, w) = sum_(i >= -1) x^(i+1) P_i(w) - w,
-        whose root w = f is the solution, as int rows over d, their lcm denominator, built once per
-        spec; rows are zero past their end.  Row p is array row p - 1, so row 0 is the rho row with
-        the -w term, (0, -1, rho_0, ...).  A repeated last row makes it the grid of (1 - x)*E: each
-        row loses the row above it, and the copies cancel, so the grid has L + 1 rows either way.
+    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+        """(e, mu, lam): the grid of E(x, w) = sum_(i >= -1) x^(i+1) P_i(w) - w, whose root w = f is
+        the solution, as the ints e[p][q] = [X^p W^q] E' for E' = E(mu X, lam W)/lam, built once per spec; rows
+        are zero past their end.  Row p is array row p - 1, so row 0 is the rho row with the -w term,
+        (0, -1, rho_0, ...).  A repeated last row makes it the grid of (1 - x)*E: each row loses the
+        row above it, and the copies cancel, so the grid has L + 1 rows either way.  For lam the lcm
+        of the denominators of E's coefficients r[p][q], beta that of a[0][0] and mu = lam*beta,
+        e[p][q] = r[p][q] mu^p lam^(q-1) is an int (p + q >= 2, or e01 = -1 and e10 = beta*a[0][0]).
+        The root is W = f(mu X)/lam, so [X^n] W^m = mu^n lam^(-m) [x^n] f^m; an int spec has mu = 1.
         """
         grid = [(_ZERO, -_ONE, *self.rho), *self.rows]
         if self.repeat_last_row:
             pairs = zip(grid[1:], grid)  # each row with the row above it
             grid[1:] = [tuple(a - b for a, b in zip_longest(*pair, fillvalue=_ZERO)) for pair in pairs]
-        nums, d = _over_common_denominator([v for row in grid for v in row])
-        it = iter(nums)
-        return tuple(tuple(islice(it, len(row))) for row in grid), d
+        nums, lam = _over_common_denominator([v for row in grid for v in row])
+        beta, it = self.rows[0][0].denominator, iter(nums)
+        cells = (enumerate(islice(it, len(row))) for row in grid)
+        e = tuple(tuple(c * lam ** (p + q) * beta**p // lam**2 for q, c in row) for p, row in enumerate(cells))
+        return e, lam * beta, lam
 
     def __getstate__(self):  # the fields alone: a spec pickles the same with or without its _grid
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -215,18 +220,19 @@ def functional_equation_residual(spec: AMatrixSpec, f: PowerSeries) -> PowerSeri
 
 
 def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
-    """F = f/x for the solution f of the spec, to the given order, off the columns of
-    the spec's grid e (AMatrixSpec._grid): with w = x*F, E(x, w)/x is
+    """F = f/x for the solution f of the spec, to the given order, off the columns of the
+    spec's int grid e (AMatrixSpec._grid): with W = f(mu X)/lam = X*F', E'(X, W)/X is
 
-        sum_q C_q F^q = 0,   C_q = sum_p e[p][q] x^(p+q-1),
+        sum_q C_q F'^q = 0,   C_q = sum_p e[p][q] X^(p+q-1),
 
-    and C_0(0) = a[0][0], C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is
-    (0, -1, rho_0, ...): the form (-C_1) F = C_0 + sum_(q>=2) C_q F^q that
-    _polynomial_root solves.
+    and C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is (0, -1, e02, ...): the form
+    (-C_1) F' = C_0 + sum_(q>=2) C_q F'^q that _polynomial_root solves in ints; F_n = lam F'_n/mu^(n+1).
     """
-    grid, d = spec._grid
-    c0, c1, *cs = (PowerSeries._ints(((0,) * q + col)[1:], d) for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
-    return _polynomial_root(c0, -c1, cs, order)
+    grid, mu, lam = spec._grid
+    c0, c1, *cs = (PowerSeries._ints(((0,) * q + col)[1:], 1) for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
+    root = _polynomial_root(c0, -c1, cs, order)._nums
+    powers = [mu**k for k in range(order + 1)]
+    return PowerSeries._ints([lam * c * k for c, k in zip(root, powers[order - 1 :: -1])], powers[order])
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
@@ -253,17 +259,14 @@ def direct_triangle(spec: AMatrixSpec, nrows: int) -> LowerTriangle:
     return LowerTriangle([list(map(Fraction, nums, dens)) for nums, dens in _triangle_ints(spec, nrows)])
 
 
-def _entry_rows(spec: AMatrixSpec, nrows: int) -> tuple[int, list[list[int]]]:
-    """d and the rows T'(n, m) = d^(2n-m) T(n, m), m = 0..n, n = 0..nrows, for T(n, m) = [x^n] f^m.
-    E(x, f) f^k = 0 (AMatrixSpec._grid, row 0 (0, -1, rho_0, ...)) gives
-    T(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T(n-p, q+k); for d the lcm of the grid's denominators,
-    T' obeys it with int coefficients d*e[p][q] * d^(2p+q-2), so no step divides.  Terms p >= 1 add
-    shifted multiples of the last L rows; the rho terms (p = 0) read the row further right, so run
-    right to left.
-    """
-    grid, d = spec._grid
-    cells = ((p, q, c) for p, row in enumerate(grid) for q, c in enumerate(row) if c and (p, q) != (0, 1))
-    terms = [(p, q, c * d ** (2 * p + q - 2)) for p, q, c in cells]
+def _entry_rows(spec: AMatrixSpec, nrows: int) -> list[list[int]]:
+    """The rows T'(n, m) = mu^n lam^(-m) T(n, m), m = 0..n, n = 0..nrows, of T(n, m) = [x^n] f^m: the
+    powers of the root W = f(mu X)/lam of the spec's int grid e (AMatrixSpec._grid, row 0 (0, -1, e02,
+    ...)), for which E'(X, W) W^k = 0 gives T'(n, k+1) = sum_((p,q) != (0,1)) e[p][q] T'(n-p, q+k) with
+    no division.  Terms p >= 1 add shifted multiples of the last L rows; the rho terms (p = 0) read
+    the row further right, so run right to left."""
+    grid = spec._grid[0]
+    terms = [(p, q, c) for p, row in enumerate(grid) for q, c in enumerate(row) if c and (p, q) != (0, 1)]
     rho = [(q - 1, c) for p, q, c in terms if p == 0]
     t = [[1]]  # T'(n, 0) = 0 past n = 0
     for n in range(1, nrows + 1):
@@ -277,37 +280,35 @@ def _entry_rows(spec: AMatrixSpec, nrows: int) -> tuple[int, list[list[int]]]:
                 if m + s <= n:
                     row[m] += c * row[m + s]
         t.append(row)
-    return d, t
+    return t
 
 
 def _triangle_ints(spec: AMatrixSpec, nrows: int, pair: RiordanPair | None = None) -> list[tuple[list[int], list[int]]]:
-    """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k]:
-    t[n][k] = T(n+1, k+1), row n + 1 of _entry_rows over powers of d.  Given the spec's pair
-    (bell_pair), each row is checked against the pair's f and its checked A (_recurrence_checks)."""
-    d, rows = _entry_rows(spec, nrows)
+    """Rows n < nrows of the Bell triangle as ints (nums, dens), t[n][k] = nums[k]/dens[k]: t[n][k] =
+    T(n+1, k+1), row n + 1 of _entry_rows over mu^(n+1)/lam^(k+1) = beta^(n+1) lam^(n-k), mu = lam*beta.
+    Given the spec's pair (bell_pair), each row is checked against the pair's f and checked A (_recurrence_checks)."""
+    rows, (_, mu, lam) = _entry_rows(spec, nrows), spec._grid
     if pair is not None:
-        _recurrence_checks(pair, d, rows)
-    powers = [d**e for e in range(2 * nrows)]
-    return [(row[1:], powers[2 * n - 1 : n - 1 : -1]) for n, row in enumerate(rows[1:], 1)]
+        _recurrence_checks(pair, mu, lam, rows)
+    beta, powers = mu // lam, [lam**k for k in range(nrows)]
+    return [(row[1:], [b * k for k in powers[n - 1 :: -1]]) for n, row in enumerate(rows[1:], 1) for b in (beta**n,)]
 
 
-def _recurrence_checks(pair: RiordanPair, d: int, rows: list[list[int]]) -> None:
+def _recurrence_checks(pair: RiordanPair, mu: int, lam: int, rows: list[list[int]]) -> None:
     """Check rows 1, 2, ... of a spec's entry recurrence against its Bell pair (bell_pair) once the
     pair's A has passed its own check.  For A = alpha/den, the pair's f as the recurrence's column 1
     (every row) and f/x = A(f) at x^(n-1) (rows n < N = pair.order, the terms A holds) are, in ints,
 
-        T'(n, 1) g.den = g.num[n-1] d^(2n-1),   sum_j alpha_j d^(j+1) T'(n-1, j) = den T'(n, 1).
+        T'(n, 1) g.den lam = g.num[n-1] mu^n,   sum_j alpha_j mu lam^(j-1) T'(n-1, j) = den T'(n, 1).
 
     Raises NotRiordanBand naming the triangle row, n - 1, of the first identity that fails."""
     a, g = pair.a, pair.g
-    alpha = [c * d ** (j + 1) for j, c in enumerate(a._nums)]
-    scale = d
+    alpha = [c * mu // lam * lam**j for j, c in enumerate(a._nums)]  # mu lam^(j-1) is beta at j = 0
     for n, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
-        if row[1] * g._den != g._nums[n - 1] * scale or (
+        if row[1] * g._den * lam != g._nums[n - 1] * mu**n or (
             n < pair.order and a._den * row[1] != sum(map(mul, alpha, prev))
         ):
             raise NotRiordanBand(f"the triangle fails its check against the spec's f and A at row {n - 1}")
-        scale *= d * d
 
 
 def closed_form_f_general(a, b, c, d, rho0, order: int) -> PowerSeries:
@@ -331,40 +332,41 @@ def perturbed_f(a, b, c, order: int) -> PowerSeries:
     return _f_over_x(AMatrixSpec([[1, a, b]], [c]), order).mul_x().truncate(order)
 
 
-def _equation_rows(spec: AMatrixSpec) -> tuple[list[tuple[int, ...]], int]:
-    """(rows, d): c_p = sum_q e[p][q] y^(p+q-1), p = 0..L, as int rows over the d of the spec's
-    grid e (AMatrixSpec._grid), one per grid row: E(x, w)/y = sum_p c_p u^p at x = y*u and w = y.
-    So c_0 = y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y); a repeated last row adds
-    y*(1 - y*rho) to c_1 and takes y*c_(p-1) from each later c_p."""
-    grid, d = spec._grid
-    return [((0,) * p + row)[1:] for p, row in enumerate(grid)], d
+def _equation_rows(spec: AMatrixSpec) -> list[tuple[int, ...]]:
+    """c_p = sum_q e[p][q] y^(p+q-1), p = 0..L, as int rows, one per row of the spec's int grid e
+    (AMatrixSpec._grid): E'(X, W)/y = sum_p c_p u^p at X = y*u and W = y.  For an int spec, c_0 =
+    y*rho(y) - 1 and c_p = y^(p-1) * R_(p-1)(y); a repeated last row adds y*(1 - y*rho) to c_1 and
+    takes y*c_(p-1) from each later c_p."""
+    return [((0,) * p + row)[1:] for p, row in enumerate(spec._grid[0])]
 
 
 def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
     """A = x/fbar for the solution f of the spec, to the given order, off the rows of
-    the spec's grid (_equation_rows): no f and no reversion.  With x = fbar(y) = y*u and
+    the spec's int grid (_equation_rows): no f and no reversion.  With x = fbar(y) = y*u and
     w = f(fbar) = y, E(x, w)/y is the A-matrix equation (Merlini, Rogers, Sprugnoli and
     Verri 1997, with the rho row added)
 
-        sum_p c_p u^p = 0.
+        sum_p c_p u^p = 0,
 
-    Divided by a[0][0] = c_1(0), it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1
-    and q_p = -c_p/a[0][0] divisible by y, the form _polynomial_root solves for
-    u = fbar/x.  Divided by u instead, it gives A = 1/u with no inverse:
-    A = (sum_(p>=1) c_p u^(p-1)) / (-c_0), a Horner sum in u (L - 1 series products)
-    over a polynomial.  For L = 1 A does not read u, which is then not solved.
+    here of the grid's root W = f(mu X)/lam, whose A' has A'_n = mu lam^(n-1) A_n.  Divided by
+    c_1(0) = e10, it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1 and q_p = -c_p/e10
+    divisible by y, the form _polynomial_root solves for u = 1/A'.  Divided by u instead, it gives
+    A' = (sum_(p>=1) c_p u^(p-1)) / (-c_0) with no inverse, a Horner sum in u (L - 1 series
+    products) over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
-    rows, d = _equation_rows(spec)
-    c0, *cs = (PowerSeries._ints(c, d) for c in rows)
-    rhs = -c0  # 1 - y*rho(y)
+    _, mu, lam = spec._grid
+    c0, *cs = (PowerSeries._ints(c, 1) for c in _equation_rows(spec))
+    rhs = -c0  # 1 - y*rho'(y)
     acc = cs[-1]._padded(order)
     if len(cs) > 1:
-        scale = 1 / spec.rows[0][0]
+        scale = Fraction(1, spec.rows[0][0].numerator)
         u = _polynomial_root(rhs * scale, cs[0] * scale, [c * -scale for c in cs[1:]], order)
         for c in reversed(cs[:-1]):
             acc = acc * u + c._padded(order)
     # linear in acc, so the root runs on acc's numerators and divides by its denominator after
-    return _polynomial_root(PowerSeries._ints(acc._nums, 1), rhs, [], order) * Fraction(1, acc._den)
+    root = _polynomial_root(PowerSeries._ints(acc._nums, 1), rhs, [], order)._nums
+    powers = [lam**k for k in range(order + 1)]
+    return PowerSeries._ints([c * k for c, k in zip(root, powers[order:0:-1])], acc._den * mu * powers[order - 1])
 
 
 def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:
@@ -398,7 +400,8 @@ def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
 
     is E(y/A, y) A^L / y, times (A - y)/A when the last row repeats (its grid is that of
     (1 - x) E).  The A check is A(0) = a[0][0] and [y^k] S = 0 for k < n - 1; the Z check
-    takes k = n - 1 too.  Why that is enough:
+    takes k = n - 1 too.  On the int grid's rows beta^p c_p(lam y) and A'_k = mu lam^(k-1) A_k
+    (_a_series), S is beta^L S(lam y), zero where S is.  Why that is enough:
 
     - c_0(0) = -1, c_1(0) = a[0][0] and c_p(0) = 0 for p >= 2, so with A(0) = a[0][0] the
       term A_k enters [y^k] S with coefficient -L a00^(L-1) + (L-1) a00^(L-1) = -a00^(L-1),
@@ -412,12 +415,13 @@ def _spec_checks(spec: AMatrixSpec, a: PowerSeries) -> tuple[bool, bool]:
     """
     if a[0] != spec.rows[0][0]:
         return False, False
-    (c0, *cs), d = _equation_rows(spec)
+    (c0, *cs), (_, mu, lam) = _equation_rows(spec), spec._grid
     n = a.order
-    s, scale = (c0 + (0,) * n)[:n], d  # S = s / scale, in lowest terms after each step
+    alpha = [c * mu // lam * lam**k for k, c in enumerate(a._nums)]  # A' = alpha / a.den
+    s, scale = (c0 + (0,) * n)[:n], 1  # S = s / scale, in lowest terms after each step
     for c in cs:
         k = scale * a._den
-        s, scale = _lowest([d * v + k * w for v, w in zip(_int_product(s, a._nums), c + (0,) * n)], k * d)
+        s, scale = _lowest([v + k * w for v, w in zip(_int_product(s, alpha), c + (0,) * n)], k)
     return not any(s[:-1]), not any(s)
 
 

@@ -55,7 +55,6 @@ from .series import (
     rational,
     rational_series,
     _exact_values,
-    _over_common_denominator,
 )
 from .core import (
     LowerTriangle,
@@ -354,25 +353,21 @@ def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int 
     windows (p, q or r nonzero); otherwise the product-form relation is checked at every window
     of the transform to depth (order - 1) // 2, and the first failing one is reported.
 
-    The point's column is that of the spec [[1, a, b], [1, c, d]] with rho (rho0).  An int point is
-    its own grid, g = 1; any other is cleared to its common denominator g, whose moments g^n t_n are
-    the column of [[1, ga, g^2 b], [g, g^2 c, g^3 d]] with rho (g rho0), the 3 x 3 int grid
-    e = (g rho0, ga, g^2 b, g, g^2 c, g^3 d) of hankel._quartic_minors.  The windows run on the int minors
+    The point's column is that of the spec [[1, a, b], [1, c, d]] with rho (rho0); e holds the six
+    free entries of its 3 x 3 int grid (AMatrixSpec._grid, mu = lam = g) that hankel._quartic_minors
+    reads, and an int point is its own grid, g = 1.  The windows run on the int minors
     H_n = g^(n(n+1)) h_n of its P-fraction, with no series and no Fraction view, and (alpha, beta)
-    are read off its quartic as its Somos-4 invariants (_genus1_quartic).  At g = 1 they equal
-    conjectured_somos_rho0 and conjectured_somos_rho_delta as polynomials (the tests prove the
-    identities); for g > 1 the quartic g^4 D(z/g) scales s1, s0, E1 and E0 by g, g^2, g^3 and g^4,
-    so the invariants are g^6 alpha and g^8 beta.  The three products of window n carry g^(E+6),
-    g^(E+4) and g^(E+12), E = 2n^2 - 6n, so alpha p + beta q = r holds for h exactly when it holds
-    for H and the scaled invariants, and neither that nor a window's usability depends on the scale.
+    are its quartic's Somos-4 invariants (_genus1_quartic): conjectured_somos_rho0 and
+    conjectured_somos_rho_delta as polynomials at g = 1 (the tests prove it), times g^6 and g^8 as
+    s1, s0, E1 and E0 scale by g, g^2, g^3 and g^4.  The products of window n carry g^(E+6), g^(E+4)
+    and g^(E+12), E = 2n^2 - 6n, so neither alpha p + beta q = r nor a window's usability depends on g.
     """
     if rho0 not in (0, 1):
         raise ValueError("rho0 must be 0 or 1")
-    g = 1
+    e = (rho0, a, b, 1, c, d)
     if not type(a) is type(b) is type(c) is type(d) is type(rho0) is int:
-        (a, b, c, d, rho0), g = _over_common_denominator(_exact_values((a, b, c, d, rho0)))
-        b, c, d = b * g, c * g, d * g * g
-    e = (rho0, a, b, g, c, d)
+        (_, _, e02), (_, *e1), e2 = AMatrixSpec([[1, a, b], [1, c, d]], [rho0])._grid[0]
+        e = (e02, *e1, *e2)
     quartic, (alpha, beta) = _genus1_quartic(e)
     if not alpha:
         return DEGENERATE, None

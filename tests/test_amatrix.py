@@ -659,11 +659,11 @@ def test_equation_grid_is_the_negated_residual_at_every_w(spec, tail):
     w = PowerSeries.of([0, *tail])
     n = w.order
     total = PowerSeries.zero(n)
-    grid, d = spec._grid
+    grid, mu, lam = spec._grid
     for p, row in enumerate(grid):
         power, value = PowerSeries.one(n), PowerSeries.zero(n)
-        for e in row:
-            value, power = value + power * Fraction(e, d), power * w
+        for q, e in enumerate(row):  # e[p][q] = r[p][q] mu^p lam^(q-1)
+            value, power = value + power * Fraction(e * lam, mu**p * lam**q), power * w
         total = total + PowerSeries.of([0] * p + list(value.coeffs), n)
     expected = -functional_equation_residual(spec, w)
     if spec.repeat_last_row:
@@ -743,9 +743,10 @@ def test_spec_checks_reject_the_other_root_of_the_a_equation(repeat):
     spec = AMatrixSpec([[2, "1/2", -1], ["-2/3", 1, 1]], [1, "-1/2"], repeat)
     pair = bell_pair(spec, 20)
     n = pair.order
-    (c0, c1, _), d = amatrix_mod._equation_rows(spec)
-    c0, c1 = (PowerSeries._ints(c, d)._padded(n) for c in (c0, c1))
-    other = -(c1 / c0) - amatrix_mod._a_series(spec, n)
+    (c0, c1, _), (_, mu, lam) = amatrix_mod._equation_rows(spec), spec._grid
+    c0, c1 = (PowerSeries._ints(c, 1)._padded(n) for c in (c0, c1))
+    # the int grid's roots are A'_k = mu lam^(k-1) A_k, and so is their sum -c_1/c_0
+    other = PowerSeries([v * lam / (mu * lam**k) for k, v in enumerate((-(c1 / c0)).coeffs)]) - amatrix_mod._a_series(spec, n)
     assert other[0] == 0
     assert amatrix_mod._spec_checks(spec, other) == composition_checks(pair, other) == (False, False)
 
@@ -777,14 +778,37 @@ def test_int_residual_and_checks_match_the_series_routes(spec, order, draw):
 def test_cached_grid_is_the_cleared_fraction_grid_and_leaves_the_spec_value_alone(spec):
     twin = AMatrixSpec(spec.rows, spec.rho, spec.repeat_last_row)
     before = (hash(spec), repr(spec), pickle.dumps(spec))
-    grid, d = spec._grid
+    grid, mu, lam = spec._grid
     fractions = fraction_grid(spec)
-    assert ([v for row in grid for v in row], d) == _over_common_denominator([v for row in fractions for v in row])
+    assert (lam, mu) == (_over_common_denominator([v for row in fractions for v in row])[1], lam * spec.rows[0][0].denominator)
+    assert [tuple(Fraction(v * lam, mu**p * lam**q) for q, v in enumerate(row)) for p, row in enumerate(grid)] == list(map(tuple, fractions))
     assert list(map(len, grid)) == list(map(len, fractions))
     assert spec._grid is spec._grid and "_grid" in vars(spec) and "_grid" not in vars(twin)
     assert spec == twin and (hash(spec), repr(spec), pickle.dumps(spec)) == before
     copy = pickle.loads(before[2])
     assert copy == spec and "_grid" not in vars(copy) and copy._grid == spec._grid
+
+
+@settings(max_examples=60)
+@given(amatrix_specs(), st.integers(1, 12))
+@example(AMatrixSpec([["-3/2", "1/3"], [1, "2/3", 2]], ["1/2", -1], True), 12)
+@example(AMatrixSpec([["2/3", 1, 1]], [1, 2]), 12)
+@example(AMatrixSpec([["-5/4", "1/6"], ["2/3", -1, "3/2"]], [], True), 12)
+def test_grid_is_the_fraction_grid_scaled_to_ints_and_its_recurrence_the_scaled_powers_of_f(spec, nrows):
+    # e[p][q] = r[p][q] mu^p lam^(q-1) for the Fraction grid r, E(mu X, lam W)/lam, whose root
+    # W = f(mu X)/lam has [X^n] W^m = mu^n lam^(-m) [x^n] f^m: the rows of the entry recurrence
+    grid, mu, lam = spec._grid
+    a00 = spec.rows[0][0]
+    assert all(type(v) is int for row in grid for v in row)
+    assert grid[0][:2] == (0, -1) and grid[1][0] == a00.numerator and mu == lam * a00.denominator
+    for p, row in enumerate(fraction_grid(spec)):
+        assert list(grid[p]) == [r * mu**p * Fraction(lam) ** (q - 1) for q, r in enumerate(row)]
+    f, power, powers = solve_f(spec, nrows + 1).f, PowerSeries.one(nrows + 1), []
+    for _ in range(nrows + 1):
+        powers.append(power.coeffs)
+        power = power * f
+    expected = [[mu**n * Fraction(lam) ** -m * powers[m][n] for m in range(n + 1)] for n in range(nrows + 1)]
+    assert amatrix_mod._entry_rows(spec, nrows) == expected
 
 
 @pytest.mark.parametrize("order", [1, 2])

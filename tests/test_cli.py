@@ -379,9 +379,9 @@ def test_pipeline_exits_4_on_a_corrupt_printed_triangle_row(n, m, failing, capsy
     route = amatrix_mod._entry_rows
 
     def corrupt(spec, nrows):
-        d, rows = route(spec, nrows)
+        rows = route(spec, nrows)
         rows[n] = rows[n][:m] + [rows[n][m] + 1] + rows[n][m + 1 :]
-        return d, rows
+        return rows
 
     monkeypatch.setattr(amatrix_mod, "_entry_rows", corrupt)
     argv = ("pipeline", str(SPECS / "a171416.json"), "--rows", "15", "--order", "16")

@@ -997,24 +997,29 @@ GRID_SPECS = {
     "rho2-repeat": AMatrixSpec([[1, 3, -2], [4, -1, 5]], [2], True),
     "rho-2": AMatrixSpec([[1, -3, 2], [2, 5, -1]], [-2]),
     "rho7": AMatrixSpec([[1, 7, -5], [6, -7, 7]], [7]),
+    "pq": AMatrixSpec([[1, "1/2", "-2/3"], [1, "3/4", 5]], ["1/3"]),
+    "pq-repeat": AMatrixSpec([[1, "1/2", "-2/3"], ["5/6", "3/4", 5]], ["1/3"], True),
 }
 
 
 def grid_entries(spec):
-    """The free entries e = (e02, e11, e12, e20, e21, e22) of the spec's grid padded to 3 x 3,
-    which must be ints with row 0 (0, -1, e02) and e10 = 1."""
-    rows, d = spec._grid
+    """The free entries e = (e02, e11, e12, e20, e21, e22) of the spec's int grid padded to 3 x 3,
+    which must have row 0 (0, -1, e02) and e10 = 1."""
+    rows, _, _ = spec._grid
     e = [list(row) + [0] * (3 - len(row)) for row in rows] + [[0] * 3] * (3 - len(rows))
-    assert d == 1 and len(e) == 3 and all(len(row) == 3 for row in e)
+    assert len(e) == 3 and all(len(row) == 3 for row in e)
     assert e[0][:2] == [0, -1] and e[1][0] == 1
     return e[0][2], e[1][1], e[1][2], e[2][0], e[2][1], e[2][2]
 
 
 def spec_column(spec, depth):
-    """The ints t_0..t_(2 depth) of f/x for the spec's root f."""
+    """The ints t'_0..t'_(2 depth) of the column of the spec's int grid, t'_n = mu^(n+1)/lam t_n
+    for the t_n of f/x and the root f of the spec; t' = t for an int spec, mu = lam = 1."""
+    _, mu, lam = spec._grid
     f = solve_f(spec, 2 * depth + 2).f
-    assert f._den == 1
-    return f._nums[1:]
+    t = [Fraction(c * mu**n, lam) for n, c in enumerate(f.coeffs)][1:]
+    assert all(v.denominator == 1 for v in t)
+    return [v.numerator for v in t]
 
 
 @pytest.mark.parametrize("name", GRID_SPECS)
