@@ -229,8 +229,8 @@ def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
     (-C_1) F' = C_0 + sum_(q>=2) C_q F'^q that _polynomial_root solves in ints; F_n = lam F'_n/mu^(n+1).
     """
     grid, mu, lam = spec._grid
-    c0, c1, *cs = (PowerSeries._ints(((0,) * q + col)[1:], 1) for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
-    root = _polynomial_root(c0, -c1, cs, order)._nums
+    c0, c1, *cs = (((0,) * q + col)[1:] for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
+    root = _polynomial_root(c0, [-c for c in c1], cs, order)._nums
     powers = [mu**k for k in range(order + 1)]
     return PowerSeries._ints([lam * c * k for c, k in zip(root, powers[order - 1 :: -1])], powers[order])
 
@@ -301,7 +301,8 @@ def _recurrence_checks(pair: RiordanPair, mu: int, lam: int, rows: list[list[int
 
         T'(n, 1) g.den lam = g.num[n-1] mu^n,   sum_j alpha_j mu lam^(j-1) T'(n-1, j) = den T'(n, 1).
 
-    Raises NotRiordanBand naming the triangle row, n - 1, of the first identity that fails."""
+    Raises NotRiordanBand naming the triangle row, n - 1, of the first identity that fails.  No identity
+    reads the last row past T'(n, 1), nor T'(n-1, j) where A_j = 0; those entries go unchecked."""
     a, g = pair.a, pair.g
     alpha = [c * mu // lam * lam**j for j, c in enumerate(a._nums)]  # mu lam^(j-1) is beta at j = 0
     for n, (prev, row) in enumerate(zip(rows, rows[1:]), 1):
@@ -348,23 +349,21 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
 
         sum_p c_p u^p = 0,
 
-    here of the grid's root W = f(mu X)/lam, whose A' has A'_n = mu lam^(n-1) A_n.  Divided by
-    c_1(0) = e10, it is den*u = lead + sum_(p>=2) q_p u^p with den(0) = 1 and q_p = -c_p/e10
-    divisible by y, the form _polynomial_root solves for u = 1/A'.  Divided by u instead, it gives
-    A' = (sum_(p>=1) c_p u^(p-1)) / (-c_0) with no inverse, a Horner sum in u (L - 1 series
+    here of the grid's root W = f(mu X)/lam, whose A' has A'_n = mu lam^(n-1) A_n.  As c_1 u =
+    -c_0 - sum_(p>=2) c_p u^p with each c_p (p >= 2) divisible by y, the rows as they are give
+    _polynomial_root u = 1/A', which it solves over D = |c_1(0)| = |e10|.  Divided by u instead, it
+    gives A' = (sum_(p>=1) c_p u^(p-1)) / (-c_0) with no inverse, a Horner sum in u (L - 1 series
     products) over a polynomial.  For L = 1 A does not read u, which is then not solved.
     """
-    _, mu, lam = spec._grid
-    c0, *cs = (PowerSeries._ints(c, 1) for c in _equation_rows(spec))
-    rhs = -c0  # 1 - y*rho'(y)
-    acc = cs[-1]._padded(order)
+    (c0, *cs), (_, mu, lam) = _equation_rows(spec), spec._grid
+    rhs = [-c for c in c0]  # 1 - y*rho'(y)
+    acc = PowerSeries._ints(cs[-1], 1)._padded(order)
     if len(cs) > 1:
-        scale = Fraction(1, spec.rows[0][0].numerator)
-        u = _polynomial_root(rhs * scale, cs[0] * scale, [c * -scale for c in cs[1:]], order)
+        u = _polynomial_root(rhs, cs[0], [[-v for v in c] for c in cs[1:]], order)
         for c in reversed(cs[:-1]):
-            acc = acc * u + c._padded(order)
+            acc = acc * u + PowerSeries._ints(c, 1)._padded(order)
     # linear in acc, so the root runs on acc's numerators and divides by its denominator after
-    root = _polynomial_root(PowerSeries._ints(acc._nums, 1), rhs, [], order)._nums
+    root = _polynomial_root(acc._nums, rhs, [], order)._nums
     powers = [lam**k for k in range(order + 1)]
     return PowerSeries._ints([c * k for c, k in zip(root, powers[order:0:-1])], acc._den * mu * powers[order - 1])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from .series import (
@@ -326,8 +326,8 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     lcm of their own denominators (Sequence._cleared), and the integer minors
     (_minors) give every h_n = H_n / d**(n+1) from the monic Chebyshev rows,
     max_n levels of one row step each, with a block step across every run of
-    zero minors.  The h_n are returned as ints over the lcm of their own
-    denominators, with no Fraction.
+    zero minors.  The h_n are stored as H_n d**(max_n - n) over d**(max_n + 1),
+    which the store brings to lowest terms (_lowest) with one gcd, and no Fraction.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
@@ -338,16 +338,7 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     minors = _minors(t, max_n)
     if d == 1:
         return Sequence._ints(minors, 1)
-    # h_n in lowest terms is (H_n / g_n) / q_n, q_n = d**(n+1) / g_n with g_n = gcd(H_n, d**(n+1));
-    # over lcm(q_n) the minors need no scaling up to d**(max_n+1) and no gcd at that size
-    nums, dens, power = [], [], 1
-    for v in minors:
-        power *= d
-        g = gcd(v, power)
-        nums.append(v // g)
-        dens.append(power // g)
-    den = lcm(*dens)
-    return Sequence._ints([v * (den // q) for v, q in zip(nums, dens)], den)
+    return Sequence._ints([v * d ** (max_n - n) for n, v in enumerate(minors)], d ** (max_n + 1))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,19 @@ comparison and arithmetic builds no ``Fraction`` per value.  Values are
 returned as ``fractions.Fraction`` (the ``coeffs`` or ``terms`` view, built
 on first read; indexing reads one), and floats and bools are rejected at
 the boundary.  Denominators are cleared once, where ``Fraction``s enter, in
-the constructor; series that meet in one int recurrence go over the lcm of
-their stored denominators (``_over_lcm``), and a sequence's prefix goes
+the constructor; the baby powers of a composition or reversion go over the
+lcm of their stored denominators (``_over_lcm``), and a sequence's prefix goes
 over the lcm of its own denominators with one gcd (``Sequence._cleared``),
-which is how the Hankel layer reads it.  A product packs each
-operand into one big int (Kronecker substitution) so a single big-int
-multiply does the work, a quotient is a Newton inverse built from such
-products, and a root of a polynomial series equation (:func:`catalan_of`,
-``sqrt``, and a spec's f and reverse, the closed forms among them) follows
-from one int coefficient recurrence, ``_polynomial_root``.  Composition (Brent
-and Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
-Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
-O(n**2) int multiply-adds, where Horner and a running product take n - 1.
+which is how the Hankel layer reads it.  A product packs each operand into one
+big int (Kronecker substitution) so a single big-int multiply does the work,
+a quotient is a Newton inverse built from such products, and a root of a
+polynomial equation (:func:`catalan_of`, ``sqrt``, and a spec's f and reverse,
+the closed forms among them) follows from one int coefficient recurrence,
+``_polynomial_root``: it takes its callers' int rows and is the one place that
+picks the scale D of the root's terms.  Composition (Brent and Kung's
+baby-step/giant-step) and reversion (Johansson's baby-step/giant-step Lagrange
+inversion) each take about 2*sqrt(n) such products at order n, plus O(n**2)
+int multiply-adds, where Horner and a running product take n - 1.
 Newton steps and compositions form each product only to the terms that are
 read from it.
 
@@ -325,7 +326,7 @@ class PowerSeries(_Stored):
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.coeffs,))
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"PowerSeries(coeffs={_exact_repr(self.coeffs)})"
@@ -521,21 +522,18 @@ class PowerSeries(_Stored):
     def sqrt(self) -> PowerSeries:
         """The square root with positive constant term.
 
-        Only nonzero rational-square constant terms are supported.  With
-        self = t0**2 + x*s, the root is t0 + x*w where w solves the quadratic
-        w = s/(2*t0) - x*w**2/(2*t0), read off by _polynomial_root.
+        Only nonzero rational-square constant terms are supported.  With self =
+        t0**2 + x*s/den (s, den its stored ints) and t0 = rn/rd, the root is t0 + x*w for
+        w with 2*rn*(den/rd)*w = s - den*x*w**2 (rd**2 divides den), by _polynomial_root
+        to self's order: one term more than needed, so order 1 is no case of its own.
         """
         c0 = self[0]
-        num, den = c0.numerator, c0.denominator
-        if num <= 0:
+        if c0 <= 0:
             raise NonSquareConstantTerm(f"constant term {c0} has no usable square root")
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn != num or rd * rd != den:
+        rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
+        if (rn * rn, rd * rd) != (c0.numerator, c0.denominator):
             raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
-        half = Fraction(rd, 2 * rn)  # 1/(2*t0)
-        # one term of w more than t needs, so order 1 needs no case of its own
-        s = PowerSeries._ints(self._nums[1:] + (0,), self._den) * half
-        w = _polynomial_root(s, PowerSeries._ints((1,), 1), [PowerSeries._ints((0, -rd), 2 * rn)], self.order)
+        w = _polynomial_root(self._nums[1:], [2 * rn * self._den // rd], [[0, -self._den]], self.order)
         return w.mul_x().truncate(self.order) + Fraction(rn, rd)
 
 
@@ -548,12 +546,12 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
     """The series F with den*F = lead + sum_(k=2..K) q_k*F**k, for qs = [q_2, ..., q_K],
     to the given order.
 
-    lead, den and each q_k are series read as polynomials, zero past their order, with
-    den(0) = 1 and q_k(0) = 0, so [x^n](q_k*F**k) involves only F_0..F_(n-1) and the
-    terms follow one at a time off the running powers F**2..F**K, O(K*order**2) int
-    products in all.  With lead, den, q_k = L/D, E/D, Q_k/D over one common denominator
-    D (_over_lcm), the integers Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k)
-    (the Phi-scaled powers; P_1 = Phi) satisfy
+    lead, den and each q_k are int lists read as polynomials, zero past their length, with
+    den[0] != 0 and q_k[0] = 0, so [x^n](q_k*F**k) involves only F_0..F_(n-1): the terms
+    follow one at a time off the running powers F**2..F**K, O(K*order**2) int products.
+    Divided by g, the gcd of all their ints signed as den[0], the rows L, E, Q_k give the
+    least scale D = E_0 that clears the equation over den[0], and the integers
+    Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k) (P_1 = Phi) satisfy
 
         Phi_n = L_n*D**(K*n) + sum_(j>=1, k=1..K) Q_(k,j)*D**(K*j-k)*P_(k,n-j)
 
@@ -563,20 +561,23 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
     """
     if order < 1:
         raise SeriesError("order must be positive")
-    (lead_, den_, *qs_), d = _over_lcm([lead, den, *qs])
-    polys = list(enumerate([[-c for c in den_], *qs_], 1))[::-1]
+    g = gcd(*den, *lead, *[c for q in qs for c in q]) * (1 if den[0] > 0 else -1)
+    if g != 1:  # the rows over their content, with den[0] > 0
+        lead, den, qs = [c // g for c in lead], [c // g for c in den], [[c // g for c in q] for q in qs]
+    d = den[0]
+    polys = list(enumerate([[-c for c in den], *qs], 1))[::-1]
     width = min(order, max(len(p) for _, p in polys))
     # Q_(k,j)*D**(K*j-k) for j = 1, 2, ... and, within each j, k = K..1: the order of the reversed history
     if d == 1:
         coef = [p[j] if j < len(p) else 0 for j in range(1, width) for _, p in polys]
-        base = lead_[:order]
+        base = list(lead[:order])
     else:
         scale = [d ** (len(polys) * n) for n in range(order)]
         coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
-        base = [c * s for c, s in zip(lead_, scale)]
+        base = [c * s for c, s in zip(lead, scale)]
     base += [0] * (order - len(base))
     phi, history = [], []
-    powers = [phi] + [[] for _ in qs_]
+    powers = [phi] + [[] for _ in qs]
     chain = list(zip(powers, powers[1:]))  # P_k = P_(k-1) * Phi
     for b in base:
         t = b + sum(map(mul, coef, reversed(history)))
@@ -595,8 +596,7 @@ def catalan_of(u: PowerSeries) -> PowerSeries:
     """C(u), the solution y of y = 1 + u*y**2, to u's order (by _polynomial_root)."""
     if u._nums[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
-    one = PowerSeries._ints((1,), 1)
-    return _polynomial_root(one, one, [u], u.order)
+    return _polynomial_root([u._den], [u._den], [u._nums], u.order)
 
 
 def catalan(order: int) -> PowerSeries:

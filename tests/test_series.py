@@ -693,7 +693,7 @@ def test_equality_hash_and_views_match_fraction_tuples(a, b, k):
     assert (a == b) == (A == b.coeffs)
     # the same value reached through a common factor and through Fractions
     for same in (a * 6 * Fraction(1, 6), PowerSeries(A), PowerSeries.of(list(A))):
-        assert same == a and hash(same) == hash(a) == hash((A,))
+        assert same == a and hash(same) == hash(a)
         assert _stored_in_lowest_terms(same)
     assert repr(a) == f"PowerSeries(coeffs={A!r})"
     assert [a[i] for i in range(len(A))] == list(A)
@@ -708,6 +708,14 @@ def test_equality_hash_and_views_match_fraction_tuples(a, b, k):
     else:
         with pytest.raises(ValueError):
             a.integers()
+
+
+@given(wide_series)
+def test_series_hash_reads_the_stored_ints(a):
+    # equal series hash equal, off the store alone: hashing builds no Fraction view
+    same = [PowerSeries._ints([6 * c for c in a._nums], 6 * a._den), a * 6 * Fraction(1, 6)]
+    assert all(s == a and hash(s) == hash(a) == hash((a._nums, a._den)) for s in same)
+    assert a._view is None and all(s._view is None for s in same)
 
 
 @settings(max_examples=60)
@@ -906,6 +914,13 @@ def root_equations(draw, degrees):
 ZERO_HEAVY_TERMS = [0, 0, 0, 0, 1, -1, Fraction(3, 2**61 - 1)]
 
 
+def series_root(lead, den, qs, order):
+    """_polynomial_root of series lead, den and q_k, den(0) = 1, cleared to int rows over
+    their lcm d (_over_lcm), so den's row starts with d."""
+    (lead_, den_, *qs_), _ = riordan.series._over_lcm([lead, den, *qs])
+    return riordan.series._polynomial_root(lead_, den_, qs_, order)
+
+
 def test_polynomial_root_matches_term_by_term_oracle(rng):
     """Seeded equations of degree K = 1..5, with int terms (the int kernel's d = 1,
     where it forms no D-power), small p/q terms or zero-heavy terms with the prime
@@ -926,7 +941,7 @@ def test_polynomial_root_matches_term_by_term_oracle(rng):
         lead, den = PowerSeries.of(poly()), PowerSeries.of([1, *poly()])
         qs = [PowerSeries.of([0] * rng.choice([1, 1, 2]) + poly()) for _ in range(top - 1)]
         order = rng.randint(1, 14)
-        got = riordan.series._polynomial_root(lead, den, qs, order)
+        got = series_root(lead, den, qs, order)
         assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
         d = lcm(lead._den, den._den, *[q._den for q in qs])
         drawn.add((top, "d = 1" if d == 1 else "2**61 - 1" if d % (2**61 - 1) == 0 else "d > 1"))
@@ -937,14 +952,37 @@ def test_polynomial_root_matches_term_by_term_oracle(rng):
 @given(root_equations(st.just(2)).flatmap(lambda e: st.tuples(st.just(e), st.integers(1, 48))))
 def test_polynomial_root_matches_quadratic_oracle(case):
     (lead, den, (q,), _), order = case
-    got = riordan.series._polynomial_root(lead, den, [q], order)
+    got = series_root(lead, den, [q], order)
     assert got == quadratic_root(lead, den, q, order)
 
 
 def test_polynomial_root_without_powers_is_the_quotient():
     lead, den = PowerSeries.of([1, 2]), PowerSeries.of([1, Fraction(-1, 3), 5])
-    got = riordan.series._polynomial_root(lead, den, [], 20)
+    got = series_root(lead, den, [], 20)
     assert got == PowerSeries.of([1, 2], 20) / PowerSeries.of([1, Fraction(-1, 3), 5], 20)
+
+
+def test_polynomial_root_takes_its_scale_and_sign_from_den(rng):
+    """Int rows with den[0] in {-3, -1, 2, 5}, some times a common factor k: the kernel,
+    which divides the rows by their gcd signed as den[0], gives the root of the rows
+    divided by den[0]."""
+    for i in range(160):
+        d0, k = (-3, -1, 2, 5)[i % 4], (1, 1, 3, -2)[i // 4 % 4]
+
+        def poly():
+            return [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+
+        lead, den = poly(), [d0, *poly()]
+        qs = [[0] * rng.choice([1, 1, 2]) + poly() for _ in range(rng.randint(0, 3))]
+        order = rng.randint(1, 14)
+        rows = [[k * c for c in row] for row in (lead, den, *qs)]
+        got = riordan.series._polynomial_root(rows[0], rows[1], rows[2:], order)
+
+        def scaled(row):
+            return PowerSeries.of([Fraction(c, d0) for c in row])
+
+        assert list(got.coeffs) == polynomial_root_by_terms(scaled(lead), scaled(den), [scaled(q) for q in qs], order)
+        assert got._den > 0 and gcd(got._den, *got._nums) == 1
 
 
 # -- sequences and the binomial transform -------------------------------------
