@@ -51,6 +51,7 @@ from .series import (
     _int_product,
     _lowest,
     _over_common_denominator,
+    _over_powers,
     _polynomial_root,
     _ZERO,
     _ONE,
@@ -226,13 +227,13 @@ def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
         sum_q C_q F'^q = 0,   C_q = sum_p e[p][q] X^(p+q-1),
 
     and C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is (0, -1, e02, ...): the form
-    (-C_1) F' = C_0 + sum_(q>=2) C_q F'^q that _polynomial_root solves in ints; F_n = lam F'_n/mu^(n+1).
+    (-C_1) F' = C_0 + sum_(q>=2) C_q F'^q that _polynomial_root solves in ints; F_n = F'_n/(beta mu^n),
+    back to values by _over_powers (c = beta = mu/lam, r = mu).
     """
     grid, mu, lam = spec._grid
     c0, c1, *cs = (((0,) * q + col)[1:] for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
     root = _polynomial_root(c0, [-c for c in c1], cs, order)._nums
-    powers = [mu**k for k in range(order + 1)]
-    return PowerSeries._ints([lam * c * k for c, k in zip(root, powers[order - 1 :: -1])], powers[order])
+    return PowerSeries._ints(*_over_powers(root, mu // lam, mu))
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
@@ -353,7 +354,8 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
     -c_0 - sum_(p>=2) c_p u^p with each c_p (p >= 2) divisible by y, the rows as they are give
     _polynomial_root u = 1/A', which it solves over D = |c_1(0)| = |e10|.  Divided by u instead, it
     gives A' = (sum_(p>=1) c_p u^(p-1)) / (-c_0) with no inverse, a Horner sum in u (L - 1 series
-    products) over a polynomial.  For L = 1 A does not read u, which is then not solved.
+    products) over a polynomial.  For L = 1 A does not read u, which is then not solved.  A' goes
+    back to A by _over_powers (c = beta times the Horner sum's denominator, r = lam).
     """
     (c0, *cs), (_, mu, lam) = _equation_rows(spec), spec._grid
     rhs = [-c for c in c0]  # 1 - y*rho'(y)
@@ -364,8 +366,7 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
             acc = acc * u + PowerSeries._ints(c, 1)._padded(order)
     # linear in acc, so the root runs on acc's numerators and divides by its denominator after
     root = _polynomial_root(acc._nums, rhs, [], order)._nums
-    powers = [lam**k for k in range(order + 1)]
-    return PowerSeries._ints([c * k for c, k in zip(root, powers[order:0:-1])], acc._den * mu * powers[order - 1])
+    return PowerSeries._ints(*_over_powers(root, acc._den * (mu // lam), lam))
 
 
 def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:

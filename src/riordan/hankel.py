@@ -24,7 +24,7 @@ from math import gcd, prod
 from operator import mul
 
 from .series import (
-    InsufficientTerms, PowerSeries, Sequence, rational, _exact_repr, _over_common_denominator
+    InsufficientTerms, PowerSeries, Sequence, rational, _exact_repr, _lowest, _over_common_denominator, _over_powers
 )
 
 UNIQUE = "Unique"
@@ -323,22 +323,18 @@ def hankel_transform(s: Sequence, max_n: int) -> Sequence:
     """h_n = det(s[i+j]) for 0 <= i, j <= n, for n = 0..max_n.
 
     The 2*max_n + 1 terms are read as the sequence stores them, ints over d, the
-    lcm of their own denominators (Sequence._cleared), and the integer minors
-    (_minors) give every h_n = H_n / d**(n+1) from the monic Chebyshev rows,
-    max_n levels of one row step each, with a block step across every run of
-    zero minors.  The h_n are stored as H_n d**(max_n - n) over d**(max_n + 1),
-    which the store brings to lowest terms (_lowest) with one gcd, and no Fraction.
+    lcm of their own denominators (_lowest), and the integer minors (_minors) give
+    every h_n = H_n / d**(n+1) from the monic Chebyshev rows, max_n levels of one
+    row step each, with a block step across every run of zero minors.  The H_n go
+    back to values through _over_powers (c = r = d) and the store's one gcd.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     need = 2 * max_n + 1
     if len(s) < need:
         raise InsufficientTerms(f"need {need} terms for h_{max_n}, have {len(s)}")
-    t, d = s._cleared(need)
-    minors = _minors(t, max_n)
-    if d == 1:
-        return Sequence._ints(minors, 1)
-    return Sequence._ints([v * d ** (max_n - n) for n, v in enumerate(minors)], d ** (max_n + 1))
+    t, d = _lowest(s._nums[:need], s._den)
+    return Sequence._ints(*_over_powers(_minors(t, max_n), d, d))
 
 
 @dataclass(frozen=True)
@@ -444,7 +440,7 @@ class JFraction:
 def jfraction(s: Sequence, depth: int) -> JFraction:
     """Extract depth + 1 b-coefficients and depth lambdas from the monic
     Chebyshev recurrence (_chebyshev) on the moments as ints over the lcm of
-    their denominators (Sequence._cleared); stops early (terminated=True) when
+    their denominators (_lowest); stops early (terminated=True) when
     a lambda vanishes.
     """
     if depth < 0:
@@ -454,7 +450,7 @@ def jfraction(s: Sequence, depth: int) -> JFraction:
     need = 2 * depth + 2
     if len(s) < need:
         raise InsufficientTerms(f"depth {depth} needs {need} terms, have {len(s)}")
-    _, (b, lam) = _chebyshev(s._cleared(need)[0], depth, minors=False)
+    _, (b, lam) = _chebyshev(_lowest(s._nums[:need], s._den)[0], depth, minors=False)
     return JFraction(
         tuple(Fraction(*x) for x in b), tuple(Fraction(*x) for x in lam), terminated=len(b) == len(lam)
     )

@@ -11,20 +11,20 @@ returned as ``fractions.Fraction`` (the ``coeffs`` or ``terms`` view, built
 on first read; indexing reads one), and floats and bools are rejected at
 the boundary.  Denominators are cleared once, where ``Fraction``s enter, in
 the constructor; the baby powers of a composition or reversion go over the
-lcm of their stored denominators (``_over_lcm``), and a sequence's prefix goes
-over the lcm of its own denominators with one gcd (``Sequence._cleared``),
-which is how the Hankel layer reads it.  A product packs each operand into one
-big int (Kronecker substitution) so a single big-int multiply does the work,
-a quotient is a Newton inverse built from such products, and a root of a
-polynomial equation (:func:`catalan_of`, ``sqrt``, and a spec's f and reverse,
-the closed forms among them) follows from one int coefficient recurrence,
-``_polynomial_root``: it takes its callers' int rows and is the one place that
-picks the scale D of the root's terms.  Composition (Brent and Kung's
-baby-step/giant-step) and reversion (Johansson's baby-step/giant-step Lagrange
-inversion) each take about 2*sqrt(n) such products at order n, plus O(n**2)
-int multiply-adds, where Horner and a running product take n - 1.
-Newton steps and compositions form each product only to the terms that are
-read from it.
+lcm of their stored denominators (``_over_lcm``), a sequence's prefix goes over
+the lcm of its own (``_lowest``), and ints read as nums[n] / (c*r**n), a grid's
+root or Hankel minors, go back to values by a running product (``_over_powers``).
+A product packs each operand into one big int (Kronecker substitution) so a
+single big-int multiply does the work, a quotient is a Newton inverse built
+from such products, and a root of a polynomial equation (:func:`catalan_of`,
+``sqrt``, and a spec's f and reverse, the closed forms among them) follows
+from one int coefficient recurrence, ``_polynomial_root``: it takes its
+callers' int rows and is the one place that picks the scale D of the root's
+terms.  Composition (Brent and Kung's baby-step/giant-step) and reversion
+(Johansson's baby-step/giant-step Lagrange inversion) each take about
+2*sqrt(n) such products at order n, plus O(n**2) int multiply-adds, where
+Horner and a running product take n - 1.  Newton steps and compositions form
+each product only to the terms that are read from it.
 
 Everything here is an immutable value and every operation is a pure
 function, so series can be shared freely between concurrent workers.
@@ -183,6 +183,12 @@ def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
     over the lcm of its own denominators, _over_common_denominator's form."""
     g = gcd(den, *nums)
     return (tuple(nums), den) if g == 1 else (tuple(c // g for c in nums), den // g)
+
+
+def _over_powers(nums, c: int, r: int) -> tuple[list[int], int]:
+    """nums[n] / (c*r**n), c, r >= 1, as ints over c*r**(len(nums)-1), r's powers by a running product."""
+    powers = list(accumulate(repeat(r, len(nums) - 1), mul, initial=1))
+    return list(map(mul, nums, reversed(powers))), c * powers[-1]
 
 
 def _int_product(a: list[int], b: list[int]) -> list[int]:
@@ -639,11 +645,6 @@ class Sequence(_Stored):
         return cls(values, offset)
 
     terms = _Stored._values
-
-    def _cleared(self, n: int) -> tuple[tuple[int, ...], int]:
-        """(nums, d): the first n terms as ints over d, the lcm of their own
-        denominators, by one gcd (_lowest)."""
-        return _lowest(self._nums[:n], self._den)
 
     def __len__(self) -> int:
         return len(self._nums)

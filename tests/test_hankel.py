@@ -428,13 +428,33 @@ def test_monic_minors_match_scaled_oracle_on_jfraction_moments(jf, lead):
     terms = [lead * c for c in jfraction_series(jf, 2 * depth + 1).coeffs]
     t = cleared(terms)
     assert hankel._minors(t, depth) == scaled_minors(t, depth)
+    assert list(hankel_transform(Sequence(tuple(terms)), depth).terms) == heilermann_product(jf.lam, lead)
+
+
+def heilermann_product(lam, lead):
+    """Oracle: h_n = lead^(n+1) prod_(i<=n) lam_i^(n+1-i), n = 0..len(lam), the Hankel
+    transform of lead times the moments of a J-fraction with these lambdas."""
     want, p, h = [], Fraction(1), Fraction(1)
-    for n in range(depth + 1):
+    for n in range(len(lam) + 1):
         if n:
-            p *= jf.lam[n - 1]
+            p *= lam[n - 1]
         h *= p
         want.append(h * lead ** (n + 1))
-    assert list(hankel_transform(Sequence(tuple(terms)), depth).terms) == want
+    return want
+
+
+@pytest.mark.parametrize("depth", [24, 40, 63])
+def test_hankel_of_deep_pq_jfraction_moments_is_heilermanns_product(depth):
+    """Seeded p/q J-fraction moments times a p/q lead, past the depths of the
+    per-minor oracle tests, where the scale-back of the minors to values over
+    d**(n+1) carries the largest powers of d."""
+    rng = random.Random(depth)
+    for _ in range(2):
+        b = [random_fraction(rng, -6, 6) for _ in range(depth + 1)]
+        lam = [random_nonzero_fraction(rng, -6, 6) for _ in range(depth)]
+        lead = random_nonzero_fraction(rng, -6, 6)
+        moments = jfraction_series(JFraction(tuple(b), tuple(lam)), 2 * depth + 1) * lead
+        assert list(hankel_transform(Sequence(moments.coeffs), depth).terms) == heilermann_product(lam, lead)
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,6 +29,8 @@ from riordan.series import (
     rational,
     rational_series,
     _Substitution,
+    _lowest,
+    _over_powers,
     _ratio_text,
     _texts,
 )
@@ -1032,9 +1034,23 @@ def test_sequence_stores_lowest_ints_under_its_fraction_view(v, offset):
     assert Sequence.of(v, offset) == s
     scaled = Sequence._ints([6 * c for c in s._nums], 6 * s._den, offset)  # stored in lowest terms
     assert (scaled._nums, scaled._den, hash(scaled)) == (s._nums, s._den, hash(s))
-    for n in range(len(v) + 1):
-        nums, d = s._cleared(n)
+    for n in range(len(v) + 1):  # a stored prefix, by one gcd, is over the lcm of its own denominators
+        nums, d = _lowest(s._nums[:n], s._den)
         assert (list(nums), d) == riordan.series._over_common_denominator(want[:n])
+
+
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n)),
+    st.integers(1, 10**12),
+    st.one_of(st.just(1), st.integers(1, 10**12)),
+)
+def test_over_powers_reads_term_n_over_c_times_r_to_the_n(nums, c, r):
+    ints, den = _over_powers(nums, c, r)
+    assert den == c * r ** (len(nums) - 1)
+    assert [Fraction(v, den) for v in ints] == [Fraction(v, c * r**n) for n, v in enumerate(nums)]
+    s = PowerSeries._ints(ints, den)  # the store's gcd brings it to lowest terms
+    assert s.coeffs == tuple(Fraction(v, c * r**n) for n, v in enumerate(nums))
+    assert _stored_in_lowest_terms(s)
 
 
 @given(exact_lists, exact_lists, st.integers(0, 1), st.integers(0, 1), st.booleans())
