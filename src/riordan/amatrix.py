@@ -226,14 +226,14 @@ def _f_over_x(spec: AMatrixSpec, order: int) -> PowerSeries:
 
         sum_q C_q F'^q = 0,   C_q = sum_p e[p][q] X^(p+q-1),
 
-    and C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is (0, -1, e02, ...): the form
-    (-C_1) F' = C_0 + sum_(q>=2) C_q F'^q that _polynomial_root solves in ints; F_n = F'_n/(beta mu^n),
-    back to values by _over_powers (c = beta = mu/lam, r = mu).
+    and C_1(0) = -1 and C_q(0) = 0 for q >= 2, as grid row 0 is (0, -1, e02, ...): the shifted
+    columns C_q are the int rows _polynomial_root takes, and its root F'_n = Phi_n/(D R^n) goes
+    back to F_n = F'_n/(beta mu^n) by _over_powers (c = D beta, beta = mu/lam, r = R mu).
     """
     grid, mu, lam = spec._grid
-    c0, c1, *cs = (((0,) * q + col)[1:] for q, col in enumerate(zip_longest(*grid, fillvalue=0)))
-    root = _polynomial_root(c0, [-c for c in c1], cs, order)._nums
-    return PowerSeries._ints(*_over_powers(root, mu // lam, mu))
+    cols = [((0,) * q + col)[1:] for q, col in enumerate(zip_longest(*grid, fillvalue=0))]
+    phi, d, r = _polynomial_root(cols, order)
+    return PowerSeries._ints(*_over_powers(phi, d * (mu // lam), r * mu))
 
 
 def solve_f(spec: AMatrixSpec, order: int) -> SolveReport:
@@ -350,23 +350,22 @@ def _a_series(spec: AMatrixSpec, order: int) -> PowerSeries:
 
         sum_p c_p u^p = 0,
 
-    here of the grid's root W = f(mu X)/lam, whose A' has A'_n = mu lam^(n-1) A_n.  As c_1 u =
-    -c_0 - sum_(p>=2) c_p u^p with each c_p (p >= 2) divisible by y, the rows as they are give
-    _polynomial_root u = 1/A', which it solves over D = |c_1(0)| = |e10|.  Divided by u instead, it
-    gives A' = (sum_(p>=1) c_p u^(p-1)) / (-c_0) with no inverse, a Horner sum in u (L - 1 series
-    products) over a polynomial.  For L = 1 A does not read u, which is then not solved.  A' goes
-    back to A by _over_powers (c = beta times the Horner sum's denominator, r = lam).
+    here of the grid's root W = f(mu X)/lam, whose A' has A'_n = mu lam^(n-1) A_n.  With c_1(0) =
+    e10 and each c_p (p >= 2) divisible by y, the rows as they are give _polynomial_root u = 1/A',
+    which it solves over D = |c_1(0)| = |e10|.  Divided by u instead, it gives A' = -(sum_(p>=1)
+    c_p u^(p-1)) / c_0 with no inverse, a Horner sum in u (L - 1 series products) over a
+    polynomial: the root of the rows [acc, c_0], with acc the sum's numerators, c_0(0) = -1.  For
+    L = 1 A does not read u, which is then not solved.  That root Phi/(D R^n) goes back to A by
+    _over_powers (c = D beta times the Horner sum's denominator, r = R lam).
     """
-    (c0, *cs), (_, mu, lam) = _equation_rows(spec), spec._grid
-    rhs = [-c for c in c0]  # 1 - y*rho'(y)
-    acc = PowerSeries._ints(cs[-1], 1)._padded(order)
-    if len(cs) > 1:
-        u = _polynomial_root(rhs, cs[0], [[-v for v in c] for c in cs[1:]], order)
-        for c in reversed(cs[:-1]):
+    rows, (_, mu, lam) = _equation_rows(spec), spec._grid
+    acc = PowerSeries._ints(rows[-1], 1)._padded(order)
+    if len(rows) > 2:
+        u = PowerSeries._ints(*_over_powers(*_polynomial_root(rows, order)))
+        for c in reversed(rows[1:-1]):
             acc = acc * u + PowerSeries._ints(c, 1)._padded(order)
-    # linear in acc, so the root runs on acc's numerators and divides by its denominator after
-    root = _polynomial_root(acc._nums, rhs, [], order)._nums
-    return PowerSeries._ints(*_over_powers(root, acc._den * (mu // lam), lam))
+    phi, d, r = _polynomial_root([acc._nums, rows[0]], order)
+    return PowerSeries._ints(*_over_powers(phi, d * acc._den * (mu // lam), r * lam))
 
 
 def bell_pair(spec: AMatrixSpec, order: int) -> RiordanPair:

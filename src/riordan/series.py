@@ -18,12 +18,13 @@ A product packs each operand into one big int (Kronecker substitution) so a
 single big-int multiply does the work, a quotient is a Newton inverse built
 from such products, and a root of a polynomial equation (:func:`catalan_of`,
 ``sqrt``, and a spec's f and reverse, the closed forms among them) follows
-from one int coefficient recurrence, ``_polynomial_root``: it takes its
-callers' int rows and is the one place that picks the scale D of the root's
-terms.  Composition (Brent and Kung's baby-step/giant-step) and reversion
-(Johansson's baby-step/giant-step Lagrange inversion) each take about
-2*sqrt(n) such products at order n, plus O(n**2) int multiply-adds, where
-Horner and a running product take n - 1.  Newton steps and compositions form
+from one int coefficient recurrence, ``_polynomial_root``: it takes the
+equation sum_k C_k*F**k = 0 as the int rows C_k its callers hold, is the one
+place that picks the scale D of the root's terms, and returns them as ints
+read as nums[n] / (D*(D**K)**n), for ``_over_powers``.  Composition (Brent and
+Kung's baby-step/giant-step) and reversion (Johansson's baby-step/giant-step
+Lagrange inversion) each take about 2*sqrt(n) such products at order n, plus
+O(n**2) int multiply-adds, where Horner and a running product take n - 1.  Newton steps and compositions form
 each product only to the terms that are read from it.
 
 Everything here is an immutable value and every operation is a pure
@@ -530,8 +531,9 @@ class PowerSeries(_Stored):
 
         Only nonzero rational-square constant terms are supported.  With self =
         t0**2 + x*s/den (s, den its stored ints) and t0 = rn/rd, the root is t0 + x*w for
-        w with 2*rn*(den/rd)*w = s - den*x*w**2 (rd**2 divides den), by _polynomial_root
-        to self's order: one term more than needed, so order 1 is no case of its own.
+        w with s - 2*rn*(den/rd)*w - den*x*w**2 = 0 (rd**2 divides den), whose int rows
+        _polynomial_root solves to self's order: one term more than needed, so order 1 is
+        no case of its own.
         """
         c0 = self[0]
         if c0 <= 0:
@@ -539,8 +541,8 @@ class PowerSeries(_Stored):
         rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
         if (rn * rn, rd * rd) != (c0.numerator, c0.denominator):
             raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
-        w = _polynomial_root(self._nums[1:], [2 * rn * self._den // rd], [[0, -self._den]], self.order)
-        return w.mul_x().truncate(self.order) + Fraction(rn, rd)
+        w = _polynomial_root([self._nums[1:], [-2 * rn * self._den // rd], [0, -self._den]], self.order)
+        return PowerSeries._ints(*_over_powers(*w)).mul_x().truncate(self.order) + Fraction(rn, rd)
 
 
 def rational_series(num, den, order: int) -> PowerSeries:
@@ -548,42 +550,36 @@ def rational_series(num, den, order: int) -> PowerSeries:
     return PowerSeries.of(num, order) / PowerSeries.of(den, order)
 
 
-def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
-    """The series F with den*F = lead + sum_(k=2..K) q_k*F**k, for qs = [q_2, ..., q_K],
-    to the given order.
+def _polynomial_root(eqs, order: int) -> tuple[list[int], int, int]:
+    """The series F with sum_(k=0..K) C_k*F**k = 0, for the int rows eqs = [C_0, ..., C_K], to
+    the given order, as (Phi, D, D**K) with F_n = Phi_n / (D*(D**K)**n): _over_powers' (nums, c, r).
 
-    lead, den and each q_k are int lists read as polynomials, zero past their length, with
-    den[0] != 0 and q_k[0] = 0, so [x^n](q_k*F**k) involves only F_0..F_(n-1): the terms
-    follow one at a time off the running powers F**2..F**K, O(K*order**2) int products.
-    Divided by g, the gcd of all their ints signed as den[0], the rows L, E, Q_k give the
-    least scale D = E_0 that clears the equation over den[0], and the integers
+    Each C_k is an int list read as a polynomial, zero past its length, with C_1(0) != 0 and
+    C_k(0) = 0 for k >= 2, so [x^n](C_k*F**k) involves only F_0..F_(n-1): the terms follow one
+    at a time off the running powers F**2..F**K, O(K*order**2) int products.  Divided by g, the
+    gcd of all their ints signed as -C_1(0), the rows L = C_0/g and Q_k = C_k/g give the least
+    scale D = -Q_(1,0) > 0 that clears the equation over C_1(0), and the integers
     Phi_n = F_n*D**(K*n+1) and P_(k,m) = [x^m](F**k)*D**(K*m+k) (P_1 = Phi) satisfy
 
-        Phi_n = L_n*D**(K*n) + sum_(j>=1, k=1..K) Q_(k,j)*D**(K*j-k)*P_(k,n-j)
+        Phi_n = L_n*D**(K*n) + sum_(j>=1, k=1..K) Q_(k,j)*D**(K*j-k)*P_(k,n-j).
 
-    with Q_1 = -E.  Every term of that sum is one int dot product of the scaled
-    coefficients, j-major with k falling, against the reversed history of
-    (P_(1,m), ..., P_(K,m)) for m < n.  At D = 1 every D-power is 1 and none is formed.
+    Every term of that sum is one int dot product of the scaled coefficients, j-major with k
+    falling, against the reversed history of (P_(1,m), ..., P_(K,m)) for m < n.
     """
     if order < 1:
         raise SeriesError("order must be positive")
-    g = gcd(*den, *lead, *[c for q in qs for c in q]) * (1 if den[0] > 0 else -1)
-    if g != 1:  # the rows over their content, with den[0] > 0
-        lead, den, qs = [c // g for c in lead], [c // g for c in den], [[c // g for c in q] for q in qs]
-    d = den[0]
-    polys = list(enumerate([[-c for c in den], *qs], 1))[::-1]
-    width = min(order, max(len(p) for _, p in polys))
+    g = gcd(*[c for row in eqs for c in row]) * (1 if eqs[1][0] < 0 else -1)
+    lead, *qs = [[c // g for c in row] for row in eqs]
+    d, top = -qs[0][0], len(qs)
+    polys = list(enumerate(qs, 1))[::-1]
+    width = min(order, max(map(len, qs)))
+    scale = list(accumulate(repeat(d**top, order - 1), mul, initial=1))  # D**(K*n)
     # Q_(k,j)*D**(K*j-k) for j = 1, 2, ... and, within each j, k = K..1: the order of the reversed history
-    if d == 1:
-        coef = [p[j] if j < len(p) else 0 for j in range(1, width) for _, p in polys]
-        base = list(lead[:order])
-    else:
-        scale = [d ** (len(polys) * n) for n in range(order)]
-        coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
-        base = [c * s for c, s in zip(lead, scale)]
+    coef = [p[j] * scale[j] // d**k if j < len(p) else 0 for j in range(1, width) for k, p in polys]
+    base = list(map(mul, lead, scale))
     base += [0] * (order - len(base))
     phi, history = [], []
-    powers = [phi] + [[] for _ in qs]
+    powers = [phi] + [[] for _ in qs[1:]]
     chain = list(zip(powers, powers[1:]))  # P_k = P_(k-1) * Phi
     for b in base:
         t = b + sum(map(mul, coef, reversed(history)))
@@ -593,16 +589,15 @@ def _polynomial_root(lead, den, qs, order: int) -> PowerSeries:
             v = sum(map(mul, below, reversed(phi)))
             p.append(v)
             history.append(v)
-    if d == 1:
-        return PowerSeries._ints(phi, 1)
-    return PowerSeries._ints([c * k for c, k in zip(phi, reversed(scale))], d * scale[-1])
+    return phi, d, d**top
 
 
 def catalan_of(u: PowerSeries) -> PowerSeries:
-    """C(u), the solution y of y = 1 + u*y**2, to u's order (by _polynomial_root)."""
+    """C(u), the solution y of y = 1 + u*y**2, to u's order: the root of
+    den - den*y + nums*y**2 = 0 over u's stored ints (_polynomial_root)."""
     if u._nums[0] != 0:
         raise CompositionRequiresZeroConstantTerm("u has a nonzero constant term")
-    return _polynomial_root([u._den], [u._den], [u._nums], u.order)
+    return PowerSeries._ints(*_over_powers(*_polynomial_root([[u._den], [-u._den], u._nums], u.order)))
 
 
 def catalan(order: int) -> PowerSeries:

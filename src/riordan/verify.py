@@ -346,9 +346,10 @@ COUNTEREXAMPLE = "counterexample"
 def check_conjecture_point(a, b, c, d, rho0: int, order: int) -> tuple[str, int | None]:
     """Evaluate the conjecture at one parameter tuple.
 
-    Returns (status, failing_window).  rho0 must be 0 or 1 (ValueError), and every parameter,
-    rho0 included, an int, a Fraction or a 'p/q' string (TypeError for a bool or a float)
-    before anything else is read.  Tuples with conjectured alpha = 0 are degenerate before the
+    Returns (status, failing_window).  rho0 must equal 0 or 1 (ValueError otherwise, for a string
+    such as '1' too) as an int or a Fraction, and a, b, c and d may each be an int, a Fraction or a
+    'p/q' string; a bool or a float, as rho0 too, raises TypeError.  All of it is checked before
+    anything else is read.  Tuples with conjectured alpha = 0 are degenerate before the
     order is read and any minor is formed, and so are tuples with fewer than two usable Hankel
     windows (p, q or r nonzero); otherwise the product-form relation is checked at every window
     of the transform to depth (order - 1) // 2, and the first failing one is reported.

@@ -900,33 +900,43 @@ def test_catalan_of_rejects_unit_argument():
 
 @st.composite
 def root_equations(draw, degrees):
-    """(lead, den, qs, order) for den*F = lead + sum_k q_k*F**k: short polynomials
-    with small or p/q terms, den(0) = 1 and q_k(0) = 0, some q_k of valuation 2."""
+    """(eqs, order) for sum_k C_k*F**k = 0, eqs = [C_0, ..., C_K]: short polynomials
+    with small or p/q terms, C_1(0) = -1 and C_k(0) = 0 for k >= 2, some C_k of valuation 2."""
     top = draw(degrees)
     poly = st.lists(st.one_of(small_fraction, zero_heavy), min_size=1, max_size=4)
-    lead = PowerSeries(tuple(draw(poly)))
-    den = PowerSeries((Fraction(1), *draw(poly)))
-    qs = [
+    c0 = PowerSeries(tuple(draw(poly)))
+    c1 = PowerSeries((Fraction(-1), *draw(poly)))
+    cs = [
         PowerSeries((Fraction(0),) * draw(st.sampled_from([1, 1, 2])) + tuple(draw(poly)))
         for _ in range(top - 1)
     ]
-    return lead, den, qs, draw(st.integers(1, 14))
+    return [c0, c1, *cs], draw(st.integers(1, 14))
 
 
 ZERO_HEAVY_TERMS = [0, 0, 0, 0, 1, -1, Fraction(3, 2**61 - 1)]
 
 
-def series_root(lead, den, qs, order):
-    """_polynomial_root of series lead, den and q_k, den(0) = 1, cleared to int rows over
-    their lcm d (_over_lcm), so den's row starts with d."""
-    (lead_, den_, *qs_), _ = riordan.series._over_lcm([lead, den, *qs])
-    return riordan.series._polynomial_root(lead_, den_, qs_, order)
+def kernel_root(rows, order):
+    """(F, c): _polynomial_root's (Phi, c, r) of the int rows [C_0, ..., C_K] as a series,
+    once it is checked: c > 0, r = c**K, and _over_powers(Phi, c, r) stored in lowest terms."""
+    phi, c, r = root = riordan.series._polynomial_root(rows, order)
+    assert len(phi) == order and c > 0 and r == c ** (len(rows) - 1)
+    got = PowerSeries._ints(*_over_powers(*root))
+    assert _stored_in_lowest_terms(got)
+    return got, c
+
+
+def series_root(eqs, order):
+    """kernel_root of series C_0, ..., C_K, C_1(0) = -1, cleared to int rows over
+    their lcm d (_over_lcm), so C_1's row starts with -d."""
+    rows, _ = riordan.series._over_lcm(eqs)
+    return kernel_root(rows, order)[0]
 
 
 def test_polynomial_root_matches_term_by_term_oracle(rng):
     """Seeded equations of degree K = 1..5, with int terms (the int kernel's d = 1,
-    where it forms no D-power), small p/q terms or zero-heavy terms with the prime
-    denominator 2**61 - 1 (d > 1), some q_k of valuation 2."""
+    where every D-power is 1), small p/q terms or zero-heavy terms with the prime
+    denominator 2**61 - 1 (d > 1), some C_k of valuation 2; the oracle's den is -C_1."""
     kinds = [
         lambda: rng.randint(-3, 3),
         lambda: random_fraction(rng),
@@ -940,12 +950,12 @@ def test_polynomial_root_matches_term_by_term_oracle(rng):
             return [terms() for _ in range(rng.randint(1, 4))]
 
         top = rng.randint(1, 5)
-        lead, den = PowerSeries.of(poly()), PowerSeries.of([1, *poly()])
-        qs = [PowerSeries.of([0] * rng.choice([1, 1, 2]) + poly()) for _ in range(top - 1)]
+        c0, c1 = PowerSeries.of(poly()), PowerSeries.of([-1, *poly()])
+        cs = [PowerSeries.of([0] * rng.choice([1, 1, 2]) + poly()) for _ in range(top - 1)]
         order = rng.randint(1, 14)
-        got = series_root(lead, den, qs, order)
-        assert list(got.coeffs) == polynomial_root_by_terms(lead, den, qs, order)
-        d = lcm(lead._den, den._den, *[q._den for q in qs])
+        got = series_root([c0, c1, *cs], order)
+        assert list(got.coeffs) == polynomial_root_by_terms(c0, -c1, cs, order)
+        d = lcm(c0._den, c1._den, *[q._den for q in cs])
         drawn.add((top, "d = 1" if d == 1 else "2**61 - 1" if d % (2**61 - 1) == 0 else "d > 1"))
     assert {(top, d) for top in (1, 2, 3) for d in ("d = 1", "d > 1", "2**61 - 1")} <= drawn
 
@@ -953,37 +963,39 @@ def test_polynomial_root_matches_term_by_term_oracle(rng):
 @settings(max_examples=60)
 @given(root_equations(st.just(2)).flatmap(lambda e: st.tuples(st.just(e), st.integers(1, 48))))
 def test_polynomial_root_matches_quadratic_oracle(case):
-    (lead, den, (q,), _), order = case
-    got = series_root(lead, den, [q], order)
-    assert got == quadratic_root(lead, den, q, order)
+    ([c0, c1, c2], _), order = case
+    got = series_root([c0, c1, c2], order)
+    assert got == quadratic_root(c0, -c1, c2, order)
 
 
 def test_polynomial_root_without_powers_is_the_quotient():
-    lead, den = PowerSeries.of([1, 2]), PowerSeries.of([1, Fraction(-1, 3), 5])
-    got = series_root(lead, den, [], 20)
+    c0, c1 = PowerSeries.of([1, 2]), PowerSeries.of([-1, Fraction(1, 3), -5])
+    got = series_root([c0, c1], 20)
     assert got == PowerSeries.of([1, 2], 20) / PowerSeries.of([1, Fraction(-1, 3), 5], 20)
 
 
 def test_polynomial_root_takes_its_scale_and_sign_from_den(rng):
-    """Int rows with den[0] in {-3, -1, 2, 5}, some times a common factor k: the kernel,
-    which divides the rows by their gcd signed as den[0], gives the root of the rows
-    divided by den[0]."""
+    """Int rows with C_1(0) in {-3, -1, 2, 5} (the oracle's den is -C_1), some times a
+    common factor k in {3, -2}: the kernel, which divides the rows by their gcd signed
+    as -C_1(0), gives the root of the rows divided by -C_1(0), over the least scale
+    c = |C_1(0)| / gcd of all their ints, with r = c**K."""
     for i in range(160):
-        d0, k = (-3, -1, 2, 5)[i % 4], (1, 1, 3, -2)[i // 4 % 4]
+        c10, k = (-3, -1, 2, 5)[i % 4], (1, 1, 3, -2)[i // 4 % 4]
 
         def poly():
             return [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
 
-        lead, den = poly(), [d0, *poly()]
-        qs = [[0] * rng.choice([1, 1, 2]) + poly() for _ in range(rng.randint(0, 3))]
+        c0, c1 = poly(), [c10, *poly()]
+        cs = [[0] * rng.choice([1, 1, 2]) + poly() for _ in range(rng.randint(0, 3))]
         order = rng.randint(1, 14)
-        rows = [[k * c for c in row] for row in (lead, den, *qs)]
-        got = riordan.series._polynomial_root(rows[0], rows[1], rows[2:], order)
+        rows = [[k * c for c in row] for row in (c0, c1, *cs)]
+        got, c = kernel_root(rows, order)
+        assert c == abs(c10) // gcd(*[v for row in (c0, c1, *cs) for v in row])
 
         def scaled(row):
-            return PowerSeries.of([Fraction(c, d0) for c in row])
+            return PowerSeries.of([Fraction(v, -c10) for v in row])
 
-        assert list(got.coeffs) == polynomial_root_by_terms(scaled(lead), scaled(den), [scaled(q) for q in qs], order)
+        assert list(got.coeffs) == polynomial_root_by_terms(scaled(c0), -scaled(c1), [scaled(q) for q in cs], order)
         assert got._den > 0 and gcd(got._den, *got._nums) == 1
 
 
